@@ -1,0 +1,9 @@
+"""Makes ``repro`` importable for this directory's tests when
+``PYTHONPATH=src`` was not given."""
+
+import sys
+from pathlib import Path
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+if SRC not in sys.path:
+    sys.path.insert(0, SRC)
