@@ -16,7 +16,7 @@ import pytest
 
 from repro.client import DeliveryChecker
 from repro.core.config import LivenessParams
-from repro.sim.trace import Tracer
+from repro.obs.trace import Tracer
 from repro.topology import Topology
 
 from _bench_tables import print_table

@@ -1,6 +1,6 @@
 """Trace debugging: watch the protocol conversation around a failure.
 
-Attaches a :class:`~repro.sim.trace.Tracer` to a small deployment, breaks
+Attaches a :class:`~repro.obs.trace.Tracer` to a small deployment, breaks
 a link mid-run, and prints the exact message exchange that repairs the
 loss — the nack leaving the subscriber-hosting broker, its consolidation,
 and the retransmission coming back.  This is the workflow for debugging
@@ -11,7 +11,7 @@ Run:  python examples/trace_debugging.py
 """
 
 from repro import FaultInjector, LivenessParams
-from repro.sim.trace import Tracer
+from repro.obs.trace import Tracer
 from repro.topology import two_broker_topology
 
 

@@ -2,7 +2,7 @@
 
 from .chaos import ChaosAction, ChaosReport, chaos, chaos_schedule, run_chaos
 from .runtime import AioBroker, AioPublisher, AioSystem
-from .transport import LocalTransport, TcpTransport, decode_frame, encode_frame
+from .transport import LocalTransport, TcpTransport, Transport
 from .wire import (
     FrameDecoder,
     FrameError,
@@ -26,13 +26,12 @@ __all__ = [
     "OversizedFrame",
     "SerializeCache",
     "TcpTransport",
+    "Transport",
     "chaos",
     "chaos_schedule",
     "decode_batch_body",
-    "decode_frame",
     "decode_wire_message",
     "encode_batch_frame",
-    "encode_frame",
     "encode_wire_message",
     "run_chaos",
 ]

@@ -40,7 +40,7 @@ from ..core.config import LivenessParams
 from ..storage.faults import corrupt_log_file
 from ..topology import Topology
 from .runtime import AioSystem
-from .transport import LocalTransport, TcpTransport
+from .transport import LocalTransport, TcpTransport, Transport
 
 __all__ = ["ChaosAction", "ChaosReport", "chaos_schedule", "run_chaos", "chaos"]
 
@@ -215,7 +215,7 @@ async def chaos(
             wire_kwargs["flush_delay"] = aio_flush_delay
         if max_batch_bytes is not None:
             wire_kwargs["max_batch_bytes"] = max_batch_bytes
-        wire = TcpTransport(heartbeat_interval=0.1, seed=seed, **wire_kwargs)
+        wire: Transport = TcpTransport(heartbeat_interval=0.1, seed=seed, **wire_kwargs)
     elif transport == "local":
         wire = LocalTransport(latency=0.001, seed=seed)
     else:
@@ -272,10 +272,7 @@ async def chaos(
                     report.counters.get("log_corruptions_injected", 0) + injected
                 )
             elif action.kind == "corrupt-wire":
-                if hasattr(wire, "corrupt_next_frames"):
-                    wire.corrupt_next_frames(1)
-                else:
-                    wire.corrupt_next_messages(1)
+                wire.corrupt_next_messages(1)
                 report.counters["wire_corruptions_injected"] = (
                     report.counters.get("wire_corruptions_injected", 0) + 1
                 )
@@ -283,10 +280,10 @@ async def chaos(
                 broker = system.brokers.get(action.target)
                 armed = 0
                 if broker is not None and broker.alive:
-                    for log in broker._logs.values():
-                        if hasattr(log, "inject_fault"):
-                            log.inject_fault("enospc")
-                            armed += 1
+                    # data_dir is always set here: every log is a FileLog.
+                    for log in broker.hosted_logs().values():
+                        log.inject_fault("enospc")
+                        armed += 1
                 report.counters["disk_full_injected"] = (
                     report.counters.get("disk_full_injected", 0) + armed
                 )

@@ -24,23 +24,22 @@ from __future__ import annotations
 
 import asyncio
 import os
-import warnings
 from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..broker.engine import BrokerServices, GDBrokerEngine
+from ..broker.engine import BrokerServices
+from ..broker.host import BrokerHost
 from ..broker.state import BrokerTopologyInfo
-from ..client import SubscriberClient
+from ..client import PublisherClient, SubscriberClient
 from ..core.config import LivenessParams
 from ..core.subend import Subscription
 from ..core.ticks import Tick
-from ..facade import resolve_predicate
-from ..matching.events import Event
+from ..facade import SubscribeMixin
 from ..obs.hub import MetricsHub
 from ..obs.observability import Observability
-from ..storage.log import FileLog, LogAppendError, MemoryLog, MessageLog
+from ..storage.log import FileLog, MemoryLog, MessageLog
 from ..topology import Topology, TopologyPlan
-from .transport import LocalTransport
+from .transport import LocalTransport, Transport
 
 __all__ = ["AioBroker", "AioSystem", "AioPublisher", "KNOWN_MUTATIONS"]
 
@@ -121,8 +120,13 @@ class _AioServices(BrokerServices):
         self.broker.deliver(subscriber, pubend, tick, payload)
 
 
-class AioBroker:
+class AioBroker(BrokerHost):
     """One broker process on the event loop.
+
+    Pubend hosting, the engine lifecycle and the crash/recover sequence
+    are :class:`~repro.broker.host.BrokerHost`'s; this class adds the
+    asyncio substrate — the bounded inbox, wall-clock timers tracked for
+    cancellation, and the self-test mutations.
 
     ``inbox_limit`` bounds the broker's receive queue; ``slow_consumer``
     picks what happens when it fills:
@@ -147,7 +151,7 @@ class AioBroker:
         broker_id: str,
         info: BrokerTopologyInfo,
         params: LivenessParams,
-        transport,
+        transport: Transport,
         metrics: Optional[MetricsHub] = None,
         obs: Optional[Observability] = None,
         inbox_limit: int = 1024,
@@ -160,14 +164,7 @@ class AioBroker:
                 f"slow_consumer must be 'backpressure' or 'shed', "
                 f"got {slow_consumer!r}"
             )
-        self.broker_id = broker_id
-        self.info = info
-        self.params = params
         self.transport = transport
-        if obs is None:
-            obs = Observability(hub=metrics)
-        self.obs = obs
-        self.metrics = metrics if metrics is not None else obs.hub
         self.alive = True
         self.epoch = 0
         self.inbox_limit = inbox_limit
@@ -180,26 +177,6 @@ class AioBroker:
         #: production deployments.
         self.mutations = mutations
         self.mutation_counts: Counter = Counter()
-        self.services = _AioServices(self)
-        # The engine shares the system-wide lifecycle hub so tracers and
-        # detectors attached to system.obs observe the real-time path
-        # exactly as they do the simulator.
-        self.engine = GDBrokerEngine(
-            info,
-            params,
-            self.services,
-            instruments=self.obs.instruments,
-            lifecycle=self.obs.lifecycle,
-        )
-        #: Pubend hostings as *log factories*: a MemoryLog factory hands
-        #: back the same object (the simulator's kept-alive-disk model),
-        #: a FileLog factory reopens the file from disk — so restart()
-        #: exercises real replay-based recovery.
-        self._hostings: List[
-            Tuple[str, Callable[[], MessageLog], int, int, Optional[float]]
-        ] = []
-        self._logs: Dict[str, MessageLog] = {}
-        self._clients: Dict[str, SubscriberClient] = {}
         self._pending_timers: Set[asyncio.TimerHandle] = set()
         self._inbox: Optional["asyncio.Queue[Tuple[str, Any]]"] = None
         self._drain_task: Optional[asyncio.Task] = None
@@ -207,72 +184,13 @@ class AioBroker:
         #: client's DuplicateDelivery) — surfaced by shutdown()/chaos.
         self.failure: Optional[BaseException] = None
         self.shed_count = 0
-        self.restarts = 0
-
-    # -- configuration ---------------------------------------------------
-
-    def host_pubend(
-        self,
-        pubend_id: str,
-        log: Optional[MessageLog] = None,
-        slot: int = 0,
-        n_slots: int = 1,
-        preassign_window: Optional[float] = None,
-        log_factory: Optional[Callable[[], MessageLog]] = None,
-    ) -> MessageLog:
-        window = (
-            preassign_window
-            if preassign_window is not None
-            else self.params.preassign_window
-        )
-        if log_factory is None:
-            if log is None:
-                log = MemoryLog()
-            if isinstance(log, FileLog):
-                # Crash realism: the handle dies with the broker, the
-                # file survives; restart reopens and replays it with the
-                # same configuration (record format, fault wrapper,
-                # instruments).
-                log_factory = log.factory()
-            else:
-                kept = log
-                log_factory = lambda: kept  # noqa: E731
-        elif log is None:
-            log = log_factory()
-        self._hostings.append((pubend_id, log_factory, slot, n_slots, window))
-        self._logs[pubend_id] = log
-        self.engine.host_pubend(self._make_pubend(pubend_id, log, slot, n_slots, window))
-        return log
-
-    def _make_pubend(self, pubend_id, log, slot, n_slots, window):
-        from ..core.pubend import Pubend
-
-        return Pubend(
-            pubend_id,
-            log,
-            slot=slot,
-            n_slots=n_slots,
-            aet=self.params.aet,
-            silence_interval=self.params.silence_interval,
-            preassign_window=window,
-            instruments=self.obs.instruments,
-        )
-
-    def add_subscription(
-        self, subscription: Subscription, client: Optional[SubscriberClient] = None
-    ) -> None:
-        if client is not None:
-            self._clients[subscription.subscriber] = client
-        self.engine.add_subscription(subscription)
+        super().__init__(broker_id, info, params, _AioServices(self), metrics, obs)
 
     def start(self) -> None:
-        """Register with the transport, spin up the inbox drain task,
-        and arm protocol timers."""
-        if hasattr(self.transport, "register"):
-            self.transport.register(self.broker_id, self.on_receive)
+        """Spin up the inbox drain task and arm protocol timers."""
         self._inbox = asyncio.Queue(maxsize=self.inbox_limit)
         self._drain_task = asyncio.get_running_loop().create_task(self._drain())
-        self.engine.start()
+        super().start()
 
     # -- timer tracking ----------------------------------------------------
 
@@ -289,11 +207,6 @@ class AioBroker:
         self._pending_timers.clear()
 
     # -- data path ---------------------------------------------------------
-
-    def publish(self, pubend_id: str, payload: Any) -> Optional[Tick]:
-        if not self.alive:
-            return None
-        return self.engine.publish(pubend_id, payload)
 
     def on_receive(self, src: str, message: Any) -> None:
         """Synchronous receive (LocalTransport): enqueue, applying the
@@ -386,7 +299,8 @@ class AioBroker:
 
     def crash(self) -> None:
         """Kill the broker: soft state gone, timers cancelled, log file
-        handles closed (the files survive on disk)."""
+        handles closed (the files survive on disk).  Taking it off the
+        wire is the system's half (:meth:`AioSystem.kill_broker`)."""
         if not self.alive:
             return
         self.alive = False
@@ -396,50 +310,15 @@ class AioBroker:
             self._drain_task.cancel()
             self._drain_task = None
         self._inbox = None
-        if hasattr(self.transport, "unregister"):
-            self.transport.unregister(self.broker_id)
-        for log in self._logs.values():
-            log.close()
-        self._logs.clear()
-        hub = self.obs.lifecycle
-        if hub.listeners:
-            try:
-                hub.fault(
-                    asyncio.get_running_loop().time(), "crash", self.broker_id
-                )
-            except RuntimeError:
-                pass  # no running loop (teardown outside the loop)
-        self.engine = None  # type: ignore[assignment]
+        self.on_crash()
 
     def restart(self) -> None:
-        """Recover from stable storage: each hosted pubend's log is
-        reopened via its factory and replayed, so assigned ticks and the
-        doubt horizon are re-advertised (paper §2: stable storage only at
-        the PHB)."""
+        """Recover from stable storage (see :meth:`BrokerHost.on_restart`)."""
         if self.alive:
             return
         self.alive = True
         self.epoch += 1
-        self.restarts += 1
-        self.engine = GDBrokerEngine(
-            self.info,
-            self.params,
-            self.services,
-            instruments=self.obs.instruments,
-            lifecycle=self.obs.lifecycle,
-        )
-        for pubend_id, log_factory, slot, n_slots, window in self._hostings:
-            log = log_factory()
-            self._logs[pubend_id] = log
-            pubend = self._make_pubend(pubend_id, log, slot, n_slots, window)
-            pubend.recover()
-            self.engine.host_pubend(pubend)
-        hub = self.obs.lifecycle
-        if hub.listeners:
-            hub.fault(
-                asyncio.get_running_loop().time(), "restart", self.broker_id
-            )
-        self.start()
+        self.on_restart()
 
     async def shutdown(self) -> None:
         """Graceful stop: drain the inbox, cancel timers, close logs."""
@@ -459,68 +338,23 @@ class AioBroker:
                 pass
             self._drain_task = None
         self._inbox = None
-        if hasattr(self.transport, "unregister"):
-            self.transport.unregister(self.broker_id)
-        for log in self._logs.values():
+        for log in self.hosted_logs().values():
             log.close()
 
 
-class AioPublisher:
-    """Publishes events at a fixed rate from an asyncio task."""
+class AioPublisher(PublisherClient):
+    """A :class:`~repro.client.PublisherClient` paced by an asyncio task."""
 
-    def __init__(
-        self,
-        broker: AioBroker,
-        pubend: str,
-        rate: float,
-        make_attributes: Optional[Callable[[int], Dict[str, Any]]] = None,
-        max_messages: Optional[int] = None,
-    ):
-        self.broker = broker
-        self.pubend = pubend
-        self.interval = 1.0 / rate
-        self.make_attributes = make_attributes
-        #: Stop after exactly this many publish attempts (failed attempts
-        #: count) — mirrors the simulator's count-limited PublisherClient
-        #: so both backends attempt the identical seq sequence.
-        self.max_messages = max_messages
-        self.seq = 0
-        self.published: List[Tuple[int, Tick, Event]] = []
-        self.failed_attempts = 0
+    def __init__(self, broker: AioBroker, pubend: str, rate: float, **kwargs: Any):
+        super().__init__(broker, pubend, broker.services.now, rate, **kwargs)
         self._task: Optional[asyncio.Task] = None
-
-    def publish_once(self) -> Optional[Tick]:
-        attributes: Dict[str, Any] = {"pub": self.pubend, "seq": self.seq}
-        if self.make_attributes is not None:
-            attributes.update(self.make_attributes(self.seq))
-        attributes["ts"] = asyncio.get_running_loop().time()
-        event = Event(attributes)
-        try:
-            tick = self.broker.publish(self.pubend, event)
-        except LogAppendError:
-            # The stable log could not be made durable (disk full, fsync
-            # failure): the tick was rolled back before anything was
-            # advertised, so this is a failed attempt the publisher may
-            # retry — never a silently-lost published message.
-            tick = None
-        if tick is None:
-            self.failed_attempts += 1
-        else:
-            self.published.append((self.seq, tick, event))
-        self.seq += 1
-        return tick
-
-    @property
-    def done(self) -> bool:
-        """True once a count-limited publisher has made all its attempts."""
-        return self.max_messages is not None and self.seq >= self.max_messages
 
     def start(self) -> None:
         self._task = asyncio.get_running_loop().create_task(self._run())
 
     async def _run(self) -> None:
         try:
-            while self.max_messages is None or self.seq < self.max_messages:
+            while not self.done:
                 self.publish_once()
                 await asyncio.sleep(self.interval)
         except asyncio.CancelledError:
@@ -536,7 +370,7 @@ class AioPublisher:
             self._task = None
 
 
-class AioSystem:
+class AioSystem(SubscribeMixin):
     """A whole deployment on one event loop, built from a Topology.
 
     Exposes the same public facade as the simulator's
@@ -551,7 +385,7 @@ class AioSystem:
         self,
         topology: Topology,
         params: Optional[LivenessParams] = None,
-        transport=None,
+        transport: Optional[Transport] = None,
         log_commit_latency: float = 0.0,
         log_factory: Optional[Callable[[str], MessageLog]] = None,
         *,
@@ -572,8 +406,7 @@ class AioSystem:
         self.params = params if params is not None else LivenessParams()
         self.transport = transport if transport is not None else LocalTransport()
         self.obs = Observability()
-        if hasattr(self.transport, "bind_instruments"):
-            self.transport.bind_instruments(self.obs.instruments)
+        self.transport.bind_instruments(self.obs.instruments)
         self.metrics = self.obs.hub
         self.plan: TopologyPlan = topology.plan()
         self.brokers: Dict[str, AioBroker] = {}
@@ -625,13 +458,15 @@ class AioSystem:
 
     async def start(self) -> None:
         """Bring every broker online (TCP transports start listening)."""
-        if hasattr(self.transport, "start_broker"):
-            for broker_id, broker in self.brokers.items():
-                await self.transport.start_broker(
-                    broker_id, broker.on_receive_async
-                )
+        for broker in self.brokers.values():
+            await self._attach(broker)
         for broker in self.brokers.values():
             broker.start()
+
+    async def _attach(self, broker: AioBroker) -> None:
+        await self.transport.attach(
+            broker.broker_id, broker.on_receive, broker.on_receive_async
+        )
 
     # -- facade ----------------------------------------------------------
 
@@ -662,60 +497,22 @@ class AioSystem:
         self.pubend_hosts[pubend_id] = broker_id
         return log
 
-    def subscribe(
-        self,
-        subscriber_id: str,
-        broker_id: str,
-        pubends: Tuple[str, ...],
-        predicate: Any = None,
-        *legacy: Any,
-        total_order: bool = False,
-    ) -> SubscriberClient:
-        """Attach a subscriber client at an SHB.
-
-        ``predicate`` may be a subscription string (parsed), an AST
-        :class:`~repro.matching.ast.Predicate`, a plain callable, or
-        ``None`` (match everything).  ``total_order`` is keyword-only;
-        passing it positionally still works but warns.
-        """
-        if legacy:
-            warnings.warn(
-                "passing total_order positionally to AioSystem.subscribe is "
-                "deprecated; use total_order=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(legacy) > 1:
-                raise TypeError(
-                    f"subscribe() takes at most 5 positional arguments "
-                    f"({5 + len(legacy)} given)"
-                )
-            total_order = legacy[0]
-        predicate = resolve_predicate(predicate)
-        client = SubscriberClient(
-            subscriber_id, metrics=self.metrics, check_total_order=total_order
-        )
-        subscription = Subscription(
-            subscriber=subscriber_id,
-            predicate=predicate,
-            pubends=tuple(pubends),
-            total_order=total_order,
-        )
-        self.brokers[broker_id].add_subscription(subscription, client)
-        self.subscribers[subscriber_id] = client
-        self.subscriptions[subscriber_id] = subscription
-        return client
-
     def publisher(
         self,
         pubend: str,
         rate: float,
         make_attributes: Optional[Callable[[int], Dict[str, Any]]] = None,
+        body_bytes: int = 0,
         max_messages: Optional[int] = None,
     ) -> AioPublisher:
         broker = self.brokers[self.pubend_hosts[pubend]]
         publisher = AioPublisher(
-            broker, pubend, rate, make_attributes, max_messages=max_messages
+            broker,
+            pubend,
+            rate,
+            make_attributes=make_attributes,
+            body_bytes=body_bytes,
+            max_messages=max_messages,
         )
         self.publishers.append(publisher)
         return publisher
@@ -734,16 +531,14 @@ class AioSystem:
         """Crash a broker: its listening socket closes, connections drop,
         soft state and log handles are gone; log *files* survive."""
         self.brokers[broker_id].crash()
-        if hasattr(self.transport, "stop_broker"):
-            await self.transport.stop_broker(broker_id)
+        await self.transport.detach(broker_id)
 
     async def restart_broker(self, broker_id: str) -> None:
         """Restart a crashed broker: a new listening socket (new port —
         peers re-resolve it through their connection supervisors), then
         log replay and doubt-horizon re-advertisement."""
         broker = self.brokers[broker_id]
-        if hasattr(self.transport, "start_broker"):
-            await self.transport.start_broker(broker_id, broker.on_receive_async)
+        await self._attach(broker)
         broker.restart()
 
     def sever_link(self, a: str, b: str) -> None:
@@ -762,11 +557,8 @@ class AioSystem:
         acks/knowledge that final processing produced, then close."""
         for publisher in self.publishers:
             await publisher.stop()
-        if hasattr(self.transport, "drain"):
-            await self.transport.drain()
+        await self.transport.drain()
         for broker in self.brokers.values():
             await broker.shutdown()
-        if hasattr(self.transport, "drain"):
-            await self.transport.drain()
-        if hasattr(self.transport, "close"):
-            await self.transport.close()
+        await self.transport.drain()
+        await self.transport.close()

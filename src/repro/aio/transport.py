@@ -18,9 +18,11 @@ provides two asyncio transports so the same protocol runs in real time:
   frame and one ``drain()``, and a **serialize-once cache** encodes a
   message fanned out to N peers exactly once.
 
-Both expose the same small interface: ``send(src, dst, message) -> bool``
-plus a per-broker receive callback, ``link_usable(a, b)``, and
-``fail_link``/``recover_link`` so fault injection is transport-agnostic.
+Both implement the :class:`Transport` contract the runtime is written
+against: ``send(src, dst, message) -> bool``, ``link_usable(a, b)``,
+``fail_link``/``recover_link`` (so fault injection is
+transport-agnostic), ``attach``/``detach`` to bring a broker on and off
+the wire, and ``corrupt_next_messages`` for in-flight corruption.
 ``link_usable`` reports *local* knowledge of link health the way the
 paper's brokers learn it: for TCP that is the supervised connection state
 (established and heartbeat-fresh), which is what drives the engine's
@@ -32,6 +34,7 @@ from __future__ import annotations
 import asyncio
 import json
 import random
+from abc import ABC, abstractmethod
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple
 
@@ -47,43 +50,80 @@ from .wire import (
     decode_batch_body,
     decode_wire_message,
     encode_batch_frame,
-    encode_wire_message,
 )
 
-__all__ = ["LocalTransport", "TcpTransport", "encode_frame", "decode_frame"]
+__all__ = ["Transport", "LocalTransport", "TcpTransport"]
 
 #: Receive callback: (src_broker, message) -> None, or an ``async def``
 #: with the same signature (awaited by TcpTransport — backpressure).
 ReceiveFn = Callable[[str, Any], Any]
 
 
-def encode_frame(message: Any) -> bytes:
-    """Serialize one message as a complete (single-element batch) frame.
+class Transport(ABC):
+    """What the asyncio runtime needs from the wire between brokers."""
 
-    Backward-compatible wrapper over :mod:`repro.aio.wire` — new code
-    batching several messages should use the wire module directly.
-    """
-    return encode_batch_frame([encode_wire_message(message)])
+    def __init__(self) -> None:
+        #: Sends the chaos harness will corrupt next (deterministic
+        #: injection; see :meth:`corrupt_next_messages`).
+        self._corrupt_pending = 0
+
+    @staticmethod
+    def _key(a: str, b: str) -> Tuple[str, str]:
+        """The normalized (undirected) broker pair."""
+        return (a, b) if a <= b else (b, a)
+
+    @abstractmethod
+    async def attach(
+        self,
+        broker_id: str,
+        on_receive: ReceiveFn,
+        on_receive_async: Optional[ReceiveFn] = None,
+    ) -> None:
+        """Bring ``broker_id`` onto the wire: inbound messages go to
+        ``on_receive(src, message)``.  A transport with a socket to push
+        back on awaits ``on_receive_async`` instead when one is given, so
+        a full broker inbox backpressures the remote sender."""
+
+    @abstractmethod
+    async def detach(self, broker_id: str) -> None:
+        """Take ``broker_id`` off the wire (crash): its peers' ``link_usable``
+        turns false and traffic to it is lost."""
+
+    @abstractmethod
+    def send(self, src: str, dst: str, message: Any) -> bool:
+        """Fire-and-forget; returns the local link-health verdict."""
+
+    @abstractmethod
+    def link_usable(self, a: str, b: str) -> bool:
+        """``a``'s local knowledge of whether its link to ``b`` is healthy."""
+
+    @abstractmethod
+    def fail_link(self, a: str, b: str) -> None:
+        """Sever the pair until :meth:`recover_link`."""
+
+    @abstractmethod
+    def recover_link(self, a: str, b: str) -> None:
+        """Undo :meth:`fail_link`."""
+
+    def corrupt_next_messages(self, count: int = 1) -> None:
+        """Chaos hook: the next ``count`` sends (batch frames, on TCP) are
+        damaged in flight and must be rejected by the receiving checksum —
+        never delivered; the GD retransmission protocol heals the gap."""
+        self._corrupt_pending += count
+
+    def bind_instruments(self, instruments: Any) -> None:
+        """Attach observability counters (done by :class:`AioSystem`)."""
+
+    async def drain(self, timeout: float = 1.0) -> bool:
+        """Wait until everything accepted by :meth:`send` has left this
+        process, or ``timeout``; True when nothing is left buffered."""
+        return True
+
+    async def close(self) -> None:
+        """Release every socket and task."""
 
 
-def decode_frame(data: bytes) -> Any:
-    """Decode one message from a frame produced by :func:`encode_frame`.
-
-    Also accepts a legacy JSON line (the pre-binary wire format), so old
-    captures and tests keep decoding.
-    """
-    if data[:1] in (b"{", b" "):
-        return decode_wire_message(data)
-    frame_type, body = wire.decode_one_frame(data)
-    if frame_type != FRAME_BATCH:
-        raise FrameError(f"expected a batch frame, got type {frame_type}")
-    payloads = decode_batch_body(body)
-    if not payloads:
-        raise FrameError("empty batch frame")
-    return decode_wire_message(payloads[0])
-
-
-class LocalTransport:
+class LocalTransport(Transport):
     """In-process asyncio transport with optional latency and loss."""
 
     def __init__(
@@ -94,6 +134,7 @@ class LocalTransport:
         jitter: float = 0.0,
         corrupt_probability: float = 0.0,
     ):
+        super().__init__()
         self.latency = latency
         self.drop_probability = drop_probability
         #: Extra uniform [0, jitter) delivery delay per message; nonzero
@@ -118,32 +159,26 @@ class LocalTransport:
         self.dropped = 0
         #: Messages discarded as corrupt-in-flight (see above).
         self.frames_rejected_crc = 0
-        #: Messages the chaos harness will corrupt next (deterministic
-        #: injection, mirroring TcpTransport.corrupt_next_frames).
-        self._corrupt_pending = 0
         self._m_rejected = NULL_INSTRUMENTS.counter("aio_frames_rejected_crc")
 
     def bind_instruments(self, instruments: Any) -> None:
-        """Attach observability counters (done by :class:`AioSystem`)."""
         self._m_rejected = instruments.counter(
             "aio_frames_rejected_crc",
             "messages discarded as corrupt-in-flight (checksum reject)",
         )
 
-    def corrupt_next_messages(self, count: int = 1) -> None:
-        """Chaos hook: the next ``count`` sends are corrupted in flight
-        and rejected by the receiving checksum (detect-and-discard)."""
-        self._corrupt_pending += count
-
-    def register(self, broker_id: str, on_receive: ReceiveFn) -> None:
+    async def attach(
+        self,
+        broker_id: str,
+        on_receive: ReceiveFn,
+        on_receive_async: Optional[ReceiveFn] = None,
+    ) -> None:
+        # In-process senders have no socket to push back on: always the
+        # synchronous receiver.
         self._receivers[broker_id] = on_receive
 
-    def unregister(self, broker_id: str) -> None:
+    async def detach(self, broker_id: str) -> None:
         self._receivers.pop(broker_id, None)
-
-    @staticmethod
-    def _key(a: str, b: str) -> Tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
 
     def fail_link(self, a: str, b: str) -> None:
         self._down.add(self._key(a, b))
@@ -262,7 +297,7 @@ class _Connection:
         self.closing = False
 
 
-class TcpTransport:
+class TcpTransport(Transport):
     """Localhost TCP transport with connection supervision.
 
     One listening socket per broker; per-(src, dst) outgoing connections
@@ -311,6 +346,7 @@ class TcpTransport:
         max_batch_msgs: Optional[int] = None,
         max_frame_bytes: int = wire.MAX_FRAME_BYTES,
     ) -> None:
+        super().__init__()
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = (
             heartbeat_timeout
@@ -354,9 +390,6 @@ class TcpTransport:
         #: each reject also tears down its connection so reconnect +
         #: retransmission heal the stream.
         self.frames_rejected_crc = 0
-        #: Frames the sender will deliberately corrupt before writing
-        #: (chaos injection; see :meth:`corrupt_next_frames`).
-        self._corrupt_pending = 0
         self._instruments = NULL_INSTRUMENTS
         self._m_frames = NULL_INSTRUMENTS.counter("aio_frames_sent")
         self._m_bytes = NULL_INSTRUMENTS.counter("aio_bytes_sent")
@@ -370,7 +403,6 @@ class TcpTransport:
         return self._codec.hits
 
     def bind_instruments(self, instruments: Any) -> None:
-        """Attach observability counters (done by :class:`AioSystem`)."""
         self._instruments = instruments
         self._m_frames = instruments.counter(
             "aio_frames_sent", "batch frames written to TCP connections"
@@ -392,19 +424,18 @@ class TcpTransport:
             "inbound frames rejected by a CRC32 check (header or body)",
         )
 
-    def corrupt_next_frames(self, count: int = 1) -> None:
-        """Chaos hook: flip one bit in each of the next ``count`` batch
-        frames *after* encoding, before the bytes hit the socket — the
-        receiver must detect the damage by CRC and reject the frame.  The
-        sender treats the write as failed (the batch stays queued and is
-        re-sent on the healed connection), so injection is lossless."""
-        self._corrupt_pending += count
-
     # -- lifecycle ---------------------------------------------------------
 
-    async def start_broker(self, broker_id: str, on_receive: ReceiveFn) -> None:
+    async def attach(
+        self,
+        broker_id: str,
+        on_receive: ReceiveFn,
+        on_receive_async: Optional[ReceiveFn] = None,
+    ) -> None:
         """Begin listening for this broker on an ephemeral port."""
-        self._receivers[broker_id] = on_receive
+        self._receivers[broker_id] = (
+            on_receive_async if on_receive_async is not None else on_receive
+        )
         inbound = self._inbound.setdefault(broker_id, set())
         handlers = self._handlers.setdefault(broker_id, set())
 
@@ -479,7 +510,7 @@ class TcpTransport:
         sockname = server.sockets[0].getsockname()
         self.addresses[broker_id] = (sockname[0], sockname[1])
 
-    async def stop_broker(self, broker_id: str) -> None:
+    async def detach(self, broker_id: str) -> None:
         """Stop listening and drop this broker's connections (crash)."""
         self._receivers.pop(broker_id, None)
         server = self._servers.pop(broker_id, None)
@@ -531,7 +562,7 @@ class TcpTransport:
             await self._drop_connection(conn)
         self._conns.clear()
         for broker_id in list(self._servers):
-            await self.stop_broker(broker_id)
+            await self.detach(broker_id)
 
     async def _drop_connection(self, conn: _Connection) -> None:
         conn.closing = True
@@ -545,10 +576,6 @@ class TcpTransport:
             conn.task = None
 
     # -- fault injection ---------------------------------------------------
-
-    @staticmethod
-    def _key(a: str, b: str) -> Tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
 
     def _is_severed(self, a: str, b: str) -> bool:
         return self._key(a, b) in self._severed

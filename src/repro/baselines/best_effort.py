@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..broker.engine import stable_hash
-from ..broker.simbroker import SubscriberHooks
+from ..broker.host import SubscriberHooks
 from .fanout import LocalFanout
 from ..broker.state import BrokerTopologyInfo
 from ..core.config import LivenessParams

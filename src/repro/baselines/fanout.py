@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..broker.simbroker import SubscriberHooks
+from ..broker.host import SubscriberHooks
 from ..core.subend import Subscription
 from ..matching.ast import Predicate as AstPredicate
 from ..matching.tree import MatchingTree

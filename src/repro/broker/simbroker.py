@@ -7,24 +7,18 @@ simulated links, timers through the scheduler, CPU work through a
 scheduled at CPU-work completion time plus the client link latency (which
 is what makes SHB fan-out latency grow with subscriber count, Figure 5).
 
-Crash/restart semantics follow the paper's failure model:
-
-* a crash discards the engine — all istream/ostream/subend soft state —
-  but *not* the pubend logs (stable storage survives the process);
-* restart builds a fresh engine, re-hosts pubends by replaying their
-  logs, and restarts timers.  Subscriber state at a crashed SHB is gone;
-  the paper's guarantee only covers subscribers that remain connected,
-  and its experiments never crash an SHB.
+Everything that is not substrate — pubend hosting, the engine
+lifecycle, the crash/recover sequence — is inherited from
+:class:`~repro.broker.host.BrokerHost`;
+:class:`~repro.sim.process.SimProcess` drives its ``on_crash``/
+``on_restart`` hooks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Set, Tuple
 
 from ..core.config import LivenessParams
-from ..core.pubend import Pubend
-from ..core.subend import Subscription
 from ..core.ticks import Tick, TickRange
 from ..metrics.cpu import CostModel, CpuAccountant
 from ..obs.hub import MetricsHub
@@ -32,33 +26,11 @@ from ..obs.observability import Observability
 from ..sim.network import SimNetwork
 from ..sim.process import SimProcess
 from ..sim.scheduler import Scheduler
-from ..storage.log import MessageLog
-from .engine import BrokerServices, GDBrokerEngine
+from .engine import BrokerServices
+from .host import BrokerHost
 from .state import BrokerTopologyInfo
 
-__all__ = ["SimBroker", "SubscriberHooks"]
-
-
-@dataclass
-class _PubendHosting:
-    """Durable facts needed to re-host a pubend after a crash."""
-
-    pubend_id: str
-    log: MessageLog
-    slot: int
-    n_slots: int
-    preassign_window: Optional[float] = None
-
-
-class SubscriberHooks:
-    """Client-side delivery callback (duck-typed).
-
-    ``on_delivery(pubend, tick, payload, time)`` is invoked when the SHB
-    finishes writing the message to this subscriber's connection.
-    """
-
-    def on_delivery(self, pubend: str, tick: Tick, payload: Any, time: float) -> None:
-        raise NotImplementedError
+__all__ = ["SimBroker"]
 
 
 class _SimServices(BrokerServices):
@@ -101,7 +73,7 @@ class _SimServices(BrokerServices):
         self.broker.metrics.bump("knowledge_messages")
 
 
-class SimBroker(SimProcess):
+class SimBroker(BrokerHost, SimProcess):
     """One physical Gryphon broker in the simulator."""
 
     def __init__(
@@ -117,111 +89,37 @@ class SimBroker(SimProcess):
         restart_warmup: float = 0.3,
         obs: Optional[Observability] = None,
     ):
-        super().__init__(node_id, network, scheduler)
+        SimProcess.__init__(self, node_id, network, scheduler)
+        BrokerHost.__init__(
+            self, node_id, topo, params, _SimServices(self), metrics, obs
+        )
         #: CPU-seconds of extra work charged right after a restart —
         #: models the paper's observation that a freshly restarted broker
         #: is briefly slow ("extra computation in the broker machine just
         #: when it starts up, such as to run the Java JIT compiler",
         #: section 4.2), which produces Figure 7's second latency peak.
         self.restart_warmup = restart_warmup
-        self.topo = topo
-        self.params = params
-        if obs is None:
-            obs = Observability(hub=metrics)
-        self.obs = obs
-        self.metrics = metrics if metrics is not None else obs.hub
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.client_latency = client_latency
         self.accountant = CpuAccountant(lambda: scheduler.now)
         self.obs.register_accountant(node_id, self.accountant)
-        self._hostings: Dict[str, _PubendHosting] = {}
-        self._subscriptions: List[Subscription] = []
-        self._clients: Dict[str, SubscriberHooks] = {}
         #: Client writes handed to the connection but not yet completed:
         #: (subscriber, pubend, tick).  Only an SHB crash can void these,
         #: which is what makes "acked but still in flight" safe to truncate
         #: behind — and what the truncation oracle introspects.
         self._inflight_client_writes: Set[Tuple[str, str, Tick]] = set()
-        self.services = _SimServices(self)
-        # The engine shares the system-wide lifecycle hub, so causal
-        # tracers attached to system.obs see every incarnation of this
-        # broker (on_restart threads the same hub into the new engine).
-        self.engine = GDBrokerEngine(
-            topo,
-            params,
-            self.services,
-            instruments=self.obs.instruments,
-            lifecycle=self.obs.lifecycle,
-        )
-        self._started = False
-
-    # ------------------------------------------------------------------
-    # Configuration
-    # ------------------------------------------------------------------
-
-    def host_pubend(
-        self,
-        pubend_id: str,
-        log: MessageLog,
-        slot: int = 0,
-        n_slots: int = 1,
-        preassign_window: Optional[float] = None,
-    ) -> Pubend:
-        """Become the PHB for ``pubend_id`` with the given stable log."""
-        hosting = _PubendHosting(pubend_id, log, slot, n_slots, preassign_window)
-        self._hostings[pubend_id] = hosting
-        return self._adopt(hosting, recover=False)
-
-    def _adopt(self, hosting: _PubendHosting, recover: bool) -> Pubend:
-        pubend = Pubend(
-            hosting.pubend_id,
-            hosting.log,
-            slot=hosting.slot,
-            n_slots=hosting.n_slots,
-            aet=self.params.aet,
-            silence_interval=self.params.silence_interval,
-            preassign_window=(
-                hosting.preassign_window
-                if hosting.preassign_window is not None
-                else self.params.preassign_window
-            ),
-            instruments=self.obs.instruments,
-        )
-        if recover:
-            pubend.recover()
-        self.engine.host_pubend(pubend)
-        return pubend
-
-    def add_subscription(
-        self, subscription: Subscription, client: Optional[SubscriberHooks] = None
-    ) -> None:
-        self._subscriptions.append(subscription)
-        if client is not None:
-            self._clients[subscription.subscriber] = client
-        self.engine.add_subscription(subscription)
-
-    def start(self) -> None:
-        """Arm periodic protocol timers.  Call after configuration."""
-        self._started = True
-        self.engine.start()
 
     # ------------------------------------------------------------------
     # Publishing and delivery
     # ------------------------------------------------------------------
 
     def publish(self, pubend_id: str, payload: Any) -> Optional[Tick]:
-        """Client publish: log (GD cost) and propagate after commit.
-
-        Returns ``None`` when the broker is down — the publishing client's
-        message is *not published* and will never be delivered (paper
-        section 2.2: only logged messages are published).
-        """
-        if not self.alive:
-            return None
-        self.accountant.charge(
-            self.cost_model.msg_receive + self.cost_model.log_append, "publish"
-        )
-        return self.engine.publish(pubend_id, payload)
+        """Client publish, charged as receive + log append (the GD cost)."""
+        if self.alive:
+            self.accountant.charge(
+                self.cost_model.msg_receive + self.cost_model.log_append, "publish"
+            )
+        return super().publish(pubend_id, payload)
 
     def deliver_to_client(
         self, subscriber: str, pubend: str, tick: Tick, payload: Any
@@ -301,25 +199,12 @@ class SimBroker(SimProcess):
             self.engine.on_message(src, message)
 
     def on_crash(self) -> None:
-        # All soft state dies with the process; logs survive.  Queued
-        # client writes are voided with it (their timers are epoch-gated),
-        # so they must not keep reading as "in flight".
-        self.engine = None  # type: ignore[assignment]
+        # Queued client writes are voided with the process (their timers
+        # are epoch-gated), so they must not keep reading as "in flight".
         self._inflight_client_writes.clear()
+        super().on_crash()
 
     def on_restart(self) -> None:
         if self.restart_warmup:
             self.accountant.charge(self.restart_warmup, "warmup")
-        self.engine = GDBrokerEngine(
-            self.topo,
-            self.params,
-            self.services,
-            instruments=self.obs.instruments,
-            lifecycle=self.obs.lifecycle,
-        )
-        for hosting in self._hostings.values():
-            self._adopt(hosting, recover=True)
-        # NOTE: subscriptions at a crashed SHB are not restored — clients
-        # must reconnect/resubscribe (outside the paper's failure model).
-        if self._started:
-            self.engine.start()
+        super().on_restart()

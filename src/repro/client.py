@@ -18,15 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .broker.simbroker import SimBroker, SubscriberHooks
+from .broker.host import SubscriberHooks
 from .core.subend import Subscription
 from .core.ticks import Tick
 from .matching.events import Event
 from .obs.hub import MetricsHub
 from .sim.scheduler import Scheduler
+from .storage.log import LogAppendError
 
 __all__ = [
     "PublisherClient",
+    "SimPublisher",
     "SubscriberClient",
     "DeliveryChecker",
     "OrderViolation",
@@ -43,20 +45,25 @@ class DuplicateDelivery(AssertionError):
 
 
 class PublisherClient:
-    """Publishes a stream of events to one pubend at a fixed rate.
+    """Publishes a stream of events to one pubend, one attempt per call.
 
-    Every event is stamped with a ``ts`` attribute (its publish time),
-    which subscribers use to measure end-to-end latency, and a ``seq``
-    attribute for ground-truth bookkeeping.  When the PHB is down the
-    publish fails silently and the message is, by definition, never
-    published (it is recorded as a failed attempt).
+    Every event is stamped with a ``ts`` attribute (its publish time on
+    the injected ``clock``), which subscribers use to measure end-to-end
+    latency, and a ``seq`` attribute for ground-truth bookkeeping.  When
+    the PHB is down, or its stable log cannot make the append durable,
+    the message is, by definition, never published (it is recorded as a
+    failed attempt).
+
+    This class is the bookkeeping every backend shares; pacing at
+    ``rate`` is the backend's (:class:`SimPublisher` on the scheduler,
+    :class:`~repro.aio.runtime.AioPublisher` on an asyncio task).
     """
 
     def __init__(
         self,
-        broker: SimBroker,
+        broker: Any,
         pubend: str,
-        scheduler: Scheduler,
+        clock: Callable[[], float],
         rate: float,
         make_attributes: Optional[Callable[[int], Dict[str, Any]]] = None,
         body_bytes: int = 0,
@@ -66,7 +73,7 @@ class PublisherClient:
             raise ValueError("rate must be positive")
         self.broker = broker
         self.pubend = pubend
-        self.scheduler = scheduler
+        self.clock = clock
         self.interval = 1.0 / rate
         self.make_attributes = make_attributes
         self.body = "x" * body_bytes if body_bytes else None
@@ -79,23 +86,21 @@ class PublisherClient:
         #: (seq, tick, event) for successfully published messages.
         self.published: List[Tuple[int, Tick, Event]] = []
         self.failed_attempts = 0
-        self._running = False
-
-    def start(self, at: Optional[float] = None) -> None:
-        self._running = True
-        start_time = at if at is not None else self.scheduler.now
-        self.scheduler.call_at(start_time, self._tick)
-
-    def stop(self) -> None:
-        self._running = False
 
     def publish_once(self) -> Optional[Tick]:
         attributes: Dict[str, Any] = {"pub": self.pubend, "seq": self.seq}
         if self.make_attributes is not None:
             attributes.update(self.make_attributes(self.seq))
-        attributes["ts"] = self.scheduler.now
+        attributes["ts"] = self.clock()
         event = Event(attributes, body=self.body)
-        tick = self.broker.publish(self.pubend, event)
+        try:
+            tick = self.broker.publish(self.pubend, event)
+        except LogAppendError:
+            # The stable log could not be made durable (disk full, fsync
+            # failure): the tick was rolled back before anything was
+            # advertised, so this is a failed attempt the publisher may
+            # retry — never a silently-lost published message.
+            tick = None
         if tick is None:
             self.failed_attempts += 1
         else:
@@ -107,6 +112,25 @@ class PublisherClient:
     def done(self) -> bool:
         """True once a count-limited publisher has made all its attempts."""
         return self.max_messages is not None and self.seq >= self.max_messages
+
+
+class SimPublisher(PublisherClient):
+    """A :class:`PublisherClient` paced by simulator timers."""
+
+    def __init__(
+        self, broker: Any, pubend: str, scheduler: Scheduler, rate: float, **kwargs: Any
+    ):
+        super().__init__(broker, pubend, lambda: scheduler.now, rate, **kwargs)
+        self.scheduler = scheduler
+        self._running = False
+
+    def start(self, at: Optional[float] = None) -> None:
+        self._running = True
+        start_time = at if at is not None else self.scheduler.now
+        self.scheduler.call_at(start_time, self._tick)
+
+    def stop(self) -> None:
+        self._running = False
 
     def _tick(self) -> None:
         if not self._running:

@@ -13,10 +13,12 @@ expose the same public surface, captured here as the
   ``predicate`` is accepted uniformly as a subscription string, a parsed
   :class:`~repro.matching.ast.Predicate`, a plain callable, or ``None``
   (match everything);
-* ``publisher(pubend, rate, make_attributes=None, max_messages=None)``
-  — attach a rate-driven publisher client at the pubend's PHB
-  (``max_messages`` bounds its publish *attempts*, so a count-limited
-  workload attempts the identical seq sequence on either backend);
+* ``publisher(pubend, rate, make_attributes=None, body_bytes=0,
+  max_messages=None)`` — attach a rate-driven publisher client at the
+  pubend's PHB (``body_bytes`` pads every event with a body of that
+  size; ``max_messages`` bounds its publish *attempts*, so a
+  count-limited workload attempts the identical seq sequence on either
+  backend; ``rate <= 0`` raises ``ValueError``);
 * ``host_pubend(pubend_id, broker_id, log=None, ...)`` — place a pubend
   on a broker after construction (the log defaults to the backend's
   stable-storage flavour);
@@ -40,10 +42,12 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
+from .client import SubscriberClient
 from .core.edges import MATCH_ALL
+from .core.subend import Subscription
 from .matching.parser import parse
 
-__all__ = ["SystemFacade", "resolve_predicate"]
+__all__ = ["SystemFacade", "SubscribeMixin", "resolve_predicate"]
 
 
 def resolve_predicate(predicate: Any) -> Any:
@@ -51,15 +55,53 @@ def resolve_predicate(predicate: Any) -> Any:
 
     Strings are parsed with the subscription grammar, ``None`` matches
     everything, and anything else (a parsed AST predicate or a plain
-    callable) passes through unchanged.  Both backends route their
-    ``subscribe`` through this helper so the accepted forms can never
-    drift apart.
+    callable) passes through unchanged.
     """
     if isinstance(predicate, str):
         return parse(predicate)
     if predicate is None:
         return MATCH_ALL
     return predicate
+
+
+class SubscribeMixin:
+    """``subscribe``, implemented once for every backend's system (which
+    provides the ``brokers``/``metrics``/``subscribers``/``subscriptions``
+    registries), so the accepted forms can never drift apart."""
+
+    brokers: Dict[str, Any]
+    metrics: Any
+    subscribers: Dict[str, SubscriberClient]
+    subscriptions: Dict[str, Subscription]
+
+    def subscribe(
+        self,
+        subscriber_id: str,
+        broker_id: str,
+        pubends: Tuple[str, ...],
+        predicate: Any = None,
+        *,
+        total_order: bool = False,
+    ) -> SubscriberClient:
+        """Attach a subscriber client at an SHB.
+
+        ``predicate`` may be a subscription string (parsed), an AST
+        :class:`~repro.matching.ast.Predicate`, a plain callable, or
+        ``None`` (match everything).
+        """
+        client = SubscriberClient(
+            subscriber_id, metrics=self.metrics, check_total_order=total_order
+        )
+        subscription = Subscription(
+            subscriber=subscriber_id,
+            predicate=resolve_predicate(predicate),
+            pubends=tuple(pubends),
+            total_order=total_order,
+        )
+        self.brokers[broker_id].add_subscription(subscription, client)
+        self.subscribers[subscriber_id] = client
+        self.subscriptions[subscriber_id] = subscription
+        return client
 
 
 @runtime_checkable
@@ -93,9 +135,11 @@ class SystemFacade(Protocol):
         pubend: str,
         rate: float,
         make_attributes: Optional[Callable[[int], Dict[str, Any]]] = None,
+        body_bytes: int = 0,
         max_messages: Optional[int] = None,
     ) -> Any:
-        """Attach a rate-driven publisher client at the pubend's PHB."""
+        """Attach a rate-driven publisher client at the pubend's PHB.
+        ``body_bytes`` pads every event with a body of that many bytes."""
         ...
 
     def host_pubend(

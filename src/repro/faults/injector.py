@@ -72,7 +72,9 @@ class FaultInjector:
         #: :meth:`restart_broker` so a restart always clears the sickness.
         self._stalled_brokers: Set[str] = set()
 
-    def _note(self, kind: str, target: str, legacy: str) -> None:
+    def _note(
+        self, kind: str, target: str, legacy: str, lifecycle: bool = True
+    ) -> None:
         now = self.system.scheduler.now
         event = FaultEvent(
             time=now, tick=tick_of_time(now), kind=kind, target=target
@@ -82,7 +84,7 @@ class FaultInjector:
         obs = getattr(self.system, "obs", None)
         if obs is not None:
             obs.record_fault_event(event)
-            if obs.lifecycle.listeners:
+            if lifecycle and obs.lifecycle.listeners:
                 obs.lifecycle.fault(now, kind, target)
         if self.tracer is not None:
             self.tracer.record_fault(legacy)
@@ -106,7 +108,11 @@ class FaultInjector:
         # rebuilds the process, and _clear_stall below resets its links.
         self._stalled_brokers.discard(broker_id)
         self.system.brokers[broker_id].crash()
-        self._note("crash_broker", broker_id, f"broker {broker_id} crashed")
+        # The lifecycle event of a crash/restart is the broker host's
+        # (BrokerHost.on_crash/on_restart), the same on every backend.
+        self._note(
+            "crash_broker", broker_id, f"broker {broker_id} crashed", lifecycle=False
+        )
 
     def restart_broker(self, broker_id: str) -> None:
         # Clear any lingering stall first — whether the broker was
@@ -114,7 +120,9 @@ class FaultInjector:
         # a "restarted" process reads and forwards again.
         self._clear_stall(broker_id)
         self.system.brokers[broker_id].restart()
-        self._note("restart_broker", broker_id, f"broker {broker_id} restarted")
+        self._note(
+            "restart_broker", broker_id, f"broker {broker_id} restarted", lifecycle=False
+        )
 
     def stall_broker(self, broker_id: str) -> None:
         """Make a broker sick: it accepts traffic but forwards nothing,

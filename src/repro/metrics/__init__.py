@@ -14,7 +14,6 @@ __all__ = [
     "CostModel",
     "CpuAccountant",
     "LatencyRecorder",
-    "MetricsHub",
     "NackRecorder",
     "Sample",
     "Series",
@@ -22,13 +21,3 @@ __all__ = [
     "percentile",
 ]
 
-
-def __getattr__(name: str):
-    # Deprecated: MetricsHub lives in repro.obs now.  The shim in
-    # .recorder emits the DeprecationWarning; stay lazy here so plain
-    # ``import repro.metrics`` never warns.
-    if name == "MetricsHub":
-        from . import recorder
-
-        return recorder.MetricsHub
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

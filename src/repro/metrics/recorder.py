@@ -11,7 +11,6 @@ the summary tables.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -20,7 +19,6 @@ __all__ = [
     "Series",
     "LatencyRecorder",
     "NackRecorder",
-    "MetricsHub",
     "median",
     "percentile",
 ]
@@ -175,20 +173,3 @@ class NackRecorder:
 
     def nodes(self) -> List[str]:
         return sorted(self._series)
-
-
-def __getattr__(name: str):
-    # Deprecated: MetricsHub moved to repro.obs.hub when the unified
-    # observability layer was introduced (it is owned by Observability
-    # now).  The old import path keeps working, with a warning.
-    if name == "MetricsHub":
-        warnings.warn(
-            "repro.metrics.recorder.MetricsHub moved to repro.obs.hub; "
-            "import it from repro.obs (or repro) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from ..obs.hub import MetricsHub
-
-        return MetricsHub
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -4,13 +4,3 @@ from .network import Node, SimLink, SimNetwork
 from .process import SimProcess
 from .scheduler import Scheduler, TimerHandle
 
-
-def __getattr__(name: str):
-    # Deprecated: Tracer/TraceEvent moved to repro.obs.trace.  The shim in
-    # .trace emits the DeprecationWarning; stay lazy here so plain
-    # ``import repro.sim`` never warns.
-    if name in ("Tracer", "TraceEvent"):
-        from . import trace
-
-        return getattr(trace, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

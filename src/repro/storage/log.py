@@ -155,6 +155,12 @@ class MessageLog:
     def close(self) -> None:
         """Release resources (no-op by default)."""
 
+    def factory(self) -> Callable[[], "MessageLog"]:
+        """How a hosting broker gets the log back after a crash.  The
+        default hands back this same object: a disk that outlives the
+        broker process (the simulator's model)."""
+        return lambda: self
+
 
 class MemoryLog(MessageLog):
     """In-memory append-only log.

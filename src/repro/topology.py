@@ -20,7 +20,6 @@ Two canned topologies reproduce the paper's setups:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -29,8 +28,8 @@ from .broker.state import BrokerTopologyInfo, PubendRoute
 from .core.config import LivenessParams
 from .core.edges import FilterEdge, MATCH_ALL
 from .core.subend import Subscription
-from .client import PublisherClient, SubscriberClient
-from .facade import resolve_predicate
+from .client import SimPublisher, SubscriberClient
+from .facade import SubscribeMixin
 from .metrics.cpu import CostModel
 from .obs.hub import MetricsHub
 from .obs.observability import Observability
@@ -119,7 +118,7 @@ class Topology:
         self,
         pubend_id: str,
         host_broker: str,
-        *legacy: Any,
+        *,
         preassign_window: Optional[float] = None,
     ) -> "Topology":
         """Place a pubend on its hosting broker (the PHB).
@@ -128,21 +127,7 @@ class Topology:
         (section 2.2): set it to the pubend's expected publication period
         so downstream merges never wait on it.  ``None`` falls back to
         the system-wide :attr:`LivenessParams.preassign_window`.
-        It is keyword-only; passing it positionally still works but warns.
         """
-        if legacy:
-            warnings.warn(
-                "passing preassign_window positionally to Topology.pubend is "
-                "deprecated; use preassign_window=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(legacy) > 1:
-                raise TypeError(
-                    f"pubend() takes at most 3 positional arguments "
-                    f"({2 + len(legacy)} given)"
-                )
-            preassign_window = legacy[0]
         if pubend_id in self._pubends:
             raise ValueError(f"pubend {pubend_id!r} already declared")
         self._pubends[pubend_id] = _PubendDecl(
@@ -304,7 +289,7 @@ class Topology:
         return system
 
 
-class System:
+class System(SubscribeMixin):
     """A built, running simulated deployment."""
 
     def __init__(
@@ -325,7 +310,7 @@ class System:
         #: accountants and tracers behind one object (``system.obs``).
         self.obs = obs if obs is not None else Observability(hub=metrics)
         self.pubend_hosts: Dict[str, str] = {}
-        self.publishers: List[PublisherClient] = []
+        self.publishers: List[SimPublisher] = []
         self.subscribers: Dict[str, SubscriberClient] = {}
         self.subscriptions: Dict[str, Subscription] = {}
         self._started = False
@@ -369,9 +354,9 @@ class System:
         make_attributes: Optional[Callable[[int], Dict[str, Any]]] = None,
         body_bytes: int = 0,
         max_messages: Optional[int] = None,
-    ) -> PublisherClient:
+    ) -> SimPublisher:
         broker = self.brokers[self.pubend_hosts[pubend]]
-        client = PublisherClient(
+        client = SimPublisher(
             broker,
             pubend,
             self.scheduler,
@@ -381,50 +366,6 @@ class System:
             max_messages=max_messages,
         )
         self.publishers.append(client)
-        return client
-
-    def subscribe(
-        self,
-        subscriber_id: str,
-        broker_id: str,
-        pubends: Tuple[str, ...],
-        predicate: Any = None,
-        *legacy: Any,
-        total_order: bool = False,
-    ) -> SubscriberClient:
-        """Attach a subscriber client at an SHB.
-
-        ``predicate`` may be a subscription string (parsed), an AST
-        :class:`~repro.matching.ast.Predicate`, a plain callable, or
-        ``None`` (match everything).  ``total_order`` is keyword-only;
-        passing it positionally still works but warns.
-        """
-        if legacy:
-            warnings.warn(
-                "passing total_order positionally to System.subscribe is "
-                "deprecated; use total_order=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(legacy) > 1:
-                raise TypeError(
-                    f"subscribe() takes at most 5 positional arguments "
-                    f"({5 + len(legacy)} given)"
-                )
-            total_order = legacy[0]
-        predicate = resolve_predicate(predicate)
-        client = SubscriberClient(
-            subscriber_id, metrics=self.metrics, check_total_order=total_order
-        )
-        subscription = Subscription(
-            subscriber=subscriber_id,
-            predicate=predicate,
-            pubends=tuple(pubends),
-            total_order=total_order,
-        )
-        self.brokers[broker_id].add_subscription(subscription, client)
-        self.subscribers[subscriber_id] = client
-        self.subscriptions[subscriber_id] = subscription
         return client
 
     # -- running --------------------------------------------------------------

@@ -3,8 +3,7 @@
 Pins the API-convergence contract: the simulator's ``System`` and the
 real-time ``AioSystem`` expose the same public surface (subscribe /
 publisher / host_pubend / obs), accept the same predicate forms, return
-elapsed time from ``run_for``, and keep the legacy positional
-``total_order`` working behind a DeprecationWarning on both paths.
+elapsed time from ``run_for``, and take ``total_order`` by keyword only.
 """
 
 import asyncio
@@ -51,59 +50,20 @@ class TestProtocol:
         assert asyncio.run(scenario())
 
 
-class TestLegacySignatures:
-    def test_sim_subscribe_positional_total_order_warns(self):
-        system = sim_system()
-        with pytest.warns(DeprecationWarning, match="total_order positionally"):
-            client = system.subscribe("a", "shb", ("P0",), None, True)
-        assert system.subscriptions["a"].total_order is True
-        assert client.check_total_order is True
-
-    def test_aio_subscribe_positional_total_order_warns(self):
+class TestKeywordOnly:
+    def test_aio_subscribe_stray_positional_raises(self):
         async def scenario():
             system = AioSystem(gd_topology(), params=FAST)
             await system.start()
             try:
-                with pytest.warns(
-                    DeprecationWarning,
-                    match="total_order positionally to AioSystem.subscribe",
-                ):
-                    client = system.subscribe("a", "shb", ("P0",), None, True)
+                with pytest.raises(TypeError):
+                    system.subscribe("a", "shb", ("P0",), None, True)
+                client = system.subscribe("a", "shb", ("P0",), total_order=True)
                 return system.subscriptions["a"].total_order, client.check_total_order
             finally:
                 await system.shutdown()
 
-        total_order, checked = asyncio.run(scenario())
-        assert total_order is True
-        assert checked is True
-
-    def test_aio_subscribe_rejects_too_many_positionals(self):
-        async def scenario():
-            system = AioSystem(gd_topology(), params=FAST)
-            await system.start()
-            try:
-                with pytest.warns(DeprecationWarning):
-                    with pytest.raises(TypeError):
-                        system.subscribe("a", "shb", ("P0",), None, True, "x")
-            finally:
-                await system.shutdown()
-
-        asyncio.run(scenario())
-
-    def test_keyword_form_does_not_warn(self):
-        async def scenario():
-            system = AioSystem(gd_topology(), params=FAST)
-            await system.start()
-            try:
-                import warnings
-
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    system.subscribe("a", "shb", ("P0",), total_order=True)
-            finally:
-                await system.shutdown()
-
-        asyncio.run(scenario())
+        assert asyncio.run(scenario()) == (True, True)
 
 
 class TestPredicateForms:
@@ -182,7 +142,7 @@ class TestRunForAndHosting:
             system = AioSystem(
                 gd_topology(), params=FAST, data_dir=str(tmp_path)
             )
-            log = system.brokers["phb"]._logs["P0"]
+            log = system.brokers["phb"].hosted_logs()["P0"]
             await system.shutdown()
             return log
 

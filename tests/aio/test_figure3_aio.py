@@ -48,9 +48,9 @@ def test_figure3_with_crash_over_asyncio():
             publisher.start()
         await system.run_for(0.4)
         # Crash an intermediate broker mid-run, restart shortly after.
-        system.brokers["b1"].crash()
+        await system.kill_broker("b1")
         await system.run_for(0.3)
-        system.brokers["b1"].restart()
+        await system.restart_broker("b1")
         await system.run_for(0.5)
         for publisher in publishers:
             await publisher.stop()

@@ -116,9 +116,9 @@ class TestLocalTransport:
             publisher = system.publisher("P0", rate=100.0)
             publisher.start()
             await system.run_for(0.3)
-            system.brokers["phb"].crash()
+            await system.kill_broker("phb")
             await system.run_for(0.3)  # publishes fail while down
-            system.brokers["phb"].restart()
+            await system.restart_broker("phb")
             await system.run_for(0.5)
             await publisher.stop()
             report = await settle(system, publisher, client, "a")
@@ -162,7 +162,13 @@ class TestSubscriptionPropagationOverAio:
 
 class TestTcpTransport:
     def test_frames_round_trip(self):
-        from repro.aio.transport import decode_frame, encode_frame
+        from repro.aio.wire import (
+            decode_batch_body,
+            decode_one_frame,
+            decode_wire_message,
+            encode_batch_frame,
+            encode_wire_message,
+        )
         from repro.broker.state import Envelope, LinkStatusMessage
         from repro.core.messages import AckMessage, DataTick, KnowledgeMessage
         from repro.core.ticks import TickRange
@@ -179,7 +185,9 @@ class TestTcpTransport:
             Envelope(AckMessage("P", 99), target_cell="SHB", sideways=True),
             LinkStatusMessage("b1", frozenset({"SHB1"})),
         ):
-            assert decode_frame(encode_frame(message)) == message
+            frame = encode_batch_frame([encode_wire_message(message)])
+            (payload,) = decode_batch_body(decode_one_frame(frame)[1])
+            assert decode_wire_message(payload) == message
 
     def test_end_to_end_over_tcp(self):
         async def scenario():
@@ -212,7 +220,7 @@ class TestTcpTransport:
             publisher = system.publisher("P0", rate=100.0)
             publisher.start()
             await system.run_for(0.3)
-            transport.corrupt_next_frames(2)
+            transport.corrupt_next_messages(2)
             await system.run_for(0.3)
             await publisher.stop()
             report = await settle(system, publisher, client, "a")

@@ -48,20 +48,20 @@ class TestTcpSupervision:
                 heartbeat_interval=0.05, reconnect_base=0.02, reconnect_max=0.2
             )
             received = []
-            await transport.start_broker("a", lambda s, m: None)
-            await transport.start_broker(
+            await transport.attach("a", lambda s, m: None)
+            await transport.attach(
                 "b", lambda s, m: received.append((s, m))
             )
             transport.send("a", "b", ack(1))
             assert await eventually(lambda: len(received) == 1)
 
             old_port = transport.addresses["b"][1]
-            await transport.stop_broker("b")
+            await transport.detach("b")
             transport.send("a", "b", ack(2))  # queued while b is down
             await asyncio.sleep(0.2)
             assert await eventually(lambda: not transport.link_usable("a", "b"))
 
-            await transport.start_broker(
+            await transport.attach(
                 "b", lambda s, m: received.append((s, m))
             )
             new_port = transport.addresses["b"][1]
@@ -83,7 +83,7 @@ class TestTcpSupervision:
 
         async def scenario():
             transport = TcpTransport(heartbeat_interval=0.05)
-            await transport.start_broker("a", lambda s, m: None)
+            await transport.attach("a", lambda s, m: None)
 
             async def mute(reader, writer):
                 while await reader.readline():
@@ -113,8 +113,8 @@ class TestTcpSupervision:
         async def scenario():
             transport = TcpTransport(heartbeat_interval=0.05)
             received = []
-            await transport.start_broker("a", lambda s, m: None)
-            await transport.start_broker(
+            await transport.attach("a", lambda s, m: None)
+            await transport.attach(
                 "b", lambda s, m: received.append(m)
             )
             transport.send("a", "b", ack(1))
@@ -141,7 +141,7 @@ class TestTcpSupervision:
         async def scenario():
             transport = TcpTransport(reconnect_base=0.5, reconnect_max=0.5)
             transport.OUTBOX_LIMIT = 4
-            await transport.start_broker("a", lambda s, m: None)
+            await transport.attach("a", lambda s, m: None)
             # "b" never listens: frames pile up in the bounded outbox.
             for i in range(10):
                 transport.send("a", "b", ack(i))
@@ -155,14 +155,14 @@ class TestTcpSupervision:
         assert shed == 6
 
     def test_unknown_frame_kind_rejected(self):
-        from repro.aio.transport import decode_frame
+        from repro.aio.wire import decode_wire_message
 
         try:
-            decode_frame(json.dumps({"kind": "mystery"}).encode())
+            decode_wire_message(json.dumps({"kind": "mystery"}).encode())
         except ValueError as exc:
             assert "mystery" in str(exc)
         else:
-            raise AssertionError("decode_frame accepted an unknown kind")
+            raise AssertionError("decode_wire_message accepted an unknown kind")
 
 
 class TestTimerTracking:

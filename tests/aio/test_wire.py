@@ -8,7 +8,7 @@ import math
 import pytest
 
 from repro.aio import wire
-from repro.aio.transport import TcpTransport, decode_frame, encode_frame
+from repro.aio.transport import TcpTransport
 from repro.aio.wire import (
     FRAME_BATCH,
     FrameDecoder,
@@ -169,23 +169,28 @@ class TestDifferentialCodec:
         same dict schema the JSON codec used."""
         for message in wire_message_corpus():
             legacy_line = json.dumps(message.to_wire()).encode("utf-8")
-            via_legacy = decode_frame(legacy_line)  # old-format path
+            via_legacy = decode_wire_message(legacy_line)  # old-format path
             via_binary = decode_wire_message(encode_wire_message(message))
             assert via_legacy == via_binary == message
             assert json.loads(encode_wire_message(message)) == json.loads(
                 legacy_line
             )
 
-    def test_encode_decode_frame_wrappers(self):
+    def test_single_message_frame_round_trip(self):
         for message in wire_message_corpus():
-            assert decode_frame(encode_frame(message)) == message
+            frame = encode_batch_frame([encode_wire_message(message)])
+            frame_type, body = wire.decode_one_frame(frame)
+            assert frame_type == FRAME_BATCH
+            (payload,) = decode_batch_body(body)
+            assert decode_wire_message(payload) == message
 
     def test_unknown_wire_kind_raises(self):
         payload = json.dumps({"kind": "mystery"}).encode()
         with pytest.raises(ValueError, match="mystery"):
             decode_wire_message(payload)
+        __, body = wire.decode_one_frame(encode_batch_frame([payload]))
         with pytest.raises(ValueError, match="mystery"):
-            decode_frame(encode_batch_frame([payload]))
+            decode_wire_message(decode_batch_body(body)[0])
 
     def test_batch_frame_carries_many_messages_in_order(self):
         messages = wire_message_corpus() * 3
@@ -226,9 +231,9 @@ class TestSerializeCache:
         async def scenario():
             transport = TcpTransport(flush_delay=0.0)
             received = []
-            await transport.start_broker("hub", lambda s, m: None)
+            await transport.attach("hub", lambda s, m: None)
             for peer in ("x", "y", "z"):
-                await transport.start_broker(
+                await transport.attach(
                     peer, lambda s, m: received.append(m)
                 )
             message = Envelope(AckMessage("P0", 5))
@@ -250,8 +255,8 @@ class TestBatchingTransport:
         async def scenario():
             transport = TcpTransport(flush_delay=0.02)
             received = []
-            await transport.start_broker("a", lambda s, m: None)
-            await transport.start_broker("b", lambda s, m: received.append(m))
+            await transport.attach("a", lambda s, m: None)
+            await transport.attach("b", lambda s, m: received.append(m))
             # Prime the connection so the burst below is corked together.
             transport.send("a", "b", Envelope(AckMessage("P0", 0)))
             assert await eventually(lambda: len(received) == 1)
@@ -273,8 +278,8 @@ class TestBatchingTransport:
         async def scenario():
             transport = TcpTransport(flush_delay=0.0, max_batch_msgs=1)
             received = []
-            await transport.start_broker("a", lambda s, m: None)
-            await transport.start_broker("b", lambda s, m: received.append(m))
+            await transport.attach("a", lambda s, m: None)
+            await transport.attach("b", lambda s, m: received.append(m))
             for i in range(5):
                 transport.send("a", "b", Envelope(AckMessage("P0", i)))
             assert await eventually(lambda: len(received) == 5)
@@ -289,8 +294,8 @@ class TestBatchingTransport:
         async def scenario():
             transport = TcpTransport(flush_delay=0.05)
             received = []
-            await transport.start_broker("a", lambda s, m: None)
-            await transport.start_broker("b", lambda s, m: received.append(m))
+            await transport.attach("a", lambda s, m: None)
+            await transport.attach("b", lambda s, m: received.append(m))
             transport.send("a", "b", Envelope(AckMessage("P0", 1)))
             assert await eventually(lambda: transport.link_usable("a", "b"))
             transport.send("a", "b", Envelope(AckMessage("P0", 2)))
@@ -316,17 +321,17 @@ class TestBatchingTransport:
                 reconnect_max=0.2,
             )
             received = []
-            await transport.start_broker("a", lambda s, m: None)
-            await transport.start_broker("b", lambda s, m: received.append(m))
+            await transport.attach("a", lambda s, m: None)
+            await transport.attach("b", lambda s, m: received.append(m))
             transport.send("a", "b", Envelope(AckMessage("P0", 0)))
             assert await eventually(lambda: len(received) == 1)
-            await transport.stop_broker("b")
+            await transport.detach("b")
             # Queued while the peer is down (and possibly mid-teardown):
             # these form the in-flight/queued batch that must survive.
             for i in range(1, 11):
                 transport.send("a", "b", Envelope(AckMessage("P0", i)))
             await asyncio.sleep(0.2)
-            await transport.start_broker("b", lambda s, m: received.append(m))
+            await transport.attach("b", lambda s, m: received.append(m))
             ok = await eventually(
                 lambda: {m.payload.up_to for m in received} >= set(range(11))
             )

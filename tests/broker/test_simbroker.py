@@ -1,7 +1,7 @@
 """Unit tests of the simulator-hosted broker: lifecycle, CPU accounting,
 client fan-out scheduling."""
 
-from repro.broker.simbroker import SimBroker, SubscriberHooks
+from repro.broker import SimBroker, SubscriberHooks
 from repro.broker.state import BrokerTopologyInfo, PubendRoute
 from repro.core.config import LivenessParams
 from repro.core.edges import FilterEdge, MATCH_ALL

@@ -238,11 +238,32 @@ class TestFileLogRecovery:
         sub = system.subscribe("a", "shb", ("P0",))
         pub = system.publisher("P0", rate=25.0)
         injector = FaultInjector(system)
-        injector.at(2.0, lambda: injector.crash_broker("phb"))
-        injector.at(6.0, lambda: injector.restart_broker("phb"))
+        seen = {}
+
+        def crash():
+            seen["old_log"] = system.brokers["phb"].engine.pubends["P0"].log
+            injector.crash_broker("phb")
+
+        def restart():
+            injector.restart_broker("phb")
+            pubend = system.brokers["phb"].engine.pubends["P0"]
+            seen["new_log"] = pubend.log
+            seen["horizon"] = pubend.stream.horizon()
+
+        injector.at(2.0, crash)
+        injector.at(6.0, restart)
         pub.start(at=0.2)
         system.run_until(20.0)
         pub.stop()
         system.run_until(35.0)
         report = DeliveryChecker([pub]).check(sub, system.subscriptions["a"])
         assert report.exactly_once
+        # The handle died with the process; recovery went through a
+        # reopened file and re-advertised the same doubt horizon.
+        old_log = seen["old_log"]
+        assert old_log._fh.closed
+        assert seen["new_log"] is not old_log
+        assert old_log.last_tick("P0") is not None
+        assert seen["horizon"] == max(
+            old_log.truncated_below("P0"), old_log.last_tick("P0") + 1
+        )

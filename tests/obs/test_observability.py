@@ -1,4 +1,4 @@
-"""The Observability facade, system wiring, and API-migration shims."""
+"""The Observability facade, system wiring, and the keyword-only call signatures."""
 
 import warnings
 
@@ -94,31 +94,8 @@ class TestSystemWiring:
         assert tracer in system.obs.tracers
 
 
-class TestDeprecationShims:
-    def test_metricshub_old_import_path_warns(self):
-        from repro.metrics import recorder
-
-        with pytest.warns(DeprecationWarning, match="moved to repro.obs.hub"):
-            old = recorder.MetricsHub
-        assert old is MetricsHub
-
-    def test_metricshub_from_metrics_package_warns(self):
-        import repro.metrics
-
-        with pytest.warns(DeprecationWarning):
-            old = repro.metrics.MetricsHub
-        assert old is MetricsHub
-
-    def test_tracer_old_import_path_warns(self):
-        from repro.obs.trace import TraceEvent, Tracer
-        from repro.sim import trace as old_trace
-
-        with pytest.warns(DeprecationWarning, match="moved to repro.obs.trace"):
-            assert old_trace.Tracer is Tracer
-        with pytest.warns(DeprecationWarning):
-            assert old_trace.TraceEvent is TraceEvent
-
-    def test_new_import_paths_do_not_warn(self):
+class TestImportPaths:
+    def test_public_import_paths_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             from repro.obs import MetricsHub as hub  # noqa: F401
@@ -127,36 +104,26 @@ class TestDeprecationShims:
             assert repro.MetricsHub is MetricsHub
 
 
-class TestKeywordOnlyMigration:
-    def test_subscribe_positional_total_order_warns_but_works(self):
+class TestKeywordOnly:
+    def test_subscribe_stray_positional_raises(self):
         system = small_system()
-        with pytest.warns(DeprecationWarning, match="total_order positionally"):
-            client = system.subscribe("a", "shb", ("P0",), None, True)
+        with pytest.raises(TypeError):
+            system.subscribe("a", "shb", ("P0",), None, True)
+        assert "a" not in system.subscriptions
+
+    def test_subscribe_keyword_total_order(self):
+        system = small_system()
+        client = system.subscribe("a", "shb", ("P0",), total_order=True)
         assert system.subscriptions["a"].total_order is True
         assert client is system.subscribers["a"]
 
-    def test_subscribe_keyword_total_order_silent(self):
-        system = small_system()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            system.subscribe("a", "shb", ("P0",), total_order=True)
-        assert system.subscriptions["a"].total_order is True
-
-    def test_subscribe_too_many_positionals_raises(self):
-        system = small_system()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                system.subscribe("a", "shb", ("P0",), None, True, "extra")
-
-    def test_pubend_positional_preassign_warns_but_works(self):
+    def test_pubend_stray_positional_raises(self):
         topo = two_broker_topology()
-        with pytest.warns(DeprecationWarning, match="preassign_window positionally"):
+        with pytest.raises(TypeError):
             topo.pubend("P0", "phb", 0.25)
-        assert topo._pubends["P0"].preassign_window == 0.25
+        assert "P0" not in topo._pubends
 
-    def test_pubend_keyword_preassign_silent(self):
+    def test_pubend_keyword_preassign(self):
         topo = two_broker_topology()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            topo.pubend("P0", "phb", preassign_window=0.25)
+        topo.pubend("P0", "phb", preassign_window=0.25)
         assert topo._pubends["P0"].preassign_window == 0.25
