@@ -204,18 +204,11 @@ async def chaos(
     params: Optional[LivenessParams] = None,
     rate: float = 60.0,
     settle: float = 2.5,
-    aio_flush_delay: Optional[float] = None,
-    max_batch_bytes: Optional[int] = None,
     corrupt_rate: float = 0.0,
 ) -> ChaosReport:
     """Run one seeded chaos scenario against the asyncio runtime."""
     if transport == "tcp":
-        wire_kwargs: Dict[str, float] = {}
-        if aio_flush_delay is not None:
-            wire_kwargs["flush_delay"] = aio_flush_delay
-        if max_batch_bytes is not None:
-            wire_kwargs["max_batch_bytes"] = max_batch_bytes
-        wire: Transport = TcpTransport(heartbeat_interval=0.1, seed=seed, **wire_kwargs)
+        wire: Transport = TcpTransport(heartbeat_interval=0.1, seed=seed)
     elif transport == "local":
         wire = LocalTransport(latency=0.001, seed=seed)
     else:
@@ -355,8 +348,6 @@ def run_chaos(
     params: Optional[LivenessParams] = None,
     rate: float = 60.0,
     settle: float = 2.5,
-    aio_flush_delay: Optional[float] = None,
-    max_batch_bytes: Optional[int] = None,
     corrupt_rate: float = 0.0,
 ) -> ChaosReport:
     """Synchronous wrapper: run one chaos scenario on a fresh loop."""
@@ -369,8 +360,6 @@ def run_chaos(
             params=params,
             rate=rate,
             settle=settle,
-            aio_flush_delay=aio_flush_delay,
-            max_batch_bytes=max_batch_bytes,
             corrupt_rate=corrupt_rate,
         )
     )

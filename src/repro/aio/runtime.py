@@ -57,6 +57,11 @@ KNOWN_MUTATIONS = frozenset({"suppress-retransmit"})
 #: set is pruned (mirrors the sim scheduler's cancelled-timer fix).
 _PRUNE_THRESHOLD = 256
 
+#: Micro-batch size of the inbox drain task: each wakeup processes up to
+#: this many queued messages before yielding to the loop, instead of
+#: paying a full task switch per message.
+_INBOX_BATCH = 64
+
 
 class _AioServices(BrokerServices):
     def __init__(self, broker: "AioBroker"):
@@ -139,11 +144,6 @@ class AioBroker(BrokerHost):
       ``aio_inbox_shed`` instrument.  Never silent: guaranteed traffic
       shed here is recovered by the protocol's curiosity/retransmission
       machinery, but the counter makes the pressure visible.
-
-    ``inbox_batch`` is the micro-batch size of the drain task: each
-    wakeup processes up to that many queued messages before yielding to
-    the loop, instead of paying a full task switch per message.  ``1``
-    restores the historical one-message-per-await behaviour.
     """
 
     def __init__(
@@ -157,7 +157,6 @@ class AioBroker(BrokerHost):
         inbox_limit: int = 1024,
         slow_consumer: str = "backpressure",
         mutations: frozenset = frozenset(),
-        inbox_batch: int = 64,
     ):
         if slow_consumer not in ("backpressure", "shed"):
             raise ValueError(
@@ -169,7 +168,6 @@ class AioBroker(BrokerHost):
         self.epoch = 0
         self.inbox_limit = inbox_limit
         self.slow_consumer = slow_consumer
-        self.inbox_batch = max(1, inbox_batch)
         #: True while a deferred piggyback flush is queued on the loop.
         self._piggyback_scheduled = False
         #: Active deliberate defects (subset of KNOWN_MUTATIONS) and how
@@ -242,7 +240,7 @@ class AioBroker(BrokerHost):
 
     async def _drain(self) -> None:
         """Inbox pump: block for the first message, then greedily drain
-        up to ``inbox_batch`` already-queued messages in the same wakeup
+        up to ``_INBOX_BATCH`` already-queued messages in the same wakeup
         — one task switch amortized over the whole micro-batch."""
         inbox = self._inbox
         assert inbox is not None
@@ -253,7 +251,7 @@ class AioBroker(BrokerHost):
                     self._process(src, message)
                 finally:
                     inbox.task_done()
-                for _ in range(self.inbox_batch - 1):
+                for _ in range(_INBOX_BATCH - 1):
                     try:
                         src, message = inbox.get_nowait()
                     except asyncio.QueueEmpty:
@@ -393,7 +391,6 @@ class AioSystem(SubscribeMixin):
         inbox_limit: int = 1024,
         slow_consumer: str = "backpressure",
         mutations: Any = (),
-        inbox_batch: int = 64,
     ):
         mutations = frozenset(mutations)
         unknown = mutations - KNOWN_MUTATIONS
@@ -432,7 +429,6 @@ class AioSystem(SubscribeMixin):
                 inbox_limit=inbox_limit,
                 slow_consumer=slow_consumer,
                 mutations=mutations,
-                inbox_batch=inbox_batch,
             )
         for pubend_id, host_broker, slot, n_slots, preassign in self.plan.pubends:
             self.host_pubend(

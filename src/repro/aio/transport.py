@@ -14,7 +14,7 @@ provides two asyncio transports so the same protocol runs in real time:
   backoff plus jitter after any failure.  Messages travel in the
   length-prefixed binary frame protocol of :mod:`repro.aio.wire`: a
   per-connection **coalescing writer** cork-batches everything queued
-  within ``flush_delay`` (bounded by ``max_batch_bytes``) into one batch
+  within ``flush_delay`` (bounded by ``MAX_BATCH_BYTES``) into one batch
   frame and one ``drain()``, and a **serialize-once cache** encodes a
   message fanned out to N peers exactly once.
 
@@ -314,12 +314,10 @@ class TcpTransport(Transport):
       ``link_usable`` to False the way a broker notices a dead link;
     * **cork-batches** the outbox: a nonempty outbox is left to
       accumulate for ``flush_delay`` seconds, then everything queued (up
-      to ``max_batch_bytes`` / ``max_batch_msgs``) is written as one
-      batch frame and drained once — N messages cost one syscall round
-      trip instead of N.  ``flush_delay=0`` still coalesces whatever
-      queued since the previous drain (greedy batching, no added
-      latency); ``max_batch_msgs=1`` restores the historical
-      frame-per-message compat behaviour.
+      to ``MAX_BATCH_BYTES``) is written as one batch frame and drained
+      once — N messages cost one syscall round trip instead of N.
+      ``flush_delay=0`` still coalesces whatever queued since the
+      previous drain (greedy batching, no added latency).
     * drains a bounded outbox; when the outbox overflows while the link
       is down the oldest payload is shed (counted in ``shed``) — safe,
       because guaranteed traffic is recovered by the protocol's
@@ -332,6 +330,9 @@ class TcpTransport(Transport):
 
     #: Payloads a downed connection may buffer before shedding the oldest.
     OUTBOX_LIMIT = 1024
+    #: Cap on one batch frame's body: bounds the memory a slow peer's
+    #: ``drain()`` can pin.  A single larger payload still goes alone.
+    MAX_BATCH_BYTES = 256 * 1024
 
     def __init__(
         self,
@@ -342,9 +343,6 @@ class TcpTransport(Transport):
         seed: int = 0,
         *,
         flush_delay: float = 0.001,
-        max_batch_bytes: int = 256 * 1024,
-        max_batch_msgs: Optional[int] = None,
-        max_frame_bytes: int = wire.MAX_FRAME_BYTES,
     ) -> None:
         super().__init__()
         self.heartbeat_interval = heartbeat_interval
@@ -358,9 +356,6 @@ class TcpTransport(Transport):
         #: Cork window of the coalescing writer (seconds).  Bounded added
         #: latency per hop in exchange for far fewer frames and drains.
         self.flush_delay = flush_delay
-        self.max_batch_bytes = max_batch_bytes
-        self.max_batch_msgs = max_batch_msgs
-        self.max_frame_bytes = max_frame_bytes
         self.rng = random.Random(seed)
         #: broker -> (host, port) once listening.
         self.addresses: Dict[str, Tuple[str, int]] = {}
@@ -445,7 +440,7 @@ class TcpTransport(Transport):
             if task is not None:
                 handlers.add(task)
             inbound.add(writer)
-            decoder = FrameDecoder(self.max_frame_bytes)
+            decoder = FrameDecoder()
             try:
                 while True:
                     chunk = await reader.read(65536)
@@ -643,15 +638,12 @@ class TcpTransport(Transport):
         """Head slice of the outbox that fits one batch frame."""
         batch: List[bytes] = []
         size = 0
-        limit = self.max_batch_msgs
         for payload in conn.outbox:
             cost = len(payload) + 4
-            if batch and size + cost > self.max_batch_bytes:
+            if batch and size + cost > self.MAX_BATCH_BYTES:
                 break
             batch.append(payload)
             size += cost
-            if limit is not None and len(batch) >= limit:
-                break
         return batch
 
     # -- supervision -------------------------------------------------------

@@ -6,7 +6,7 @@ needed) plus an end-to-end chain-topology batching comparison, and emits
 a ``BENCH_4.json`` report with, per benchmark:
 
 * **wall-clock** — informative only; it varies with the machine and is
-  never gated on;
+  never gated on (throughput and latency claims are ``benchmarks/load``'s);
 * **deterministic operation counters** — IntervalMap splice/tail-append
   counts (:data:`repro.core.intervals.STATS`), scheduler ``events_run``,
   knowledge messages sent — bit-identical across runs on any machine,
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = ["run_benchmarks", "compare_counters", "main"]
 
@@ -74,11 +74,9 @@ def _bench_interval_map_appends(repeat: int) -> Dict[str, Any]:
     finally:
         IntervalMap.fast_path = True
         STATS.reset()
-    speedup = walls["slow"] / walls["fast"] if walls["fast"] > 0 else float("inf")
     return {
         "wall_s": walls["fast"],
         "wall_slow_s": walls["slow"],
-        "speedup": round(speedup, 2),
         "counters": counters,
     }
 
@@ -159,9 +157,6 @@ def _bench_matching(repeat: int) -> Dict[str, Any]:
         "wall_s": wall_cached,
         "wall_indexed_s": wall_indexed,
         "wall_brute_s": wall_brute,
-        "cache_speedup": round(wall_indexed / wall_cached, 2)
-        if wall_cached > 0
-        else float("inf"),
         "counters": {
             # All misses happen on the first (cold) pass; warm passes hit.
             "match_cache_misses": cached.cache_misses,
@@ -294,312 +289,6 @@ def _bench_trace_overhead(repeat: int) -> Dict[str, Any]:
     }
 
 
-def _bench_aio_throughput(repeat: int) -> Dict[str, Any]:
-    """Real-time backend throughput: 1000 back-to-back publications
-    through the b0-b1-b2 chain on the asyncio runtime (in-process
-    transport), timed to the last delivery.
-
-    Wall-clock (and msgs/s) is informative only.  The gated counters are
-    the fixed publication count and ``aio_throughput_undelivered``
-    (baseline 0): losing even one message through the real-time path
-    fails the gate, which is the parity claim — the aio backend delivers
-    exactly what the simulator does.
-
-    The informative speedup is measured *paired*, like the trace-overhead
-    bench: each round runs the compat configuration (``inbox_batch=1``,
-    one inbox message per task wakeup) and the batched default back to
-    back, and the reported statistic is the lower quartile of the
-    per-round ratios — robust against noise on shared CI machines.
-    """
-    import asyncio
-    import gc
-
-    from .aio.chaos import FAST_PARAMS, chain_topology
-    from .aio.runtime import AioSystem
-
-    n_messages = 1000  # pinned: the gated published count
-
-    async def run(inbox_batch: int) -> Tuple[float, int]:
-        system = AioSystem(
-            chain_topology(link_latency=0.0),
-            params=FAST_PARAMS,
-            inbox_batch=inbox_batch,
-        )
-        await system.start()
-        client = system.subscribe("bench", "b2", ("P0", "P1"))
-        publisher = system.publisher("P0", rate=1.0)  # driven manually
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        for i in range(n_messages):
-            publisher.publish_once()
-            if i % 100 == 99:
-                await asyncio.sleep(0)  # let inbox drain tasks keep pace
-        deadline = loop.time() + 10.0
-        while len(client.received) < n_messages and loop.time() < deadline:
-            await asyncio.sleep(0.005)
-        elapsed = loop.time() - started
-        undelivered = n_messages - len(client.received)
-        await system.shutdown()
-        return elapsed, undelivered
-
-    rounds = max(repeat, 3)
-    best = best_compat = float("inf")
-    undelivered = 0
-    ratios: List[float] = []
-    for __ in range(rounds):
-        gc.collect()
-        compat_elapsed, compat_undelivered = asyncio.run(run(1))
-        gc.collect()
-        elapsed, round_undelivered = asyncio.run(run(64))
-        undelivered = max(undelivered, round_undelivered, compat_undelivered)
-        best = min(best, elapsed)
-        best_compat = min(best_compat, compat_elapsed)
-        if elapsed > 0:
-            ratios.append(compat_elapsed / elapsed)
-    ratios.sort()
-    speedup = ratios[len(ratios) // 4] if ratios else 1.0
-    return {
-        "wall_s": best,
-        "wall_compat_s": best_compat,
-        "throughput_msgs_s": round(n_messages / best) if best > 0 else 0,
-        "inbox_batch_speedup": round(speedup, 2),
-        "counters": {
-            "aio_throughput_published": n_messages,
-            "aio_throughput_undelivered": undelivered,
-        },
-    }
-
-
-def _bench_aio_wire(repeat: int) -> Dict[str, Any]:
-    """Wire-protocol cost over real TCP: the b0-b1-b2 chain with 400
-    pinned publications, compat framing (``max_batch_msgs=1``,
-    ``flush_delay=0`` — one frame and one drain per message, like the
-    old JSON-lines codec) vs the batched default (cork-coalescing
-    writer), paired per round.
-
-    Gated counters:
-
-    * ``aio_wire_published`` / ``aio_wire_undelivered`` — the pinned
-      count and the exactly-once parity claim (baseline 0), as in
-      ``aio_throughput``;
-    * ``aio_wire_excess_frames`` — ``max(0, 3 * frames_batched -
-      frames_compat)`` from the best round: stays 0 only while the
-      batched configuration uses at most a third of the compat
-      configuration's frames for the same workload — the ≥3x
-      frames-per-message acceptance floor;
-    * ``aio_wire_latency_violations`` — rounds whose batched p95
-      delivery latency exceeded the compat p95 by more than
-      ``6 * flush_delay + 0.05s``: coalescing must buy its frame
-      reduction with bounded added latency, never unbounded queueing.
-    """
-    import asyncio
-    import dataclasses
-    import gc
-
-    from .aio.chaos import FAST_PARAMS, chain_topology
-    from .aio.runtime import AioSystem
-    from .aio.transport import TcpTransport
-
-    n_messages = 400  # pinned: the gated published count
-    flush_delay = 0.001
-    latency_bound = 6 * flush_delay + 0.05
-    # The batched configuration is the full batching stack: cork-batched
-    # binary frames + inbox micro-batching + engine-level knowledge
-    # flushing (LivenessParams.flush_delay), the way a deployment would
-    # run it.
-    batched_params = dataclasses.replace(FAST_PARAMS, flush_delay=flush_delay)
-
-    async def run(batched: bool) -> Dict[str, Any]:
-        wire = TcpTransport(
-            seed=7,
-            flush_delay=flush_delay if batched else 0.0,
-            max_batch_msgs=None if batched else 1,
-        )
-        system = AioSystem(
-            chain_topology(link_latency=0.0),
-            params=batched_params if batched else FAST_PARAMS,
-            transport=wire,
-            inbox_batch=64 if batched else 1,
-        )
-        await system.start()
-        client = system.subscribe("bench", "b2", ("P0", "P1"))
-        publisher = system.publisher("P0", rate=1.0)  # driven manually
-        loop = asyncio.get_running_loop()
-        started = loop.time()
-        for i in range(n_messages):
-            publisher.publish_once()
-            if i % 50 == 49:
-                await asyncio.sleep(0)
-        deadline = loop.time() + 15.0
-        while len(client.received) < n_messages and loop.time() < deadline:
-            await asyncio.sleep(0.002)
-        elapsed = loop.time() - started
-        latencies = sorted(
-            received_at - payload["ts"]
-            for (__, __tick, payload, received_at) in client.received
-        )
-        p95 = latencies[int(0.95 * (len(latencies) - 1))] if latencies else 0.0
-        stats = {
-            "elapsed": elapsed,
-            "undelivered": n_messages - len(client.received),
-            "p95": p95,
-            "frames": wire.frames_sent,
-            "msgs": wire.msgs_sent,
-            "bytes": wire.bytes_sent,
-            "cache_hits": wire.serialize_cache_hits,
-        }
-        await system.shutdown()
-        return stats
-
-    rounds = max(repeat, 3)
-    undelivered = latency_violations = 0
-    best: Optional[Dict[str, Any]] = None
-    best_compat: Optional[Dict[str, Any]] = None
-    ratios: List[float] = []
-    excess_frames: Optional[int] = None
-    for __ in range(rounds):
-        gc.collect()
-        compat = asyncio.run(run(batched=False))
-        gc.collect()
-        batched = asyncio.run(run(batched=True))
-        undelivered = max(
-            undelivered, compat["undelivered"], batched["undelivered"]
-        )
-        if batched["p95"] - compat["p95"] > latency_bound:
-            latency_violations += 1
-        if batched["elapsed"] > 0:
-            ratios.append(compat["elapsed"] / batched["elapsed"])
-        round_excess = max(0, 3 * batched["frames"] - compat["frames"])
-        excess_frames = (
-            round_excess
-            if excess_frames is None
-            else min(excess_frames, round_excess)
-        )
-        if best is None or batched["elapsed"] < best["elapsed"]:
-            best = batched
-        if best_compat is None or compat["elapsed"] < best_compat["elapsed"]:
-            best_compat = compat
-    assert best is not None and best_compat is not None
-    ratios.sort()
-    speedup = ratios[len(ratios) // 4] if ratios else 1.0
-    msgs_per_frame = best["msgs"] / best["frames"] if best["frames"] else 0.0
-    return {
-        "wall_s": best["elapsed"],
-        "wall_compat_s": best_compat["elapsed"],
-        "throughput_msgs_s": round(n_messages / best["elapsed"])
-        if best["elapsed"] > 0
-        else 0,
-        "batching_speedup": round(speedup, 2),
-        "msgs_per_frame": round(msgs_per_frame, 2),
-        "frames_per_published": round(best["frames"] / n_messages, 3),
-        "frames_per_published_compat": round(
-            best_compat["frames"] / n_messages, 3
-        ),
-        # Same pinned workload, so the frame ratio IS the per-message
-        # frame reduction of the full batching stack.
-        "frame_reduction": round(best_compat["frames"] / best["frames"], 2)
-        if best["frames"]
-        else float("inf"),
-        "bytes_per_msg": round(best["bytes"] / best["msgs"], 1)
-        if best["msgs"]
-        else 0.0,
-        "p95_latency_s": round(best["p95"], 4),
-        "p95_latency_compat_s": round(best_compat["p95"], 4),
-        "serialize_cache_hits": best["cache_hits"],
-        "counters": {
-            "aio_wire_published": n_messages,
-            "aio_wire_undelivered": undelivered,
-            "aio_wire_excess_frames": excess_frames or 0,
-            "aio_wire_latency_violations": latency_violations,
-        },
-    }
-
-
-def _bench_integrity_overhead(repeat: int) -> Dict[str, Any]:
-    """Cost of the v2 checksummed log record format vs the legacy bare
-    JSON-lines format: paired append rounds into real files (``sync=False``
-    so fsync latency — identical on both sides — does not drown the CRC
-    and framing cost under measurement noise).
-
-    The gated statistic is the lower quartile of per-round CPU-time
-    ratios, the same noise-floor estimator as ``trace_overhead``:
-    ``integrity_overhead_violations`` is 1 when even that optimistic
-    estimate says framing + CRC32 costs more than 5% over bare JSON
-    (baseline 0).  ``integrity_records`` pins the workload size.
-    """
-    import gc
-    import os
-    import tempfile
-
-    from .storage.log import FileLog, LogEntry
-
-    n_records = 2000  # pinned: the gated workload size
-
-    def run(directory: str, record_format: str) -> None:
-        path = os.path.join(directory, f"bench-{record_format}.log")
-        log = FileLog(path, record_format=record_format, sync=False)
-        try:
-            for i in range(n_records):
-                log.append(LogEntry("P0", i + 1, {"seq": i, "ts": 0.125 * i}))
-        finally:
-            log.close()
-            os.unlink(path)
-
-    rounds = max(repeat, 9)
-    ratios: List[float] = []
-    wall_v1 = wall_v2 = float("inf")
-    with tempfile.TemporaryDirectory(prefix="repro-bench-integrity-") as tmp:
-        run(tmp, "v2")  # warm caches/allocator off the clock
-        for __ in range(rounds):
-            gc.collect()
-            started = time.process_time()
-            run(tmp, "v1")
-            v1_done = time.process_time()
-            gc.collect()
-            mid = time.process_time()
-            run(tmp, "v2")
-            done = time.process_time()
-            wall_v1 = min(wall_v1, v1_done - started)
-            wall_v2 = min(wall_v2, done - mid)
-            if v1_done > started:
-                ratios.append((done - mid) / (v1_done - started))
-    ratios.sort()
-    overhead = ratios[len(ratios) // 4] - 1.0 if ratios else 0.0
-    return {
-        "wall_s": wall_v2,
-        "wall_v1_s": wall_v1,
-        "integrity_overhead": round(overhead, 4),
-        "counters": {
-            "integrity_records": n_records,
-            "integrity_overhead_violations": 1 if overhead > 0.05 else 0,
-        },
-    }
-
-
-def _bench_message_alloc(repeat: int) -> Dict[str, Any]:
-    """Hot-path message allocation: DataTick + KnowledgeMessage +
-    Envelope construction and attribute access, 20k iterations.  Tracks
-    the ``__slots__`` savings on the per-message wire classes — wall
-    only, never gated (allocation speed is machine-dependent)."""
-    from .broker.state import Envelope
-    from .core.messages import DataTick, KnowledgeMessage
-
-    def run() -> int:
-        total = 0
-        for i in range(20000):
-            data = DataTick(i, {"seq": i})
-            message = KnowledgeMessage(
-                pubend="P0", fin_prefix=i, f_ranges=(), data=(data,)
-            )
-            envelope = Envelope(message)
-            total += envelope.payload.fin_prefix
-        return total
-
-    wall, __ = _timed(run, repeat)
-    slotted = not hasattr(Envelope(KnowledgeMessage("P0", 0, (), ())), "__dict__")
-    return {"wall_s": wall, "slots_active": slotted, "counters": {}}
-
-
 # ---------------------------------------------------------------------------
 # Harness
 # ---------------------------------------------------------------------------
@@ -610,10 +299,6 @@ BENCHMARKS: Tuple[Tuple[str, Callable[[int], Dict[str, Any]]], ...] = (
     ("matching_engine", _bench_matching),
     ("chain_batching", _bench_chain_batching),
     ("trace_overhead", _bench_trace_overhead),
-    ("integrity_overhead", _bench_integrity_overhead),
-    ("message_alloc", _bench_message_alloc),
-    ("aio_throughput", _bench_aio_throughput),
-    ("aio_wire", _bench_aio_wire),
 )
 
 
@@ -631,17 +316,11 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, Any]:
         for counter, value in result.get("counters", {}).items():
             report["counters"][counter] = value
     report["derived"] = {
-        "interval_fast_speedup": report["benchmarks"]["interval_map_appends"][
-            "speedup"
-        ],
         "batching_reduction": report["benchmarks"]["chain_batching"][
             "batching_reduction"
         ],
         "trace_overhead": report["benchmarks"]["trace_overhead"][
             "trace_overhead"
-        ],
-        "integrity_overhead": report["benchmarks"]["integrity_overhead"][
-            "integrity_overhead"
         ],
     }
     return report
@@ -683,26 +362,11 @@ def main(args: Any) -> int:
     print(f"{'benchmark':<28} {'wall (ms)':>10}  notes")
     for name, result in report["benchmarks"].items():
         notes = []
-        if "speedup" in result:
-            notes.append(f"fast-path speedup {result['speedup']}x")
-        if "cache_speedup" in result:
-            notes.append(f"cache speedup {result['cache_speedup']}x")
         if "batching_reduction" in result:
             notes.append(f"batching reduction {result['batching_reduction']}x")
         if "trace_overhead" in result:
             notes.append(
                 f"causal tracing +{100 * result['trace_overhead']:.1f}% wall"
-            )
-        if "integrity_overhead" in result:
-            notes.append(
-                f"crc framing +{100 * result['integrity_overhead']:.1f}% wall"
-            )
-        if "throughput_msgs_s" in result:
-            notes.append(f"{result['throughput_msgs_s']} msgs/s end-to-end")
-        if "msgs_per_frame" in result:
-            notes.append(
-                f"{result['msgs_per_frame']} msgs/frame "
-                f"({result['frame_reduction']}x vs compat)"
             )
         print(
             f"{name:<28} {1000 * result['wall_s']:>10.2f}  {', '.join(notes)}"

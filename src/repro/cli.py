@@ -322,8 +322,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             transport=args.transport,
             data_dir=data_dir,
             settle=args.settle,
-            aio_flush_delay=args.aio_flush_delay,
-            max_batch_bytes=args.max_batch_bytes,
             corrupt_rate=args.corrupt_rate,
         )
         print(report.render())
@@ -348,15 +346,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .client import DeliveryChecker
 
     async def serve() -> int:
-        wire_kwargs = {}
-        if args.aio_flush_delay is not None:
-            wire_kwargs["flush_delay"] = args.aio_flush_delay
-        if args.max_batch_bytes is not None:
-            wire_kwargs["max_batch_bytes"] = args.max_batch_bytes
         system = AioSystem(
             chain_topology(),
             params=FAST_PARAMS,
-            transport=TcpTransport(seed=args.seed, **wire_kwargs),
+            transport=TcpTransport(seed=args.seed),
             data_dir=args.data_dir,
         )
         await system.start()
@@ -625,14 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail a run that carried fewer publications than this",
     )
     p.add_argument(
-        "--aio-flush-delay", type=float, default=None, metavar="SECONDS",
-        help="override the TCP transport's cork window (wire batching)",
-    )
-    p.add_argument(
-        "--max-batch-bytes", type=int, default=None,
-        help="override the TCP transport's batch-frame size cap",
-    )
-    p.add_argument(
         "--corrupt-rate", type=float, default=0.0, metavar="PROBABILITY",
         help="per-kind probability of scheduling corruption faults "
         "(log bit-flips, wire frame damage, disk-full) into the chaos "
@@ -654,14 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--data-dir", default=None,
         help="pubend log directory (default: in-memory logs)",
-    )
-    p.add_argument(
-        "--aio-flush-delay", type=float, default=None, metavar="SECONDS",
-        help="override the TCP transport's cork window (wire batching)",
-    )
-    p.add_argument(
-        "--max-batch-bytes", type=int, default=None,
-        help="override the TCP transport's batch-frame size cap",
     )
     p.set_defaults(fn=_cmd_serve)
 

@@ -39,7 +39,7 @@ upstream send it matched, so the chain reconstructs the actual path
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 __all__ = ["COMPONENTS", "LatencyBreakdown", "AttributionReport", "build_report"]
 

@@ -1,12 +1,10 @@
 """MetricsHub: the experiment-facing series recorders, as an obs peer.
 
-Historically this class lived in :mod:`repro.metrics.recorder` and every
-experiment hand-wired one.  It is now owned by
-:class:`~repro.obs.observability.Observability` (``system.obs.hub``) and
-the old import path is a deprecation shim.  The class itself is
-unchanged: latency and nack *series* (per-sample, keyed by send time) are
-what the paper's figures plot, and they complement — not duplicate — the
-fixed-bucket instruments, which are what production monitoring scrapes.
+Owned by :class:`~repro.obs.observability.Observability`
+(``system.obs.hub``).  Latency and nack *series* (per-sample, keyed by
+send time) are what the paper's figures plot, and they complement — not
+duplicate — the fixed-bucket instruments, which are what production
+monitoring scrapes.
 """
 
 from __future__ import annotations

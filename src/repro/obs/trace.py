@@ -14,8 +14,7 @@ can be diffed to localize a regression.
 A tracer built against a system that carries an
 :class:`~repro.obs.observability.Observability` registers itself as a
 peer of that object, so ``system.obs`` snapshots report trace volume
-alongside the instruments.  (This module used to live at
-``repro.sim.trace``; that path remains importable as a deprecation shim.)
+alongside the instruments.
 """
 
 from __future__ import annotations

@@ -63,8 +63,7 @@ __all__ = [
 RECORD_MAGIC = b"R2 "
 
 # json.dumps(obj, separators=...) builds a fresh JSONEncoder per call;
-# caching one keeps the v2 append path within a few percent of bare
-# JSON lines (gated by the integrity_overhead benchmark).
+# caching one keeps that cost off the append path.
 _COMPACT_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
@@ -208,18 +207,16 @@ class FileLog(MessageLog):
     """Append-only checksummed record file with replay-based recovery.
 
     Each appended entry is written as one framed line —
-    ``R2 <crc32:08x> <len:08x> <compact JSON>`` — flushed, and fsynced
-    (``sync=False`` skips the fsync, for benchmarks and tests only).
+    ``R2 <crc32:08x> <len:08x> <compact JSON>`` — flushed, and fsynced.
     On open, existing content is replayed to rebuild the in-memory
     index, verifying every record's length framing and CRC32; corrupt
     or torn records *anywhere* in the file are quarantined into
     ``<path>.quarantine`` and the file is rewritten with the surviving
     verified records (see the module docstring for why this is safe).
-    Legacy bare-JSON lines (``record_format="v1"``, the pre-checksum
-    format) are accepted on replay when they parse, and can still be
-    written for compatibility tests.  Truncation is logical (a framed
-    truncation marker); :meth:`compact` rewrites the file to drop dead
-    entries physically.
+    Legacy bare-JSON lines (the pre-checksum format) are accepted on
+    replay when they parse, but never written.  Truncation is logical (a
+    framed truncation marker); :meth:`compact` rewrites the file to drop
+    dead entries physically.
 
     ``file_wrapper`` wraps the freshly opened binary append handle —
     the hook :class:`~repro.storage.faults.FaultyFile` uses to inject
@@ -233,17 +230,11 @@ class FileLog(MessageLog):
         path: str,
         commit_latency: float = 0.0,
         *,
-        record_format: str = "v2",
-        sync: bool = True,
         file_wrapper: Optional[Callable[[Any], Any]] = None,
         instruments: Any = NULL_INSTRUMENTS,
     ):
-        if record_format not in ("v1", "v2"):
-            raise ValueError(f"unknown record_format {record_format!r}")
         self.path = path
         self.commit_latency = commit_latency
-        self.record_format = record_format
-        self.sync = sync
         self._file_wrapper = file_wrapper
         self._instruments = instruments
         self._m_quarantined = instruments.counter(
@@ -277,13 +268,10 @@ class FileLog(MessageLog):
         the same wrapper and instruments (crash realism: the handle dies
         with the broker, the file and its configuration survive)."""
         path, latency = self.path, self.commit_latency
-        fmt, sync = self.record_format, self.sync
         wrapper, instruments = self._file_wrapper, self._instruments
         return lambda: FileLog(
             path,
             commit_latency=latency,
-            record_format=fmt,
-            sync=sync,
             file_wrapper=wrapper,
             instruments=instruments,
         )
@@ -301,8 +289,6 @@ class FileLog(MessageLog):
     # -- record framing ---------------------------------------------------
 
     def _encode_record(self, obj: Dict[str, Any]) -> bytes:
-        if self.record_format == "v1":
-            return json.dumps(obj).encode("utf-8") + b"\n"
         payload = _COMPACT_ENCODE(obj).encode("utf-8")
         return b"R2 %08x %08x %s\n" % (
             zlib.crc32(payload),
@@ -417,8 +403,6 @@ class FileLog(MessageLog):
     # -- writes -----------------------------------------------------------
 
     def _fsync(self) -> None:
-        if not self.sync:
-            return
         fsync = getattr(self._fh, "fsync", None)
         if fsync is not None:
             fsync()  # FaultyFile interposes here

@@ -274,21 +274,54 @@ class TestBatchingTransport:
         # at most (one per flush window), not one per message.
         assert data_frames <= 4
 
-    def test_max_batch_msgs_compat_one_frame_per_message(self):
+    def test_byte_cap_splits_an_oversized_cork_window(self, monkeypatch):
+        """More than ``MAX_BATCH_BYTES`` queued inside one cork window
+        leaves as several batch frames, each within the cap, and still
+        arrives whole and in order."""
+        from repro.aio import transport as transport_module
+
+        frame_sizes = []
+
+        def recording_encode(payloads):
+            frame = encode_batch_frame(payloads)
+            frame_sizes.append(len(frame))
+            return frame
+
+        monkeypatch.setattr(
+            transport_module, "encode_batch_frame", recording_encode
+        )
+        cap = TcpTransport.MAX_BATCH_BYTES
+        body = "x" * 16000
+        count = 3 * cap // len(body)
+
         async def scenario():
-            transport = TcpTransport(flush_delay=0.0, max_batch_msgs=1)
+            transport = TcpTransport(flush_delay=0.05)
             received = []
             await transport.attach("a", lambda s, m: None)
             await transport.attach("b", lambda s, m: received.append(m))
-            for i in range(5):
-                transport.send("a", "b", Envelope(AckMessage("P0", i)))
-            assert await eventually(lambda: len(received) == 5)
-            stats = (transport.frames_sent, transport.msgs_sent)
+            # Prime the connection so the burst below is corked together.
+            transport.send("a", "b", Envelope(AckMessage("P0", 0)))
+            assert await eventually(lambda: len(received) == 1)
+            received.clear()
+            frame_sizes.clear()
+            for i in range(count):
+                transport.send(
+                    "a",
+                    "b",
+                    Envelope(
+                        KnowledgeMessage(
+                            pubend="P0", data=(DataTick(i, {"pad": body}),)
+                        )
+                    ),
+                )
+            assert await eventually(lambda: len(received) == count)
             await transport.close()
-            return stats
+            return received
 
-        frames, msgs = asyncio.run(scenario())
-        assert frames == msgs == 5
+        received = asyncio.run(scenario())
+        assert [m.payload.data[0].tick for m in received] == list(range(count))
+        assert len(frame_sizes) >= 2
+        assert max(frame_sizes) <= cap + wire.HEADER_SIZE
 
     def test_drain_flushes_cork_window(self):
         async def scenario():

@@ -29,8 +29,8 @@ from repro.storage import (
 from repro.storage.log import LogEntry
 
 
-def write_log(path, ticks=(1, 2, 3), **kwargs):
-    log = FileLog(str(path), **kwargs)
+def write_log(path, ticks=(1, 2, 3)):
+    log = FileLog(str(path))
     for tick in ticks:
         log.append(LogEntry("P0", tick, {"n": tick}))
     log.close()
@@ -112,15 +112,21 @@ class TestAtRestCorruption:
         assert instruments.total("log_records_quarantined") == 1
 
 
+#: What the pre-checksum writer left on disk: one bare JSON object per
+#: line.  FileLog no longer writes this format, only replays it.
+LEGACY_V1_LINES = (
+    b'{"pubend": "P0", "tick": 1, "payload": {"n": 1}}\n',
+    b'{"pubend": "P0", "tick": 2, "payload": {"n": 2}}\n',
+    b'{"pubend": "P0", "tick": 3, "payload": {"n": 3}}\n',
+)
+
+
 class TestLegacyFormat:
     def test_v1_file_replays_under_v2(self, tmp_path):
         path = tmp_path / "p.log"
-        write_log(path, record_format="v1")
-        raw = path.read_bytes()
-        assert not raw.startswith(b"R2 ")
-        assert json.loads(raw.splitlines()[0])["tick"] == 1
+        path.write_bytes(b"".join(LEGACY_V1_LINES))
 
-        log = FileLog(str(path))  # default v2
+        log = FileLog(str(path))
         assert [e.tick for e in log.entries("P0")] == [1, 2, 3]
         assert log.quarantined == 0
         # New appends use the checksummed format; the file is now mixed.
@@ -137,8 +143,7 @@ class TestLegacyFormat:
         # A v1 record has no checksum, but an unparseable line is still
         # caught (JSON is a weak checksum) and quarantined, not fatal.
         path = tmp_path / "p.log"
-        write_log(path, record_format="v1")
-        raw = path.read_bytes().splitlines(keepends=True)
+        raw = list(LEGACY_V1_LINES)
         raw[1] = raw[1][: len(raw[1]) // 2] + b"#garbage\n"
         path.write_bytes(b"".join(raw))
 
