@@ -25,7 +25,7 @@ def main() -> None:
         log_commit_latency=0.01,
     )
     tracer = Tracer(system).install()
-    injector = FaultInjector(system, tracer=tracer)
+    injector = FaultInjector(system)
     system.subscribe("a", "shb", ("P0",))
     publisher = system.publisher("P0", rate=40.0)
 

@@ -35,7 +35,6 @@ from ..core.config import LivenessParams
 from ..core.subend import Subscription
 from ..core.ticks import Tick
 from ..facade import SubscribeMixin
-from ..obs.hub import MetricsHub
 from ..obs.observability import Observability
 from ..storage.log import FileLog, MemoryLog, MessageLog
 from ..topology import Topology, TopologyPlan
@@ -95,6 +94,9 @@ class _AioServices(BrokerServices):
             if getattr(payload, "retransmit", False):
                 broker.mutation_counts["suppress-retransmit"] += 1
                 return True  # claims success; the frame never leaves
+        hub = broker.obs.lifecycle
+        if hub.listeners:
+            hub.message_sent(self.now(), broker.broker_id, dst, message)
         ok = broker.transport.send(broker.broker_id, dst, message)
         # Piggyback: a data-carrying frame is about to be cork-batched by
         # the transport; any knowledge deltas waiting on an engine flush
@@ -152,7 +154,6 @@ class AioBroker(BrokerHost):
         info: BrokerTopologyInfo,
         params: LivenessParams,
         transport: Transport,
-        metrics: Optional[MetricsHub] = None,
         obs: Optional[Observability] = None,
         inbox_limit: int = 1024,
         slow_consumer: str = "backpressure",
@@ -182,7 +183,7 @@ class AioBroker(BrokerHost):
         #: client's DuplicateDelivery) — surfaced by shutdown()/chaos.
         self.failure: Optional[BaseException] = None
         self.shed_count = 0
-        super().__init__(broker_id, info, params, _AioServices(self), metrics, obs)
+        super().__init__(broker_id, info, params, _AioServices(self), obs)
 
     def start(self) -> None:
         """Spin up the inbox drain task and arm protocol timers."""
@@ -404,7 +405,6 @@ class AioSystem(SubscribeMixin):
         self.transport = transport if transport is not None else LocalTransport()
         self.obs = Observability()
         self.transport.bind_instruments(self.obs.instruments)
-        self.metrics = self.obs.hub
         self.plan: TopologyPlan = topology.plan()
         self.brokers: Dict[str, AioBroker] = {}
         self.pubend_hosts: Dict[str, str] = {}
@@ -424,7 +424,6 @@ class AioSystem(SubscribeMixin):
                 info,
                 self.params,
                 self.transport,
-                metrics=self.metrics,
                 obs=self.obs,
                 inbox_limit=inbox_limit,
                 slow_consumer=slow_consumer,
@@ -537,11 +536,18 @@ class AioSystem(SubscribeMixin):
         await self._attach(broker)
         broker.restart()
 
+    # Reported under the kinds and target spelling of the simulator's
+    # FaultInjector.fail_link/recover_link.
+
     def sever_link(self, a: str, b: str) -> None:
         self.transport.fail_link(a, b)
+        now = self.brokers[a].services.now()
+        self.obs.report_fault(now, "fail_link", f"{a}-{b}")
 
     def heal_link(self, a: str, b: str) -> None:
         self.transport.recover_link(a, b)
+        now = self.brokers[a].services.now()
+        self.obs.report_fault(now, "recover_link", f"{a}-{b}")
 
     # -- teardown ----------------------------------------------------------
 

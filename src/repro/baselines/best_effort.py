@@ -25,7 +25,6 @@ from ..core.config import LivenessParams
 from ..core.subend import Subscription
 from ..core.ticks import Tick, tick_of_time
 from ..metrics.cpu import CostModel, CpuAccountant
-from ..obs.hub import MetricsHub
 from ..obs.observability import Observability
 from ..sim.network import SimNetwork
 from ..sim.process import SimProcess
@@ -57,7 +56,6 @@ class BestEffortBroker(SimProcess):
         scheduler: Scheduler,
         topo: BrokerTopologyInfo,
         params: LivenessParams,
-        metrics: Optional[MetricsHub] = None,
         cost_model: Optional[CostModel] = None,
         client_latency: float = 0.0005,
         obs: Optional[Observability] = None,
@@ -65,10 +63,7 @@ class BestEffortBroker(SimProcess):
         super().__init__(node_id, network, scheduler)
         self.topo = topo
         self.params = params
-        if obs is None:
-            obs = Observability(hub=metrics)
-        self.obs = obs
-        self.metrics = metrics if metrics is not None else obs.hub
+        self.obs = obs if obs is not None else Observability()
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.client_latency = client_latency
         self.accountant = CpuAccountant(lambda: scheduler.now)

@@ -34,7 +34,6 @@ from ..core.config import LivenessParams
 from ..core.subend import Subscription
 from ..core.ticks import Tick, tick_of_time
 from ..metrics.cpu import CostModel, CpuAccountant
-from ..obs.hub import MetricsHub
 from ..obs.observability import Observability
 from ..sim.network import SimNetwork
 from ..sim.process import SimProcess
@@ -98,7 +97,6 @@ class StoreForwardBroker(SimProcess):
         scheduler: Scheduler,
         topo: BrokerTopologyInfo,
         params: LivenessParams,
-        metrics: Optional[MetricsHub] = None,
         cost_model: Optional[CostModel] = None,
         client_latency: float = 0.0005,
         hop_commit_latency: float = 0.02,
@@ -107,10 +105,7 @@ class StoreForwardBroker(SimProcess):
         super().__init__(node_id, network, scheduler)
         self.topo = topo
         self.params = params
-        if obs is None:
-            obs = Observability(hub=metrics)
-        self.obs = obs
-        self.metrics = metrics if metrics is not None else obs.hub
+        self.obs = obs if obs is not None else Observability()
         self.cost_model = cost_model if cost_model is not None else CostModel()
         self.client_latency = client_latency
         self.hop_commit_latency = hop_commit_latency

@@ -138,12 +138,6 @@ class BrokerServices:
     def charge(self, cost: float, category: str) -> None:
         """Account CPU work (no-op outside CPU experiments)."""
 
-    def on_nack_message(self, pubend: str, ranges: List[TickRange]) -> None:
-        """Hook: this broker put a nack message on the wire."""
-
-    def on_knowledge_message(self, message: KnowledgeMessage) -> None:
-        """Hook: this broker put a knowledge message on the wire."""
-
 
 class _EngineSubendServices(SubendServices):
     """Adapter giving the SubendManager access to the engine."""
@@ -827,7 +821,6 @@ class GDBrokerEngine:
     ) -> None:
         target = self._pick_downstream_broker(ost.pubend, ost.cell)
         self.services.charge(0.0, "knowledge_send")
-        self.services.on_knowledge_message(message)
         if message.retransmit:
             kind = "retransmit"
         if target is not None:
@@ -940,7 +933,6 @@ class GDBrokerEngine:
         self.bump("nacks_sent")
         self._m_nacks_sent.inc()
         self._m_nack_range_ticks.observe(float(sum(len(r) for r in fresh)))
-        self.services.on_nack_message(pubend, fresh)
         if self.lifecycle.listeners:
             self.lifecycle.nack_sent(
                 self.services.now(), self.topo.broker_id, pubend, fresh, message
@@ -995,6 +987,12 @@ class GDBrokerEngine:
             return
         pb = self.pubends.get(pubend)
         if pb is not None:
+            if prefix > pb.acked_up_to and self.lifecycle.listeners:
+                # Observers (the truncation oracle) must see the log
+                # while the entries are still there.
+                self.lifecycle.truncating(
+                    self.services.now(), self.topo.broker_id, pubend, prefix
+                )
             if pb.record_ack(prefix):
                 self.bump("log_truncations")
                 # GC the istream copy too (payloads below the prefix).

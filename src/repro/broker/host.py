@@ -45,7 +45,6 @@ from ..core.config import LivenessParams
 from ..core.pubend import Pubend
 from ..core.subend import Subscription
 from ..core.ticks import Tick
-from ..obs.hub import MetricsHub
 from ..obs.observability import Observability
 from ..storage.log import MessageLog
 from .engine import BrokerServices, GDBrokerEngine
@@ -91,17 +90,13 @@ class BrokerHost:
         topo: BrokerTopologyInfo,
         params: LivenessParams,
         services: BrokerServices,
-        metrics: Optional[MetricsHub] = None,
         obs: Optional[Observability] = None,
     ):
         self.broker_id = broker_id
         self.topo = topo
         self.params = params
         self.services = services
-        if obs is None:
-            obs = Observability(hub=metrics)
-        self.obs = obs
-        self.metrics = metrics if metrics is not None else obs.hub
+        self.obs = obs if obs is not None else Observability()
         self._hostings: Dict[str, PubendHosting] = {}
         self._clients: Dict[str, SubscriberHooks] = {}
         self._started = False
@@ -198,7 +193,7 @@ class BrokerHost:
         for hosting in self._hostings.values():
             hosting.log.close()
             hosting.log = None
-        self._note_fault("crash")
+        self.obs.report_fault(self.services.now(), "crash", self.broker_id)
 
     def on_restart(self) -> None:
         """Recover from stable storage: each hosted pubend's log is
@@ -212,11 +207,7 @@ class BrokerHost:
             self._adopt(hosting, recover=True)
         # NOTE: subscriptions at a crashed SHB are not restored — clients
         # must reconnect/resubscribe (outside the paper's failure model).
-        self._note_fault("restart")
+        self.obs.report_fault(self.services.now(), "restart", self.broker_id)
         if self._started:
             self.start()
 
-    def _note_fault(self, kind: str) -> None:
-        hub = self.obs.lifecycle
-        if hub.listeners:
-            hub.fault(self.services.now(), kind, self.broker_id)

@@ -16,12 +16,11 @@ lifecycle, the crash/recover sequence — is inherited from
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Set, Tuple
+from typing import Any, Callable, Optional, Set, Tuple
 
 from ..core.config import LivenessParams
-from ..core.ticks import Tick, TickRange
+from ..core.ticks import Tick
 from ..metrics.cpu import CostModel, CpuAccountant
-from ..obs.hub import MetricsHub
 from ..obs.observability import Observability
 from ..sim.network import SimNetwork
 from ..sim.process import SimProcess
@@ -44,8 +43,12 @@ class _SimServices(BrokerServices):
         return self.broker.schedule(delay, fn)
 
     def send(self, dst: str, message: Any, size: int = 100) -> bool:
-        self.broker.accountant.charge(self.broker.cost_model.broker_send, "send")
-        return self.broker.send(dst, message, size)
+        broker = self.broker
+        broker.accountant.charge(broker.cost_model.broker_send, "send")
+        hub = broker.obs.lifecycle
+        if hub.listeners:
+            hub.message_sent(broker.scheduler.now, broker.node_id, dst, message)
+        return broker.send(dst, message, size)
 
     def link_usable(self, neighbor: str) -> bool:
         # Models the TCP connection state: an adjacent failure (closed
@@ -63,15 +66,6 @@ class _SimServices(BrokerServices):
     def charge(self, cost: float, category: str) -> None:
         self.broker.charge_category(category)
 
-    def on_nack_message(self, pubend: str, ranges: List[TickRange]) -> None:
-        tick_count = sum(len(r) for r in ranges)
-        self.broker.metrics.nacks.record(
-            self.broker.node_id, self.broker.scheduler.now, tick_count
-        )
-
-    def on_knowledge_message(self, message) -> None:
-        self.broker.metrics.bump("knowledge_messages")
-
 
 class SimBroker(BrokerHost, SimProcess):
     """One physical Gryphon broker in the simulator."""
@@ -83,16 +77,13 @@ class SimBroker(BrokerHost, SimProcess):
         scheduler: Scheduler,
         topo: BrokerTopologyInfo,
         params: LivenessParams,
-        metrics: Optional[MetricsHub] = None,
         cost_model: Optional[CostModel] = None,
         client_latency: float = 0.0005,
         restart_warmup: float = 0.3,
         obs: Optional[Observability] = None,
     ):
         SimProcess.__init__(self, node_id, network, scheduler)
-        BrokerHost.__init__(
-            self, node_id, topo, params, _SimServices(self), metrics, obs
-        )
+        BrokerHost.__init__(self, node_id, topo, params, _SimServices(self), obs)
         #: CPU-seconds of extra work charged right after a restart —
         #: models the paper's observation that a freshly restarted broker
         #: is briefly slow ("extra computation in the broker machine just

@@ -12,15 +12,16 @@ just at the end:
   moves forward (knowledge accumulates up the lattice; a regression means
   soft state was corrupted, not merely lost).  Swept periodically via
   :meth:`~repro.broker.engine.GDBrokerEngine.stream_state`.
-* **Subend doubt-horizon monotonicity** — the publisher-order delivery
-  horizon never rewinds (hooked via
-  :attr:`~repro.core.subend.SubendManager.on_horizon_advance`).
+* **Subend doubt-horizon monotonicity** — within one SHB incarnation
+  the publisher-order delivery horizon never rewinds (the lifecycle
+  hub's ``horizon_advanced`` hook, keyed by node and reset by that
+  node's ``crash`` fault).
 * **Log-truncation safety** — a pubend may only truncate ticks no
   subscriber still needs: every *published* tick below the truncation
   point whose payload matches a subscription must already have reached
-  that subscriber's client (hooked via
-  :attr:`~repro.core.pubend.Pubend.on_truncate`, re-armed after PHB
-  restarts, and re-checked on every sweep as a backstop).  Acking and
+  that subscriber's client (the hub's ``truncating`` hook, fired before
+  the log entries are dropped, and re-checked on every sweep as a
+  backstop).  Acking and
   truncating pure silence or filtered-out data ahead of the subend acks
   is legitimate (the F ↔ A linkage makes filtered knowledge immediately
   ackable per path), so the oracle judges against the ground-truth
@@ -43,6 +44,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..client import DeliveryChecker, PublisherClient, SubscriberClient
 from ..core.ticks import Tick
+from ..obs.lifecycle import LifecycleListener
 from ..topology import System
 
 __all__ = ["OracleFailure", "OracleSuite", "ORACLES"]
@@ -79,8 +81,12 @@ class OracleFailure(AssertionError):
         self.subject = subject
 
 
-class OracleSuite:
-    """Continuous + final correctness checks over one simulated system."""
+class OracleSuite(LifecycleListener):
+    """Continuous + final correctness checks over one simulated system.
+
+    The event-driven oracles are hooks on ``system.obs.lifecycle``, which
+    outlives broker restarts; the state oracles run from a periodic sweep.
+    """
 
     def __init__(
         self,
@@ -96,8 +102,8 @@ class OracleSuite:
         self.sweeps = 0
         #: (broker, epoch, pubend, stream-key, field) -> watermark.
         self._marks: Dict[Tuple[Any, ...], float] = {}
-        #: id(SubendManager) -> {pubend: last horizon}.
-        self._sub_horizons: Dict[int, Dict[str, Tick]] = {}
+        #: node -> {pubend: last horizon} of the node's live subend.
+        self._sub_horizons: Dict[str, Dict[str, Tick]] = {}
         #: (pubend, subscriber) -> published-list index already verified
         #: safe by the truncation oracle (ticks are recorded in publish
         #: order, so a prefix index is a watermark).
@@ -112,11 +118,12 @@ class OracleSuite:
     # ------------------------------------------------------------------
 
     def install(self) -> None:
-        """Arm the oracle hooks and the periodic sweep (idempotent)."""
+        """Attach to the lifecycle hub and arm the periodic sweep
+        (idempotent)."""
         if self._installed:
             return
         self._installed = True
-        self._arm_hooks()
+        self.system.obs.lifecycle.attach(self)
         self._schedule_sweep()
 
     def _schedule_sweep(self) -> None:
@@ -126,33 +133,32 @@ class OracleSuite:
 
         self.system.scheduler.call_later(self.check_interval, tick)
 
-    def _arm_hooks(self) -> None:
-        """(Re-)hook live pubends and subends.
-
-        Broker restarts rebuild Pubend and SubendManager objects, so the
-        sweep calls this every period; hooking is identity-guarded and
-        cheap.  The sweep-level state checks double as a backstop for the
-        short window between a restart and the next sweep.
-        """
-        for broker in self.system.brokers.values():
-            engine = getattr(broker, "engine", None)
-            if not broker.alive or engine is None:
-                continue
-            for pubend in getattr(engine, "pubends", {}).values():
-                if pubend.on_truncate is None:
-                    pubend.on_truncate = self._on_truncate
-            subend = getattr(engine, "subend", None)
-            if subend is not None and subend.on_horizon_advance is None:
-                subend.on_horizon_advance = self._make_horizon_hook(subend)
-
     # ------------------------------------------------------------------
-    # Hook targets
+    # Hub hooks
     # ------------------------------------------------------------------
 
-    def _on_truncate(self, pubend_id: str, up_to: Tick) -> None:
+    def truncating(self, t: float, node: str, pubend: str, up_to: Tick) -> None:
         """The PHB is about to drop ``[0, up_to)`` from stable storage:
         no subscriber may still need any of it."""
-        self._check_truncation(pubend_id, up_to, origin="hook")
+        self._check_truncation(pubend, up_to, origin="hook")
+
+    def horizon_advanced(
+        self, t: float, node: str, pubend: str, old: Tick, new: Tick
+    ) -> None:
+        horizons = self._sub_horizons.setdefault(node, {})
+        last = horizons.get(pubend, 0)
+        if new < last or old > new:
+            raise OracleFailure(
+                "subend-horizon-monotonic",
+                f"delivery horizon of {pubend} at {node} rewound: "
+                f"{last} -> {new} (old={old})",
+            )
+        horizons[pubend] = new
+
+    def fault(self, t: float, kind: str, target: str) -> None:
+        if kind == "crash":
+            # The restarted SHB starts a fresh subend at horizon 0.
+            self._sub_horizons.pop(target, None)
 
     def _check_truncation(self, pubend_id: str, up_to: Tick, origin: str) -> None:
         """Every published tick below ``up_to`` that matches a
@@ -207,21 +213,6 @@ class OracleSuite:
                             )
                     self._trunc_checked[key] = index
 
-    def _make_horizon_hook(self, subend: Any):
-        horizons = self._sub_horizons.setdefault(id(subend), {})
-
-        def hook(pubend: str, old: Tick, new: Tick) -> None:
-            last = horizons.get(pubend, 0)
-            if new < last or old > new:
-                raise OracleFailure(
-                    "subend-horizon-monotonic",
-                    f"delivery horizon of {pubend} rewound: "
-                    f"{last} -> {new} (old={old})",
-                )
-            horizons[pubend] = new
-
-        return hook
-
     # ------------------------------------------------------------------
     # Periodic sweep
     # ------------------------------------------------------------------
@@ -229,7 +220,6 @@ class OracleSuite:
     def sweep(self) -> None:
         """One continuous-oracle pass over every live broker."""
         self.sweeps += 1
-        self._arm_hooks()
         try:
             self.system.check_invariants()
         except OracleFailure:

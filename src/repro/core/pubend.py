@@ -28,7 +28,7 @@ Responsibilities implemented here:
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from ..obs.instruments import NULL_INSTRUMENTS
 from ..storage.log import LogEntry, MessageLog
@@ -87,11 +87,6 @@ class Pubend:
         #: Liveness detectors compare this against ``silence_interval``:
         #: a healthy idle pubend refreshes it via :meth:`maybe_silence`.
         self.last_emission: float = 0.0
-        #: Oracle hook: called as ``on_truncate(pubend_id, up_to)``
-        #: *before* the stable log is truncated, so external checkers
-        #: (``repro.check``) can assert that no unacked tick is about to
-        #: be garbage-collected.
-        self.on_truncate: Optional[Callable[[str, Tick], None]] = None
         labels = {"pubend": pubend_id}
         self._m_publishes = instruments.counter(
             "repro_pubend_publishes_total",
@@ -224,8 +219,6 @@ class Pubend:
         """
         if up_to <= self.acked_up_to:
             return False
-        if self.on_truncate is not None:
-            self.on_truncate(self.pubend_id, up_to)
         self._m_log_truncated.inc(up_to - self.acked_up_to)
         self.acked_up_to = up_to
         self._m_acked_tick.set(float(up_to))

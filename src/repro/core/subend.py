@@ -238,13 +238,6 @@ class SubendManager:
         self._matcher = MatchingTree()
         self._indexed: Set[str] = set()
         self.delivered_count = 0
-        #: Oracle hook: called as ``on_horizon_advance(pubend, old, new)``
-        #: whenever a pubend's publisher-order delivery horizon moves.
-        #: External checkers (``repro.check``) assert the doubt horizon is
-        #: monotone — delivery never rewinds within one broker incarnation.
-        self.on_horizon_advance: Optional[
-            Callable[[str, Tick, Tick], None]
-        ] = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -359,8 +352,6 @@ class SubendManager:
         horizon = state.stream.knowledge.doubt_horizon()
         if horizon <= state.delivered_horizon:
             return
-        if self.on_horizon_advance is not None:
-            self.on_horizon_advance(state.pubend, state.delivered_horizon, horizon)
         if self._lifecycle is not None and self._lifecycle.listeners:
             self._lifecycle.horizon_advanced(
                 self.services.now(),

@@ -66,13 +66,19 @@ def resolve_predicate(predicate: Any) -> Any:
 
 class SubscribeMixin:
     """``subscribe``, implemented once for every backend's system (which
-    provides the ``brokers``/``metrics``/``subscribers``/``subscriptions``
+    provides ``obs`` and the ``brokers``/``subscribers``/``subscriptions``
     registries), so the accepted forms can never drift apart."""
 
+    obs: Any
     brokers: Dict[str, Any]
-    metrics: Any
     subscribers: Dict[str, SubscriberClient]
     subscriptions: Dict[str, Subscription]
+
+    @property
+    def metrics(self) -> Any:
+        """The series recorders (``obs.hub``): the read-only alias
+        experiments and examples use."""
+        return self.obs.hub
 
     def subscribe(
         self,

@@ -17,53 +17,38 @@ Reproduces the paper's failure-injection methodology (section 4.2):
 All injections can be scheduled at absolute simulation times, so fault
 scripts are declarative and deterministic.
 
-Every injection is recorded twice: as a human-readable line in
-:attr:`FaultInjector.log` (the historical format the experiments print)
-and as a structured :class:`FaultEvent` stamped with the scheduler time
-*and* the corresponding protocol tick.  When the target system carries an
-:class:`~repro.obs.observability.Observability` object (every
-:meth:`~repro.topology.Topology.build` result does), events are also
-pushed into ``system.obs`` — a ``repro_faults_injected_total`` counter
-labelled by fault kind plus the structured event list — so fault activity
-appears in the same snapshot as the protocol counters it perturbs.
+Every injection is kept by the injector itself — a human-readable line
+in :attr:`FaultInjector.log` (the historical format the experiments
+print) and a structured :class:`~repro.obs.observability.FaultEvent`
+stamped with the scheduler time *and* the corresponding protocol tick —
+and reported once to the system's lifecycle hub as ``fault(t, kind,
+target)``.  Everything else that wants to know (``system.obs``'s
+``fault_events`` list and ``repro_faults_injected_total`` counter, the
+tracers, the conformance recorder) listens there.  A broker crash or
+restart is reported by the broker host under the kinds ``crash`` /
+``restart`` — the same on the asyncio runtime — so the injector records
+those kinds and reports them itself only when no host did (a
+``restart_broker`` that merely clears a stall): ``system.obs.fault_events``
+always equals :attr:`FaultInjector.events`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Set
 
+from ..broker.host import BrokerHost
 from ..core.ticks import tick_of_time
+from ..obs.observability import FaultEvent
 from ..topology import System
 
 __all__ = ["FaultInjector", "FaultEvent"]
 
 
-@dataclass(frozen=True)
-class FaultEvent:
-    """One applied fault, stamped at the instant it took effect.
-
-    ``time`` is the scheduler clock in seconds; ``tick`` is the same
-    instant on the protocol's tick axis (1 tick = 1 ms), so fault events
-    line up directly with stream horizons and knowledge ranges.
-    """
-
-    time: float
-    tick: int
-    kind: str
-    target: str
-
-    def __str__(self) -> str:
-        return f"t={self.time:.3f} (tick {self.tick}) {self.kind} {self.target}"
-
-
 class FaultInjector:
     """Schedules and applies faults on a built :class:`~repro.topology.System`."""
 
-    def __init__(self, system: System, tracer: Optional[object] = None):
+    def __init__(self, system: System):
         self.system = system
-        #: Optional :class:`~repro.obs.trace.Tracer` to co-record faults.
-        self.tracer = tracer
         #: Human-readable fault log (one line per applied fault).
         self.log: List[str] = []
         #: Structured fault events, in application order.
@@ -72,22 +57,23 @@ class FaultInjector:
         #: :meth:`restart_broker` so a restart always clears the sickness.
         self._stalled_brokers: Set[str] = set()
 
-    def _note(
-        self, kind: str, target: str, legacy: str, lifecycle: bool = True
-    ) -> None:
+    def _note(self, kind: str, target: str, line: str, report: bool = True) -> None:
+        """Keep the injector's own record of an applied fault and, unless
+        the broker host already did, report it to the hub."""
         now = self.system.scheduler.now
-        event = FaultEvent(
-            time=now, tick=tick_of_time(now), kind=kind, target=target
-        )
-        self.events.append(event)
-        self.log.append(f"t={now:.3f} {legacy}")
-        obs = getattr(self.system, "obs", None)
-        if obs is not None:
-            obs.record_fault_event(event)
-            if lifecycle and obs.lifecycle.listeners:
-                obs.lifecycle.fault(now, kind, target)
-        if self.tracer is not None:
-            self.tracer.record_fault(legacy)
+        self.events.append(FaultEvent(now, tick_of_time(now), kind, target))
+        self.log.append(f"t={now:.3f} {line}")
+        if report:
+            self.system.obs.report_fault(now, kind, target)
+
+    def _set_broker(self, kind: str, broker_id: str, line: str) -> None:
+        """Crash or restart a broker.  A :class:`BrokerHost` that changes
+        state reports that itself; otherwise (already in that state, or a
+        baseline broker) the verb is reported from here."""
+        broker = self.system.brokers[broker_id]
+        by_host = isinstance(broker, BrokerHost) and broker.alive == (kind == "crash")
+        getattr(broker, kind)()
+        self._note(kind, broker_id, line, report=not by_host)
 
     # -- immediate actions -------------------------------------------------
 
@@ -107,22 +93,14 @@ class FaultInjector:
         # A crash supersedes any stall bookkeeping: the next restart
         # rebuilds the process, and _clear_stall below resets its links.
         self._stalled_brokers.discard(broker_id)
-        self.system.brokers[broker_id].crash()
-        # The lifecycle event of a crash/restart is the broker host's
-        # (BrokerHost.on_crash/on_restart), the same on every backend.
-        self._note(
-            "crash_broker", broker_id, f"broker {broker_id} crashed", lifecycle=False
-        )
+        self._set_broker("crash", broker_id, f"broker {broker_id} crashed")
 
     def restart_broker(self, broker_id: str) -> None:
         # Clear any lingering stall first — whether the broker was
         # stalled-then-crashed or merely stalled (no intervening crash),
         # a "restarted" process reads and forwards again.
         self._clear_stall(broker_id)
-        self.system.brokers[broker_id].restart()
-        self._note(
-            "restart_broker", broker_id, f"broker {broker_id} restarted", lifecycle=False
-        )
+        self._set_broker("restart", broker_id, f"broker {broker_id} restarted")
 
     def stall_broker(self, broker_id: str) -> None:
         """Make a broker sick: it accepts traffic but forwards nothing,

@@ -6,13 +6,17 @@ production-style instruments the reproduction grew on top of them:
 
 * :class:`Instruments` — counters, gauges, fixed-bucket histograms with
   a no-op variant (:data:`NULL_INSTRUMENTS`) for un-observed hot paths;
-* :class:`Observability` — the per-system owner (``system.obs``) that
-  also holds the legacy :class:`MetricsHub` and registered
-  :class:`~repro.metrics.cpu.CpuAccountant` / :class:`Tracer` peers;
+* :class:`LifecycleHub` / :class:`LifecycleListener` — the one event
+  stream every broker layer and fault verb reports into; everything
+  below that observes a run is a listener on it;
+* :class:`Observability` — the per-system owner (``system.obs``) of the
+  instruments, the hub, the fault log, and the registered
+  :class:`~repro.metrics.cpu.CpuAccountant` objects;
+* :class:`MetricsHub` — the figures' latency and nack series
+  (``system.metrics``);
 * :func:`prometheus_text` / :func:`json_lines` / :func:`parse_prometheus`
   — snapshot exporters (also available via ``repro stats``);
-* :class:`LifecycleHub` / :class:`LifecycleListener` — the per-message
-  lifecycle event bus every broker layer reports into;
+* :class:`Tracer` / :class:`TraceEvent` — flat structured event rows;
 * :class:`CausalTracer` / :class:`Span` — causal span trees per
   ``(pubend, tick)`` with Perfetto/Chrome export;
 * :func:`build_report` / :class:`AttributionReport` — end-to-end latency

@@ -96,10 +96,9 @@ class _Pub:
 class CausalTracer(LifecycleListener):
     """Span-tree recorder over the lifecycle hub (pure observation)."""
 
-    def __init__(self, system, obs=None):
+    def __init__(self, system):
         self.system = system
-        self.obs = obs if obs is not None else getattr(system, "obs", None)
-        self._installed = False
+        self.obs = system.obs
         self.spans: List[Span] = []
         #: span ids per publication identity
         self._by_key: Dict[Key, List[int]] = {}
@@ -138,13 +137,7 @@ class CausalTracer(LifecycleListener):
     # ------------------------------------------------------------------
 
     def install(self) -> "CausalTracer":
-        if self._installed:
-            return self
-        self._installed = True
-        hub = self.obs.lifecycle if self.obs is not None else None
-        if hub is None:
-            raise ValueError("CausalTracer requires a system with system.obs")
-        hub.attach(self)
+        self.obs.lifecycle.attach(self)
         self.obs.causal = self
         return self
 

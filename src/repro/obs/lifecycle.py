@@ -1,17 +1,21 @@
 """Lifecycle hook hub: the protocol's per-message event bus.
 
-The broker engine, the simulated broker host, the subend manager, and the
-fault injector report the *semantic* moments of a publication's life —
-publish, log commit, hop ingest, flush deferral, nack, retransmission,
-client write, delivery — through one :class:`LifecycleHub` owned by the
-system's :class:`~repro.obs.observability.Observability`.
+The broker engine, the broker host (either substrate), the subend manager
+and the fault verbs report the *semantic* moments of a publication's life
+— publish, log commit, link send, hop ingest, flush deferral, nack,
+retransmission, client write, delivery, log truncation, faults — through
+one :class:`LifecycleHub` owned by the system's
+:class:`~repro.obs.observability.Observability`, and through nothing
+else: every observer is a :class:`LifecycleListener` attached to that hub
+and takes its timestamps from the hook's ``t``, so it runs unchanged on
+the simulator and on the asyncio runtime.
 
-The hub is a dumb fan-out with no listeners by default; every call site
-guards with ``hub.listeners`` so an unobserved system pays one attribute
-load and a falsy check per event.  Listeners (the
-:class:`~repro.obs.causal.CausalTracer`, the flat tracer's flush adapter,
-:class:`~repro.obs.detectors.DetectorSet`) subclass
-:class:`LifecycleListener` and override what they care about.
+The hub is a dumb fan-out; every call site guards with ``hub.listeners``.
+A built system always carries two listeners (the
+:class:`~repro.obs.hub.MetricsHub` nack series and the
+:class:`~repro.obs.observability.Observability` fault log), so the guard
+keeps only a bare engine free; a hook nobody overrides costs one call of
+the inherited no-op.  docs/OBSERVABILITY.md lists the listeners.
 
 This module deliberately imports nothing from the broker or core packages
 so :mod:`repro.obs.observability` can own a hub without an import cycle;
@@ -29,8 +33,11 @@ __all__ = ["LifecycleHub", "LifecycleListener", "LifecycleRecorder"]
 class LifecycleListener:
     """No-op base: override the hooks you need.
 
-    Every hook's first argument ``t`` is the simulated time at which the
-    event happened; ``node`` is the physical broker id.
+    Every hook's first argument ``t`` is the time at which the event
+    happened on the emitting backend's clock (simulated seconds, or the
+    event loop's clock); ``node`` is the physical broker id.  Every public
+    method of this class is a hook: :class:`LifecycleHub` dispatches
+    exactly the names declared here.
     """
 
     def published(self, t: float, node: str, pubend: str, tick: int) -> None:
@@ -38,6 +45,10 @@ class LifecycleListener:
 
     def committed(self, t: float, node: str, pubend: str, tick: int) -> None:
         """The log append committed; the message is now *published*."""
+
+    def message_sent(self, t: float, node: str, dst: str, message: Any) -> None:
+        """A host handed a broker-to-broker message (envelope or link
+        status) to its link towards ``dst``."""
 
     def message_arrived(self, t: float, node: str, src: str, message: Any) -> None:
         """A broker-to-broker envelope reached a host (before CPU queue)."""
@@ -132,8 +143,15 @@ class LifecycleListener:
     ) -> None:
         """A subend's publisher-order delivery horizon moved forward."""
 
+    def truncating(self, t: float, node: str, pubend: str, up_to: int) -> None:
+        """The PHB is about to drop ``[0, up_to)`` from its stable log
+        (fired *before* the entries are gone)."""
+
     def fault(self, t: float, kind: str, target: str) -> None:
-        """A fault injector applied a fault."""
+        """A fault was applied.  ``kind`` is ``crash`` / ``restart``
+        (emitted by the broker host on either backend, ``target`` the
+        broker id) or a link/stall verb such as ``fail_link`` /
+        ``recover_link`` (``target`` ``"a-b"``)."""
 
 
 class LifecycleRecorder(LifecycleListener):
@@ -184,23 +202,11 @@ class LifecycleRecorder(LifecycleListener):
         self.faults.append((kind, target))
 
 
-_HOOKS = (
-    "published",
-    "committed",
-    "message_arrived",
-    "knowledge_ingested",
-    "knowledge_sent",
-    "flush_deferred",
-    "knowledge_flushed",
-    "subend_nack",
-    "nack_sent",
-    "nack_received",
-    "nack_done",
-    "client_write",
-    "delivered",
-    "silence_emitted",
-    "horizon_advanced",
-    "fault",
+#: Derived from the class, so a hook cannot be declared but never dispatched.
+_HOOKS = tuple(
+    name
+    for name, value in vars(LifecycleListener).items()
+    if callable(value) and not name.startswith("_")
 )
 
 
@@ -215,8 +221,8 @@ def _make_fanout(methods: Sequence[Any]):
 class LifecycleHub(LifecycleListener):
     """Fan-out of lifecycle events to attached listeners.
 
-    Call sites guard with ``if hub.listeners:`` so the unobserved hot
-    path costs nothing but the check.  Per hook, the hub binds an
+    Call sites guard with ``if hub.listeners:`` so a hub with nothing
+    attached costs nothing but the check.  Per hook, the hub binds an
     *instance* attribute shadowing the inherited no-op: the listener's
     bound method directly when exactly one listener overrides the hook
     (no dispatch frame at all — the common case is a single
@@ -226,10 +232,6 @@ class LifecycleHub(LifecycleListener):
 
     def __init__(self) -> None:
         self.listeners: List[LifecycleListener] = []
-
-    @property
-    def active(self) -> bool:
-        return bool(self.listeners)
 
     def attach(self, listener: LifecycleListener) -> LifecycleListener:
         if listener not in self.listeners:

@@ -1,19 +1,26 @@
 """The unified observation plane of one running system.
 
 One :class:`Observability` object per system (built by
-:meth:`repro.topology.Topology.build`, exposed as ``system.obs``) owns
+:meth:`repro.topology.Topology.build` or
+:class:`~repro.aio.runtime.AioSystem`, exposed as ``system.obs``) owns
 every measurement channel the evaluation uses:
 
 * **instruments** — the counter/gauge/histogram registry threaded
   through the broker engine, pubends, subends, and simulated links;
-* **hub** — the legacy :class:`~repro.obs.hub.MetricsHub` series
-  recorders (latency and nack time series, the figures' raw data), now a
-  peer instead of a hand-wired singleton;
+* **lifecycle** — the :class:`~repro.obs.lifecycle.LifecycleHub`, the
+  one event stream every protocol moment is reported to;
+* **hub** — the :class:`~repro.obs.hub.MetricsHub` series recorders
+  (latency and nack time series, the figures' raw data), attached to
+  ``lifecycle`` from construction;
+* **fault_events** and ``repro_faults_injected_total`` — filled by this
+  object's own ``fault`` hook, so a fault applied by any verb on either
+  backend lands here once, under one kind vocabulary;
 * **accountants** — every broker's :class:`~repro.metrics.cpu.CpuAccountant`,
   registered at construction, so CPU busy time appears in snapshots next
   to the protocol counters and Figure-4 numbers agree with the exporter;
-* **tracers** — any :class:`~repro.obs.trace.Tracer` attached to the
-  system, reported as trace-volume gauges.
+* **tracers** / **causal** — the :class:`~repro.obs.trace.Tracer` and
+  :class:`~repro.obs.causal.CausalTracer` attached to the system, read at
+  export time for their volume gauges.
 
 Exporters (:func:`prometheus` / :func:`json_lines`) synchronize the
 derived gauges and render the whole registry; nothing else in the system
@@ -22,11 +29,13 @@ needs to know how many channels exist.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..core.ticks import tick_of_time
 from . import exporters
 from .hub import MetricsHub
-from .lifecycle import LifecycleHub
+from .lifecycle import LifecycleHub, LifecycleListener
 from .instruments import (
     DEFAULT_BUCKETS,
     Counter,
@@ -36,25 +45,44 @@ from .instruments import (
     ScopedTimer,
 )
 
-__all__ = ["Observability"]
+__all__ = ["FaultEvent", "Observability"]
 
 
-class Observability:
+@dataclass(frozen=True)
+class FaultEvent:
+    """One applied fault, stamped at the instant it took effect.
+
+    ``time`` is the emitting backend's clock in seconds; ``tick`` is the
+    same instant on the protocol's tick axis (1 tick = 1 ms), so fault
+    events line up directly with stream horizons and knowledge ranges.
+    """
+
+    time: float
+    tick: int
+    kind: str
+    target: str
+
+    def __str__(self) -> str:
+        return f"t={self.time:.3f} (tick {self.tick}) {self.kind} {self.target}"
+
+
+class Observability(LifecycleListener):
     """Registry-of-registries: one object owning a system's telemetry."""
 
-    def __init__(self, hub: Optional[MetricsHub] = None):
+    def __init__(self) -> None:
         self.instruments = Instruments()
-        self.hub = hub if hub is not None else MetricsHub()
+        self.hub = MetricsHub()
         self.accountants: Dict[str, Any] = {}
         self.tracers: List[Any] = []
-        #: Structured fault events pushed by
-        #: :class:`~repro.faults.injector.FaultInjector` (application order).
-        self.fault_events: List[Any] = []
-        #: Per-message lifecycle event bus.  Brokers, subends, and the
-        #: fault injector publish semantic protocol moments here; causal
-        #: tracers and anomaly detectors subscribe.  No listeners by
-        #: default, so the unobserved hot path costs one truthiness check.
+        #: Structured :class:`FaultEvent` records, in application order.
+        self.fault_events: List[FaultEvent] = []
+        #: The system's one event stream.  Brokers, subends and the fault
+        #: verbs report semantic protocol moments here; every observer is
+        #: a listener on it.  The nack series and the fault log below are
+        #: attached from the start.
         self.lifecycle = LifecycleHub()
+        self.lifecycle.attach(self.hub)
+        self.lifecycle.attach(self)
         #: The system's :class:`~repro.obs.causal.CausalTracer`, when one
         #: is installed (set by the tracer itself).
         self.causal: Optional[Any] = None
@@ -104,20 +132,23 @@ class Observability:
         if tracer not in self.tracers:
             self.tracers.append(tracer)
 
-    def record_fault_event(self, event: Any) -> None:
-        """Adopt one injected-fault event (structured; see
-        :class:`~repro.faults.injector.FaultEvent`).
+    def report_fault(self, t: float, kind: str, target: str) -> None:
+        """The one emission site of the fault verbs (the broker host's
+        crash/restart, ``FaultInjector``, ``AioSystem.sever_link``)."""
+        hub = self.lifecycle
+        if hub.listeners:
+            hub.fault(t, kind, target)
 
-        Counts into ``repro_faults_injected_total`` labelled by fault
-        kind, so fault activity exports next to the protocol counters it
-        perturbs, and keeps the structured record in
-        :attr:`fault_events` for scripted analysis.
-        """
-        self.fault_events.append(event)
+    def fault(self, t: float, kind: str, target: str) -> None:
+        """Lifecycle hook: keep the structured record in
+        :attr:`fault_events` and count into
+        ``repro_faults_injected_total`` labelled by kind, so fault
+        activity exports next to the protocol counters it perturbs."""
+        self.fault_events.append(FaultEvent(t, tick_of_time(t), kind, target))
         self.counter(
             "repro_faults_injected_total",
-            "Faults applied to this system by a FaultInjector, by kind.",
-            kind=getattr(event, "kind", "unknown"),
+            "Faults applied to this system, by kind.",
+            kind=kind,
         ).inc()
 
     def record_finding(self, finding: Any) -> None:

@@ -1,27 +1,24 @@
-"""Structured event tracing for simulated runs.
+"""Structured event tracing of a running system.
 
 Debugging a distributed protocol means asking "what exactly happened, in
-order?"  A :class:`Tracer` hooks a built
-:class:`~repro.topology.System` and records a timestamped, structured
-event stream: every broker-to-broker send, every client delivery, every
-publish, and every fault — without changing the run's behaviour (hooks
-wrap, then delegate).
+order?"  A :class:`Tracer` listens on a built system's lifecycle hub
+(``system.obs.lifecycle``) and records a timestamped, structured event
+stream: every broker-to-broker send, every client delivery, every
+publish, and every fault — pure observation, on either backend.
 
 Traces support filtering, textual rendering, and JSON-lines export, and
 are deterministic for a deterministic run, so two traces of the same seed
 can be diffed to localize a regression.
 
-A tracer built against a system that carries an
-:class:`~repro.obs.observability.Observability` registers itself as a
-peer of that object, so ``system.obs`` snapshots report trace volume
-alongside the instruments.
+A tracer registers itself with ``system.obs``, so snapshots report
+trace volume alongside the instruments.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, TextIO
+from typing import Any, Dict, Iterable, List, Optional, TextIO
 
 from ..broker.state import Envelope, LinkStatusMessage
 from ..core.messages import (
@@ -101,99 +98,56 @@ def _describe_message(message: Any) -> Dict[str, Any]:
     return {"msg": type(message).__name__}
 
 
-class _FlushListener(LifecycleListener):
-    """Surfaces the batching machinery's flush decisions as flat trace
-    events — ``knowledge_flush`` when a timer's coalesced message went
-    out, ``flush_timer_cancelled`` when it fired with nothing to send."""
+class Tracer(LifecycleListener):
+    """Records a structured event stream from a running system.
 
-    def __init__(self, tracer: "Tracer"):
-        self.tracer = tracer
+    A listener on ``system.obs.lifecycle``: timestamps come from the
+    hooks, so it traces the simulator and the asyncio runtime alike.
+    ``send`` rows are link sends (``message_sent``), ``publish`` rows are
+    accepted publications, ``deliver`` rows are stamped when the
+    subscriber client observes the message, ``knowledge_flush`` /
+    ``flush_timer_cancelled`` are the batching machinery's flush
+    decisions, and ``fault`` rows are whatever the fault verbs report.
+    (The baseline brokers report nothing to the hub and are not traced.)
+    """
 
-    def knowledge_flushed(self, t, node, pubend, cell, ticks, sent):
-        kind = "knowledge_flush" if sent else "flush_timer_cancelled"
-        self.tracer._record(
-            kind, node, {"pubend": pubend, "cell": cell, "ticks": len(ticks)}
-        )
-
-
-class Tracer:
-    """Records a structured event stream from a simulated system."""
-
-    def __init__(self, system, capture_link_status: bool = False, obs=None):
+    def __init__(self, system, capture_link_status: bool = False):
         self.system = system
         self.capture_link_status = capture_link_status
         self.events: List[TraceEvent] = []
-        self._installed = False
         self._seq = 0
-        self._original_sends: Dict[str, Callable] = {}
-        self._obs = obs if obs is not None else getattr(system, "obs", None)
-        if self._obs is not None:
-            self._obs.attach_tracer(self)
-
-    # -- hook installation ------------------------------------------------
+        system.obs.attach_tracer(self)
 
     def install(self) -> "Tracer":
-        """Wrap every broker's send and delivery paths (idempotent)."""
-        if self._installed:
-            return self
-        self._installed = True
-        for broker_id, broker in self.system.brokers.items():
-            self._wrap_broker(broker)
-        if self._obs is not None:
-            self._obs.lifecycle.attach(_FlushListener(self))
+        """Start recording (idempotent)."""
+        self.system.obs.lifecycle.attach(self)
         return self
 
-    def _wrap_broker(self, broker) -> None:
-        original_send = broker.send
-        tracer = self
+    # -- hub hooks ----------------------------------------------------------
 
-        def traced_send(dst: str, message: Any, size_bytes: int = 100):
-            described = _describe_message(message)
-            if described.get("msg") != "link_status" or tracer.capture_link_status:
-                tracer._record(
-                    "send", broker.node_id, dict(described, to=dst)
-                )
-            return original_send(dst, message, size_bytes)
+    def message_sent(self, t, node, dst, message):
+        described = _describe_message(message)
+        if described["msg"] != "link_status" or self.capture_link_status:
+            described["to"] = dst
+            self._record(t, "send", node, described)
 
-        broker.send = traced_send
-        self._original_sends[broker.node_id] = original_send
+    def published(self, t, node, pubend, tick):
+        self._record(t, "publish", node, {"pubend": pubend, "tick": tick, "ok": True})
 
-        if hasattr(broker, "deliver_to_client"):
-            original_deliver = broker.deliver_to_client
-
-            def traced_deliver(subscriber, pubend, tick, payload):
-                tracer._record(
-                    "deliver",
-                    broker.node_id,
-                    {"subscriber": subscriber, "pubend": pubend, "tick": tick},
-                )
-                return original_deliver(subscriber, pubend, tick, payload)
-
-            broker.deliver_to_client = traced_deliver
-
-        if hasattr(broker, "publish"):
-            original_publish = broker.publish
-
-            def traced_publish(pubend_id, payload):
-                tick = original_publish(pubend_id, payload)
-                tracer._record(
-                    "publish",
-                    broker.node_id,
-                    {"pubend": pubend_id, "tick": tick, "ok": tick is not None},
-                )
-                return tick
-
-            broker.publish = traced_publish
-
-    def record_fault(self, description: str) -> None:
-        """Faults are recorded by the caller (the injector acts on links
-        and processes directly)."""
-        self._record("fault", "-", {"what": description})
-
-    def _record(self, kind: str, node: str, detail: Dict[str, Any]) -> None:
-        self.events.append(
-            TraceEvent(self.system.scheduler.now, kind, node, detail, self._seq)
+    def delivered(self, t, node, subscriber, pubend, tick):
+        self._record(
+            t, "deliver", node, {"subscriber": subscriber, "pubend": pubend, "tick": tick}
         )
+
+    def knowledge_flushed(self, t, node, pubend, cell, ticks, sent):
+        kind = "knowledge_flush" if sent else "flush_timer_cancelled"
+        self._record(t, kind, node, {"pubend": pubend, "cell": cell, "ticks": len(ticks)})
+
+    def fault(self, t, kind, target):
+        self._record(t, "fault", "-", {"what": f"{kind} {target}"})
+
+    def _record(self, t: float, kind: str, node: str, detail: Dict[str, Any]) -> None:
+        self.events.append(TraceEvent(t, kind, node, detail, self._seq))
         self._seq += 1
 
     # -- queries ------------------------------------------------------------

@@ -31,7 +31,6 @@ from .core.subend import Subscription
 from .client import SimPublisher, SubscriberClient
 from .facade import SubscribeMixin
 from .metrics.cpu import CostModel
-from .obs.hub import MetricsHub
 from .obs.observability import Observability
 from .sim.network import SimNetwork
 from .sim.scheduler import Scheduler
@@ -255,7 +254,6 @@ class Topology:
         scheduler = Scheduler(seed=seed)
         obs = Observability()
         network = SimNetwork(scheduler, instruments=obs.instruments)
-        metrics = obs.hub
         plan = self.plan()
         factory = broker_factory if broker_factory is not None else SimBroker
         brokers: Dict[str, SimBroker] = {}
@@ -266,7 +264,6 @@ class Topology:
                 scheduler,
                 info,
                 params,
-                metrics=metrics,
                 cost_model=cost_model,
                 client_latency=client_latency,
                 obs=obs,
@@ -275,7 +272,7 @@ class Topology:
             brokers[broker_id] = broker
         for a, b, link_params in plan.links:
             network.connect(a, b, **link_params)
-        system = System(scheduler, network, brokers, metrics, params, obs=obs)
+        system = System(scheduler, network, brokers, params, obs)
         for pubend_id, host_broker, slot, n_slots, preassign in plan.pubends:
             if log_factory is not None:
                 log = log_factory(pubend_id)
@@ -297,18 +294,16 @@ class System(SubscribeMixin):
         scheduler: Scheduler,
         network: SimNetwork,
         brokers: Dict[str, SimBroker],
-        metrics: MetricsHub,
         params: LivenessParams,
-        obs: Optional[Observability] = None,
+        obs: Observability,
     ):
         self.scheduler = scheduler
         self.network = network
         self.brokers = brokers
-        self.metrics = metrics
         self.params = params
-        #: Unified observability: instrument registry, recorders, CPU
-        #: accountants and tracers behind one object (``system.obs``).
-        self.obs = obs if obs is not None else Observability(hub=metrics)
+        #: Unified observability: instrument registry, lifecycle hub,
+        #: recorders, CPU accountants and tracers behind one object.
+        self.obs = obs
         self.pubend_hosts: Dict[str, str] = {}
         self.publishers: List[SimPublisher] = []
         self.subscribers: Dict[str, SubscriberClient] = {}

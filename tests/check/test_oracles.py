@@ -4,6 +4,8 @@ import pytest
 
 from repro.check import ORACLES, OracleFailure, OracleSuite
 from repro.core.config import LivenessParams
+from repro.core.ticks import TickRange
+from repro.faults.injector import FaultInjector
 from repro.topology import two_broker_topology
 
 
@@ -60,6 +62,67 @@ class TestViolationsAreCaught:
             failures = [exc]
         assert failures, "losses must be caught by at least one oracle"
         assert all(f.oracle in ORACLES for f in failures)
+
+    def test_truncation_oracle_fires_before_the_entry_is_dropped(self):
+        # Publish behind a dead link, then forge the downstream ack: the
+        # PHB consolidates it and is about to truncate data the subscriber
+        # never saw.  The oracle hears ``truncating`` from the hub and
+        # must raise while the log still holds the entries.
+        system = build_system()
+        system.subscribe("c", "shb", ("P0",))
+        FaultInjector(system).fail_link("phb", "shb")
+        publisher = system.publisher("P0", rate=100.0, max_messages=5)
+        publisher.start(at=0.1)
+        OracleSuite(system, [publisher], check_interval=60.0).install()
+        system.run_until(1.0)
+        engine = system.brokers["phb"].engine
+        pubend = engine.pubends["P0"]
+        ticks = [tick for (__, tick, ___) in publisher.published]
+        assert len(ticks) == 5 and pubend.acked_up_to <= ticks[0]
+        engine.ostreams["P0"]["SHB"].stream.set_ack(TickRange(0, ticks[-1] + 1))
+        with pytest.raises(OracleFailure) as caught:
+            engine.consolidate_ack("P0")
+        assert caught.value.oracle == "truncation-safety"
+        assert "(hook," in caught.value.message
+        assert caught.value.subject == ("P0", ticks[0])
+        assert [e.tick for e in pubend.log.entries("P0")] == ticks
+        assert pubend.acked_up_to <= ticks[0]
+
+    def test_horizon_oracle_survives_an_shb_restart(self):
+        # A restarted SHB starts a fresh subend whose horizon begins below
+        # where the crashed incarnation's ended; that is not a rewind.
+        system = build_system()
+        system.subscribe("c", "shb", ("P0",))
+        publisher = system.publisher("P0", rate=100.0)
+        publisher.start(at=0.1)
+        # The truncation oracle's ground truth cannot express a late
+        # joiner (c2 below is owed nothing published before it joined),
+        # so it is given a publisher that never publishes.
+        suite = OracleSuite(system, [system.publisher("P0", rate=1.0)])
+        suite.install()
+        injector = FaultInjector(system)
+        injector.at(1.0, lambda: injector.crash_broker("shb"))
+        injector.at(1.5, lambda: injector.restart_broker("shb"))
+        injector.at(1.5, lambda: system.subscribe("c2", "shb", ("P0",)))
+        system.scheduler.call_at(2.5, publisher.stop)
+        before_crash = {}
+        system.scheduler.call_at(
+            0.99, lambda: before_crash.update(suite._sub_horizons["shb"])
+        )
+        system.run_until(6.0)  # raises OracleFailure on violation
+        assert system.subscribers["c2"].count() > 0
+        assert suite._sub_horizons["shb"]["P0"] > before_crash["P0"] > 0
+        # Within one incarnation a rewind is still caught ...
+        hub = system.obs.lifecycle
+        horizon = suite._sub_horizons["shb"]["P0"]
+        with pytest.raises(OracleFailure) as caught:
+            hub.horizon_advanced(system.now, "shb", "P0", horizon, horizon - 1)
+        assert caught.value.oracle == "subend-horizon-monotonic"
+        # ... and only that node's crash resets the watermark.
+        hub.fault(system.now, "crash", "phb")
+        assert suite._sub_horizons["shb"]["P0"] == horizon
+        hub.fault(system.now, "crash", "shb")
+        hub.horizon_advanced(system.now, "shb", "P0", 0, 10)
 
     def test_final_check_reports_missing_deliveries(self):
         system = build_system()

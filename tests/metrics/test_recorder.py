@@ -9,7 +9,6 @@ from repro.metrics.recorder import (
     median,
     percentile,
 )
-from repro.obs import MetricsHub
 
 
 class TestReducers:
@@ -120,16 +119,3 @@ class TestNackRecorder:
         rec = NackRecorder()
         assert rec.count("zz") == 0
         assert rec.total_range("zz") == 0.0
-
-
-class TestMetricsHub:
-    def test_counters(self):
-        hub = MetricsHub()
-        hub.bump("x")
-        hub.bump("x", 4)
-        assert hub.counters["x"] == 5
-
-    def test_custom_series(self):
-        hub = MetricsHub()
-        hub.series("util").add(1.0, 0.5)
-        assert hub.series("util").values() == [0.5]

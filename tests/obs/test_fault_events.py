@@ -1,14 +1,18 @@
 """Fault injections surface on the observability plane.
 
-Every applied fault is recorded in ``system.obs`` twice: the
-``repro_faults_injected_total`` counter (labelled by fault kind) and the
-structured :class:`~repro.faults.injector.FaultEvent` list — so fault
-activity lands in the same snapshot as the protocol counters it perturbs.
+Every applied fault reaches ``system.obs`` through the lifecycle hub's
+``fault`` hook and is kept twice: the ``repro_faults_injected_total``
+counter (labelled by fault kind) and the structured
+:class:`~repro.obs.observability.FaultEvent` list — so fault activity
+lands in the same snapshot as the protocol counters it perturbs.  Kinds
+are the hub's: a broker crash is ``crash`` / ``restart`` (emitted by the
+broker host), whoever asked for it.
 """
 
 from repro.core.config import LivenessParams
 from repro.core.ticks import tick_of_time
 from repro.faults.injector import FaultEvent, FaultInjector
+from repro.obs import Tracer
 from repro.topology import two_broker_topology
 
 
@@ -42,11 +46,15 @@ class TestFaultEventObservability:
             system.obs, "repro_faults_injected_total", kind="fail_link"
         ) == 1
         assert counter_value(
-            system.obs, "repro_faults_injected_total", kind="crash_broker"
+            system.obs, "repro_faults_injected_total", kind="crash"
         ) == 2
         assert counter_value(
-            system.obs, "repro_faults_injected_total", kind="restart_broker"
+            system.obs, "repro_faults_injected_total", kind="restart"
         ) == 2
+        # One record per crash, not a second one under an injector alias.
+        assert [e.kind for e in system.obs.fault_events] == [
+            "fail_link", "recover_link", "crash", "restart", "crash", "restart",
+        ]
 
     def test_structured_events_reach_obs_in_order(self):
         system = build_system()
@@ -56,12 +64,36 @@ class TestFaultEventObservability:
         injector.at(1.0, lambda: injector.restart_broker("phb"))
         system.run_until(1.5)
 
+        # The broker never died, so its host has no restart to report;
+        # the stall-clearing restart_broker still reaches the hub once.
         events = system.obs.fault_events
-        assert [e.kind for e in events] == ["stall_broker", "restart_broker"]
+        assert [e.kind for e in events] == ["stall_broker", "restart"]
         assert all(isinstance(e, FaultEvent) for e in events)
         assert events == injector.events
         for event in events:
             assert event.tick == tick_of_time(event.time)
+
+    def test_verbs_the_host_does_not_act_on_are_still_reported_once(self):
+        """crash_broker on a dead broker and restart_broker on a live one
+        change no host state; every observer still sees the verb, once."""
+        system = build_system()
+        injector = FaultInjector(system)
+        tracer = Tracer(system).install()
+
+        injector.crash_broker("phb")
+        injector.crash_broker("phb")
+        injector.restart_broker("phb")
+        injector.restart_broker("phb")
+
+        kinds = ["crash", "crash", "restart", "restart"]
+        assert [e.kind for e in injector.events] == kinds
+        assert system.obs.fault_events == injector.events
+        assert [e.detail["what"] for e in tracer.filter(kind="fault")] == [
+            f"{kind} phb" for kind in kinds
+        ]
+        assert counter_value(
+            system.obs, "repro_faults_injected_total", kind="crash"
+        ) == 2
 
     def test_fault_counter_appears_in_prometheus_export(self):
         system = build_system()

@@ -29,10 +29,11 @@ class TestFacade:
         assert obs.instruments.get("g").value == 1.5
         assert obs.instruments.get("t_seconds").count == 1
 
-    def test_owns_a_hub_or_adopts_one(self):
-        hub = MetricsHub()
-        assert Observability(hub=hub).hub is hub
-        assert isinstance(Observability().hub, MetricsHub)
+    def test_owns_a_hub_attached_to_its_lifecycle(self):
+        obs = Observability()
+        assert isinstance(obs.hub, MetricsHub)
+        # The nack series and the fault log are listeners from the start.
+        assert obs.lifecycle.listeners == [obs.hub, obs]
 
     def test_derived_gauges_from_accountants(self):
         class Acct:
@@ -52,7 +53,7 @@ class TestSystemWiring:
     def test_system_exposes_obs(self):
         system = small_system()
         assert isinstance(system.obs, Observability)
-        # The hub and the legacy system.metrics are the same object.
+        # system.metrics is the read-only alias of the hub.
         assert system.obs.hub is system.metrics
         # Every broker shares the system registry and registered its
         # accountant.

@@ -98,7 +98,7 @@ class TestFaultLogTimestamps:
 
         assert [e.kind for e in injector.events] == [
             "stall_broker",
-            "restart_broker",
+            "restart",
         ]
         for event in injector.events:
             # The tick stamp is the same instant on the protocol tick axis.

@@ -7,14 +7,14 @@ from repro.obs import Tracer
 from repro.topology import two_broker_topology
 
 
-def traced_run(drop=0.0, seed=3):
+def traced_run(drop=0.0, seed=3, capture_link_status=False):
     topo = two_broker_topology()
     topo.pubend("P0", "phb")
     topo.route("P0", "PHB", "SHB")
     system = topo.build(seed=seed, log_commit_latency=0.01)
     if drop:
         system.network.link("phb", "shb").drop_probability = drop
-    tracer = Tracer(system).install()
+    tracer = Tracer(system, capture_link_status=capture_link_status).install()
     system.subscribe("a", "shb", ("P0",))
     pub = system.publisher("P0", rate=50.0)
     pub.start(at=0.1)
@@ -98,15 +98,20 @@ class TestQueries:
         parsed = json.loads(lines[0])
         assert {"t", "kind", "node"} <= set(parsed)
 
-    def test_record_fault(self):
+    def test_fault_arrives_through_the_hub(self):
+        from repro.faults import FaultInjector
+
         system, tracer, __p = traced_run()
-        tracer.record_fault("link phb-shb failed")
-        assert tracer.filter(kind="fault")
+        FaultInjector(system).fail_link("phb", "shb")
+        (fault,) = tracer.filter(kind="fault")
+        assert fault.detail["what"] == "fail_link phb-shb"
+        assert fault.t == system.scheduler.now
 
 
 class TestSequenceNumbers:
     def test_seq_is_monotonic_and_orders_simultaneous_events(self):
-        __, tracer, __p = traced_run(drop=0.1, seed=4)
+        # Both brokers' link-status timers fire at the same instant.
+        __, tracer, __p = traced_run(drop=0.1, seed=4, capture_link_status=True)
         events = tracer.filter()
         seqs = [e.seq for e in events]
         assert seqs == sorted(seqs)
