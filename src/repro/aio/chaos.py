@@ -4,7 +4,7 @@ The simulator proves exactly-once under deterministically fuzzed fault
 schedules (``repro.check``); this module asserts the same service
 specification against the *real-time* backend: an :class:`AioSystem`
 with ``FileLog``-backed pubends over a real transport, while a seeded
-schedule kills and restarts brokers and severs and heals links under
+schedule crashes and restarts brokers and fails and recovers links under
 live traffic.  After the faults, everything is healed, publishers stop,
 and the system is given a settle window; then the offline
 :class:`~repro.client.DeliveryChecker` renders the verdict — zero
@@ -33,13 +33,13 @@ import random
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..client import CheckReport, DeliveryChecker
 from ..core.config import LivenessParams
 from ..storage.faults import corrupt_log_file
 from ..topology import Topology
-from .runtime import AioSystem
+from .runtime import AioSystem, run_schedule
 from .transport import LocalTransport, TcpTransport, Transport
 
 __all__ = ["ChaosAction", "ChaosReport", "chaos_schedule", "run_chaos", "chaos"]
@@ -58,18 +58,22 @@ FAST_PARAMS = LivenessParams(
 
 @dataclass(frozen=True)
 class ChaosAction:
-    """One scheduled fault: ``kill``/``restart`` a broker,
-    ``sever``/``heal`` a link (target ``"a|b"``), or a corruption
-    injection — ``corrupt-log`` (flip a bit in a stable-log record while
-    its broker is down), ``corrupt-wire`` (damage the next frame on the
-    wire), ``disk-full`` (the next stable-log append hits ENOSPC)."""
+    """One scheduled fault.  ``kind`` is a
+    :class:`~repro.facade.SystemFacade` fault verb applied as
+    ``getattr(system, kind)(*target)`` — ``crash_broker``/``restart_broker``
+    with target ``(broker,)``, ``fail_link``/``recover_link`` with
+    ``(a, b)`` — or one of the corruption injections, which act on files
+    and log handles rather than on the system surface: ``corrupt-log``
+    (flip a bit in a stable-log record while its broker is down),
+    ``corrupt-wire`` (damage the next frame on the wire), ``disk-full``
+    (the next stable-log append hits ENOSPC)."""
 
     t: float
     kind: str
-    target: str
+    target: Tuple[str, ...]
 
     def render(self) -> str:
-        return f"t={self.t:.2f} {self.kind} {self.target}"
+        return f"t={self.t:.2f} {self.kind} {'-'.join(self.target)}"
 
 
 @dataclass
@@ -137,9 +141,9 @@ def chaos_schedule(
     """The fault schedule for one seed: a pure function, so a failing
     seed reproduces the same fault pattern.
 
-    Always includes one kill/restart of the publisher-hosting broker
+    Always includes one crash/restart of the publisher-hosting broker
     (the acceptance case: exactly-once across real PHB crash) and one
-    sever/heal of a link; may add an intermediate-broker outage.  Every
+    fail/recover of a link; may add an intermediate-broker outage.  Every
     outage closes before ``0.72 * duration``, leaving the tail of the
     run for organic recovery before the settle window.
 
@@ -166,33 +170,30 @@ def chaos_schedule(
     window_lo, window_hi = 0.2 * duration, 0.72 * duration
     actions: List[ChaosAction] = []
 
-    def outage(start_kind: str, end_kind: str, target: str) -> None:
+    def outage(start_kind: str, end_kind: str, *target: str) -> Tuple[float, float]:
         start = rng.uniform(window_lo, window_hi - 0.15 * duration)
         end = min(start + rng.uniform(0.15, 0.3) * duration, window_hi)
         actions.append(ChaosAction(start, start_kind, target))
         actions.append(ChaosAction(end, end_kind, target))
+        return start, end
 
-    outage("kill", "restart", "b0")
-    outage("sever", "heal", rng.choice(["b0|b1", "b1|b2"]))
+    crash_t, restart_t = outage("crash_broker", "restart_broker", "b0")
+    outage("fail_link", "recover_link", *rng.choice([("b0", "b1"), ("b1", "b2")]))
     if rng.random() < 0.5:
-        outage("kill", "restart", "b1")
+        outage("crash_broker", "restart_broker", "b1")
     if corrupt_rate > 0:
-        kill_t = next(a.t for a in actions if a.kind == "kill" and a.target == "b0")
-        restart_t = next(
-            a.t for a in actions if a.kind == "restart" and a.target == "b0"
-        )
         if rng.random() < corrupt_rate:
             actions.append(
-                ChaosAction((kill_t + restart_t) / 2.0, "corrupt-log", "b0")
+                ChaosAction((crash_t + restart_t) / 2.0, "corrupt-log", ("b0",))
             )
         if rng.random() < corrupt_rate:
             actions.append(
                 ChaosAction(
-                    rng.uniform(window_lo, window_hi), "corrupt-wire", "wire"
+                    rng.uniform(window_lo, window_hi), "corrupt-wire", ("wire",)
                 )
             )
         if rng.random() < corrupt_rate:
-            actions.append(ChaosAction(0.8 * duration, "disk-full", "b0"))
+            actions.append(ChaosAction(0.8 * duration, "disk-full", ("b0",)))
     return sorted(actions, key=lambda a: (a.t, a.kind, a.target))
 
 
@@ -240,17 +241,7 @@ async def chaos(
         t0 = loop.time()
         for action in actions:
             await asyncio.sleep(max(0.0, t0 + action.t - loop.time()))
-            if action.kind == "kill":
-                await system.kill_broker(action.target)
-            elif action.kind == "restart":
-                await system.restart_broker(action.target)
-            elif action.kind == "sever":
-                a, __, b = action.target.partition("|")
-                system.sever_link(a, b)
-            elif action.kind == "heal":
-                a, __, b = action.target.partition("|")
-                system.heal_link(a, b)
-            elif action.kind == "corrupt-log":
+            if action.kind == "corrupt-log":
                 # The broker is down (midpoint of its outage): its log
                 # files are closed.  Flip a bit in the *oldest* record of
                 # each — delivered long ago, so replay must quarantine it
@@ -270,7 +261,7 @@ async def chaos(
                     report.counters.get("wire_corruptions_injected", 0) + 1
                 )
             elif action.kind == "disk-full":
-                broker = system.brokers.get(action.target)
+                broker = system.brokers.get(action.target[0])
                 armed = 0
                 if broker is not None and broker.alive:
                     # data_dir is always set here: every log is a FileLog.
@@ -279,6 +270,10 @@ async def chaos(
                         armed += 1
                 report.counters["disk_full_injected"] = (
                     report.counters.get("disk_full_injected", 0) + armed
+                )
+            else:  # a fault verb of the system, due now
+                await run_schedule(
+                    system, [(action.t, action.kind, action.target, {})], t0
                 )
         await asyncio.sleep(max(0.0, t0 + duration - loop.time()))
 

@@ -23,9 +23,10 @@ simulator for the paper's figures.
 from __future__ import annotations
 
 import asyncio
+import inspect
 import os
 from collections import Counter
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..broker.engine import BrokerServices
 from ..broker.host import BrokerHost
@@ -40,7 +41,13 @@ from ..storage.log import FileLog, MemoryLog, MessageLog
 from ..topology import Topology, TopologyPlan
 from .transport import LocalTransport, Transport
 
-__all__ = ["AioBroker", "AioSystem", "AioPublisher", "KNOWN_MUTATIONS"]
+__all__ = [
+    "AioBroker",
+    "AioSystem",
+    "AioPublisher",
+    "KNOWN_MUTATIONS",
+    "run_schedule",
+]
 
 #: Deliberate protocol defects the runtime can be built with, for
 #: harness self-tests (the conformance harness must *detect* a mutated
@@ -299,7 +306,7 @@ class AioBroker(BrokerHost):
     def crash(self) -> None:
         """Kill the broker: soft state gone, timers cancelled, log file
         handles closed (the files survive on disk).  Taking it off the
-        wire is the system's half (:meth:`AioSystem.kill_broker`)."""
+        wire is the system's half (:meth:`AioSystem.crash_broker`)."""
         if not self.alive:
             return
         self.alive = False
@@ -520,34 +527,65 @@ class AioSystem(SubscribeMixin):
         await asyncio.sleep(duration)
         return loop.time() - start
 
-    # -- fault injection ---------------------------------------------------
+    # -- fault verbs -------------------------------------------------------
+    # The SystemFacade fault surface, spelled and reported exactly like the
+    # simulator's System: each verb acts, then reports itself once to the
+    # hub.  Crash and restart await the transport, so they are coroutines;
+    # an executor awaits whatever a verb returns (see run_schedule).
 
-    async def kill_broker(self, broker_id: str) -> None:
+    def _report_fault(self, kind: str, target: str) -> None:
+        self.obs.report_fault(asyncio.get_running_loop().time(), kind, target)
+
+    async def crash_broker(self, broker_id: str) -> None:
         """Crash a broker: its listening socket closes, connections drop,
         soft state and log handles are gone; log *files* survive."""
         self.brokers[broker_id].crash()
         await self.transport.detach(broker_id)
+        self._report_fault("crash", broker_id)
 
     async def restart_broker(self, broker_id: str) -> None:
         """Restart a crashed broker: a new listening socket (new port —
         peers re-resolve it through their connection supervisors), then
         log replay and doubt-horizon re-advertisement."""
         broker = self.brokers[broker_id]
-        await self._attach(broker)
-        broker.restart()
+        if not broker.alive:
+            await self._attach(broker)
+            broker.restart()
+        self._report_fault("restart", broker_id)
 
-    # Reported under the kinds and target spelling of the simulator's
-    # FaultInjector.fail_link/recover_link.
-
-    def sever_link(self, a: str, b: str) -> None:
+    def fail_link(self, a: str, b: str) -> None:
         self.transport.fail_link(a, b)
-        now = self.brokers[a].services.now()
-        self.obs.report_fault(now, "fail_link", f"{a}-{b}")
+        self._report_fault("fail_link", f"{a}-{b}")
 
-    def heal_link(self, a: str, b: str) -> None:
+    def recover_link(self, a: str, b: str) -> None:
         self.transport.recover_link(a, b)
-        now = self.brokers[a].services.now()
-        self.obs.report_fault(now, "recover_link", f"{a}-{b}")
+        self._report_fault("recover_link", f"{a}-{b}")
+
+    # Frozen spellings benchmarks/load/workloads.py:816-818 still calls
+    # (that tree only changes in a [benchmark] PR; ROADMAP item 4 removes
+    # these two lines).  Nothing else may use them.
+    sever_link = fail_link
+    heal_link = recover_link
+
+    def set_link_pathology(
+        self,
+        a: str,
+        b: str,
+        *,
+        drop_probability: Optional[float] = None,
+        jitter: Optional[float] = None,
+        corrupt_probability: Optional[float] = None,
+    ) -> None:
+        """Override the pair's ambient pathology (``None`` keeps it).
+        Raises on a transport that cannot inject below its stream (TCP)."""
+        self.transport.set_pathology(
+            a, b, drop_probability, jitter, corrupt_probability
+        )
+        self._report_fault("set_link_pathology", f"{a}-{b}")
+
+    def clear_link_pathology(self, a: str, b: str) -> None:
+        self.transport.clear_pathology(a, b)
+        self._report_fault("clear_link_pathology", f"{a}-{b}")
 
     # -- teardown ----------------------------------------------------------
 
@@ -564,3 +602,21 @@ class AioSystem(SubscribeMixin):
             await broker.shutdown()
         await self.transport.drain()
         await self.transport.close()
+
+
+async def run_schedule(
+    target: Any,
+    steps: Iterable[Tuple[float, str, tuple, dict]],
+    t0: float,
+) -> None:
+    """The asyncio schedule executor: sleep until loop time ``t0 + t``,
+    then apply ``getattr(target, verb)(*args, **kwargs)``, awaiting the
+    verbs that are coroutines here.  ``steps`` must be in time order
+    (:meth:`repro.check.scenario.Scenario.fault_steps`,
+    :func:`repro.aio.chaos.chaos_schedule`)."""
+    loop = asyncio.get_running_loop()
+    for t, verb, args, kwargs in steps:
+        await asyncio.sleep(max(0.0, t0 + t - loop.time()))
+        result = getattr(target, verb)(*args, **kwargs)
+        if inspect.isawaitable(result):
+            await result

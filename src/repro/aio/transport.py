@@ -21,8 +21,11 @@ provides two asyncio transports so the same protocol runs in real time:
 Both implement the :class:`Transport` contract the runtime is written
 against: ``send(src, dst, message) -> bool``, ``link_usable(a, b)``,
 ``fail_link``/``recover_link`` (so fault injection is
-transport-agnostic), ``attach``/``detach`` to bring a broker on and off
-the wire, and ``corrupt_next_messages`` for in-flight corruption.
+transport-agnostic), ``set_pathology``/``clear_pathology`` for a timed
+per-pair loss/jitter/corruption override (in-process only: nothing can be
+injected below a reliable TCP stream, so it raises there),
+``attach``/``detach`` to bring a broker on and off the wire, and
+``corrupt_next_messages`` for in-flight corruption.
 ``link_usable`` reports *local* knowledge of link health the way the
 paper's brokers learn it: for TCP that is the supervised connection state
 (established and heartbeat-fresh), which is what drives the engine's
@@ -105,6 +108,27 @@ class Transport(ABC):
     def recover_link(self, a: str, b: str) -> None:
         """Undo :meth:`fail_link`."""
 
+    def set_pathology(
+        self,
+        a: str,
+        b: str,
+        drop_probability: Optional[float] = None,
+        jitter: Optional[float] = None,
+        corrupt_probability: Optional[float] = None,
+    ) -> None:
+        """Override the pair's ambient drop/jitter/corrupt until
+        :meth:`clear_pathology` (``None`` keeps the ambient value).  Only
+        a transport that owns the wire can; a reliable stream cannot."""
+        raise NotImplementedError(
+            f"{type(self).__name__} cannot inject loss below its stream"
+        )
+
+    def clear_pathology(self, a: str, b: str) -> None:
+        """Drop the pair's override: back to the ambient pathology."""
+        raise NotImplementedError(
+            f"{type(self).__name__} cannot inject loss below its stream"
+        )
+
     def corrupt_next_messages(self, count: int = 1) -> None:
         """Chaos hook: the next ``count`` sends (batch frames, on TCP) are
         damaged in flight and must be rejected by the receiving checksum —
@@ -151,10 +175,11 @@ class LocalTransport(Transport):
         self.rng = random.Random(seed)
         self._receivers: Dict[str, ReceiveFn] = {}
         self._down: Set[Tuple[str, str]] = set()
-        #: Per-pair (drop, jitter, corrupt) overrides of the ambient
-        #: pathology, keyed by the normalized broker pair — the real-time
-        #: analogue of the simulator's timed bursts on one link.
-        self._pathology: Dict[Tuple[str, str], Tuple[float, float, float]] = {}
+        #: Per-pair (drop, jitter, corrupt) override of the ambient
+        #: pathology, keyed by the normalized broker pair; a ``None`` field
+        #: keeps the ambient value.  At most one per pair — the same model
+        #: as the simulator's :meth:`SimLink.set_pathology`.
+        self._pathology: Dict[Tuple[str, str], Tuple[Optional[float], ...]] = {}
         self.sent = 0
         self.dropped = 0
         #: Messages discarded as corrupt-in-flight (see above).
@@ -193,30 +218,35 @@ class LocalTransport(Transport):
         self,
         a: str,
         b: str,
-        drop_probability: float = 0.0,
-        jitter: float = 0.0,
-        corrupt_probability: float = 0.0,
+        drop_probability: Optional[float] = None,
+        jitter: Optional[float] = None,
+        corrupt_probability: Optional[float] = None,
     ) -> None:
-        """Override the ambient drop/jitter/corrupt on one broker pair (a
-        timed burst from a fault schedule).  Setting all to 0 clears the
-        override, restoring the ambient pathology."""
-        key = self._key(a, b)
-        if drop_probability or jitter or corrupt_probability:
-            self._pathology[key] = (drop_probability, jitter, corrupt_probability)
-        else:
-            self._pathology.pop(key, None)
+        """A later override replaces this one; all-``None`` changes
+        nothing."""
+        override = (drop_probability, jitter, corrupt_probability)
+        if any(value is not None for value in override):
+            self._pathology[self._key(a, b)] = override
 
     def clear_pathology(self, a: str, b: str) -> None:
         self._pathology.pop(self._key(a, b), None)
 
+    def pathology(self, a: str, b: str) -> Tuple[float, float, float]:
+        """The ``(drop, jitter, corrupt)`` in force on the pair right now."""
+        ambient = (self.drop_probability, self.jitter, self.corrupt_probability)
+        override = self._pathology.get(self._key(a, b))
+        if override is None:
+            return ambient
+        return tuple(
+            kept if value is None else value
+            for value, kept in zip(override, ambient)
+        )
+
     def send(self, src: str, dst: str, message: Any) -> bool:
         self.sent += 1
-        key = self._key(src, dst)
-        if key in self._down:
+        if self._key(src, dst) in self._down:
             return False
-        drop, jitter, corrupt = self._pathology.get(
-            key, (self.drop_probability, self.jitter, self.corrupt_probability)
-        )
+        drop, jitter, corrupt = self.pathology(src, dst)
         if drop and self.rng.random() < drop:
             self.dropped += 1
             return True

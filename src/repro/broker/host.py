@@ -16,10 +16,11 @@ substrate does identically —
 * the crash sequence (drop the engine — all istream/ostream/subend soft
   state — and close the log handles; the logs themselves survive) and the
   recover sequence (new engine, reopen each log, ``pubend.recover()``,
-  re-host, emit the lifecycle fault event, re-arm timers).  Subscriber
-  state at a crashed SHB is gone; the paper's guarantee only covers
-  subscribers that remain connected, and its experiments never crash an
-  SHB.
+  re-host, re-arm timers); the system's ``crash_broker`` /
+  ``restart_broker`` fault verbs drive it and report it to the lifecycle
+  hub.  Subscriber state at a crashed SHB is gone; the paper's guarantee
+  only covers subscribers that remain connected, and its experiments
+  never crash an SHB.
 
 — and the two hosts subclass it adding only their substrate:
 :class:`~repro.broker.simbroker.SimBroker` (CPU accountant, client-write
@@ -193,7 +194,6 @@ class BrokerHost:
         for hosting in self._hostings.values():
             hosting.log.close()
             hosting.log = None
-        self.obs.report_fault(self.services.now(), "crash", self.broker_id)
 
     def on_restart(self) -> None:
         """Recover from stable storage: each hosted pubend's log is
@@ -207,7 +207,6 @@ class BrokerHost:
             self._adopt(hosting, recover=True)
         # NOTE: subscriptions at a crashed SHB are not restored — clients
         # must reconnect/resubscribe (outside the paper's failure model).
-        self.obs.report_fault(self.services.now(), "restart", self.broker_id)
         if self._started:
             self.start()
 

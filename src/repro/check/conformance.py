@@ -15,18 +15,18 @@ topology + workload + fault schedule) and
 
 1. runs it on the simulator exactly like the fuzzer
    (:func:`~repro.check.runner.run_scenario` semantics: oracle suite,
-   :class:`~repro.faults.injector.FaultInjector` fault script), except
-   publishers are *count-limited* — each makes a fixed number of publish
-   attempts derived from the scenario, so any backend attempts the
-   identical seq sequence;
+   the fault schedule as timed verbs on a
+   :class:`~repro.faults.injector.FaultInjector`), except publishers are
+   *count-limited* — each makes a fixed number of publish attempts
+   derived from the scenario, so any backend attempts the identical seq
+   sequence;
 2. runs it on the asyncio runtime in scaled wall-clock time
-   (``time_scale`` wall seconds per sim second), mapping the declarative
-   fault schedule onto the chaos-style actions the runtime understands
-   (``kill_broker``/``restart_broker`` for crash kinds,
-   ``sever_link``/``heal_link`` for outages, timed per-pair
-   drop/jitter pathologies on :class:`~repro.aio.transport.LocalTransport`
-   for bursts), then polls for convergence instead of racing a fixed
-   drain window;
+   (``time_scale`` wall seconds per sim second): the same schedule,
+   expanded without stalls (:meth:`FaultSpec.steps(stall=False)
+   <repro.check.scenario.FaultSpec.steps>`) and applied to the
+   :class:`~repro.aio.runtime.AioSystem`'s own fault verbs over either
+   transport, then polls for convergence instead of racing a fixed drain
+   window;
 3. cross-checks the two :class:`StackOutcome` records.
 
 **The comparison relation.**  Publication identity across backends is
@@ -87,7 +87,7 @@ from ..faults.injector import FaultInjector
 from ..matching.events import Event
 from ..obs.lifecycle import LifecycleRecorder
 from .oracles import OracleFailure, OracleSuite
-from .runner import _schedule_fault
+from .runner import attach_workload, build_sim, publisher_start, schedule_steps
 from .scenario import Scenario, build_topology, generate, scenario_seed
 
 __all__ = [
@@ -112,10 +112,6 @@ CONFORM_FORMAT = "repro-conform/1"
 #: interval stays an order of magnitude above timer granularity.
 DEFAULT_TIME_SCALE = 0.35
 
-#: Publisher start staggering, in sim seconds (mirrors the fuzz runner).
-PUBLISHER_START_BASE = 0.05
-PUBLISHER_START_STEP = 0.01
-
 #: LivenessParams fields measured in seconds (scaled for the aio leg).
 _TIME_FIELDS = (
     "gct",
@@ -130,10 +126,6 @@ _TIME_FIELDS = (
     "preassign_window",
     "flush_delay",
 )
-
-
-def publisher_start(index: int) -> float:
-    return PUBLISHER_START_BASE + PUBLISHER_START_STEP * index
 
 
 def message_counts(scenario: Scenario) -> Dict[str, int]:
@@ -184,6 +176,8 @@ class StackOutcome:
     #: (subscriber, pubend, seq) -> lifecycle delivery events observed.
     lifecycle_delivered: Counter = field(default_factory=Counter)
     retransmits_sent: int = 0
+    #: ``(kind, target)`` of every fault verb the stack reported, in order.
+    faults: List[Tuple[str, str]] = field(default_factory=list)
     #: mutation name -> times the deliberate defect fired (aio only).
     mutated: Counter = field(default_factory=Counter)
     elapsed: float = 0.0
@@ -222,6 +216,7 @@ def _collect_outcome(
         if seqmap is not None and tick in seqmap:
             outcome.lifecycle_delivered[(sub, pubend, seqmap[tick])] += n
     outcome.retransmits_sent = recorder.retransmits_sent
+    outcome.faults = list(recorder.faults)
     outcome.converged = _knowledge_convergence(system.brokers, publishers)
     return outcome
 
@@ -270,41 +265,19 @@ def _knowledge_convergence(
 
 
 def _run_sim_stack(scenario: Scenario, counts: Dict[str, int]) -> StackOutcome:
-    meta = build_topology(scenario)
-    system = meta.topo.build(seed=scenario.seed, params=scenario.params())
+    system = build_sim(scenario)
     assert isinstance(system, SystemFacade)
     recorder = LifecycleRecorder()
     system.obs.lifecycle.attach(recorder)
-    if scenario.drop_probability or scenario.jitter:
-        for a, b in meta.links:
-            link = system.network.link(a, b)
-            link.drop_probability = scenario.drop_probability
-            link.jitter = scenario.jitter
-
-    for spec in scenario.subscribers:
-        system.subscribe(
-            spec.subscriber,
-            spec.broker,
-            spec.pubends,
-            predicate=spec.predicate,
-            total_order=spec.total_order,
-        )
-    publishers = []
-    for i, spec in enumerate(scenario.publishers):
-        publisher = system.publisher(
-            spec.pubend,
-            spec.rate,
-            make_attributes=lambda seq, m=spec.modulus: {"g": seq % m},
-            max_messages=counts[spec.pubend],
-        )
+    publishers = attach_workload(system, scenario, counts)
+    for i, publisher in enumerate(publishers):
         publisher.start(at=publisher_start(i))
-        publishers.append(publisher)
 
     suite = OracleSuite(system, publishers)
     suite.install()
-    injector = FaultInjector(system)
-    for fault in scenario.faults:
-        _schedule_fault(injector, fault)
+    schedule_steps(
+        system.scheduler, FaultInjector(system), scenario.fault_steps()
+    )
 
     failures: List[str] = []
     try:
@@ -325,46 +298,6 @@ def _run_sim_stack(scenario: Scenario, counts: Dict[str, int]) -> StackOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _aio_fault_actions(
-    scenario: Scenario, scale: float
-) -> List[Tuple[float, str, Any]]:
-    """Map the declarative fault schedule onto chaos-style wall-clock
-    actions.  Broker stalls have no asyncio analogue (a stalled sim
-    broker is sick-but-alive), so stall kinds conservatively take the
-    broker/link down for the whole stall + outage window — publish
-    failures this causes fall inside the tolerated published-set
-    difference."""
-    actions: List[Tuple[float, str, Any]] = []
-    for fault in scenario.faults:
-        start = fault.at * scale
-        healed = fault.healed_at * scale
-        if fault.kind in ("crash", "stall_crash", "stall_restart"):
-            broker = fault.target[0]
-            actions.append((start, "kill", broker))
-            actions.append((healed, "restart", broker))
-        elif fault.kind in ("link_fail", "stall_link_fail"):
-            actions.append((start, "sever", tuple(fault.target)))
-            actions.append((healed, "heal", tuple(fault.target)))
-        elif fault.kind == "drop_burst":
-            a, b = fault.target
-            actions.append((start, "drop_on", (a, b, fault.intensity)))
-            actions.append((healed, "path_off", (a, b)))
-        elif fault.kind == "reorder_burst":
-            a, b = fault.target
-            actions.append((start, "jitter_on", (a, b, fault.intensity * scale)))
-            actions.append((healed, "path_off", (a, b)))
-        elif fault.kind == "corrupt_burst":
-            # Messages corrupted in flight are rejected by checksum at
-            # the receiver (detect-and-discard); the sim leg runs the
-            # same schedule as a drop burst (see check/runner.py).
-            a, b = fault.target
-            actions.append((start, "corrupt_on", (a, b, fault.intensity)))
-            actions.append((healed, "path_off", (a, b)))
-        else:
-            raise ValueError(f"unknown fault kind {fault.kind!r}")
-    return actions
-
-
 async def _run_aio_stack_async(
     scenario: Scenario,
     counts: Dict[str, int],
@@ -375,7 +308,7 @@ async def _run_aio_stack_async(
     aio_flush_delay: Optional[float] = None,
     corrupt_rate: float = 0.0,
 ) -> StackOutcome:
-    from ..aio.runtime import AioSystem
+    from ..aio.runtime import AioSystem, run_schedule
     from ..aio.transport import LocalTransport, TcpTransport
 
     meta = build_topology(scenario)
@@ -416,56 +349,14 @@ async def _run_aio_stack_async(
     try:
         await system.start()
         t0 = loop.time()
-        for spec in scenario.subscribers:
-            system.subscribe(
-                spec.subscriber,
-                spec.broker,
-                spec.pubends,
-                predicate=spec.predicate,
-                total_order=spec.total_order,
-            )
-        publishers = []
-        schedule: List[Tuple[float, str, Any]] = []
-        for i, spec in enumerate(scenario.publishers):
-            publisher = system.publisher(
-                spec.pubend,
-                rate=spec.rate / time_scale,
-                make_attributes=lambda seq, m=spec.modulus: {"g": seq % m},
-                max_messages=counts[spec.pubend],
-            )
-            publishers.append(publisher)
-            schedule.append(
-                (publisher_start(i) * time_scale, "start_pub", publisher)
-            )
-        if transport != "tcp":
-            schedule.extend(_aio_fault_actions(scenario, time_scale))
-        schedule.sort(key=lambda action: action[0])
-
-        for offset, kind, payload in schedule:
-            delay = t0 + offset - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            if kind == "start_pub":
-                payload.start()
-            elif kind == "kill":
-                await system.kill_broker(payload)
-            elif kind == "restart":
-                await system.restart_broker(payload)
-            elif kind == "sever":
-                system.sever_link(*payload)
-            elif kind == "heal":
-                system.heal_link(*payload)
-            elif kind == "drop_on":
-                wire.set_pathology(payload[0], payload[1],
-                                   drop_probability=payload[2])
-            elif kind == "jitter_on":
-                wire.set_pathology(payload[0], payload[1], jitter=payload[2])
-            elif kind == "corrupt_on":
-                wire.set_pathology(
-                    payload[0], payload[1], corrupt_probability=payload[2]
-                )
-            elif kind == "path_off":
-                wire.clear_pathology(payload[0], payload[1])
+        publishers = attach_workload(
+            system, scenario, counts, rate_scale=1.0 / time_scale
+        )
+        for i, publisher in enumerate(publishers):
+            loop.call_at(t0 + publisher_start(i) * time_scale, publisher.start)
+        await run_schedule(
+            system, scenario.fault_steps(stall=False, time_scale=time_scale), t0
+        )
 
         # Publishers stop themselves at their attempt count; give them
         # the publish window plus generous slack before calling it hung.
@@ -735,8 +626,9 @@ class ConformanceResult:
 
 def normalize_for_transport(scenario: Scenario, transport: str) -> Scenario:
     """TCP is a reliable stream: ambient wire loss and per-link bursts
-    cannot be injected below it, so they are stripped from the scenario
-    rather than silently not applied."""
+    cannot be injected below it (``Transport.set_pathology`` raises
+    there), so they are stripped from the scenario rather than silently
+    not applied.  Crashes and link outages stay: both legs run them."""
     if transport != "tcp":
         return scenario
     faults = tuple(

@@ -2,7 +2,8 @@
 
 :func:`run_scenario` realizes one :class:`~repro.check.scenario.Scenario`
 as a simulated system, arms the :class:`~repro.check.oracles.OracleSuite`,
-schedules the fault script through :class:`~repro.faults.injector.FaultInjector`,
+expands the fault script into timed verbs on a
+:class:`~repro.faults.injector.FaultInjector` (:func:`schedule_steps`),
 runs publish + quiescent drain, and reports a :class:`RunResult` whose
 ``digest`` is a stable fingerprint of everything observable (per-subscriber
 delivery sequences, publication counts, verdicts) — two runs of the same
@@ -26,23 +27,33 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..client import DuplicateDelivery, OrderViolation
 from ..faults.injector import FaultInjector
 from ..topology import System
 from .oracles import OracleFailure, OracleSuite
-from .scenario import FaultSpec, Scenario, build_topology, generate, scenario_seed
+from .scenario import Scenario, Step, build_topology, generate, scenario_seed
 
 __all__ = [
     "RunResult",
     "FuzzReport",
+    "attach_workload",
+    "build_sim",
+    "schedule_steps",
+    "publisher_start",
     "run_scenario",
     "run_seed",
     "fuzz",
     "write_repro",
     "load_repro",
 ]
+
+
+def publisher_start(index: int) -> float:
+    """Publisher start staggering, in sim seconds."""
+    return 0.05 + 0.01 * index
 
 
 @dataclass
@@ -82,61 +93,56 @@ class RunResult:
         )
 
 
-def _schedule_fault(injector: FaultInjector, fault: FaultSpec) -> None:
-    """Translate one declarative :class:`FaultSpec` into injector calls."""
-    kind, target = fault.kind, fault.target
-    if kind == "crash":
-        broker = target[0]
-        injector.at(fault.at, lambda: injector.crash_broker(broker))
-        injector.at(
-            fault.at + fault.duration, lambda: injector.restart_broker(broker)
+def attach_workload(
+    system: Any,
+    scenario: Scenario,
+    counts: Optional[Dict[str, int]] = None,
+    rate_scale: float = 1.0,
+) -> List[Any]:
+    """Realise the scenario's subscribers and publishers on any
+    :class:`~repro.facade.SystemFacade`; returns the publishers, not yet
+    started.  ``counts`` makes them count-limited (attempts per pubend),
+    ``rate_scale`` converts the scenario's rates to the backend's clock."""
+    for spec in scenario.subscribers:
+        system.subscribe(
+            spec.subscriber,
+            spec.broker,
+            spec.pubends,
+            predicate=spec.predicate,
+            total_order=spec.total_order,
         )
-    elif kind == "stall_crash":
-        injector.stall_then_crash_broker(
-            target[0], at=fault.at, stall=fault.stall, downtime=fault.duration
+    return [
+        system.publisher(
+            spec.pubend,
+            spec.rate * rate_scale,
+            make_attributes=lambda seq, m=spec.modulus: {"g": seq % m},
+            max_messages=None if counts is None else counts[spec.pubend],
         )
-    elif kind == "stall_restart":
-        # Stall with no intervening crash; the restart must clear the
-        # sickness (the FaultInjector regression this suite guards).
-        broker = target[0]
-        injector.at(fault.at, lambda: injector.stall_broker(broker))
-        injector.at(
-            fault.at + fault.duration, lambda: injector.restart_broker(broker)
-        )
-    elif kind == "link_fail":
-        a, b = target
-        injector.at(fault.at, lambda: injector.fail_link(a, b))
-        injector.at(
-            fault.at + fault.duration, lambda: injector.recover_link(a, b)
-        )
-    elif kind == "stall_link_fail":
-        a, b = target
-        injector.stall_then_fail_link(
-            a, b, at=fault.at, stall=fault.stall, outage=fault.duration
-        )
-    elif kind == "drop_burst":
-        a, b = target
-        injector.drop_burst(
-            a, b, at=fault.at, duration=fault.duration,
-            probability=fault.intensity,
-        )
-    elif kind == "reorder_burst":
-        a, b = target
-        injector.reorder_burst(
-            a, b, at=fault.at, duration=fault.duration, jitter=fault.intensity
-        )
-    elif kind == "corrupt_burst":
-        # In the simulator a corrupted message has no byte encoding to
-        # damage; its observable effect is detect-and-discard at the
-        # receiver, which is exactly a drop.  The aio leg corrupts for
-        # real and counts the checksum rejects.
-        a, b = target
-        injector.drop_burst(
-            a, b, at=fault.at, duration=fault.duration,
-            probability=fault.intensity,
-        )
-    else:
-        raise ValueError(f"unknown fault kind {kind!r}")
+        for spec in scenario.publishers
+    ]
+
+
+def build_sim(scenario: Scenario) -> System:
+    """The scenario's topology as a simulated system, every link at the
+    scenario's ambient pathology."""
+    meta = build_topology(scenario)
+    system = meta.topo.build(seed=scenario.seed, params=scenario.params())
+    if scenario.drop_probability or scenario.jitter:
+        for a, b in meta.links:
+            link = system.network.link(a, b)
+            link.drop_probability = scenario.drop_probability
+            link.jitter = scenario.jitter
+    return system
+
+
+def schedule_steps(scheduler: Any, target: Any, steps: Iterable[Step]) -> None:
+    """The simulator's schedule executor: ``getattr(target, verb)(*args,
+    **kwargs)`` at simulated time ``t`` for every step.  The target is a
+    :class:`~repro.faults.injector.FaultInjector` (stall verbs, readable
+    log) or a bare :class:`~repro.topology.System`; the asyncio twin is
+    :func:`repro.aio.runtime.run_schedule`."""
+    for t, verb, args, kwargs in steps:
+        scheduler.call_at(t, partial(getattr(target, verb), *args, **kwargs))
 
 
 def _digest(system: System, failures: List[str]) -> str:
@@ -163,43 +169,21 @@ def run_scenario(scenario: Scenario, causal: bool = False) -> RunResult:
     along (pure observation — the digest is unchanged) and the result
     carries the span timeline of the first oracle-failure subject.
     """
-    meta = build_topology(scenario)
-    system = meta.topo.build(seed=scenario.seed, params=scenario.params())
+    system = build_sim(scenario)
     tracer = None
     if causal:
         from ..obs.causal import CausalTracer
 
         tracer = CausalTracer(system).install()
-    if scenario.drop_probability or scenario.jitter:
-        for a, b in meta.links:
-            link = system.network.link(a, b)
-            link.drop_probability = scenario.drop_probability
-            link.jitter = scenario.jitter
-
-    for spec in scenario.subscribers:
-        system.subscribe(
-            spec.subscriber,
-            spec.broker,
-            spec.pubends,
-            predicate=spec.predicate,
-            total_order=spec.total_order,
-        )
-    publishers = []
-    for i, spec in enumerate(scenario.publishers):
-        publisher = system.publisher(
-            spec.pubend,
-            spec.rate,
-            make_attributes=lambda seq, m=spec.modulus: {"g": seq % m},
-        )
-        publisher.start(at=0.05 + 0.01 * i)
+    publishers = attach_workload(system, scenario)
+    for i, publisher in enumerate(publishers):
+        publisher.start(at=publisher_start(i))
         system.scheduler.call_at(scenario.publish_until, publisher.stop)
-        publishers.append(publisher)
 
     suite = OracleSuite(system, publishers)
     suite.install()
     injector = FaultInjector(system)
-    for fault in scenario.faults:
-        _schedule_fault(injector, fault)
+    schedule_steps(system.scheduler, injector, scenario.fault_steps())
 
     result = RunResult(scenario=scenario)
     try:

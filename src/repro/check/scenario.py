@@ -39,6 +39,7 @@ from ..topology import Topology, balanced_pubend_names, figure3_topology
 
 __all__ = [
     "FaultSpec",
+    "Step",
     "PublisherSpec",
     "SubscriberSpec",
     "Scenario",
@@ -58,6 +59,27 @@ FAST_PARAMS = LivenessParams(gct=0.1, nrt_min=0.3, aet=3.0, dct=INFINITY)
 
 #: Subscription predicates the generator samples from (``None`` = all).
 PREDICATE_POOL: Tuple[Optional[str], ...] = (None, None, "g = 0", "g > 0", "g = 1")
+
+
+#: One timed fault verb: ``(t, verb, args, kwargs)``.
+Step = Tuple[float, str, Tuple[str, ...], Dict[str, float]]
+
+#: Burst kind -> the ``set_link_pathology`` argument its intensity sets,
+#: and whether that argument is measured in seconds.  (A corrupted message
+#: is detected by checksum and discarded at the receiver; the simulator's
+#: verb folds that into loss.)
+_BURST_ARGUMENT = {
+    "drop_burst": ("drop_probability", False),
+    "reorder_burst": ("jitter", True),
+    "corrupt_burst": ("corrupt_probability", False),
+}
+
+#: What a stall kind becomes where nothing can stall (see FaultSpec.steps).
+_WITHOUT_STALL = {
+    "stall_crash": "crash",
+    "stall_restart": "crash",
+    "stall_link_fail": "link_fail",
+}
 
 
 @dataclass(frozen=True)
@@ -84,6 +106,60 @@ class FaultSpec:
 
     def describe(self) -> str:
         return f"{self.kind}({'-'.join(self.target)}) @ {self.at:.2f}"
+
+    def steps(self, stall: bool = True, time_scale: float = 1.0) -> List[Step]:
+        """This fault as timed fault verbs ``(t, verb, args, kwargs)`` —
+        the one place a fault kind is translated.  An executor applies
+        each as ``getattr(target, verb)(*args, **kwargs)`` at time ``t``.
+
+        With ``stall=True`` (the simulator; target a
+        :class:`~repro.faults.injector.FaultInjector`) the stall kinds use
+        the paper's sick-but-alive window.  A stall has no real-time
+        analogue, so ``stall=False`` (target any
+        :class:`~repro.facade.SystemFacade`) conservatively takes the
+        broker or link down for the whole stall + outage window — the
+        publish failures that causes fall inside the published-set
+        difference the conformance relation tolerates.  ``time_scale``
+        multiplies every quantity measured in seconds."""
+        kind = self.kind
+        if not stall:
+            kind = _WITHOUT_STALL.get(kind, kind)
+        start = self.at * time_scale
+        failed = (self.at + self.stall) * time_scale
+        healed = self.healed_at * time_scale
+
+        def step(t: float, verb: str, **kwargs: float) -> Step:
+            return (t, verb, self.target, kwargs)
+
+        if kind == "crash":
+            return [step(start, "crash_broker"), step(healed, "restart_broker")]
+        if kind == "stall_crash":
+            return [
+                step(start, "stall_broker"),
+                step(failed, "unstall_broker"),
+                step(failed, "crash_broker"),
+                step(healed, "restart_broker"),
+            ]
+        if kind == "stall_restart":
+            # Stall with no intervening crash; the restart must clear the
+            # sickness (the FaultInjector regression the fuzzer guards).
+            return [step(start, "stall_broker"), step(healed, "restart_broker")]
+        if kind == "link_fail":
+            return [step(start, "fail_link"), step(healed, "recover_link")]
+        if kind == "stall_link_fail":
+            return [
+                step(start, "stall_link"),
+                step(failed, "fail_link"),
+                step(healed, "recover_link"),
+            ]
+        if kind in _BURST_ARGUMENT:
+            argument, in_seconds = _BURST_ARGUMENT[kind]
+            value = self.intensity * time_scale if in_seconds else self.intensity
+            return [
+                step(start, "set_link_pathology", **{argument: value}),
+                step(healed, "clear_link_pathology"),
+            ]
+        raise ValueError(f"unknown fault kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -187,6 +263,14 @@ class Scenario:
 
     def with_(self, **changes: Any) -> "Scenario":
         return replace(self, **changes)
+
+    def fault_steps(self, stall: bool = True, time_scale: float = 1.0) -> List[Step]:
+        """The whole fault schedule as timed verbs, in time order (see
+        :meth:`FaultSpec.steps`)."""
+        steps = [
+            step for fault in self.faults for step in fault.steps(stall, time_scale)
+        ]
+        return sorted(steps, key=lambda step: step[0])
 
 
 @dataclass

@@ -29,7 +29,20 @@ expose the same public surface, captured here as the
   (each with ``alive`` and, when up, an ``engine`` whose
   ``stream_state()`` reports the knowledge horizons), subscriber clients
   by id, their :class:`~repro.core.subend.Subscription` records, and the
-  attached publisher clients.
+  attached publisher clients;
+* the **fault verbs** — ``crash_broker(id)`` / ``restart_broker(id)``
+  (coroutines on the asyncio runtime, where taking a broker on and off
+  the wire awaits the transport; plain methods on the simulator),
+  ``fail_link(a, b)`` / ``recover_link(a, b)``, and
+  ``set_link_pathology(a, b, *, drop_probability=None, jitter=None,
+  corrupt_probability=None)`` / ``clear_link_pathology(a, b)`` — one
+  timed override of the link's ambient loss/jitter/corruption (``None``
+  keeps the ambient value, ``clear`` restores all of it).  Every verb
+  reports itself once to the lifecycle hub as ``fault(t, kind, target)``.
+  A fault schedule is a list of timed verbs ``(t, verb, args, kwargs)``
+  (:meth:`repro.check.scenario.FaultSpec.steps`) that an executor applies
+  with ``getattr(target, verb)(*args, **kwargs)``, awaiting the result
+  when it is awaitable — no caller branches on the backend.
 
 The protocol is ``runtime_checkable`` so harness code can assert
 ``isinstance(system, SystemFacade)`` against either backend — the
@@ -159,4 +172,37 @@ class SystemFacade(Protocol):
         preassign_window: Optional[float] = None,
     ) -> Any:
         """Place a pubend on its hosting broker after construction."""
+        ...
+
+    # -- fault verbs (each reports ``fault(t, kind, target)`` once) --------
+
+    def crash_broker(self, broker_id: str) -> Any:
+        """Kill the broker process: soft state gone, logs survive."""
+        ...
+
+    def restart_broker(self, broker_id: str) -> Any:
+        """Recover the broker from its stable storage."""
+        ...
+
+    def fail_link(self, a: str, b: str) -> None:
+        """Close the link; both endpoints notice."""
+        ...
+
+    def recover_link(self, a: str, b: str) -> None:
+        ...
+
+    def set_link_pathology(
+        self,
+        a: str,
+        b: str,
+        *,
+        drop_probability: Optional[float] = None,
+        jitter: Optional[float] = None,
+        corrupt_probability: Optional[float] = None,
+    ) -> None:
+        """Override the link's ambient pathology (``None`` keeps ambient)."""
+        ...
+
+    def clear_link_pathology(self, a: str, b: str) -> None:
+        """Drop the override: the link is back at its ambient values."""
         ...

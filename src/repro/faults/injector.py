@@ -17,27 +17,22 @@ Reproduces the paper's failure-injection methodology (section 4.2):
 All injections can be scheduled at absolute simulation times, so fault
 scripts are declarative and deterministic.
 
-Every injection is kept by the injector itself — a human-readable line
-in :attr:`FaultInjector.log` (the historical format the experiments
-print) and a structured :class:`~repro.obs.observability.FaultEvent`
-stamped with the scheduler time *and* the corresponding protocol tick —
-and reported once to the system's lifecycle hub as ``fault(t, kind,
-target)``.  Everything else that wants to know (``system.obs``'s
-``fault_events`` list and ``repro_faults_injected_total`` counter, the
-tracers, the conformance recorder) listens there.  A broker crash or
-restart is reported by the broker host under the kinds ``crash`` /
-``restart`` — the same on the asyncio runtime — so the injector records
-those kinds and reports them itself only when no host did (a
-``restart_broker`` that merely clears a stall): ``system.obs.fault_events``
-always equals :attr:`FaultInjector.events`.
+Crash, restart, link failure/recovery and the link-pathology override are
+:class:`~repro.facade.SystemFacade` verbs that exist on both backends;
+the injector's methods of the same names delegate to the system and add
+only a human-readable line to :attr:`FaultInjector.log` (the format the
+experiments print).  What is simulator-only lives here: the **stall**
+verbs — a methodology of the paper's testbed with no real-time analogue
+(a process that reads its sockets and forwards nothing) — and the two
+``stall_then_*`` scripts built on them.  Every verb, shared or stall,
+reports itself once to the lifecycle hub as ``fault(t, kind, target)``;
+:attr:`FaultInjector.events` is ``system.obs.fault_events``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import Any, Callable, List, Optional, Set
 
-from ..broker.host import BrokerHost
-from ..core.ticks import tick_of_time
 from ..obs.observability import FaultEvent
 from ..topology import System
 
@@ -45,62 +40,75 @@ __all__ = ["FaultInjector", "FaultEvent"]
 
 
 class FaultInjector:
-    """Schedules and applies faults on a built :class:`~repro.topology.System`."""
+    """Schedules and applies faults on a built :class:`~repro.topology.System`.
+
+    The target of the simulator's fault-schedule executor
+    (:func:`repro.check.runner.schedule_steps`): every verb a
+    :meth:`~repro.check.scenario.FaultSpec.steps` expansion names is a
+    method here."""
 
     def __init__(self, system: System):
         self.system = system
         #: Human-readable fault log (one line per applied fault).
         self.log: List[str] = []
-        #: Structured fault events, in application order.
-        self.events: List[FaultEvent] = []
         #: Brokers currently stalled via :meth:`stall_broker`; consulted by
         #: :meth:`restart_broker` so a restart always clears the sickness.
         self._stalled_brokers: Set[str] = set()
 
-    def _note(self, kind: str, target: str, line: str, report: bool = True) -> None:
-        """Keep the injector's own record of an applied fault and, unless
-        the broker host already did, report it to the hub."""
-        now = self.system.scheduler.now
-        self.events.append(FaultEvent(now, tick_of_time(now), kind, target))
-        self.log.append(f"t={now:.3f} {line}")
-        if report:
-            self.system.obs.report_fault(now, kind, target)
+    @property
+    def events(self) -> List[FaultEvent]:
+        """Structured fault events, in application order."""
+        return self.system.obs.fault_events
 
-    def _set_broker(self, kind: str, broker_id: str, line: str) -> None:
-        """Crash or restart a broker.  A :class:`BrokerHost` that changes
-        state reports that itself; otherwise (already in that state, or a
-        baseline broker) the verb is reported from here."""
-        broker = self.system.brokers[broker_id]
-        by_host = isinstance(broker, BrokerHost) and broker.alive == (kind == "crash")
-        getattr(broker, kind)()
-        self._note(kind, broker_id, line, report=not by_host)
+    def _log(self, line: str) -> None:
+        self.log.append(f"t={self.system.scheduler.now:.3f} {line}")
 
-    # -- immediate actions -------------------------------------------------
+    def _note(self, kind: str, target: str, line: str) -> None:
+        """Report and log a stall verb (the shared verbs report themselves)."""
+        self.system.obs.report_fault(self.system.scheduler.now, kind, target)
+        self._log(line)
+
+    # -- the system's verbs, logged ----------------------------------------
 
     def fail_link(self, a: str, b: str) -> None:
-        self.system.network.link(a, b).fail()
-        self._note("fail_link", f"{a}-{b}", f"link {a}-{b} failed")
+        self.system.fail_link(a, b)
+        self._log(f"link {a}-{b} failed")
 
     def recover_link(self, a: str, b: str) -> None:
-        self.system.network.link(a, b).recover()
-        self._note("recover_link", f"{a}-{b}", f"link {a}-{b} recovered")
+        self.system.recover_link(a, b)
+        self._log(f"link {a}-{b} recovered")
 
-    def stall_link(self, a: str, b: str) -> None:
-        self.system.network.link(a, b).stall()
-        self._note("stall_link", f"{a}-{b}", f"link {a}-{b} stalled")
+    def set_link_pathology(self, a: str, b: str, **pathology: Any) -> None:
+        self.system.set_link_pathology(a, b, **pathology)
+        values = " ".join(
+            f"{k}={v:g}" for k, v in sorted(pathology.items()) if v is not None
+        )
+        self._log(f"link {a}-{b} pathology {values}")
+
+    def clear_link_pathology(self, a: str, b: str) -> None:
+        self.system.clear_link_pathology(a, b)
+        self._log(f"link {a}-{b} pathology cleared")
 
     def crash_broker(self, broker_id: str) -> None:
         # A crash supersedes any stall bookkeeping: the next restart
         # rebuilds the process, and _clear_stall below resets its links.
         self._stalled_brokers.discard(broker_id)
-        self._set_broker("crash", broker_id, f"broker {broker_id} crashed")
+        self.system.crash_broker(broker_id)
+        self._log(f"broker {broker_id} crashed")
 
     def restart_broker(self, broker_id: str) -> None:
         # Clear any lingering stall first — whether the broker was
         # stalled-then-crashed or merely stalled (no intervening crash),
         # a "restarted" process reads and forwards again.
         self._clear_stall(broker_id)
-        self._set_broker("restart", broker_id, f"broker {broker_id} restarted")
+        self.system.restart_broker(broker_id)
+        self._log(f"broker {broker_id} restarted")
+
+    # -- stalls (simulator only) -------------------------------------------
+
+    def stall_link(self, a: str, b: str) -> None:
+        self.system.network.link(a, b).stall()
+        self._note("stall_link", f"{a}-{b}", f"link {a}-{b} stalled")
 
     def stall_broker(self, broker_id: str) -> None:
         """Make a broker sick: it accepts traffic but forwards nothing,
@@ -135,59 +143,6 @@ class FaultInjector:
 
     def at(self, when: float, action: Callable[[], None]) -> None:
         self.system.scheduler.call_at(when, action)
-
-    def drop_burst(
-        self, a: str, b: str, at: float, duration: float, probability: float
-    ) -> None:
-        """Raise the link's random-drop probability for a window, then
-        restore whatever it was before the burst."""
-        saved: dict = {}
-
-        def start() -> None:
-            link = self.system.network.link(a, b)
-            saved["p"] = link.drop_probability
-            link.drop_probability = probability
-            self._note(
-                "drop_burst", f"{a}-{b}",
-                f"link {a}-{b} drop burst p={probability:.2f}",
-            )
-
-        def stop() -> None:
-            link = self.system.network.link(a, b)
-            link.drop_probability = saved.get("p", 0.0)
-            self._note(
-                "drop_burst_end", f"{a}-{b}", f"link {a}-{b} drop burst over"
-            )
-
-        self.at(at, start)
-        self.at(at + duration, stop)
-
-    def reorder_burst(
-        self, a: str, b: str, at: float, duration: float, jitter: float
-    ) -> None:
-        """Raise the link's jitter for a window (jitter produces genuine
-        reordering on the wire), then restore the previous value."""
-        saved: dict = {}
-
-        def start() -> None:
-            link = self.system.network.link(a, b)
-            saved["j"] = link.jitter
-            link.jitter = jitter
-            self._note(
-                "reorder_burst", f"{a}-{b}",
-                f"link {a}-{b} reorder burst jitter={jitter:.3f}",
-            )
-
-        def stop() -> None:
-            link = self.system.network.link(a, b)
-            link.jitter = saved.get("j", 0.0)
-            self._note(
-                "reorder_burst_end", f"{a}-{b}",
-                f"link {a}-{b} reorder burst over",
-            )
-
-        self.at(at, start)
-        self.at(at + duration, stop)
 
     def stall_then_fail_link(
         self, a: str, b: str, at: float, stall: float = 2.5, outage: float = 10.0

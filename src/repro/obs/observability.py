@@ -133,8 +133,8 @@ class Observability(LifecycleListener):
             self.tracers.append(tracer)
 
     def report_fault(self, t: float, kind: str, target: str) -> None:
-        """The one emission site of the fault verbs (the broker host's
-        crash/restart, ``FaultInjector``, ``AioSystem.sever_link``)."""
+        """The one emission site of the fault verbs (``System`` /
+        ``AioSystem``'s six, ``FaultInjector``'s stalls)."""
         hub = self.lifecycle
         if hub.listeners:
             hub.fault(t, kind, target)

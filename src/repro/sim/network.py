@@ -81,6 +81,10 @@ class SimLink:
         self.jitter = jitter
         self.drop_probability = drop_probability
         self.bandwidth_bps = bandwidth_bps
+        #: One timed override ``(drop, jitter)`` of the two ambient values
+        #: above; a ``None`` field keeps the ambient one.  The same model
+        #: as :class:`~repro.aio.transport.LocalTransport`'s per-pair slot.
+        self._override: Optional[Tuple[Optional[float], Optional[float]]] = None
         self.up = True
         self.stalled = False
         self.stats = LinkStats()
@@ -154,6 +158,29 @@ class SimLink:
         """Absorb traffic without delivering (pre-crash sickness)."""
         self.stalled = True
 
+    def set_pathology(
+        self,
+        drop_probability: Optional[float] = None,
+        jitter: Optional[float] = None,
+    ) -> None:
+        """Override the ambient drop/jitter until :meth:`clear_pathology`;
+        a later override replaces this one, all-``None`` changes nothing."""
+        if drop_probability is not None or jitter is not None:
+            self._override = (drop_probability, jitter)
+
+    def clear_pathology(self) -> None:
+        self._override = None
+
+    def pathology(self) -> Tuple[float, float]:
+        """The ``(drop_probability, jitter)`` in force right now."""
+        if self._override is None:
+            return self.drop_probability, self.jitter
+        drop, jitter = self._override
+        return (
+            self.drop_probability if drop is None else drop,
+            self.jitter if jitter is None else jitter,
+        )
+
     # -- transmission --------------------------------------------------------
 
     def send(self, src_id: str, message: Any, size_bytes: int = 100) -> bool:
@@ -178,13 +205,14 @@ class SimLink:
             self.stats.dropped_stalled += 1
             self._m_dropped["stalled"].inc()
             return False
-        if self.drop_probability and self.scheduler.rng.random() < self.drop_probability:
+        drop, jitter = self.pathology()
+        if drop and self.scheduler.rng.random() < drop:
             self.stats.dropped_random += 1
             self._m_dropped["random"].inc()
             return True
         delay = self.latency
-        if self.jitter:
-            delay += self.scheduler.rng.uniform(0.0, self.jitter)
+        if jitter:
+            delay += self.scheduler.rng.uniform(0.0, jitter)
         if self.bandwidth_bps:
             serialization = size_bytes * 8.0 / self.bandwidth_bps
             start = max(self.scheduler.now, self._free_at[src_id])

@@ -363,6 +363,59 @@ class System(SubscribeMixin):
         self.publishers.append(client)
         return client
 
+    # -- fault verbs ---------------------------------------------------------
+    # The SystemFacade fault surface.  Each verb acts, then reports itself
+    # once to the hub — also when it changed nothing (a crash of a dead
+    # broker, a restart of a live one), so observers see every injection.
+
+    def _report_fault(self, kind: str, target: str) -> None:
+        self.obs.report_fault(self.scheduler.now, kind, target)
+
+    def crash_broker(self, broker_id: str) -> None:
+        self.brokers[broker_id].crash()
+        self._report_fault("crash", broker_id)
+
+    def restart_broker(self, broker_id: str) -> None:
+        self.brokers[broker_id].restart()
+        self._report_fault("restart", broker_id)
+
+    def fail_link(self, a: str, b: str) -> None:
+        self.network.link(a, b).fail()
+        self._report_fault("fail_link", f"{a}-{b}")
+
+    def recover_link(self, a: str, b: str) -> None:
+        self.network.link(a, b).recover()
+        self._report_fault("recover_link", f"{a}-{b}")
+
+    def set_link_pathology(
+        self,
+        a: str,
+        b: str,
+        *,
+        drop_probability: Optional[float] = None,
+        jitter: Optional[float] = None,
+        corrupt_probability: Optional[float] = None,
+    ) -> None:
+        """Override the link's ambient drop/jitter (``None`` keeps it).
+
+        A simulated message has no byte encoding to damage: the
+        observable effect of corruption is detect-and-discard at the
+        receiver, which *is* a drop, so ``corrupt_probability`` folds into
+        the drop override (the asyncio runtime corrupts for real and
+        counts the checksum rejects)."""
+        if corrupt_probability is not None and drop_probability is not None:
+            drop_probability = 1.0 - (1.0 - drop_probability) * (
+                1.0 - corrupt_probability
+            )
+        elif corrupt_probability is not None:
+            drop_probability = corrupt_probability
+        self.network.link(a, b).set_pathology(drop_probability, jitter)
+        self._report_fault("set_link_pathology", f"{a}-{b}")
+
+    def clear_link_pathology(self, a: str, b: str) -> None:
+        self.network.link(a, b).clear_pathology()
+        self._report_fault("clear_link_pathology", f"{a}-{b}")
+
     # -- running --------------------------------------------------------------
 
     def start(self) -> None:

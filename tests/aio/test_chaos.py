@@ -1,8 +1,8 @@
 """The seeded real-time chaos harness (acceptance tests for PR 7).
 
 The headline scenario: FileLog-backed pubends over real TCP, a seeded
-schedule that kills and restarts the publisher-hosting broker mid-stream
-and severs/heals a link — and the ``repro.check``-style offline verdict
+schedule that crashes and restarts the publisher-hosting broker mid-stream
+and fails/recovers a link — and the ``repro.check``-style offline verdict
 must still be exactly-once with zero missing deliveries, with recovery
 needing no manual intervention beyond the scheduled heal/restart.
 """
@@ -22,10 +22,10 @@ class TestSchedule:
         for seed in range(10):
             actions = chaos_schedule(seed, 2.0)
             kinds = {(a.kind, a.target) for a in actions}
-            assert ("kill", "b0") in kinds
-            assert ("restart", "b0") in kinds
-            assert any(k == "sever" for k, __ in kinds)
-            assert any(k == "heal" for k, __ in kinds)
+            assert ("crash_broker", ("b0",)) in kinds
+            assert ("restart_broker", ("b0",)) in kinds
+            assert any(k == "fail_link" for k, __ in kinds)
+            assert any(k == "recover_link" for k, __ in kinds)
 
     def test_every_outage_closes_inside_the_fault_window(self):
         for seed in range(10):
@@ -33,7 +33,7 @@ class TestSchedule:
             assert actions == sorted(actions, key=lambda a: a.t)
             open_faults = {}
             for action in actions:
-                if action.kind in ("kill", "sever"):
+                if action.kind in ("crash_broker", "fail_link"):
                     open_faults[action.target] = action
                 else:
                     assert action.target in open_faults
@@ -57,16 +57,18 @@ class TestSchedule:
                     ("corrupt-log", "corrupt-wire", "disk-full")] == list(base)
             by_kind = {a.kind: a for a in actions}
             kill = next(
-                a.t for a in actions if a.kind == "kill" and a.target == "b0"
+                a.t for a in actions
+                if a.kind == "crash_broker" and a.target == ("b0",)
             )
             restart = next(
-                a.t for a in actions if a.kind == "restart" and a.target == "b0"
+                a.t for a in actions
+                if a.kind == "restart_broker" and a.target == ("b0",)
             )
             # Log corruption lands while b0 is down (its logs are closed;
             # every record it damages was delivered long before).
             assert kill < by_kind["corrupt-log"].t < restart
-            assert by_kind["corrupt-log"].target == "b0"
-            assert by_kind["corrupt-wire"].target == "wire"
+            assert by_kind["corrupt-log"].target == ("b0",)
+            assert by_kind["corrupt-wire"].target == ("wire",)
             # Disk-full fires after every outage has healed (0.8×duration
             # vs the 0.72×duration fault-window close).
             assert by_kind["disk-full"].t == pytest.approx(0.8 * 2.0)
@@ -85,17 +87,19 @@ class TestChaosRuns:
         assert report.published > 20, "run carried too little traffic"
         assert report.reports["sub0"].missing == []
         assert report.reports["sub0"].unexpected == []
-        assert ("kill", "b0") in {(a.kind, a.target) for a in report.actions}
+        assert ("crash_broker", ("b0",)) in {
+            (a.kind, a.target) for a in report.actions
+        }
         assert report.counters["broker_restarts"] >= 1
 
     @pytest.mark.slow
     def test_severed_link_heals_without_intervention(self):
-        # Seed 2's schedule severs b0|b1 before any crash (see the
+        # Seed 2's schedule fails b0-b1 before any crash (see the
         # deterministic schedule); the supervised transport must carry
         # the backlog through after the heal.
         report = run_chaos(seed=2, duration=1.5, transport="tcp")
         assert report.ok, report.render()
-        assert any(a.kind == "sever" for a in report.actions)
+        assert any(a.kind == "fail_link" for a in report.actions)
 
     @pytest.mark.slow
     def test_local_transport_profile(self):

@@ -2,8 +2,9 @@
 
 Pins the API-convergence contract: the simulator's ``System`` and the
 real-time ``AioSystem`` expose the same public surface (subscribe /
-publisher / host_pubend / obs), accept the same predicate forms, return
-elapsed time from ``run_for``, and take ``total_order`` by keyword only.
+publisher / host_pubend / obs / the six fault verbs), accept the same
+predicate forms, return elapsed time from ``run_for``, and take
+``total_order`` by keyword only.
 """
 
 import asyncio
@@ -13,12 +14,18 @@ import os
 import pytest
 
 from repro.aio.runtime import AioSystem
+from repro.baselines.best_effort import BestEffortBroker
 from repro.client import DeliveryChecker
 from repro.core.config import LivenessParams
 from repro.facade import SystemFacade
 from repro.matching.parser import parse
 from repro.storage.log import FileLog, MemoryLog
 from repro.topology import two_broker_topology
+
+FAULT_VERBS = (
+    "crash_broker", "restart_broker", "fail_link", "recover_link",
+    "set_link_pathology", "clear_link_pathology",
+)
 
 FAST = LivenessParams(gct=0.05, nrt_min=0.1, aet=1.0, dct=math.inf,
                       silence_interval=0.1, link_status_interval=0.1,
@@ -48,6 +55,23 @@ class TestProtocol:
                 await system.shutdown()
 
         assert asyncio.run(scenario())
+
+    def test_the_facade_declares_the_fault_verbs(self):
+        for verb in FAULT_VERBS:
+            assert callable(getattr(SystemFacade, verb))
+            assert callable(getattr(sim_system(), verb))
+            assert callable(getattr(AioSystem, verb))
+
+    def test_a_baseline_system_satisfies_the_facade_and_its_verbs_report(self):
+        # Baseline brokers are not BrokerHosts and report nothing
+        # themselves: the verb on the system is what reaches the hub.
+        system = gd_topology().build(seed=1, broker_factory=BestEffortBroker)
+        assert isinstance(system, SystemFacade)
+        system.crash_broker("phb")
+        system.restart_broker("phb")
+        assert [(e.kind, e.target) for e in system.obs.fault_events] == [
+            ("crash", "phb"), ("restart", "phb"),
+        ]
 
 
 class TestKeywordOnly:

@@ -48,7 +48,7 @@ def test_figure3_with_crash_over_asyncio():
             publisher.start()
         await system.run_for(0.4)
         # Crash an intermediate broker mid-run, restart shortly after.
-        await system.kill_broker("b1")
+        await system.crash_broker("b1")
         await system.run_for(0.3)
         await system.restart_broker("b1")
         await system.run_for(0.5)

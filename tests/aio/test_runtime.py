@@ -3,6 +3,8 @@
 import asyncio
 import math
 
+import pytest
+
 from repro.aio.runtime import AioSystem
 from repro.aio.transport import LocalTransport, TcpTransport
 from repro.client import DeliveryChecker
@@ -116,7 +118,7 @@ class TestLocalTransport:
             publisher = system.publisher("P0", rate=100.0)
             publisher.start()
             await system.run_for(0.3)
-            await system.kill_broker("phb")
+            await system.crash_broker("phb")
             await system.run_for(0.3)  # publishes fail while down
             await system.restart_broker("phb")
             await system.run_for(0.5)
@@ -128,6 +130,43 @@ class TestLocalTransport:
         report, publisher = asyncio.run(scenario())
         assert publisher.failed_attempts > 0
         assert report.exactly_once
+
+    def test_a_partial_pathology_override_keeps_the_other_ambient_values(self):
+        wire = LocalTransport(
+            drop_probability=0.1, jitter=0.002, corrupt_probability=0.05
+        )
+        ambient = (0.1, 0.002, 0.05)
+        wire.set_pathology("phb", "shb", jitter=0.03)
+        assert wire.pathology("shb", "phb") == (0.1, 0.03, 0.05)
+        wire.set_pathology("phb", "shb", drop_probability=0.5)  # replaces it
+        assert wire.pathology("phb", "shb") == (0.5, 0.002, 0.05)
+        wire.set_pathology("phb", "shb")  # nothing to set: not a clear
+        assert wire.pathology("phb", "shb") == (0.5, 0.002, 0.05)
+        wire.set_pathology("phb", "shb", drop_probability=0.0)  # 0 is a value
+        assert wire.pathology("phb", "shb") == (0.0, 0.002, 0.05)
+        assert wire.pathology("phb", "other") == ambient
+        wire.clear_pathology("shb", "phb")
+        assert wire.pathology("phb", "shb") == ambient
+
+    def test_pathology_verbs_report_and_tcp_refuses_them(self):
+        async def scenario(transport):
+            system = AioSystem(gd_topology(), params=FAST, transport=transport)
+            await system.start()
+            try:
+                system.set_link_pathology("phb", "shb", drop_probability=0.5)
+                system.clear_link_pathology("phb", "shb")
+            finally:
+                await system.shutdown()
+            return [(e.kind, e.target) for e in system.obs.fault_events]
+
+        assert asyncio.run(scenario(LocalTransport())) == [
+            ("set_link_pathology", "phb-shb"),
+            ("clear_link_pathology", "phb-shb"),
+        ]
+        # Nothing can be injected below a reliable stream: refuse loudly
+        # rather than report a fault that was not applied.
+        with pytest.raises(NotImplementedError, match="TcpTransport"):
+            asyncio.run(scenario(TcpTransport()))
 
 
 class TestSubscriptionPropagationOverAio:

@@ -405,7 +405,7 @@ class TestExactlyOnceUnderBatching:
             for publisher in publishers:
                 publisher.start()
             await asyncio.sleep(0.3)
-            await system.kill_broker("b1")  # partial batches die with it
+            await system.crash_broker("b1")  # partial batches die with it
             await asyncio.sleep(0.25)
             await system.restart_broker("b1")
             await asyncio.sleep(0.45)

@@ -12,6 +12,7 @@ a failed attempt).
 """
 
 import asyncio
+import inspect
 import math
 
 import pytest
@@ -20,7 +21,6 @@ from repro.aio.runtime import AioSystem
 from repro.broker import BrokerHost
 from repro.core.config import LivenessParams
 from repro.facade import SystemFacade
-from repro.faults.injector import FaultInjector
 from repro.obs.lifecycle import LifecycleRecorder
 from repro.storage.log import FileLog, MemoryLog
 from repro.topology import two_broker_topology
@@ -38,8 +38,9 @@ def gd_topology():
 
 
 class Deployment:
-    """One two-broker system on either backend, with the backend's own
-    way of killing and restarting a broker behind two coroutines."""
+    """One two-broker system on either backend.  Killing and restarting a
+    broker is the same :class:`SystemFacade` verb on both; only whether
+    its result needs awaiting differs."""
 
     def __init__(self, backend, data_dir=None):
         self.backend = backend
@@ -50,7 +51,6 @@ class Deployment:
             self.system = gd_topology().build(
                 seed=1, params=FAST, log_factory=log_factory
             )
-            self.injector = FaultInjector(self.system)
         else:
             self.system = AioSystem(
                 gd_topology(),
@@ -68,16 +68,14 @@ class Deployment:
             await self.system.start()
 
     async def kill(self, broker_id):
-        if self.backend == "sim":
-            self.injector.crash_broker(broker_id)
-        else:
-            await self.system.kill_broker(broker_id)
+        result = self.system.crash_broker(broker_id)
+        if inspect.isawaitable(result):
+            await result
 
     async def restart(self, broker_id):
-        if self.backend == "sim":
-            self.injector.restart_broker(broker_id)
-        else:
-            await self.system.restart_broker(broker_id)
+        result = self.system.restart_broker(broker_id)
+        if inspect.isawaitable(result):
+            await result
 
     async def close(self):
         if self.backend == "aio":

@@ -287,6 +287,28 @@ class TestDifferentialRuns:
         assert result.sim.attempts == result.aio.attempts
         assert not result.aio.mutated
 
+    def test_both_legs_run_the_fault_schedule_over_tcp(self):
+        """Crashes and link outages are system verbs, so the aio leg
+        applies them over TcpTransport too (only bursts are stripped)."""
+        scenario = tiny_scenario(
+            publish_until=2.0,
+            drain_until=6.0,
+            faults=(
+                FaultSpec(kind="crash", target=("phb",), at=0.6, duration=0.4),
+                FaultSpec(kind="drop_burst", target=("phb", "shb"), at=0.5,
+                          duration=0.5, intensity=0.5),
+                FaultSpec(kind="link_fail", target=("phb", "shb"), at=1.2,
+                          duration=0.3),
+            ),
+        )
+        result = run_conformance(scenario, transport="tcp")
+        assert result.ok, result.divergences
+        assert result.aio.faults == [
+            ("crash", "phb"), ("restart", "phb"),
+            ("fail_link", "phb-shb"), ("recover_link", "phb-shb"),
+        ]
+        assert result.sim.faults == result.aio.faults
+
     def test_suppressed_retransmissions_are_detected(self, tmp_path):
         """The self-test: with retransmissions deliberately suppressed in
         the aio path and a lossy wire, the aio stack must lose matching

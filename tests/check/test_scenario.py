@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.aio.runtime import AioSystem
 from repro.check import (
     FORMAT,
     FaultSpec,
@@ -10,6 +13,8 @@ from repro.check import (
     generate,
     scenario_seed,
 )
+from repro.faults.injector import FaultInjector
+from repro.topology import System
 
 SEEDS = [scenario_seed(7, i) for i in range(20)]
 
@@ -93,3 +98,150 @@ class TestSerialization:
         scenario = generate(SEEDS[0]).with_(faults=(fault,))
         again = Scenario.from_json(scenario.to_json())
         assert again.faults == (fault,)
+
+
+# ---------------------------------------------------------------------------
+# FaultSpec.steps: the one translation from fault kinds to timed verbs
+# ---------------------------------------------------------------------------
+
+BROKER, LINK = ("m0",), ("m0", "shb")
+
+#: kind -> (spec, steps() on the simulator, steps(stall=False) elsewhere),
+#: steps as (t, verb, kwargs); args are always the spec's target.
+#: at=1.0, stall=0.5 (stall kinds only), duration=2.0.
+STEP_TABLE = {
+    "crash": (
+        FaultSpec("crash", BROKER, at=1.0, duration=2.0),
+        [(1.0, "crash_broker", {}), (3.0, "restart_broker", {})],
+        [(1.0, "crash_broker", {}), (3.0, "restart_broker", {})],
+    ),
+    "stall_crash": (
+        FaultSpec("stall_crash", BROKER, at=1.0, duration=2.0, stall=0.5),
+        [
+            (1.0, "stall_broker", {}),
+            (1.5, "unstall_broker", {}),
+            (1.5, "crash_broker", {}),
+            (3.5, "restart_broker", {}),
+        ],
+        [(1.0, "crash_broker", {}), (3.5, "restart_broker", {})],
+    ),
+    "stall_restart": (
+        FaultSpec("stall_restart", BROKER, at=1.0, duration=2.0),
+        [(1.0, "stall_broker", {}), (3.0, "restart_broker", {})],
+        [(1.0, "crash_broker", {}), (3.0, "restart_broker", {})],
+    ),
+    "link_fail": (
+        FaultSpec("link_fail", LINK, at=1.0, duration=2.0),
+        [(1.0, "fail_link", {}), (3.0, "recover_link", {})],
+        [(1.0, "fail_link", {}), (3.0, "recover_link", {})],
+    ),
+    "stall_link_fail": (
+        FaultSpec("stall_link_fail", LINK, at=1.0, duration=2.0, stall=0.5),
+        [
+            (1.0, "stall_link", {}),
+            (1.5, "fail_link", {}),
+            (3.5, "recover_link", {}),
+        ],
+        [(1.0, "fail_link", {}), (3.5, "recover_link", {})],
+    ),
+    "drop_burst": (
+        FaultSpec("drop_burst", LINK, at=1.0, duration=2.0, intensity=0.4),
+        [
+            (1.0, "set_link_pathology", {"drop_probability": 0.4}),
+            (3.0, "clear_link_pathology", {}),
+        ],
+    ),
+    "reorder_burst": (
+        FaultSpec("reorder_burst", LINK, at=1.0, duration=2.0, intensity=0.02),
+        [
+            (1.0, "set_link_pathology", {"jitter": 0.02}),
+            (3.0, "clear_link_pathology", {}),
+        ],
+    ),
+    "corrupt_burst": (
+        FaultSpec("corrupt_burst", LINK, at=1.0, duration=2.0, intensity=0.3),
+        [
+            (1.0, "set_link_pathology", {"corrupt_probability": 0.3}),
+            (3.0, "clear_link_pathology", {}),
+        ],
+    ),
+}
+
+#: Each opening verb and the verb that must close it later.
+CLOSES = {
+    "crash_broker": "restart_broker",
+    "stall_broker": "restart_broker",
+    "fail_link": "recover_link",
+    "stall_link": "recover_link",
+    "set_link_pathology": "clear_link_pathology",
+}
+
+
+def table_case(kind):
+    spec, with_stall, *rest = STEP_TABLE[kind]
+    # Bursts never stall: both expansions are the same list.
+    return spec, with_stall, (rest[0] if rest else with_stall)
+
+
+class TestFaultSteps:
+    def test_the_table_covers_every_generated_kind(self):
+        generated = {
+            fault.kind
+            for i in range(200)
+            for fault in generate(scenario_seed(0, i)).faults
+        }
+        assert generated == set(STEP_TABLE)
+
+    @pytest.mark.parametrize("kind", sorted(STEP_TABLE))
+    def test_each_kind_expands_to_the_expected_verbs(self, kind):
+        spec, with_stall, without_stall = table_case(kind)
+        for steps, expected in (
+            (spec.steps(), with_stall),
+            (spec.steps(stall=False), without_stall),
+        ):
+            assert [(t, verb, kw) for t, verb, __, kw in steps] == [
+                (pytest.approx(t), verb, kw) for t, verb, kw in expected
+            ]
+            assert all(args == spec.target for __, ___, args, ____ in steps)
+
+    @pytest.mark.parametrize("kind", sorted(STEP_TABLE))
+    def test_every_verb_exists_on_its_executors_target(self, kind):
+        spec = table_case(kind)[0]
+        for __, verb, ___, ____ in spec.steps():
+            assert callable(getattr(FaultInjector, verb))
+        for __, verb, ___, ____ in spec.steps(stall=False):
+            assert callable(getattr(AioSystem, verb))
+            assert callable(getattr(System, verb))
+
+    @pytest.mark.parametrize("stall", [True, False])
+    @pytest.mark.parametrize("kind", sorted(STEP_TABLE))
+    def test_every_schedule_is_balanced(self, kind, stall):
+        steps = table_case(kind)[0].steps(stall=stall)
+        assert steps == sorted(steps, key=lambda step: step[0])
+        for i, (__, verb, args, ___) in enumerate(steps):
+            if verb in CLOSES:
+                assert any(
+                    later == CLOSES[verb] and later_args == args
+                    for __, later, later_args, ___ in steps[i + 1:]
+                ), f"{verb}{args} is never closed"
+
+    def test_time_scale_scales_times_and_the_jitter_but_no_probability(self):
+        spec, *__ = table_case("reorder_burst")
+        (t0, __, ___, on), (t1, *____) = spec.steps(stall=False, time_scale=0.5)
+        assert (t0, t1, on) == (0.5, 1.5, {"jitter": pytest.approx(0.01)})
+        spec, *__ = table_case("drop_burst")
+        assert spec.steps(time_scale=0.5)[0][3] == {"drop_probability": 0.4}
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultSpec("meteor", BROKER, at=1.0, duration=1.0).steps()
+
+    def test_scenario_fault_steps_merges_in_time_order(self):
+        scenario = Scenario(
+            seed=1,
+            topology="chain",
+            faults=(STEP_TABLE["stall_crash"][0], STEP_TABLE["drop_burst"][0]),
+        )
+        steps = scenario.fault_steps()
+        assert [t for t, *__ in steps] == sorted(t for t, *__ in steps)
+        assert len(steps) == 6

@@ -6,7 +6,7 @@ counter (labelled by fault kind) and the structured
 :class:`~repro.obs.observability.FaultEvent` list — so fault activity
 lands in the same snapshot as the protocol counters it perturbs.  Kinds
 are the hub's: a broker crash is ``crash`` / ``restart`` (emitted by the
-broker host), whoever asked for it.
+system's fault verb), whoever asked for it.
 """
 
 from repro.core.config import LivenessParams

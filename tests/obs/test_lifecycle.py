@@ -5,24 +5,26 @@ Every observer — the nack series of ``system.metrics``, the flat
 the conformance :class:`~repro.obs.lifecycle.LifecycleRecorder` — is a
 :class:`~repro.obs.lifecycle.LifecycleListener` on ``system.obs.lifecycle``
 and takes its time from the hook, so one canned run (20% loss, a link
-outage, an intermediate-broker restart) must populate all of them on the
-simulator *and* on the asyncio runtime, through
-:class:`~repro.facade.SystemFacade` only.
+outage, a loss burst, an intermediate-broker restart) must populate all
+of them on the simulator *and* on the asyncio runtime, through
+:class:`~repro.facade.SystemFacade` only — the fault script is one list
+of timed facade verbs, applied by each clock's schedule executor.
 """
 
 import asyncio
 import collections
+import functools
 import inspect
 import math
 
 import pytest
 
 from repro.aio.chaos import chain_topology
-from repro.aio.runtime import AioSystem
+from repro.aio.runtime import AioSystem, run_schedule
 from repro.aio.transport import LocalTransport
+from repro.check.runner import schedule_steps
 from repro.core.config import LivenessParams
 from repro.facade import SystemFacade
-from repro.faults.injector import FaultInjector
 from repro.obs.lifecycle import LifecycleHub, LifecycleListener, LifecycleRecorder
 from repro.obs.trace import Tracer
 
@@ -81,15 +83,26 @@ class TestHubDispatch:
 # ---------------------------------------------------------------------------
 
 
+#: The fault script of the canned run: timed SystemFacade verbs.
+SCRIPT = [
+    (0.25, "fail_link", ("b1", "b2"), {}),
+    (0.40, "recover_link", ("b1", "b2"), {}),
+    (0.45, "set_link_pathology", ("b0", "b1"), {"drop_probability": 0.5}),
+    (0.50, "clear_link_pathology", ("b0", "b1"), {}),
+    (0.55, "crash_broker", ("b1",), {}),
+    (0.65, "restart_broker", ("b1",), {}),
+]
+
+
 async def canned_run(backend):
-    """b0 — b1 — b2 with 20% loss; P0 publishes 80 messages while the
-    b1–b2 link goes down and comes back and b1 is killed and restarted;
-    P1 stays idle (silence).  Returns what the observers saw."""
+    """b0 — b1 — b2 with 20% loss; P0 publishes 80 messages while SCRIPT
+    takes the b1–b2 link down and up, bursts loss on b0–b1 and kills and
+    restarts b1; P1 stays idle (silence).  Returns what the observers
+    saw."""
     if backend == "sim":
         system = chain_topology().build(seed=5, params=FAST, log_commit_latency=0.0)
         for a, b in (("b0", "b1"), ("b1", "b2")):
             system.network.link(a, b).drop_probability = 0.2
-        injector = FaultInjector(system)
         system.start()
     else:
         system = AioSystem(
@@ -105,14 +118,6 @@ async def canned_run(backend):
         if inspect.isawaitable(result):
             await result
 
-    async def act(sim_action, aio_action, *args):
-        if backend == "sim":
-            getattr(injector, sim_action)(*args)
-        else:
-            result = getattr(system, aio_action)(*args)
-            if inspect.isawaitable(result):
-                await result
-
     tracer = Tracer(system).install()
     recorder = LifecycleRecorder()
     everything, fired = recording_listener()
@@ -125,14 +130,11 @@ async def canned_run(backend):
     else:
         publisher.start()
     try:
-        await run_for(0.25)
-        await act("fail_link", "sever_link", "b1", "b2")
-        await run_for(0.15)
-        await act("recover_link", "heal_link", "b1", "b2")
-        await run_for(0.15)
-        await act("crash_broker", "kill_broker", "b1")
-        await run_for(0.1)
-        await act("restart_broker", "restart_broker", "b1")
+        if backend == "sim":
+            schedule_steps(system.scheduler, system, SCRIPT)
+            await run_for(SCRIPT[-1][0])
+        else:
+            await run_schedule(system, SCRIPT, asyncio.get_running_loop().time())
         for __ in range(100):  # settle: loss and outages are all repaired
             await run_for(0.1)
             if publisher.done and client.count() == len(publisher.published):
@@ -153,7 +155,7 @@ async def canned_run(backend):
             "fault_events": [(e.kind, e.target) for e in system.obs.fault_events],
             "fault_counter": {
                 kind: instruments.get("repro_faults_injected_total", kind=kind).value
-                for kind in ("fail_link", "recover_link", "crash", "restart")
+                for kind, __ in FAULTS
             },
             "recorder_faults": list(recorder.faults),
             "fired": fired,
@@ -163,17 +165,25 @@ async def canned_run(backend):
             await system.shutdown()
 
 
-@pytest.fixture(scope="module", params=["sim", "aio"])
-def observed(request):
-    out = asyncio.run(canned_run(request.param))
-    out["backend"] = request.param
+@functools.lru_cache(maxsize=None)
+def observed_on(backend):
+    out = asyncio.run(canned_run(backend))
+    out["backend"] = backend
     assert out["published"] == 80 and out["delivered"] == 80  # exactly once
     return out
 
 
+@pytest.fixture(params=["sim", "aio"])
+def observed(request):
+    return observed_on(request.param)
+
+
+#: What SCRIPT must look like on the hub, on either backend.
 FAULTS = [
     ("fail_link", "b1-b2"),
     ("recover_link", "b1-b2"),
+    ("set_link_pathology", "b0-b1"),
+    ("clear_link_pathology", "b0-b1"),
     ("crash", "b1"),
     ("restart", "b1"),
 ]
@@ -210,6 +220,9 @@ class TestListenersOnBothBackends:
         assert observed["fault_events"] == FAULTS
         assert observed["fault_counter"] == {kind: 1 for kind, __ in FAULTS}
         assert observed["recorder_faults"] == FAULTS
+
+    def test_both_backends_report_the_same_fault_sequence(self):
+        assert observed_on("sim")["fault_events"] == observed_on("aio")["fault_events"]
 
     def test_every_hook_fires_except_the_one_sided_ones(self, observed):
         fired = {name for name, n in observed["fired"].items() if n > 0}

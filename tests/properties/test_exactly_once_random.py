@@ -21,7 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import FaultInjector, LivenessParams
-from repro.check import OracleSuite
+from repro.check import FaultSpec, OracleSuite
+from repro.check.runner import schedule_steps
 from repro.topology import (
     balanced_pubend_names,
     figure3_topology,
@@ -39,37 +40,32 @@ LINK_PATHOLOGY = {
     "lossy-reordering": (0.05, 0.015),
 }
 
+#: (kind, target, share of the fault's window spent stalled first).
 fault_specs = st.lists(
-    st.tuples(
+    st.builds(
+        lambda shape, start, window: FaultSpec(
+            kind=shape[0],
+            target=shape[1],
+            at=start,
+            stall=window * shape[2],
+            duration=window * (1.0 - shape[2]),
+        ),
         st.sampled_from(
             [
-                ("link", "b1", "s1"),
-                ("link", "b2", "s1"),
-                ("link", "p1", "b1"),
-                ("stall_link", "b1", "s1"),
-                ("crash", "b1", None),
-                ("crash", "b2", None),
-                ("crash", "p1", None),
+                ("link_fail", ("b1", "s1"), 0.0),
+                ("link_fail", ("b2", "s1"), 0.0),
+                ("link_fail", ("p1", "b1"), 0.0),
+                ("stall_link_fail", ("b1", "s1"), 0.5),
+                ("crash", ("b1",), 0.0),
+                ("crash", ("b2",), 0.0),
+                ("crash", ("p1",), 0.0),
             ]
         ),
         st.floats(1.0, 8.0),  # start time
-        st.floats(0.5, 4.0),  # duration
+        st.floats(0.5, 4.0),  # stall + outage window
     ),
     max_size=3,
 )
-
-
-def apply_fault(injector, spec, start, duration):
-    kind = spec[0]
-    if kind == "link":
-        injector.at(start, lambda: injector.fail_link(spec[1], spec[2]))
-        injector.at(start + duration, lambda: injector.recover_link(spec[1], spec[2]))
-    elif kind == "stall_link":
-        injector.at(start, lambda: injector.stall_link(spec[1], spec[2]))
-        injector.at(start + duration, lambda: injector.recover_link(spec[1], spec[2]))
-    else:
-        injector.at(start, lambda: injector.crash_broker(spec[1]))
-        injector.at(start + duration, lambda: injector.restart_broker(spec[1]))
 
 
 def set_pathology(system, pathology):
@@ -135,8 +131,8 @@ class TestRandomFaultSchedules:
             for link in system.network._links.values():
                 link.drop_probability = drop
         injector = FaultInjector(system)
-        for spec, start, duration in faults:
-            apply_fault(injector, spec, start, duration)
+        for fault in faults:
+            schedule_steps(system.scheduler, injector, fault.steps())
         # Quiescent drain: all faults healed by t=12; liveness must finish.
         run_and_judge(system, pubs, publish_until=12.0, drain_until=32.0)
 

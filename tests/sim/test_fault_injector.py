@@ -7,6 +7,9 @@ traffic.  The orderings stall->restart and stall->unstall->crash are the
 two ways a script can leave stall bookkeeping behind.
 """
 
+from repro.aio.transport import LocalTransport
+from repro.check import FaultSpec
+from repro.check.runner import schedule_steps
 from repro.core.config import LivenessParams
 from repro.core.ticks import tick_of_time
 from repro.faults.injector import FaultInjector
@@ -109,3 +112,66 @@ class TestFaultLogTimestamps:
         # The human-readable log carries the same clock, same order.
         assert injector.log[0].startswith("t=0.250 ")
         assert injector.log[1].startswith("t=1.750 ")
+
+
+class TestLinkPathologyOverride:
+    """One model on both substrates: ambient values plus at most one
+    override per link; ``clear`` restores ambient, whatever came before."""
+
+    AMBIENT = (0.02, 0.001)
+    #: Two overlapping bursts on phb-shb: 1.0-3.0 s at p=0.5, 2.0-4.0 s
+    #: at p=0.3 (the saved-value closures this replaced ended at 0.5).
+    BURSTS = (
+        FaultSpec("drop_burst", ("phb", "shb"), at=1.0, duration=2.0, intensity=0.5),
+        FaultSpec("drop_burst", ("phb", "shb"), at=2.0, duration=2.0, intensity=0.3),
+    )
+
+    def test_overlapping_bursts_end_at_the_ambient_values(self):
+        system = build_system()
+        link = system.network.link("phb", "shb")
+        link.drop_probability, link.jitter = self.AMBIENT
+        injector = FaultInjector(system)
+        for burst in self.BURSTS:
+            schedule_steps(system.scheduler, injector, burst.steps())
+
+        # The same verbs in the same order on the asyncio runtime's wire
+        # (what AioSystem's two pathology verbs call).
+        wire = LocalTransport(drop_probability=0.02, jitter=0.001)
+        on_wire = {
+            "set_link_pathology": wire.set_pathology,
+            "clear_link_pathology": wire.clear_pathology,
+        }
+        aio_steps = sorted(
+            step for burst in self.BURSTS for step in burst.steps(stall=False)
+        )
+        seen = []
+        for t, verb, args, kwargs in aio_steps:
+            system.run_until(t + 0.5)
+            on_wire[verb](*args, **kwargs)
+            assert wire.pathology("phb", "shb")[:2] == link.pathology()
+            assert (link.drop_probability, link.jitter) == self.AMBIENT
+            seen.append(link.pathology()[0])
+        assert seen == [0.5, 0.3, 0.02, 0.02]
+
+        system.run_until(10.0)
+        assert link.pathology() == self.AMBIENT
+        assert [e.kind for e in injector.events] == [
+            "set_link_pathology", "set_link_pathology",
+            "clear_link_pathology", "clear_link_pathology",
+        ]
+        assert injector.log[0] == "t=1.000 link phb-shb pathology drop_probability=0.5"
+        assert injector.log[-1] == "t=4.000 link phb-shb pathology cleared"
+
+    def test_corruption_is_a_drop_on_the_simulator(self):
+        system = build_system()
+        link = system.network.link("phb", "shb")
+        system.set_link_pathology("phb", "shb", corrupt_probability=0.25)
+        assert link.pathology() == (0.25, 0.0)
+        system.set_link_pathology(
+            "phb", "shb", drop_probability=0.5, corrupt_probability=0.5
+        )
+        assert link.pathology() == (0.75, 0.0)
+        system.set_link_pathology("phb", "shb")  # nothing to set: no-op
+        assert link.pathology() == (0.75, 0.0)
+        system.clear_link_pathology("phb", "shb")
+        assert link.pathology() == (0.0, 0.0)
