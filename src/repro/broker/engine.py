@@ -39,7 +39,7 @@ import hashlib
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..core.config import LivenessParams
-from ..core.lattice import C, K
+from ..core.lattice import K
 from ..core.messages import (
     AckExpectedMessage,
     AckMessage,
@@ -84,9 +84,15 @@ def stable_hash(text: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _is_final(value: K) -> bool:
-    """Module-level predicate: no per-call closure on the send hot path."""
-    return value == K.F
+def _ingest_data(ist: IStream, data_ticks: Tuple[DataTick, ...]) -> None:
+    """Accumulate data ticks into the istream; a data arrival satisfies
+    istream curiosity for its tick."""
+    stream = ist.stream
+    for data in data_ticks:
+        stream.accumulate_data(data.tick, data.payload)
+    if stream.curiosity.run_count():
+        for data in data_ticks:
+            stream.curiosity.clear_curious(TickRange.single(data.tick))
 
 
 def _payload_size(payload: Any) -> int:
@@ -450,11 +456,7 @@ class GDBrokerEngine:
 
         for rng in message.merged_f_ranges():
             ist.stream.accumulate_final(rng)
-        for data in message.data:
-            ist.stream.accumulate_data(data.tick, data.payload)
-            # A data arrival satisfies istream curiosity for its tick.
-            if ist.stream.curiosity.value_at(data.tick) == C.C:
-                ist.stream.curiosity.clear_curious(TickRange.single(data.tick))
+        _ingest_data(ist, message.data)
 
         if self.lifecycle.listeners:
             self.lifecycle.knowledge_ingested(
@@ -497,11 +499,7 @@ class GDBrokerEngine:
             message.pubend in self.istreams
             or self.topo.routes.get(message.pubend) is not None
         ):
-            ist = self._ensure_streams(message.pubend)
-            for data in message.data:
-                ist.stream.accumulate_data(data.tick, data.payload)
-                if ist.stream.curiosity.value_at(data.tick) == C.C:
-                    ist.stream.curiosity.clear_curious(TickRange.single(data.tick))
+            _ingest_data(self._ensure_streams(message.pubend), message.data)
         if self.lifecycle.listeners:
             self.lifecycle.knowledge_ingested(
                 self.services.now(), self.topo.broker_id, src, message, relay=True
@@ -552,9 +550,9 @@ class GDBrokerEngine:
         allow_sideways: bool = True,
     ) -> None:
         # Capture the path's outstanding curiosity *before* accumulating:
-        # finality arriving for a curious tick auto-acks it locally
-        # (F <-> A), but the downstream still has to be told the answer.
-        curious = self._ostream_curiosity(ist, ost)
+        # finality arriving for a curious tick makes it anti-curious here
+        # (A is F), but the downstream still has to be told the answer.
+        curious = ost.stream.curiosity.curious_ranges()
         filtered = self._apply_path_filter(ost, message)
         for rng in filtered.merged_f_ranges():
             ost.stream.accumulate_final(rng)
@@ -638,7 +636,7 @@ class GDBrokerEngine:
         hi = knowledge.horizon()
         fin = knowledge.final_prefix()
         lo = min(ost.sent_watermark, hi)
-        f_runs = knowledge.ranges_with(_is_final, max(lo, fin), hi)
+        f_runs = knowledge.final_ranges(max(lo, fin), hi)
         data: List[DataTick] = []
         for tick in sorted(pending):
             # A pending tick may have been finalized meanwhile (acked via
@@ -713,7 +711,7 @@ class GDBrokerEngine:
         hi = filtered.max_tick()
         lo = min(ost.sent_watermark, hi)
         fin = ost.stream.knowledge.final_prefix()
-        f_runs = ost.stream.knowledge.ranges_with(_is_final, max(lo, fin), hi)
+        f_runs = ost.stream.knowledge.final_ranges(max(lo, fin), hi)
         out = KnowledgeMessage(
             pubend=ost.pubend,
             fin_prefix=fin,
@@ -730,7 +728,7 @@ class GDBrokerEngine:
         hi = filtered.max_tick()
         lo = min(ost.sent_watermark, hi)
         fin = ost.stream.knowledge.final_prefix()
-        f_runs = ost.stream.knowledge.ranges_with(_is_final, max(lo, fin), hi)
+        f_runs = ost.stream.knowledge.final_ranges(max(lo, fin), hi)
         if not f_runs and fin <= ost.sent_watermark:
             return None
         ost.sent_watermark = max(ost.sent_watermark, hi)
@@ -738,18 +736,11 @@ class GDBrokerEngine:
             pubend=ost.pubend, fin_prefix=fin, f_ranges=tuple(f_runs), data=()
         )
 
-    def _ostream_curiosity(self, ist: IStream, ost: OStream) -> List[TickRange]:
-        """The path's current C ranges (over the joint known span)."""
-        limit = max(ost.stream.knowledge.horizon(), ist.stream.knowledge.horizon())
-        if limit == 0:
-            return []
-        return ost.stream.curiosity.curious_ranges(TickRange(0, limit + 1))
-
     def _satisfy_ostream_curiosity(
         self, ist: IStream, ost: OStream, allow_sideways: bool = True
     ) -> None:
         self._answer_curiosity(
-            ist, ost, self._ostream_curiosity(ist, ost), allow_sideways
+            ist, ost, ost.stream.curiosity.curious_ranges(), allow_sideways
         )
 
     def _answer_curiosity(
@@ -780,9 +771,9 @@ class GDBrokerEngine:
                             ost.stream.accumulate_data(tick, None)
                         else:
                             ost.stream.accumulate_final(TickRange.single(tick))
-        # Collect what is now satisfiable.  F pieces were auto-acked by the
-        # F<->A linkage, so re-read the still-curious set for D ticks and
-        # compute the freshly finalized pieces directly.
+        # Collect what is now satisfiable.  F pieces are no longer curious
+        # (A is F), so read the requested ranges' knowledge directly: D
+        # ticks to resend and the finalized pieces to answer with silence.
         data: List[DataTick] = []
         f_ranges: List[TickRange] = []
         serviced: List[TickRange] = []
@@ -885,8 +876,8 @@ class GDBrokerEngine:
             for rng in nack.ranges:
                 ost.stream.set_curious(rng)
             # Answer over the *requested* ranges, not just the ticks that
-            # are still curious after the F <-> A linkage: ticks that are
-            # already final here are exactly the ones we can answer with
+            # set_curious marked: ticks that are already final here (A,
+            # never marked) are exactly the ones we can answer with
             # silence.
             self._answer_curiosity(ist, ost, list(nack.ranges))
             # Whatever is still curious on the path could not be satisfied

@@ -92,9 +92,10 @@ class OStream:
         self.pending_sideways: bool = True
 
     def ack_prefix(self) -> Tick:
-        """Ticks below this are anti-curious: acked by the downstream cell
-        or locally final (filtered data is immediately ackable)."""
-        return self.stream.curiosity.ack_prefix()
+        """Ticks below this are anti-curious, i.e. final in the path's
+        knowledge: acked by the downstream cell or locally final (filtered
+        data is immediately ackable)."""
+        return self.stream.knowledge.final_prefix()
 
 
 @dataclass(frozen=True)

@@ -222,7 +222,7 @@ class Pubend:
         self._m_log_truncated.inc(up_to - self.acked_up_to)
         self.acked_up_to = up_to
         self._m_acked_tick.set(float(up_to))
-        self.stream.finalize(TickRange(0, up_to))
+        self.stream.accumulate_final(TickRange(0, up_to))
         self.log.truncate(self.pubend_id, up_to)
         return True
 

@@ -11,15 +11,16 @@ together with the operational normalizations of section 3 of the paper:
   ("In the current algorithm, any S or D* tick is automatically lowered
   to F");
 * payloads of D ticks are stored out-of-band so runs coalesce;
-* a knowledge tick reaching ``F`` forces its curiosity to ``A``
-  (the F ⇔ A linkage is enforced by :class:`Stream`, which owns both maps);
+* anti-curiosity (``A``) is never stored: a tick is ``A`` exactly where
+  its knowledge is ``F``, so :class:`CuriosityStream` reads it off the
+  :class:`KnowledgeStream` it annotates and keeps only the ``C`` runs;
 * any stream except a pubend's may *forget* ranges (drop them to ``Q``),
   modelling soft state.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .intervals import IntervalMap
 from .lattice import C, K, k_lub
@@ -41,20 +42,16 @@ def _is_q(value: K) -> bool:
     return value == K.Q
 
 
+def _is_final(value: K) -> bool:
+    return value == K.F
+
+
 def _not_final(value: K) -> bool:
     return value != K.F
 
 
 def _is_curious(value: C) -> bool:
     return value == C.C
-
-
-def _is_acked(value: C) -> bool:
-    return value == C.A
-
-
-def _not_acked(value: C) -> bool:
-    return value != C.A
 
 
 def _is_neutral(value: C) -> bool:
@@ -71,8 +68,7 @@ class KnowledgeStream:
     The stream conceptually covers ``[0, inf)``; unmentioned ticks are ``Q``.
     All mutation goes through *accumulation* (monotone upward: lattice least
     upper bound, then lowered into {Q, D, F}) or *forgetting* (monotone
-    downward: drop to Q, or finalize D into F when its payload is no longer
-    needed).
+    downward: drop to Q).
     """
 
     __slots__ = ("_map", "_payloads")
@@ -118,7 +114,15 @@ class KnowledgeStream:
 
         These are the gaps whose persistence triggers curiosity (GCT).
         """
-        return self._map.ranges_with(_is_q, 0, self.horizon())
+        return self.q_ranges(0, self.horizon())
+
+    def q_ranges(self, lo: Tick, hi: Tick) -> List[TickRange]:
+        """Maximal Q sub-ranges of ``[lo, hi)`` (what a nack may ask for)."""
+        return self._map.ranges_with(_is_q, lo, hi)
+
+    def final_ranges(self, lo: Tick, hi: Tick) -> List[TickRange]:
+        """Maximal F sub-ranges of ``[lo, hi)`` (what silence may answer)."""
+        return self._map.ranges_with(_is_final, lo, hi)
 
     def runs(self) -> Iterator[Tuple[TickRange, K]]:
         """Stored non-Q runs, in order."""
@@ -219,12 +223,6 @@ class KnowledgeStream:
         self._payloads.clear()
         self._map = IntervalMap(K.Q)
 
-    def finalize(self, rng: TickRange) -> None:
-        """Lower D ticks in ``rng`` to F, dropping payloads (garbage
-        collection after acknowledgement).  Q ticks also become F: once a
-        range is acked no knowledge about it is needed."""
-        self.accumulate_final(rng)
-
     def check_invariants(self) -> None:
         self._map.check_invariants()
         for tick, __ in self._payloads.items():
@@ -236,40 +234,44 @@ class KnowledgeStream:
 
 
 class CuriosityStream:
-    """Per-tick curiosity.  Unmentioned ticks are neutral (``N``).
+    """Per-tick curiosity of the ticks of one :class:`KnowledgeStream`.
 
-    ``A`` (anti-curious) is absorbing: once a tick is acknowledged it can
-    never become curious again — the data was delivered (or finalized) and
-    will not be needed.  ``C`` overwrites ``N`` but not ``A``.
+    Only ``C`` runs are stored; unmentioned ticks are neutral (``N``).
+    ``A`` (anti-curious) is not a stored value but knowledge finality
+    read from this side — the paper's "a tick whose knowledge state
+    becomes F is assigned a curiosity of A and vice-versa" — so it is
+    absorbing exactly as long as the knowledge stays F: an acknowledged
+    tick can never become curious, the data was delivered (or finalized)
+    and will not be needed.
     """
 
-    __slots__ = ("_map",)
+    __slots__ = ("_map", "_knowledge")
 
-    def __init__(self) -> None:
+    def __init__(self, knowledge: KnowledgeStream) -> None:
+        self._knowledge = knowledge
         self._map: IntervalMap[C] = IntervalMap(C.N)
 
     def value_at(self, tick: Tick) -> C:
+        if self._knowledge.value_at(tick) == K.F:
+            return C.A
         return self._map.get(tick)
 
     def ack_prefix(self) -> Tick:
         """First tick that is not A; all ticks below it are acknowledged."""
-        first = self._map.first_with(_not_acked, 0)
-        if first is not None:
-            return first
-        span = self._map.span()
-        return span.stop if span is not None else 0
+        return self._knowledge.final_prefix()
 
     def set_ack(self, rng: TickRange) -> bool:
-        """Mark ``rng`` anti-curious.  Returns True when anything changed."""
-        changed = self._map.first_with(_not_acked, rng.start, rng.stop)
-        if changed is None:
-            return False
-        self._map.set_range(rng, C.A)
-        return True
+        """Acknowledge ``rng``: knowledge finalized (D -> F, payloads
+        dropped — this is the soft-state garbage collection; Q -> F too,
+        once a range is acked no knowledge about it is needed) and any
+        curiosity about it dropped.  Returns True when anything changed."""
+        if self._map:
+            self._map.clear_range(rng)
+        return self._knowledge.accumulate_final(rng)
 
     def set_curious(self, rng: TickRange) -> List[TickRange]:
         """Mark the not-yet-acknowledged, not-yet-curious parts of ``rng``
-        curious.
+        curious; ticks already final are never nacked upstream.
 
         Returns the sub-ranges that actually transitioned (N -> C).  The
         caller uses a non-empty return to decide whether an upstream nack is
@@ -277,28 +279,36 @@ class CuriosityStream:
         nack message is propagated upstream only if some C tick accumulated
         in istream was not already C".
         """
-        fresh = self._map.ranges_with(_is_neutral, rng.start, rng.stop)
+        fresh: List[TickRange] = []
+        for piece in self.unacked_ranges(rng):
+            fresh.extend(self._map.ranges_with(_is_neutral, piece.start, piece.stop))
         for piece in fresh:
             self._map.set_range(piece, C.C)
         return fresh
 
-    def curious_ranges(self, rng: TickRange) -> List[TickRange]:
-        """Sub-ranges of ``rng`` currently marked C."""
+    def curious_ranges(self, rng: Optional[TickRange] = None) -> List[TickRange]:
+        """Sub-ranges of ``rng`` (default: of the whole stream) currently
+        marked C.  With nothing curious — the failure-free case — there is
+        nothing to scan."""
+        if rng is None:
+            rng = self._map.span()
+            if rng is None:
+                return []
         return self._map.ranges_with(_is_curious, rng.start, rng.stop)
 
     def acked_ranges(self, rng: TickRange) -> List[TickRange]:
-        """Sub-ranges of ``rng`` currently marked A."""
-        return self._map.ranges_with(_is_acked, rng.start, rng.stop)
+        """Sub-ranges of ``rng`` that are A (knowledge F)."""
+        return self._knowledge.final_ranges(rng.start, rng.stop)
 
     def unacked_ranges(self, rng: TickRange) -> List[TickRange]:
-        """Sub-ranges of ``rng`` not marked A (i.e. N or C)."""
-        return self._map.ranges_with(_not_acked, rng.start, rng.stop)
+        """Sub-ranges of ``rng`` that are not A (i.e. N or C)."""
+        return self._knowledge.ranges_with(_not_final, rng.start, rng.stop)
 
     def clear_curious(self, rng: TickRange) -> None:
         """Lower C ticks in ``rng`` back to N (curiosity serviced; the
         downstream will re-nack if the answer is lost)."""
-        for piece in self._map.ranges_with(_is_curious, rng.start, rng.stop):
-            self._map.set_range(piece, C.N)
+        if self._map:
+            self._map.clear_range(rng)
 
     def forget_curiosity(self) -> None:
         """Lower every C tick back to N (the "fresh nack" rule).
@@ -307,79 +317,56 @@ class CuriosityStream:
         interval) so that repeated nacks from the same subend are not
         swallowed by consolidation (paper section 3.1).
         """
-        span = self._map.span()
-        if span is None:
-            return
-        for rng in self._map.ranges_with(_is_curious, span.start, span.stop):
-            self._map.set_range(rng, C.N)
+        if self._map:
+            self._map = IntervalMap(C.N)
 
-    def forget_all(self) -> None:
-        self._map = IntervalMap(C.N)
+    #: With only C stored, forgetting everything is the same operation.
+    forget_all = forget_curiosity
 
     def runs(self) -> Iterator[Tuple[TickRange, C]]:
         return self._map.runs()
 
     def run_count(self) -> int:
-        """Stored non-N runs — the stream's actual memory footprint."""
+        """Stored C runs — the stream's actual memory footprint, and an
+        O(1) "is anything curious?"."""
         return self._map.run_count()
 
     def check_invariants(self) -> None:
         self._map.check_invariants()
+        for run, __ in self._map.runs():
+            assert not self.acked_ranges(run), f"C mark on final ticks in {run}"
 
 
 class Stream:
-    """A knowledge stream and a curiosity stream with the F ⇔ A linkage.
+    """A knowledge stream and the curiosity stream that annotates it.
 
-    The paper links the two: "a tick whose knowledge state becomes F is
-    assigned a curiosity of A and vice-versa".  All operational stream
-    state in brokers (istreams and ostreams) is a :class:`Stream` so the
-    linkage cannot be forgotten at a call site.
+    All operational stream state in brokers (istreams and ostreams) is a
+    :class:`Stream`; the F ⇔ A linkage holds by construction because A is
+    read off ``knowledge``, never written.
     """
 
     __slots__ = ("knowledge", "curiosity")
 
     def __init__(self) -> None:
         self.knowledge = KnowledgeStream()
-        self.curiosity = CuriosityStream()
-
-    # -- knowledge entry points (maintain linkage) -----------------------
+        self.curiosity = CuriosityStream(self.knowledge)
 
     def accumulate_data(self, tick: Tick, payload: Any) -> bool:
-        """Accumulate a D tick; returns True when knowledge changed.
-
-        Data arriving for an already-acknowledged tick is finalized
-        immediately (it is not needed), keeping F ⇔ A.
-        """
-        if self.curiosity.value_at(tick) == C.A:
-            self.knowledge.accumulate_final(TickRange.single(tick))
-            return False
+        """Accumulate a D tick; returns True when knowledge changed (data
+        for an already-acknowledged tick is not needed and is dropped)."""
         return self.knowledge.accumulate_data(tick, payload)
 
     def accumulate_final(self, rng: TickRange) -> bool:
-        """Accumulate F over ``rng``; the range becomes anti-curious too."""
-        changed = self.knowledge.accumulate_final(rng)
-        self.curiosity.set_ack(rng)
-        return changed
+        """Accumulate F over ``rng``, which thereby becomes anti-curious:
+        finalizing and acknowledging are one operation."""
+        return self.curiosity.set_ack(rng)
 
-    # -- curiosity entry points (maintain linkage) ------------------------
-
-    def set_ack(self, rng: TickRange) -> bool:
-        """Acknowledge ``rng``: curiosity A, knowledge finalized (D -> F,
-        payloads dropped — this is the soft-state garbage collection)."""
-        changed = self.curiosity.set_ack(rng)
-        self.knowledge.finalize(rng)
-        return changed
+    #: The same operation under its protocol name.
+    set_ack = accumulate_final
 
     def set_curious(self, rng: TickRange) -> List[TickRange]:
-        """Mark ``rng`` curious where possible; ticks already final are
-        auto-acknowledged first so they are never nacked upstream."""
-        final_prefix = self.knowledge.final_prefix()
-        if final_prefix > rng.start:
-            covered = TickRange(rng.start, min(final_prefix, rng.stop))
-            self.curiosity.set_ack(covered)
-            if covered.stop >= rng.stop:
-                return []
-            rng = TickRange(covered.stop, rng.stop)
+        """Mark ``rng`` curious where it is neither final nor already
+        curious; returns the fresh (N -> C) sub-ranges."""
         return self.curiosity.set_curious(rng)
 
     def forget_all(self) -> None:

@@ -36,7 +36,7 @@ from .edges import MergeView, Predicate, MATCH_ALL
 from .lattice import K
 from .rto import RtoEstimator
 from .streams import Stream
-from .ticks import Tick, TickRange, subtract_ranges, tick_of_time
+from .ticks import Tick, TickRange, merge_ranges, subtract_ranges, tick_of_time
 
 __all__ = ["SubendServices", "SubendManager", "Subscription", "Delivery"]
 
@@ -106,9 +106,7 @@ class _NackRecord:
         """Drop sub-ranges whose knowledge is no longer Q."""
         live: List[TickRange] = []
         for rng in self.ranges:
-            live.extend(
-                stream.knowledge.ranges_with(lambda v: v == K.Q, rng.start, rng.stop)
-            )
+            live.extend(stream.knowledge.q_ranges(rng.start, rng.stop))
         self.ranges = live
 
     @property
@@ -153,14 +151,10 @@ class _PubendState:
         return subtract_ranges(ranges, self.tracked)
 
     def track(self, ranges: Sequence[TickRange]) -> None:
-        from .ticks import merge_ranges
-
         self.tracked = merge_ranges(list(self.tracked) + list(ranges))
 
     def refresh_tracked(self) -> None:
         """Recompute tracked ticks from live pending gaps and nacks."""
-        from .ticks import merge_ranges
-
         ranges: List[TickRange] = []
         for gap in self.pending_gaps:
             ranges.extend(gap.ranges)
@@ -414,8 +408,8 @@ class SubendManager:
         horizon = self._consumption_horizon(state)
         if horizon > state.acked_up_to:
             state.acked_up_to = horizon
-            # Acking finalizes the prefix locally (D -> F, payloads GC'd):
-            # the F <-> A linkage of Stream.set_ack.
+            # Acking *is* finalizing the prefix locally (D -> F, payloads
+            # GC'd): anti-curiosity is knowledge finality, not a second mark.
             state.stream.set_ack(TickRange(0, horizon))
             self.services.send_ack(state.pubend, horizon)
 
@@ -439,11 +433,7 @@ class SubendManager:
         for gap in state.pending_gaps:
             live: List[TickRange] = []
             for rng in gap.ranges:
-                live.extend(
-                    state.stream.knowledge.ranges_with(
-                        lambda v: v == K.Q, rng.start, rng.stop
-                    )
-                )
+                live.extend(state.stream.knowledge.q_ranges(rng.start, rng.stop))
             gap.ranges = live
             if not gap.ranges and gap.timer is not None:
                 gap.timer.cancel()
@@ -470,11 +460,7 @@ class SubendManager:
             state.pending_gaps.remove(pending)
         still_q: List[TickRange] = []
         for rng in pending.ranges:
-            still_q.extend(
-                state.stream.knowledge.ranges_with(
-                    lambda v: v == K.Q, rng.start, rng.stop
-                )
-            )
+            still_q.extend(state.stream.knowledge.q_ranges(rng.start, rng.stop))
         state.refresh_tracked()
         if still_q:
             self._send_nacks(state, still_q)
@@ -552,9 +538,7 @@ class SubendManager:
             return
         if up_to <= 0:
             return
-        q_ranges = state.stream.knowledge.ranges_with(
-            lambda v: v == K.Q, state.acked_up_to, up_to
-        )
+        q_ranges = state.stream.knowledge.q_ranges(state.acked_up_to, up_to)
         if not q_ranges:
             return
         # Cancel outstanding records overlapping the probed gaps; they are

@@ -179,3 +179,46 @@ class TestLifecycle:
         delivered = [t for (__, t, ___, ____) in client.deliveries]
         assert delivered == sorted(set(delivered))
         assert set(delivered) == set(ticks)
+
+
+class TestFailureFreeCuriosity:
+    def test_unacked_window_stores_no_curiosity(self):
+        """200 gapped publications over a loss-free PHB -> SHB hop: while
+        the window is still unacked (sampled at every knowledge arrival,
+        with ~10 publications in flight on the slow link) no broker stores
+        a single curiosity run — anti-curiosity is knowledge finality, not
+        one A run per silent gap between unacked D ticks."""
+        from repro.obs.lifecycle import LifecycleListener
+        from repro.topology import two_broker_topology
+
+        topo = two_broker_topology(link_latency=0.05)
+        topo.pubend("P", "phb")
+        topo.route("P", "PHB", "SHB")
+        system = topo.build(seed=1, log_commit_latency=0.01)
+        client = system.subscribe("a", "shb", ("P",))
+        samples = []
+
+        class Sampler(LifecycleListener):
+            def knowledge_ingested(self, t, node, src, message, relay=False):
+                for broker in system.brokers.values():
+                    entry = broker.engine.stats()["streams"]["P"]
+                    osts = broker.engine.ostreams.get("P", {}).values()
+                    samples.append(
+                        (
+                            entry["curiosity_runs"],
+                            [o.stream.curiosity.run_count() for o in osts],
+                            [o["runs"] for o in entry["ostreams"].values()],
+                        )
+                    )
+
+        system.obs.lifecycle.attach(Sampler())
+        system.publisher("P", rate=100.0, max_messages=200).start(at=0.1)
+        system.run_for(4.0)
+        assert client.count() == 200
+        assert len(samples) >= 400
+        # The PHB's path really held a window of unacked D ticks with
+        # silent gaps between them ...
+        assert max(max(runs, default=0) for __, ___, runs in samples) >= 10
+        # ... and nothing was ever stored on the curiosity side.
+        assert {s[0] for s in samples} == {0}
+        assert all(count == 0 for __, counts, ___ in samples for count in counts)

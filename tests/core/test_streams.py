@@ -94,7 +94,7 @@ class TestKnowledgeStream:
         assert s.final_prefix() == 4
         s.accumulate_data(4, "a")
         assert s.final_prefix() == 4
-        s.finalize(TickRange(0, 5))
+        s.accumulate_final(TickRange(0, 5))
         assert s.final_prefix() == 5
 
     def test_silence_conflicts_with_data(self):
@@ -119,37 +119,37 @@ class TestKnowledgeStream:
 
 class TestCuriosityStream:
     def test_default_neutral(self):
-        c = CuriosityStream()
+        c = CuriosityStream(KnowledgeStream())
         assert c.value_at(7) == C.N
         assert c.ack_prefix() == 0
 
     def test_set_curious_returns_fresh(self):
-        c = CuriosityStream()
+        c = CuriosityStream(KnowledgeStream())
         fresh = c.set_curious(TickRange(0, 10))
         assert fresh == [TickRange(0, 10)]
         again = c.set_curious(TickRange(5, 15))
         assert again == [TickRange(10, 15)]
 
     def test_ack_is_absorbing(self):
-        c = CuriosityStream()
+        c = CuriosityStream(KnowledgeStream())
         c.set_ack(TickRange(0, 10))
         assert c.set_curious(TickRange(0, 10)) == []
         assert c.value_at(5) == C.A
 
     def test_ack_prefix(self):
-        c = CuriosityStream()
+        c = CuriosityStream(KnowledgeStream())
         c.set_ack(TickRange(0, 5))
         assert c.ack_prefix() == 5
         c.set_ack(TickRange(7, 9))
         assert c.ack_prefix() == 5  # gap at 5..6
 
     def test_set_ack_reports_change(self):
-        c = CuriosityStream()
+        c = CuriosityStream(KnowledgeStream())
         assert c.set_ack(TickRange(0, 5))
         assert not c.set_ack(TickRange(0, 5))
 
     def test_clear_curious(self):
-        c = CuriosityStream()
+        c = CuriosityStream(KnowledgeStream())
         c.set_curious(TickRange(0, 10))
         c.clear_curious(TickRange(3, 6))
         assert c.value_at(2) == C.C
@@ -160,7 +160,7 @@ class TestCuriosityStream:
         ]
 
     def test_forget_curiosity_lowers_c_to_n(self):
-        c = CuriosityStream()
+        c = CuriosityStream(KnowledgeStream())
         c.set_curious(TickRange(0, 5))
         c.set_ack(TickRange(5, 8))
         c.forget_curiosity()
@@ -168,7 +168,7 @@ class TestCuriosityStream:
         assert c.value_at(6) == C.A  # acks survive forgetting
 
     def test_unacked_ranges(self):
-        c = CuriosityStream()
+        c = CuriosityStream(KnowledgeStream())
         c.set_ack(TickRange(0, 3))
         assert c.unacked_ranges(TickRange(0, 6)) == [TickRange(3, 6)]
 
@@ -215,6 +215,28 @@ class TestStreamLinkage:
         assert s.knowledge.horizon() == 0
         assert s.curiosity.value_at(6) == C.N
 
+    def test_knowledge_lowered_under_an_ack_can_be_requested_again(self):
+        """A is read off finality, so forgetting an acked range un-acks
+        it: the ticks are nackable again (self-stabilisation needs this)."""
+        s = Stream()
+        s.accumulate_final(TickRange(0, 10))
+        s.knowledge.forget(TickRange(3, 6))
+        assert s.curiosity.value_at(4) == C.N
+        assert s.curiosity.ack_prefix() == s.knowledge.final_prefix() == 3
+        assert s.set_curious(TickRange(0, 10)) == [TickRange(3, 6)]
+        s.check_invariants()
+
+    def test_failure_free_window_stores_no_curiosity(self):
+        """Silence gaps between unacked D ticks cost nothing on the
+        curiosity side: only C is stored, and nothing is curious."""
+        s = Stream()
+        for i in range(200):
+            s.accumulate_final(TickRange(4 * i, 4 * i + 3))
+            s.accumulate_data(4 * i + 3, f"m{i}")
+        assert s.knowledge.run_count() == 400
+        assert s.curiosity.run_count() == 0
+        assert s.curiosity.curious_ranges() == []
+
 
 @st.composite
 def stream_ops(draw):
@@ -246,13 +268,12 @@ class TestStreamProperties:
             else:
                 s.set_ack(rng)
             s.check_invariants()
-            # Linkage: every F tick in a checked window is anti-curious
-            # after ack/final operations touch it (spot-check window).
-        horizon = s.knowledge.horizon()
-        for t in range(0, min(horizon, 48)):
-            if s.curiosity.value_at(t) == C.A:
-                # acked ticks never hold payloads
-                assert not s.knowledge.has_payload(t)
+        # Linkage, both ways: a tick is anti-curious iff its knowledge is
+        # final (so acked ticks never hold payloads).
+        for t in range(0, 50):
+            assert (s.curiosity.value_at(t) == C.A) == (
+                s.knowledge.value_at(t) == K.F
+            )
 
     @given(stream_ops())
     @settings(max_examples=100)
