@@ -7,8 +7,9 @@ a ``BENCH_4.json`` report with, per benchmark:
 
 * **wall-clock** — informative only; it varies with the machine and is
   never gated on (throughput and latency claims are ``benchmarks/load``'s);
-* **deterministic operation counters** — IntervalMap splice/tail-append
-  counts (:data:`repro.core.intervals.STATS`), scheduler ``events_run``,
+* **deterministic operation counters** — IntervalMap splice, tail-append,
+  front-trim and scan-step counts (:data:`repro.core.intervals.STATS`),
+  scheduler ``events_run``,
   knowledge messages sent — bit-identical across runs on any machine,
   which is what the CI ``bench-gate`` job diffs against the committed
   baseline (``benchmarks/baseline_counters.json``).
@@ -48,8 +49,8 @@ def _timed(fn: Callable[[], Any], repeat: int) -> Tuple[float, Any]:
 
 
 def _bench_interval_map_appends(repeat: int) -> Dict[str, Any]:
-    """The dominant pubend pattern: sequential tail appends — fast path
-    on vs off (mirrors ``test_interval_map_sequential_appends``)."""
+    """The dominant pubend pattern: sequential tail appends (mirrors
+    ``test_interval_map_sequential_appends``)."""
     from .core.intervals import STATS, IntervalMap
     from .core.lattice import K
     from .core.ticks import TickRange
@@ -60,24 +61,16 @@ def _bench_interval_map_appends(repeat: int) -> Dict[str, Any]:
             m.set_range(TickRange(i * 10, i * 10 + 10), K.F if i % 2 else K.D)
         return m.run_count()
 
-    counters: Dict[str, int] = {}
-    walls: Dict[str, float] = {}
-    try:
-        for mode, enabled in (("fast", True), ("slow", False)):
-            IntervalMap.fast_path = enabled
-            STATS.reset()
-            walls[mode], __ = _timed(run, repeat)
-            snap = STATS.snapshot()
-            counters[f"interval_appends_{mode}_splices"] = snap["splices"] // repeat
-            if mode == "fast":
-                counters["interval_appends_tail"] = snap["tail_appends"] // repeat
-    finally:
-        IntervalMap.fast_path = True
-        STATS.reset()
+    STATS.reset()
+    wall, __ = _timed(run, repeat)
+    snap = STATS.snapshot()
+    STATS.reset()
     return {
-        "wall_s": walls["fast"],
-        "wall_slow_s": walls["slow"],
-        "counters": counters,
+        "wall_s": wall,
+        "counters": {
+            "interval_appends_splices": snap["splices"] // repeat,
+            "interval_appends_tail": snap["tail_appends"] // repeat,
+        },
     }
 
 
@@ -105,9 +98,11 @@ def _bench_publish_pattern(repeat: int) -> Dict[str, Any]:
     assert count == 2000
     return {
         "wall_s": wall,
+        "scan_steps_per_pub": round(snap["scan_steps"] / repeat / count, 2),
         "counters": {
             "publish_pattern_splices": snap["splices"] // repeat,
             "publish_pattern_updates": snap["updates"] // repeat,
+            "publish_pattern_scan_steps": snap["scan_steps"] // repeat,
         },
     }
 
@@ -169,8 +164,10 @@ def _chain_run(flush_delay: float, causal: bool = False) -> Dict[str, int]:
     """A deterministic PHB -> MID -> SHB chain: 1500 publications, full
     drain, per-run protocol counters."""
     from .core.config import LivenessParams
+    from .core.intervals import STATS
     from .topology import Topology
 
+    scan_steps_before = STATS.scan_steps
     topo = Topology()
     topo.cell("PHB", "p")
     topo.cell("MID", "m")
@@ -208,6 +205,7 @@ def _chain_run(flush_delay: float, causal: bool = False) -> Dict[str, int]:
         "knowledge_sent": knowledge_sent,
         "events_run": system.scheduler.events_run,
         "published": published,
+        "scan_steps": STATS.scan_steps - scan_steps_before,
         "causal_spans": len(tracer.spans) if tracer is not None else 0,
     }
 
@@ -233,11 +231,19 @@ def _bench_chain_batching(repeat: int) -> Dict[str, Any]:
             batched["knowledge_sent"] / batched["published"], 3
         ),
         "batching_reduction": round(reduction, 2),
+        "scan_steps_per_event_immediate": round(
+            immediate["scan_steps"] / immediate["published"], 2
+        ),
+        "scan_steps_per_event_batched": round(
+            batched["scan_steps"] / batched["published"], 2
+        ),
         "counters": {
             "chain_knowledge_sent_immediate": immediate["knowledge_sent"],
             "chain_knowledge_sent_batched": batched["knowledge_sent"],
             "chain_events_run_immediate": immediate["events_run"],
             "chain_events_run_batched": batched["events_run"],
+            "chain_scan_steps_immediate": immediate["scan_steps"],
+            "chain_scan_steps_batched": batched["scan_steps"],
         },
     }
 

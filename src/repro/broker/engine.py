@@ -947,12 +947,15 @@ class GDBrokerEngine:
         if ost is None:
             return
         if ack.up_to > 0:
+            # Prefix-form: a compare when stale, else one front-trim.
             ost.stream.set_ack(TickRange(0, ack.up_to))
         self.consolidate_ack(ack.pubend)
 
     def consolidate_ack(self, pubend: str, force: bool = False) -> None:
         """Advance the istream's anti-curious prefix to the minimum over
-        all downstream paths and local subends, then propagate.
+        all downstream paths and local subends, then propagate.  Every
+        prefix read here is a stream's cursor, every advance a front-trim:
+        the cost does not depend on how deep the unacked window is.
 
         ``force`` re-sends the current ack even if it has not advanced —
         needed after an upstream restart (the probe implies the upstream

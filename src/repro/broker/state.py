@@ -94,7 +94,7 @@ class OStream:
     def ack_prefix(self) -> Tick:
         """Ticks below this are anti-curious, i.e. final in the path's
         knowledge: acked by the downstream cell or locally final (filtered
-        data is immediately ackable)."""
+        data is immediately ackable).  O(1): the stream's prefix cursor."""
         return self.stream.knowledge.final_prefix()
 
 

@@ -28,6 +28,12 @@ just at the end:
   publication record, not the subend watermarks.
 * **Stream-state invariants** — :meth:`System.check_invariants` (coalesced
   runs, payload/D linkage, no fabricated D ticks) on every sweep.
+* **Soft-state size** — every istream and ostream of every live broker
+  stores no more runs than its live window explains (two per held D
+  tick, one per Q gap, one for the final prefix), on every sweep; and
+  once every PHB log is truncated to empty, no other broker (alone in
+  its cell, so on every ack path) still holds a payload or a run beyond
+  the prefix and its gaps.
 * **Final verdict** — after the quiescent drain: exactly-once and gapless
   delivery per subscriber against the ground-truth publication record,
   and total-order consistency (identical delivered sequences) for every
@@ -56,6 +62,7 @@ ORACLES = (
     "subend-horizon-monotonic",
     "truncation-safety",
     "stream-invariants",
+    "soft-state-size",
     "exactly-once",
     "total-order",
 )
@@ -226,6 +233,7 @@ class OracleSuite(LifecycleListener):
             raise
         except AssertionError as exc:
             raise OracleFailure("stream-invariants", str(exc)) from exc
+        self._check_soft_state_size()
         for broker in self.system.brokers.values():
             engine = getattr(broker, "engine", None)
             if not broker.alive or engine is None:
@@ -258,6 +266,55 @@ class OracleSuite(LifecycleListener):
                     self._check_truncation(
                         pubend, entry["pubend"]["acked_up_to"], origin="sweep"
                     )
+
+    def _check_soft_state_size(self) -> None:
+        """Soft state is a function of the live window, not of history.
+
+        Every stored knowledge run is D or F, and two F runs are separated
+        by a D run or a Q gap, so ``runs <= 2 * D ticks + gaps + 1`` always.
+        Once every PHB log is empty (every publication acknowledged end to
+        end) the brokers that do not host the pubend hold no D tick at all —
+        asserted for brokers alone in their cell: a redundant cell's off-path
+        broker hears of acks only with the next knowledge routed through it.
+        """
+        engines = [
+            (broker.node_id, broker.engine)
+            for broker in self.system.brokers.values()
+            if broker.alive and hasattr(getattr(broker, "engine", None), "istreams")
+        ]
+        # Quiescent only when the (live) PHB says so.
+        acked_end_to_end = {
+            pubend_id
+            for __, engine in engines
+            for pubend_id, pubend in engine.pubends.items()
+            if pubend.log.last_tick(pubend_id) is None
+        }
+        for node, engine in engines:
+            for pubend, ist in engine.istreams.items():
+                streams = [("istream", ist.stream)]
+                streams += [
+                    (f"ostream:{cell}", ost.stream)
+                    for cell, ost in engine.ostreams.get(pubend, {}).items()
+                ]
+                drained = (
+                    pubend in acked_end_to_end
+                    and pubend not in engine.pubends
+                    and len(engine.topo.brokers_of_cell[engine.topo.cell]) == 1
+                )
+                for name, stream in streams:
+                    knowledge = stream.knowledge
+                    runs, held = knowledge.run_count(), knowledge.d_tick_count()
+                    bound = 1 + len(knowledge.gaps()) + (0 if drained else 2 * held)
+                    if runs > bound or (drained and held):
+                        limit = f"{bound} runs"
+                        if drained:
+                            limit += ", 0 D ticks: every log entry is acked"
+                        raise OracleFailure(
+                            "soft-state-size",
+                            f"{node} {name}[{pubend}] holds {runs} runs and "
+                            f"{held} D ticks (bound {limit}) "
+                            f"at t={self.system.scheduler.now:.3f}",
+                        )
 
     def _monotone(
         self,

@@ -13,15 +13,18 @@ values (default ``N``).  Payload data for D ticks is kept out of the map
 (streams store payloads in a side dict keyed by tick) so that runs coalesce
 freely.
 
-Complexity: point queries are ``O(log r)`` and range updates are
-``O(log r + k)`` where ``r`` is the number of runs and ``k`` the number of
-runs overlapping the update, via :mod:`bisect` plus a local splice.  The
-dominant pubend pattern — finalize a bracket at the growing tail, then
-append one D tick — never overlaps stored runs, so updates at or past the
-tail take an O(1) append/extend fast path instead of the general splice.
+Complexity: point queries are ``O(log r)``; range scans and range updates
+are ``O(log r + k)`` where ``r`` is the number of runs and ``k`` the number
+of runs overlapping the range, via :mod:`bisect` plus an index loop or a
+local splice.  The two update patterns the protocol repeats for every
+publication never pay for the general splice: an update at or past the
+stored tail (bracket-finalize, then append one D tick) is an O(1)
+append/extend, and an update of the whole prefix ``[0, hi)`` (an ack
+advancing the final prefix) is a front-trim (:meth:`IntervalMap.set_prefix`).
 
-Updates are counted in :data:`STATS` (tail appends vs. general splices),
-which the benchmark-regression gate uses as a deterministic work metric.
+Work is counted in :data:`STATS` (tail appends, prefix trims, general
+splices, runs inspected by scans), which the benchmark-regression gate
+uses as a deterministic work metric.
 """
 
 from __future__ import annotations
@@ -41,13 +44,15 @@ _MISSING = object()
 class IntervalMapStats:
     """Process-wide operation counters for every :class:`IntervalMap`.
 
-    ``tail_appends`` counts updates taken by the O(1) tail fast path,
-    ``splices`` counts general splice updates.  Both are deterministic
-    functions of the op sequence, so ``python -m repro bench`` snapshots
-    them as regression-gate counters.
+    ``tail_appends`` counts updates taken by the O(1) tail path,
+    ``prefix_trims`` counts :meth:`IntervalMap.set_prefix` front-trims and
+    ``splices`` counts general splice updates; ``scan_steps`` counts the
+    stored runs ``first_with``/``ranges_with`` inspected.  All are
+    deterministic functions of the op sequence, so ``python -m repro bench``
+    snapshots them as regression-gate counters.
     """
 
-    __slots__ = ("splices", "tail_appends")
+    __slots__ = ("splices", "tail_appends", "prefix_trims", "scan_steps")
 
     def __init__(self) -> None:
         self.reset()
@@ -55,16 +60,20 @@ class IntervalMapStats:
     def reset(self) -> None:
         self.splices = 0
         self.tail_appends = 0
+        self.prefix_trims = 0
+        self.scan_steps = 0
 
     @property
     def updates(self) -> int:
-        return self.splices + self.tail_appends
+        return self.splices + self.tail_appends + self.prefix_trims
 
     def snapshot(self) -> dict:
         return {
             "splices": self.splices,
             "tail_appends": self.tail_appends,
+            "prefix_trims": self.prefix_trims,
             "updates": self.updates,
+            "scan_steps": self.scan_steps,
         }
 
 
@@ -85,10 +94,6 @@ class IntervalMap(Generic[V]):
     """
 
     __slots__ = ("default", "_starts", "_stops", "_values")
-
-    #: Class-wide switch for the O(1) tail-append fast path.  Benchmarks
-    #: flip it off to measure the win; production code leaves it on.
-    fast_path = True
 
     def __init__(self, default: V):
         self.default = default
@@ -159,12 +164,43 @@ class IntervalMap(Generic[V]):
     ) -> List[TickRange]:
         """All maximal sub-ranges of ``[lo, hi)`` whose value satisfies ``pred``."""
         found: List[TickRange] = []
-        for rng, value in self.iter_runs(lo, hi):
-            if pred(value):
-                if found and found[-1].stop == rng.start:
-                    found[-1] = TickRange(found[-1].start, rng.stop)
-                else:
-                    found.append(rng)
+        if hi <= lo:
+            return found
+        starts, stops, values = self._starts, self._stops, self._values
+        # Stored runs overlapping [lo, hi); everything between them is default.
+        first = bisect_right(stops, lo)
+        last = bisect_left(starts, hi)
+        gap_ok = pred(self.default)
+        cursor = lo  # [lo, cursor) is classified
+        opened: Optional[Tick] = None  # start of the satisfying range being grown
+        for i in range(first, last):
+            start = starts[i]
+            if start > cursor:
+                if gap_ok:
+                    if opened is None:
+                        opened = cursor
+                elif opened is not None:
+                    found.append(TickRange(opened, cursor))
+                    opened = None
+                cursor = start
+            if pred(values[i]):
+                if opened is None:
+                    opened = cursor
+            elif opened is not None:
+                found.append(TickRange(opened, cursor))
+                opened = None
+            cursor = stops[i]
+        if cursor < hi:
+            if gap_ok:
+                if opened is None:
+                    opened = cursor
+            elif opened is not None:
+                found.append(TickRange(opened, cursor))
+                opened = None
+        if opened is not None:
+            found.append(TickRange(opened, hi))
+        if last > first:
+            STATS.scan_steps += last - first
         return found
 
     def first_with(
@@ -174,14 +210,39 @@ class IntervalMap(Generic[V]):
 
         When ``hi`` is ``None`` the search extends past the last stored run;
         if ``pred`` holds for the default value the first default tick at or
-        after ``lo`` is returned, otherwise ``None``.
+        after ``lo`` is returned, otherwise ``None``.  That unbounded form
+        is for diagnostics and the abstract model, and walks
+        :meth:`iter_runs` — the coupling the load benchmark's frozen ledger
+        test pins (ROADMAP item 4(a)); per-message callers pass ``hi``.
         """
-        limit = hi if hi is not None else (self._stops[-1] if self._stops else lo)
-        for rng, value in self.iter_runs(lo, max(limit, lo)):
-            if pred(value):
-                return rng.start
-        if hi is None and pred(self.default):
-            return max(lo, self._stops[-1] if self._stops else lo)
+        starts, stops, values = self._starts, self._stops, self._values
+        if hi is None:
+            tail = max(lo, stops[-1]) if stops else lo
+            for rng, value in self.iter_runs(lo, tail):
+                if pred(value):
+                    return rng.start
+            return tail if pred(self.default) else None
+        if hi <= lo:
+            return None
+        first = bisect_right(stops, lo)
+        last = bisect_left(starts, hi)
+        gap_ok = pred(self.default)
+        cursor = lo  # nothing in [lo, cursor) satisfies pred
+        for i in range(first, last):
+            start = starts[i]
+            if start > cursor:
+                if gap_ok:
+                    STATS.scan_steps += i - first
+                    return cursor
+                cursor = start
+            if pred(values[i]):
+                STATS.scan_steps += i - first + 1
+                return cursor
+            cursor = stops[i]
+        if last > first:
+            STATS.scan_steps += last - first
+        if gap_ok and cursor < hi:
+            return cursor
         return None
 
     def to_dict(self, lo: Tick, hi: Tick) -> dict:
@@ -216,6 +277,42 @@ class IntervalMap(Generic[V]):
         """Apply ``fn`` to the existing value of each tick in ``rng``."""
         self._apply(rng, fn)
 
+    def set_prefix(self, hi: Tick, value: V) -> Tuple[Tick, List[Tuple[Tick, Tick, V]]]:
+        """Overwrite every tick of ``[0, hi)`` with the non-default ``value``.
+
+        The front-trim: all runs below ``hi`` collapse into one first run,
+        which also absorbs an equal-valued run straddling or adjoining
+        ``hi``.  Costs a bisect plus the runs swallowed, never the runs
+        above ``hi``.  Returns the stop of the resulting first run and the
+        overwritten pieces ``(start, stop, old_value)`` whose value differed.
+        """
+        STATS.prefix_trims += 1
+        starts, stops, values = self._starts, self._stops, self._values
+        last = bisect_left(starts, hi)  # runs [0, last) start below hi
+        replaced = [
+            (starts[i], stops[i], values[i])
+            for i in range(last)
+            if values[i] != value
+        ]
+        head_starts, head_stops, head_values = [0], [hi], [value]
+        if last and stops[last - 1] > hi:
+            # The last overlapping run straddles hi: absorb it or keep its tail.
+            if values[last - 1] == value:
+                head_stops[0] = stops[last - 1]
+            else:
+                start, stop, old = replaced[-1]
+                replaced[-1] = (start, hi, old)
+                head_starts.append(hi)
+                head_stops.append(stop)
+                head_values.append(old)
+        elif last < len(starts) and starts[last] == hi and values[last] == value:
+            head_stops[0] = stops[last]
+            last += 1
+        starts[:last] = head_starts
+        stops[:last] = head_stops
+        values[:last] = head_values
+        return head_stops[0], replaced
+
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -237,8 +334,8 @@ class IntervalMap(Generic[V]):
         lo, hi = rng.start, rng.stop
         stops = self._stops
 
-        if self.fast_path and (not stops or lo >= stops[-1]):
-            # O(1) tail fast path: the update range is entirely at or past
+        if not stops or lo >= stops[-1]:
+            # O(1) tail path: the update range is entirely at or past
             # the stored tail, so only default ticks are touched and no
             # stored run needs splicing.  This is the dominant pubend
             # pattern (bracket-finalize then append D at the growing tail).

@@ -213,9 +213,10 @@ class Pubend:
     def record_ack(self, up_to: Tick) -> bool:
         """All downstream paths acknowledged ``[0, up_to)``.
 
-        Finalizes the prefix, truncates the log, and returns True when the
-        acked prefix advanced.  (The hosting broker calls this only after
-        consolidating acks over *all* its downstream paths.)
+        Advances the final-prefix cursor, truncates the log, and returns
+        True when the acked prefix advanced.  (The hosting broker calls
+        this only after consolidating acks over *all* its downstream
+        paths.)
         """
         if up_to <= self.acked_up_to:
             return False

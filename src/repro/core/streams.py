@@ -69,13 +69,18 @@ class KnowledgeStream:
     All mutation goes through *accumulation* (monotone upward: lattice least
     upper bound, then lowered into {Q, D, F}) or *forgetting* (monotone
     downward: drop to Q).
+
+    The final prefix is a cursor: ``_fin`` caches the stop of the stored
+    ``[0, fin)`` F run (0 when tick 0 is not final), so reading it, and
+    finalizing a range that lies inside it, cost no scan.
     """
 
-    __slots__ = ("_map", "_payloads")
+    __slots__ = ("_map", "_payloads", "_fin")
 
     def __init__(self) -> None:
         self._map: IntervalMap[K] = IntervalMap(K.Q)
         self._payloads: Dict[Tick, Any] = {}
+        self._fin: Tick = 0
 
     # -- queries --------------------------------------------------------
 
@@ -92,8 +97,7 @@ class KnowledgeStream:
     def final_prefix(self) -> Tick:
         """First tick ``p`` such that tick ``p`` is not final; all ticks
         below ``p`` are F."""
-        first_nonfinal = self._map.first_with(_not_final, 0)
-        return first_nonfinal if first_nonfinal is not None else self.horizon()
+        return self._fin
 
     def horizon(self) -> Tick:
         """One past the last non-Q tick (0 when the stream is empty)."""
@@ -106,15 +110,16 @@ class KnowledgeStream:
         All ticks below the doubt horizon are D or F, so D messages below
         it may be delivered in order (paper section 2.3).
         """
-        first_q = self._map.first_with(_is_q, 0)
-        return first_q if first_q is not None else self.horizon()
+        horizon = self.horizon()
+        first_q = self._map.first_with(_is_q, self._fin, horizon)
+        return first_q if first_q is not None else horizon
 
     def gaps(self) -> List[TickRange]:
         """Maximal Q ranges strictly below the horizon.
 
         These are the gaps whose persistence triggers curiosity (GCT).
         """
-        return self.q_ranges(0, self.horizon())
+        return self.q_ranges(self._fin, self.horizon())
 
     def q_ranges(self, lo: Tick, hi: Tick) -> List[TickRange]:
         """Maximal Q sub-ranges of ``[lo, hi)`` (what a nack may ask for)."""
@@ -180,7 +185,21 @@ class KnowledgeStream:
         range moves up the lattice via lub with F, so Q -> F, F -> F and
         D -> D* (lowered to F, payload dropped — the data is known to be
         unneeded downstream).  Returns True when anything changed.
+
+        A range that starts inside or flush against the final prefix (every
+        ack, every message's ``fin_prefix``) just advances the prefix
+        cursor: nothing to do when it also stops inside, else one front-trim
+        of the map that hands back the D runs it swallowed.
         """
+        fin = self._fin
+        if rng.stop <= fin:
+            return False
+        if rng.start <= fin:
+            self._fin, replaced = self._map.set_prefix(rng.stop, K.F)
+            for start, stop, __ in replaced:  # non-F stored runs are D
+                for tick in range(start, stop):
+                    self._payloads.pop(tick, None)
+            return True
         changed = self._map.first_with(_not_final, rng.start, rng.stop)
         if changed is None:
             return False
@@ -207,6 +226,7 @@ class KnowledgeStream:
             lowered = _lower(k_lub(value, K.S))
             if lowered != value:
                 self._map.set_range(run, lowered)
+        self._fin = self._scan_final_prefix()
 
     # -- forgetting (monotone down) ---------------------------------------
 
@@ -217,14 +237,24 @@ class KnowledgeStream:
                 for tick in run:
                     self._payloads.pop(tick, None)
         self._map.clear_range(rng)
+        if rng.start < self._fin:
+            self._fin = rng.start
 
     def forget_all(self) -> None:
         """Drop the entire stream (broker crash)."""
         self._payloads.clear()
         self._map = IntervalMap(K.Q)
+        self._fin = 0
+
+    def _scan_final_prefix(self) -> Tick:
+        """The final prefix the long way: a scan from tick 0."""
+        first_nonfinal = self._map.first_with(_not_final, 0)
+        return first_nonfinal if first_nonfinal is not None else self.horizon()
 
     def check_invariants(self) -> None:
         self._map.check_invariants()
+        scanned = self._scan_final_prefix()
+        assert self._fin == scanned, f"final-prefix cursor {self._fin} != scan {scanned}"
         for tick, __ in self._payloads.items():
             assert self._map.get(tick) == K.D, f"payload at non-D tick {tick}"
         for run, value in self._map.runs():

@@ -408,8 +408,9 @@ class SubendManager:
         horizon = self._consumption_horizon(state)
         if horizon > state.acked_up_to:
             state.acked_up_to = horizon
-            # Acking *is* finalizing the prefix locally (D -> F, payloads
-            # GC'd): anti-curiosity is knowledge finality, not a second mark.
+            # Acking *is* advancing the final-prefix cursor locally (D -> F,
+            # payloads GC'd, one front-trim): anti-curiosity is knowledge
+            # finality, not a second mark.
             state.stream.set_ack(TickRange(0, horizon))
             self.services.send_ack(state.pubend, horizon)
 

@@ -45,7 +45,9 @@ from __future__ import annotations
 import json
 import os
 import zlib
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.ticks import Tick
@@ -161,6 +163,9 @@ class MessageLog:
         return lambda: self
 
 
+_entry_tick = attrgetter("tick")
+
+
 class MemoryLog(MessageLog):
     """In-memory append-only log.
 
@@ -188,10 +193,10 @@ class MemoryLog(MessageLog):
         return list(self._entries.get(pubend, []))
 
     def truncate(self, pubend: str, below_tick: Tick) -> int:
-        bucket = self._entries.get(pubend, [])
-        keep = [e for e in bucket if e.tick >= below_tick]
-        removed = len(bucket) - len(keep)
-        self._entries[pubend] = keep
+        # append keeps ticks strictly increasing: bisect, then trim the front.
+        bucket = self._entries.setdefault(pubend, [])
+        removed = bisect_left(bucket, below_tick, key=_entry_tick)
+        del bucket[:removed]
         previous = self._truncated_below.get(pubend, 0)
         self._truncated_below[pubend] = max(previous, below_tick)
         return removed

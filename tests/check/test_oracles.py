@@ -4,6 +4,8 @@ import pytest
 
 from repro.check import ORACLES, OracleFailure, OracleSuite
 from repro.core.config import LivenessParams
+from repro.core.lattice import K
+from repro.core.streams import KnowledgeStream
 from repro.core.ticks import TickRange
 from repro.faults.injector import FaultInjector
 from repro.topology import two_broker_topology
@@ -124,6 +126,47 @@ class TestViolationsAreCaught:
         hub.fault(system.now, "crash", "shb")
         hub.horizon_advanced(system.now, "shb", "P0", 0, 10)
 
+    def _quiescent_run(self):
+        """Publish, drain until the PHB log is empty; the suite only
+        sweeps when the test says so."""
+        system = build_system()
+        system.subscribe("c", "shb", ("P0",))
+        publisher = system.publisher("P0", rate=100.0, max_messages=50)
+        publisher.start(at=0.1)
+        suite = OracleSuite(system, [publisher], check_interval=60.0)
+        suite.install()
+        system.run_until(5.0)
+        pubend = system.brokers["phb"].engine.pubends["P0"]
+        assert len(publisher.published) == 50 and pubend.log.entries("P0") == []
+        return system, suite
+
+    def test_soft_state_size_oracle_is_quiet_on_a_drained_run(self):
+        system, suite = self._quiescent_run()
+        suite.sweep()
+        knowledge = system.brokers["shb"].engine.istreams["P0"].stream.knowledge
+        assert knowledge.d_tick_count() == 0
+        assert knowledge.run_count() == 1 + len(knowledge.gaps())
+
+    def test_soft_state_size_oracle_catches_a_leaking_front_trim(self, monkeypatch):
+        # Mutant: advancing the final prefix forgets to drop the payloads
+        # of the D runs it swallows — soft state grows with history.
+        original = KnowledgeStream.accumulate_final
+
+        def leaky(self, rng):
+            if self._fin < rng.stop and rng.start <= self._fin:
+                self._fin, __ = self._map.set_prefix(rng.stop, K.F)
+                return True
+            return original(self, rng)
+
+        monkeypatch.setattr(KnowledgeStream, "accumulate_final", leaky)
+        __, suite = self._quiescent_run()
+        with pytest.raises(OracleFailure) as caught:
+            suite._check_soft_state_size()
+        assert caught.value.oracle == "soft-state-size"
+        assert "every log entry is acked" in caught.value.message
+        with pytest.raises(OracleFailure):
+            suite.sweep()
+
     def test_final_check_reports_missing_deliveries(self):
         system = build_system()
         client = system.subscribe("c", "shb", ("P0",))
@@ -155,6 +198,7 @@ class TestOracleNames:
             "subend-horizon-monotonic",
             "truncation-safety",
             "stream-invariants",
+            "soft-state-size",
             "exactly-once",
             "total-order",
         }

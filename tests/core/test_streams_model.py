@@ -8,8 +8,11 @@ knowledge state becomes F is assigned a curiosity of A and vice-versa") —
 and seeded random sequences over every mutator are driven through both.
 After **every** operation the two must agree on each tick's knowledge and
 curiosity, the curious ranges, the ack prefix (which must equal the final
-prefix), every return value (``set_curious``'s is the nack-consolidation
-contract), and ``check_invariants`` must hold.
+prefix — a cached cursor in the stream, a scan from tick 0 in the model),
+the number of payloads held, every return value (``set_curious``'s is the
+nack-consolidation contract), and ``check_invariants`` must hold.  A
+second, state-directed mix aims prefix-form finalizations at every place
+the cursor's front-trim can land.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
+from repro.core.intervals import STATS
 from repro.core.lattice import C, K
 from repro.core.streams import Stream
 from repro.core.ticks import TickRange, merge_ranges
@@ -135,6 +139,21 @@ def _apply(stream: Stream, model: PairModel, op: Op):
     return getattr(stream, name)(*args), getattr(model, name)(*args)
 
 
+def _check_agreement(stream: Stream, model: PairModel, where: str) -> None:
+    stream.check_invariants()
+    for t in WHOLE:
+        assert stream.knowledge.value_at(t) == model.k_at(t), f"K at {t} {where}"
+        assert stream.curiosity.value_at(t) == model.c_at(t), f"C at {t} {where}"
+        assert stream.knowledge.has_payload(t) == (model.k_at(t) == K.D), where
+    # No payload leaked or over-dropped (by the front-trim in particular).
+    d_ticks = sum(1 for t in WHOLE if model.k_at(t) == K.D)
+    assert stream.knowledge.d_tick_count() == d_ticks, where
+    assert stream.curiosity.curious_ranges(WHOLE) == model.curious_ranges(), where
+    assert stream.curiosity.curious_ranges() == model.curious_ranges(), where
+    assert stream.curiosity.ack_prefix() == model.final_prefix(), where
+    assert stream.knowledge.final_prefix() == model.final_prefix(), where
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_random_ops_match_pair_model(seed: int) -> None:
     rng = random.Random(0xA15F00 + seed)
@@ -143,15 +162,101 @@ def test_random_ops_match_pair_model(seed: int) -> None:
         where = f"after step {step} {op[0]}{op[1:]}"
         got, want = _apply(stream, model, op)
         assert got == want, f"return value {where}"
-        stream.check_invariants()
-        for t in WHOLE:
-            assert stream.knowledge.value_at(t) == model.k_at(t), f"K at {t} {where}"
-            assert stream.curiosity.value_at(t) == model.c_at(t), f"C at {t} {where}"
-            assert stream.knowledge.has_payload(t) == (model.k_at(t) == K.D), where
-        assert stream.curiosity.curious_ranges(WHOLE) == model.curious_ranges(), where
-        assert stream.curiosity.curious_ranges() == model.curious_ranges(), where
-        assert stream.curiosity.ack_prefix() == model.final_prefix(), where
-        assert stream.knowledge.final_prefix() == model.final_prefix(), where
+        _check_agreement(stream, model, where)
+
+
+def _prefix_op(rng: random.Random, model: PairModel) -> Tuple[str, Op]:
+    """One op aimed at the final-prefix cursor, chosen from the model's
+    current state; returns ``(where it lands, op)``."""
+    fin = model.final_prefix()
+
+    def mid_run(value: K) -> List[int]:
+        # Ticks above the prefix with ``value`` on both sides of the cut.
+        return [
+            p for p in range(fin + 1, SPAN)
+            if model.k_at(p - 1) == value and model.k_at(p) == value
+        ]
+
+    flush_f = [
+        p for p in range(fin + 1, SPAN)
+        if model.k_at(p) == K.F and model.k_at(p - 1) != K.F
+    ]
+    choices = [("above", rng.randint(fin + 1, SPAN))] if fin < SPAN else []
+    if fin > 0:
+        choices.append(("at", fin))
+        choices.append(("below", rng.randint(1, fin)))
+        start = rng.randint(0, fin - 1)
+        stop = rng.randint(start + 1, min(SPAN, fin + 3))
+        choices.append(("forget-below", TickRange(start, stop)))
+    for name, landing in (
+        ("mid-D", mid_run(K.D)), ("mid-Q", mid_run(K.Q)), ("flush-F", flush_f)
+    ):
+        if landing:
+            choices.append((name, rng.choice(landing)))
+    if rng.random() < 0.03:
+        return "forget-all", ("forget_all",)
+    name, arg = rng.choice(choices)
+    if name == "forget-below":
+        return name, ("forget", arg)
+    return name, ("accumulate_final", TickRange(0, arg))
+
+
+def _directed_ops(rng: random.Random, model: PairModel, count: int):
+    """Random ops (which build D runs, gaps and F islands above the prefix)
+    interleaved one for one with cursor-directed ones."""
+    background = _random_ops(rng, count)
+    for op in background:
+        if op[0] == "accumulate_data" and op[1] + 1 < SPAN:
+            yield "random", op
+            # Adjacent data, so D runs longer than one tick exist.
+            yield "random", ("accumulate_data", op[1] + 1, f"m{op[1] + 1}")
+        else:
+            yield "random", op
+        yield _prefix_op(rng, model)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_prefix_ops_match_pair_model(seed: int) -> None:
+    rng = random.Random(0xF1F0 + seed)
+    stream, model = Stream(), PairModel()
+    for step, (landing, op) in enumerate(_directed_ops(rng, model, 80)):
+        where = f"after step {step} {op[0]}{op[1:]} ({landing})"
+        got, want = _apply(stream, model, op)
+        assert got == want, f"return value {where}"
+        _check_agreement(stream, model, where)
+
+
+def test_prefix_ops_reach_every_landing() -> None:
+    """The directed mix must land the front-trim everywhere it can —
+    otherwise the differential silently stops covering a branch."""
+    rng = random.Random(0xF1F0)
+    model = PairModel()
+    landings: Dict[str, int] = {}
+    for landing, op in _directed_ops(rng, model, 80):
+        landings[landing] = landings.get(landing, 0) + 1
+        getattr(model, op[0])(*op[1:])
+    for name in (
+        "below", "at", "above", "mid-D", "mid-Q", "flush-F", "forget-below",
+        "forget-all",
+    ):
+        assert landings.get(name, 0) >= 2, (name, landings)
+
+
+def test_acking_each_publication_performs_no_general_splice() -> None:
+    """The steady-state ack pattern — one D tick at the prefix, then the
+    prefix moved over it — is a tail append plus a front-trim, never the
+    general splice (1000 of them before the prefix was a cursor)."""
+    stream = Stream()
+    before = STATS.snapshot()
+    for t in range(1000):
+        assert stream.accumulate_data(t, f"m{t}")
+        assert stream.accumulate_final(TickRange(0, t + 1))
+    assert STATS.splices == before["splices"]
+    assert STATS.prefix_trims - before["prefix_trims"] == 1000
+    assert stream.knowledge.final_prefix() == 1000
+    assert stream.knowledge.run_count() == 1
+    assert stream.knowledge.d_tick_count() == 0
+    stream.check_invariants()
 
 
 def test_op_mix_reaches_every_curiosity_value() -> None:

@@ -40,6 +40,23 @@ class TestMemoryLog:
         assert [e.tick for e in log.entries("P")] == [9]
         assert log.truncated_below("P") == 6
 
+    def test_truncate_in_steps_trims_only_the_front(self):
+        log = MemoryLog()
+        originals = [LogEntry("P", 3 * i + 1, i) for i in range(5000)]
+        for entry in originals:
+            log.append(entry)
+        for step in range(1, 51):
+            below = 300 * step  # ticks 1, 4, 7, ...: 100 entries per step
+            assert log.truncate("P", below) == 100
+            assert log.truncate("P", below) == 0
+            assert log.truncated_below("P") == below
+            survivors = log.entries("P")
+            assert len(survivors) == 5000 - 100 * step
+            assert all(a is b for a, b in zip(survivors, originals[100 * step:]))
+        assert log.entries("P") == []
+        assert log.truncate("P", 10) == 0
+        assert log.truncated_below("P") == 15000
+
     def test_truncation_point_is_monotone(self):
         log = MemoryLog()
         log.append(LogEntry("P", 10, "x"))
