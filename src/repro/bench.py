@@ -107,10 +107,10 @@ def _bench_publish_pattern(repeat: int) -> Dict[str, Any]:
     }
 
 
-def _build_matcher(matcher_cls: Callable[..., Any], **kwargs: Any) -> Any:
+def _build_matcher(matcher_cls: Callable[[], Any]) -> Any:
     from .matching.parser import parse
 
-    matcher = matcher_cls(**kwargs)
+    matcher = matcher_cls()
     for i in range(2000):
         group = i % 200
         if i % 3 == 0:
@@ -124,9 +124,9 @@ def _build_matcher(matcher_cls: Callable[..., Any], **kwargs: Any) -> Any:
 
 
 def _bench_matching(repeat: int) -> Dict[str, Any]:
-    """Brute force vs counting index vs counting index + LRU cache, on a
-    cyclic event stream (the paper's overhead workload publishes from a
-    small group universe, so the cache hit rate is high)."""
+    """Brute force vs counting index on a cyclic event stream (the
+    paper's overhead workload publishes from a small group universe).
+    Wall-clock only: the row gates nothing beyond the two agreeing."""
     from .matching.engine import BruteForceMatcher, IndexedMatcher
     from .matching.events import Event
 
@@ -135,8 +135,7 @@ def _bench_matching(repeat: int) -> Dict[str, Any]:
         for i in range(1000)
     ]
     brute = _build_matcher(BruteForceMatcher)
-    indexed = _build_matcher(IndexedMatcher, cache_size=0)
-    cached = _build_matcher(IndexedMatcher, cache_size=1024)
+    indexed = _build_matcher(IndexedMatcher)
 
     def match_all(matcher: Any) -> int:
         total = 0
@@ -146,18 +145,8 @@ def _bench_matching(repeat: int) -> Dict[str, Any]:
 
     wall_brute, total_brute = _timed(lambda: match_all(brute), 1)
     wall_indexed, total_indexed = _timed(lambda: match_all(indexed), repeat)
-    wall_cached, total_cached = _timed(lambda: match_all(cached), repeat)
-    assert total_brute == total_indexed == total_cached, "matchers diverged"
-    return {
-        "wall_s": wall_cached,
-        "wall_indexed_s": wall_indexed,
-        "wall_brute_s": wall_brute,
-        "counters": {
-            # All misses happen on the first (cold) pass; warm passes hit.
-            "match_cache_misses": cached.cache_misses,
-        },
-        "cache_hits": cached.cache_hits,
-    }
+    assert total_brute == total_indexed, "matchers diverged"
+    return {"wall_s": wall_indexed, "wall_brute_s": wall_brute}
 
 
 def _chain_run(flush_delay: float, causal: bool = False) -> Dict[str, int]:
@@ -182,11 +171,12 @@ def _chain_run(flush_delay: float, causal: bool = False) -> Dict[str, int]:
         params=LivenessParams(flush_delay=flush_delay),
         log_commit_latency=0.0,
     )
-    tracer = None
+    tracer = hooks = None
     if causal:
         from .obs.causal import CausalTracer
 
         tracer = CausalTracer(system).install()
+        hooks = system.obs.lifecycle.attach(_hook_counter())
     subscriber = system.subscribe("sub", "s", ("P0",))
     publisher = system.publisher("P0", rate=500.0)
     publisher.start()
@@ -207,7 +197,21 @@ def _chain_run(flush_delay: float, causal: bool = False) -> Dict[str, int]:
         "published": published,
         "scan_steps": STATS.scan_steps - scan_steps_before,
         "causal_spans": len(tracer.spans) if tracer is not None else 0,
+        "hook_dispatches": hooks.calls if hooks is not None else 0,
     }
+
+
+def _hook_counter() -> Any:
+    """A lifecycle listener that overrides every hook with one counting
+    method, so ``calls`` is the number of times anything called the hub."""
+    from .obs.lifecycle import HOOKS, LifecycleListener
+
+    def count(self: Any, *args: Any, **kwargs: Any) -> None:
+        self.calls += 1
+
+    return type(
+        "HookCounter", (LifecycleListener,), {**dict.fromkeys(HOOKS, count), "calls": 0}
+    )()
 
 
 def _bench_chain_batching(repeat: int) -> Dict[str, Any]:
@@ -249,49 +253,26 @@ def _bench_chain_batching(repeat: int) -> Dict[str, Any]:
 
 
 def _bench_trace_overhead(repeat: int) -> Dict[str, Any]:
-    """Wall-clock cost of full causal tracing on the end-to-end chain
-    run.  The span count is deterministic (gated like any counter); the
-    overhead ratio is wall-clock and only gated when the CI bench job
-    passes ``--max-trace-overhead``.
+    """What full causal tracing does to the end-to-end chain run, in
+    quantities that repeat exactly: it schedules nothing (``events_run``
+    equal to the plain run), and the spans it records and the hub calls
+    it receives are gated like any counter.  What tracing costs in time
+    is the load benchmark's to say (``trace.overhead_ratio`` of a
+    ``--trace 1`` pass): a wall-clock ratio of two runs on a shared CI
+    machine is noise at the few-percent level a gate would need.
     """
-    # Noise on shared CI machines dwarfs the signal, so measure paired:
-    # each round times a plain and a traced run back to back (CPU time,
-    # not wall-clock), with a gc.collect() before each half so collector
-    # debt lands on neither side.  The gated statistic is the *lower
-    # quartile* of the per-round ratios — a noise-floor estimate.  Noise
-    # inflates whichever half it lands in, so single rounds swing ±10%
-    # either way; a real tracer regression shifts the whole distribution,
-    # so the quartile still catches it without flaking on one bad round.
-    import gc
-
-    rounds = max(repeat, 9)
-    ratios: List[float] = []
-    wall_plain = wall_traced = float("inf")
-    plain = traced = None
-    _chain_run(0.0, causal=True)  # warm caches/allocator off the clock
-    for __ in range(rounds):
-        gc.collect()
-        started = time.process_time()
-        plain = _chain_run(0.0)
-        plain_done = time.process_time()
-        gc.collect()
-        mid = time.process_time()
-        traced = _chain_run(0.0, causal=True)
-        done = time.process_time()
-        wall_plain = min(wall_plain, plain_done - started)
-        wall_traced = min(wall_traced, done - mid)
-        if plain_done > started:
-            ratios.append((done - mid) / (plain_done - started))
+    wall_plain, plain = _timed(lambda: _chain_run(0.0), 1)
+    wall_traced, traced = _timed(lambda: _chain_run(0.0, causal=True), 1)
     assert traced["events_run"] == plain["events_run"], (
         "causal tracing must not schedule events"
     )
-    ratios.sort()
-    overhead = ratios[len(ratios) // 4] - 1.0 if ratios else 0.0
     return {
         "wall_s": wall_plain,
         "wall_traced_s": wall_traced,
-        "trace_overhead": round(overhead, 4),
-        "counters": {"trace_causal_spans": traced["causal_spans"]},
+        "counters": {
+            "trace_causal_spans": traced["causal_spans"],
+            "trace_hook_dispatches": traced["hook_dispatches"],
+        },
     }
 
 
@@ -324,9 +305,6 @@ def run_benchmarks(repeat: int = 3) -> Dict[str, Any]:
     report["derived"] = {
         "batching_reduction": report["benchmarks"]["chain_batching"][
             "batching_reduction"
-        ],
-        "trace_overhead": report["benchmarks"]["trace_overhead"][
-            "trace_overhead"
         ],
     }
     return report
@@ -370,10 +348,6 @@ def main(args: Any) -> int:
         notes = []
         if "batching_reduction" in result:
             notes.append(f"batching reduction {result['batching_reduction']}x")
-        if "trace_overhead" in result:
-            notes.append(
-                f"causal tracing +{100 * result['trace_overhead']:.1f}% wall"
-            )
         print(
             f"{name:<28} {1000 * result['wall_s']:>10.2f}  {', '.join(notes)}"
         )
@@ -397,21 +371,6 @@ def main(args: Any) -> int:
             )
             handle.write("\n")
         print(f"wrote baseline {args.write_baseline}")
-
-    max_trace_overhead = getattr(args, "max_trace_overhead", None)
-    if max_trace_overhead is not None:
-        overhead = report["derived"]["trace_overhead"]
-        if overhead > max_trace_overhead:
-            print(
-                f"\nBENCH GATE FAILED: causal tracing overhead "
-                f"{100 * overhead:.1f}% exceeds "
-                f"{100 * max_trace_overhead:.0f}% limit"
-            )
-            return 1
-        print(
-            f"\ntrace overhead OK: {100 * overhead:.1f}% <= "
-            f"{100 * max_trace_overhead:.0f}%"
-        )
 
     if args.check:
         with open(args.check) as handle:

@@ -289,26 +289,28 @@ class GDBrokerEngine:
         return ist
 
     def host_pubend(self, pubend: Pubend) -> None:
-        """Adopt a pubend (PHB role).
+        """Adopt a pubend (PHB role) by replaying its log into the istream.
 
-        The istream is deliberately *not* the pubend's root stream: a
-        publication enters the istream (and thus reaches local subends and
+        The istream is the pubend's one materialised knowledge stream: a
+        publication enters it (and thus reaches local subends and
         downstream paths) only when its log append has committed — "those
         that are not logged are considered not published" (paper section
-        2.2).  A recovered pubend's committed state is replayed into the
-        istream here, so nack satisfaction after a PHB restart answers
-        from the log.
+        2.2).  Every hosting — first start, cold start over an existing
+        log, restart after a crash — is the same replay: the acked prefix
+        is F, each logged entry is D and the gaps between them were
+        silent, so nack satisfaction answers from the log.  Nothing is
+        sent; downstream learns from the next publication or silence.
         """
         self.pubends[pubend.pubend_id] = pubend
-        ist = self._ensure_streams(pubend.pubend_id)
-        for run, value in list(pubend.stream.runs()):
-            if value == K.F:
-                ist.stream.accumulate_final(run)
-            elif value == K.D:
-                for tick in run:
-                    ist.stream.accumulate_data(
-                        tick, pubend.stream.payload_at(tick)
-                    )
+        stream = self._ensure_streams(pubend.pubend_id).stream
+        lo = pubend.acked_up_to
+        if lo > 0:
+            stream.accumulate_final(TickRange(0, lo))
+        for entry in pubend.log.entries(pubend.pubend_id):
+            if entry.tick > lo:
+                stream.accumulate_final(TickRange(lo, entry.tick))
+            stream.accumulate_data(entry.tick, entry.payload)
+            lo = entry.tick + 1
 
     def ensure_subend(self) -> SubendManager:
         if self.subend is None:
@@ -1300,7 +1302,7 @@ class GDBrokerEngine:
             if pb is not None:
                 entry["pubend"] = {
                     "acked_up_to": pb.acked_up_to,
-                    "horizon": pb.stream.horizon(),
+                    "horizon": pb.horizon,
                 }
             out[pubend] = entry
         return out
@@ -1316,7 +1318,7 @@ class GDBrokerEngine:
                         now,
                         self.topo.broker_id,
                         pb.pubend_id,
-                        pb.stream.horizon(),
+                        pb.horizon,
                     )
                 self._ingest_local(message)
 

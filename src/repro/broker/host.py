@@ -15,8 +15,8 @@ substrate does identically —
 * the subscriber-client registry and ``publish``;
 * the crash sequence (drop the engine — all istream/ostream/subend soft
   state — and close the log handles; the logs themselves survive) and the
-  recover sequence (new engine, reopen each log, ``pubend.recover()``,
-  re-host, re-arm timers); the system's ``crash_broker`` /
+  restart sequence (new engine, reopen each log, host it again — hosting
+  *is* replaying the log — re-arm timers); the system's ``crash_broker`` /
   ``restart_broker`` fault verbs drive it and report it to the lifecycle
   hub.  Subscriber state at a crashed SHB is gone; the paper's guarantee
   only covers subscribers that remain connected, and its experiments
@@ -134,10 +134,10 @@ class BrokerHost:
             pubend_id, log.factory(), slot, n_slots, preassign_window, log
         )
         self._hostings[pubend_id] = hosting
-        self._adopt(hosting, recover=False)
+        self._adopt(hosting)
         return log
 
-    def _adopt(self, hosting: PubendHosting, recover: bool) -> None:
+    def _adopt(self, hosting: PubendHosting) -> None:
         pubend = Pubend(
             hosting.pubend_id,
             hosting.log,
@@ -148,8 +148,6 @@ class BrokerHost:
             preassign_window=hosting.preassign_window,
             instruments=self.obs.instruments,
         )
-        if recover:
-            pubend.recover()
         self.engine.host_pubend(pubend)
 
     def hosted_logs(self) -> Dict[str, MessageLog]:
@@ -204,7 +202,7 @@ class BrokerHost:
         self.engine = self._new_engine()
         for hosting in self._hostings.values():
             hosting.log = hosting.open_log()
-            self._adopt(hosting, recover=True)
+            self._adopt(hosting)
         # NOTE: subscriptions at a crashed SHB are not restored — clients
         # must reconnect/resubscribe (outside the paper's failure model).
         if self._started:

@@ -3,6 +3,12 @@
 A pubend (publisher endpoint, paper section 2.2) consolidates one or more
 publishers into a single knowledge stream of the form ``F* [D|F]* Q*``:
 an acknowledged past, an unacknowledged present, and an unknown future.
+That stream is not stored here: "those that are not logged are considered
+not published", so the pubend's knowledge is exactly its log (the D
+ticks) plus two integers — ``acked_up_to`` (everything below is F) and
+``horizon`` (everything at or above is Q; below it, whatever is not
+logged is F).  The hosting broker's istream is the one materialised copy,
+filled by replaying the log (``GDBrokerEngine.host_pubend``).
 
 Responsibilities implemented here:
 
@@ -22,19 +28,18 @@ Responsibilities implemented here:
 * **Pubend-driven liveness (AET)** — ticks older than ``now - AET`` are
   expected to be acknowledged; paths that have not acked receive an
   AckExpected probe.
-* **Crash recovery** — the knowledge stream is rebuilt by replaying the
-  log; the durable truncation point seeds the final prefix.
+* **Crash recovery** — ``acked_up_to`` and ``horizon`` are read back from
+  the log on construction, so ticks continue past every logged one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Any, List, Optional
 
 from ..obs.instruments import NULL_INSTRUMENTS
 from ..storage.log import LogEntry, MessageLog
-from .lattice import K
 from .messages import AckExpectedMessage, DataTick, KnowledgeMessage
-from .streams import KnowledgeStream
 from .ticks import Tick, TickRange, tick_of_time
 
 __all__ = ["Pubend"]
@@ -44,8 +49,7 @@ class Pubend:
     """State and pure protocol logic of one pubend.
 
     The hosting broker (PHB) owns timers and transport; this class only
-    assigns ticks, maintains the root knowledge stream, talks to the log,
-    and builds protocol messages.
+    assigns ticks, talks to the log, and builds protocol messages.
     """
 
     def __init__(
@@ -77,11 +81,19 @@ class Pubend:
         #: stamped at the end of the pre-assigned window (ticks must stay
         #: monotone past finalized ranges).
         self.preassign_window = preassign_window
-        #: Root knowledge stream (``F* [D|F]* Q*``).
-        self.stream = KnowledgeStream()
-        #: Prefix acknowledged by *all* downstream paths (soft state;
-        #: rebuilt from the durable truncation point after a crash).
-        self.acked_up_to: Tick = 0
+        entries = log.entries(pubend_id)
+        #: Prefix acknowledged by *all* downstream paths: the durable
+        #: truncation point, or — for a log never truncated — the first
+        #: logged tick (nothing below it was ever assigned: the append
+        #: precedes any advertisement).
+        self.acked_up_to: Tick = log.truncated_below(pubend_id) or (
+            entries[0].tick if entries else 0
+        )
+        #: First tick neither assigned nor silenced; everything at or
+        #: above it is Q.
+        self.horizon: Tick = max(
+            self.acked_up_to, entries[-1].tick + 1 if entries else 0
+        )
         self.publish_count = 0
         #: Last time this pubend emitted anything — data or silence.
         #: Liveness detectors compare this against ``silence_interval``:
@@ -124,10 +136,11 @@ class Pubend:
     def assign_tick(self, now: float) -> Tick:
         """The tick for a message published at time ``now``.
 
-        Strictly later than every tick already known to the stream, at or
-        after real time, and congruent to ``slot`` modulo ``n_slots``.
+        At or past the horizon (so strictly later than every tick already
+        assigned or silenced), at or after real time, and congruent to
+        ``slot`` modulo ``n_slots``.
         """
-        floor = max(self.stream.horizon(), tick_of_time(now))
+        floor = max(self.horizon, tick_of_time(now))
         remainder = floor % self.n_slots
         candidate = floor + (self.slot - remainder) % self.n_slots
         if candidate < floor:  # defensive; (a - b) % n is non-negative
@@ -142,14 +155,14 @@ class Pubend:
         message finalizes the silent range since the previous D tick and
         carries the acked prefix, giving the ``F*Q*F*DF*Q*`` form.
 
-        The append happens *before* any stream or counter mutation: if
+        The append happens *before* any horizon or counter mutation: if
         stable storage fails (:class:`~repro.storage.log.LogAppendError`),
         the exception propagates with the pubend unchanged — the tick was
-        never assigned to the stream, nothing is advertised downstream,
+        never assigned, nothing is advertised downstream,
         and the publisher sees a failed attempt it may retry.
         """
         tick = self.assign_tick(now)
-        prev_horizon = self.stream.horizon()
+        prev_horizon = self.horizon
         try:
             self.log.append(LogEntry(self.pubend_id, tick, payload))
         except OSError:
@@ -162,14 +175,10 @@ class Pubend:
         f_ranges: List[TickRange] = []
         if tick > prev_horizon:
             f_ranges.append(TickRange(prev_horizon, tick))
-            self.stream.accumulate_final(f_ranges[0])
-        self.stream.accumulate_data(tick, payload)
+        self.horizon = tick + 1
         if self.preassign_window > 0:
-            future = TickRange(
-                tick + 1, tick + 1 + tick_of_time(self.preassign_window)
-            )
-            self.stream.accumulate_final(future)
-            f_ranges.append(future)
+            self.horizon += tick_of_time(self.preassign_window)
+            f_ranges.append(TickRange(tick + 1, self.horizon))
         self.publish_count += 1
         self.last_emission = now
         return KnowledgeMessage(
@@ -189,15 +198,14 @@ class Pubend:
 
         Returns ``None`` when the pubend has published recently.  The
         silence extends up to the current tick; :meth:`assign_tick` never
-        assigns a tick below the stream horizon, so a message published
+        assigns a tick below the horizon, so a message published
         immediately afterwards cannot collide with the silenced range.
         """
-        horizon = self.stream.horizon()
         now_tick = tick_of_time(now)
-        if now_tick - horizon < tick_of_time(self.silence_interval):
+        if now_tick - self.horizon < tick_of_time(self.silence_interval):
             return None
-        rng = TickRange(horizon, now_tick)
-        self.stream.accumulate_final(rng)
+        rng = TickRange(self.horizon, now_tick)
+        self.horizon = now_tick
         self.last_emission = now
         return KnowledgeMessage(
             pubend=self.pubend_id,
@@ -213,8 +221,8 @@ class Pubend:
     def record_ack(self, up_to: Tick) -> bool:
         """All downstream paths acknowledged ``[0, up_to)``.
 
-        Advances the final-prefix cursor, truncates the log, and returns
-        True when the acked prefix advanced.  (The hosting broker calls
+        Advances the acked prefix, truncates the log, and returns True
+        when the prefix advanced.  (The hosting broker calls
         this only after consolidating acks over *all* its downstream
         paths.)
         """
@@ -223,7 +231,7 @@ class Pubend:
         self._m_log_truncated.inc(up_to - self.acked_up_to)
         self.acked_up_to = up_to
         self._m_acked_tick.set(float(up_to))
-        self.stream.accumulate_final(TickRange(0, up_to))
+        self.horizon = max(self.horizon, up_to)
         self.log.truncate(self.pubend_id, up_to)
         return True
 
@@ -231,13 +239,13 @@ class Pubend:
         """The AckExpected timestamp to probe with, or ``None``.
 
         Ticks more than AET before now are expected to be acked.  The
-        probe never exceeds the stream horizon: a pubend that just
+        probe never exceeds the horizon: a pubend that just
         recovered probes with the tick of the last message it logged
         before the crash (paper section 4.2, p1-crash experiment).
         """
         if self.aet == float("inf"):
             return None  # pubend-driven liveness disabled
-        threshold = min(tick_of_time(now - self.aet), self.stream.horizon())
+        threshold = min(tick_of_time(now - self.aet), self.horizon)
         if threshold > self.acked_up_to:
             return threshold
         return None
@@ -246,30 +254,33 @@ class Pubend:
         return AckExpectedMessage(pubend=self.pubend_id, up_to=up_to)
 
     # ------------------------------------------------------------------
-    # Retransmission and recovery
+    # Retransmission
     # ------------------------------------------------------------------
 
     def retransmission(self, ranges: List[TickRange]) -> Optional[KnowledgeMessage]:
         """A retransmitted knowledge message answering curiosity.
 
         The pubend is the authority: every tick below its horizon is
-        either D (payload in the stream, backed by the log) or F.  Ticks
-        at or above the horizon are genuinely unknown and stay Q.
+        either D (an entry in the log) or F.  Ticks at or above the
+        horizon are genuinely unknown and stay Q.
+
+        Nothing in ``src/`` calls this — the hosting engine answers nacks
+        from its istream; it survives because the frozen load-benchmark
+        ledger wraps it by name (ROADMAP item 4(a)).
         """
+        entries = self.log.entries(self.pubend_id)
+        ticks = [entry.tick for entry in entries]
         data: List[DataTick] = []
         f_ranges: List[TickRange] = []
-        horizon = self.stream.horizon()
         for rng in ranges:
-            capped_stop = min(rng.stop, horizon)
-            if capped_stop <= rng.start:
-                continue
-            capped = TickRange(rng.start, capped_stop)
-            for run, value in self.stream.iter_runs(capped.start, capped.stop):
-                if value == K.D:
-                    for tick in run:
-                        data.append(DataTick(tick, self.stream.payload_at(tick)))
-                elif value == K.F:
-                    f_ranges.append(run)
+            lo, stop = rng.start, min(rng.stop, self.horizon)
+            for entry in entries[bisect_left(ticks, lo) : bisect_left(ticks, stop)]:
+                if entry.tick > lo:
+                    f_ranges.append(TickRange(lo, entry.tick))
+                data.append(DataTick(entry.tick, entry.payload))
+                lo = entry.tick + 1
+            if stop > lo:
+                f_ranges.append(TickRange(lo, stop))
         if not data and not f_ranges:
             return None
         return KnowledgeMessage(
@@ -279,22 +290,3 @@ class Pubend:
             data=tuple(sorted(data, key=lambda d: d.tick)),
             retransmit=True,
         )
-
-    def recover(self) -> int:
-        """Rebuild soft state from the log after a crash.
-
-        Returns the number of replayed entries.  The durable truncation
-        point becomes the acked prefix; gaps between logged D ticks are
-        re-finalized (they were silent).
-        """
-        self.stream = KnowledgeStream()
-        self.acked_up_to = self.log.truncated_below(self.pubend_id)
-        if self.acked_up_to > 0:
-            self.stream.accumulate_final(TickRange(0, self.acked_up_to))
-        entries = self.log.entries(self.pubend_id)
-        for entry in entries:
-            horizon = self.stream.horizon()
-            if entry.tick > horizon:
-                self.stream.accumulate_final(TickRange(horizon, entry.tick))
-            self.stream.accumulate_data(entry.tick, entry.payload)
-        return len(entries)

@@ -22,8 +22,8 @@ against each other.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from collections import OrderedDict, defaultdict
-from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
+from collections import defaultdict
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .ast import And, Comparison, Exists, Predicate, TrueP
 
@@ -181,17 +181,9 @@ class IndexedMatcher(Matcher):
     and ``true``).  Anything else — Or, Not, nesting, or ordering tests
     on booleans — is kept in a fallback list and evaluated directly, so
     correctness never depends on index coverage.
-
-    An LRU cache in front of the counting pass memoizes results by the
-    event's *attribute signature*.  Workloads publishing from a small
-    attribute universe (the paper's overhead experiments cycle a few
-    hundred distinct group values) then pay the counting cost once per
-    distinct event shape.  The signature uses :func:`_eq_key` per value,
-    so ``True`` and ``1`` never share an entry; events carrying an
-    unhashable value bypass the cache.  Any ``add``/``remove`` clears it.
     """
 
-    def __init__(self, cache_size: int = 1024) -> None:
+    def __init__(self) -> None:
         self._indexes: Dict[str, _AttrIndex] = {}
         #: test_id -> owning subscription (None = removed, skipped lazily)
         self._test_owner: List[Optional[str]] = []
@@ -201,14 +193,8 @@ class IndexedMatcher(Matcher):
         self._fallback: Dict[str, Predicate] = {}
         self._subs: Dict[str, Predicate] = {}
         self._sub_tests: Dict[str, List[int]] = {}
-        #: attribute signature -> frozen match result (LRU, newest last).
-        self._cache_size = cache_size
-        self._cache: "OrderedDict[Tuple[Tuple[str, Tuple[str, Any]], ...], FrozenSet[str]]" = OrderedDict()
-        self.cache_hits = 0
-        self.cache_misses = 0
 
     def add(self, sub_id: str, predicate: Predicate) -> None:
-        self._cache.clear()
         if sub_id in self._subs:
             self.remove(sub_id)
         self._subs[sub_id] = predicate
@@ -256,7 +242,6 @@ class IndexedMatcher(Matcher):
             insort(index.gt, (tag, term.value, term.op == ">", test_id))
 
     def remove(self, sub_id: str) -> None:
-        self._cache.clear()
         self._subs.pop(sub_id, None)
         self._fallback.pop(sub_id, None)
         self._match_all.discard(sub_id)
@@ -267,29 +252,6 @@ class IndexedMatcher(Matcher):
             self._test_owner[test_id] = None
 
     def match(self, event: Mapping[str, Any]) -> Set[str]:
-        key = None
-        if self._cache_size > 0:
-            try:
-                key = tuple(
-                    sorted((attr, _eq_key(value)) for attr, value in event.items())
-                )
-                cached = self._cache.get(key)
-            except TypeError:
-                key = None  # unhashable attribute value: bypass the cache
-            else:
-                if cached is not None:
-                    self._cache.move_to_end(key)
-                    self.cache_hits += 1
-                    return set(cached)
-                self.cache_misses += 1
-        matched = self._match_uncached(event)
-        if key is not None:
-            self._cache[key] = frozenset(matched)
-            if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return matched
-
-    def _match_uncached(self, event: Mapping[str, Any]) -> Set[str]:
         counts: Dict[str, int] = defaultdict(int)
         for attr, value in event.items():
             index = self._indexes.get(attr)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, List, Sequence, Tuple
 
-__all__ = ["LifecycleHub", "LifecycleListener", "LifecycleRecorder"]
+__all__ = ["HOOKS", "LifecycleHub", "LifecycleListener", "LifecycleRecorder"]
 
 
 class LifecycleListener:
@@ -203,7 +203,7 @@ class LifecycleRecorder(LifecycleListener):
 
 
 #: Derived from the class, so a hook cannot be declared but never dispatched.
-_HOOKS = tuple(
+HOOKS = tuple(
     name
     for name, value in vars(LifecycleListener).items()
     if callable(value) and not name.startswith("_")
@@ -245,7 +245,7 @@ class LifecycleHub(LifecycleListener):
             self._rebuild()
 
     def _rebuild(self) -> None:
-        for name in _HOOKS:
+        for name in HOOKS:
             base = getattr(LifecycleListener, name)
             methods = [
                 getattr(listener, name)

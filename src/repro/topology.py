@@ -462,7 +462,6 @@ class System(SubscribeMixin):
             if not hasattr(engine, "pubends"):
                 continue  # baseline brokers keep no GD state
             for pubend_id, pubend in engine.pubends.items():
-                pubend.stream.check_invariants()
                 published[pubend_id] = {
                     entry.tick for entry in pubend.log.entries(pubend_id)
                 }

@@ -5,10 +5,12 @@ import math
 
 import pytest
 
+from repro.aio.chaos import FAST_PARAMS, chain_topology
 from repro.aio.runtime import AioSystem
 from repro.aio.transport import LocalTransport, TcpTransport
 from repro.client import DeliveryChecker
 from repro.core.config import LivenessParams
+from repro.obs.lifecycle import LifecycleListener
 from repro.topology import two_broker_topology
 
 # Tight liveness settings so wall-clock tests stay fast.
@@ -167,6 +169,114 @@ class TestLocalTransport:
         # rather than report a fault that was not applied.
         with pytest.raises(NotImplementedError, match="TcpTransport"):
             asyncio.run(scenario(TcpTransport()))
+
+
+class _PubendEmissions(LifecycleListener):
+    """Every first-time knowledge message a pubend hosted at ``b0``
+    emits (publication or silence), as its PHB ingests it."""
+
+    def __init__(self):
+        self.messages = []
+
+    def knowledge_ingested(self, t, node, src, message):
+        if node == "b0" and not src:
+            self.messages.append(message)
+
+
+class TestColdStart:
+    """A second process over the first one's ``data_dir``: hosting a
+    pubend replays its log, so what was logged but never delivered is
+    delivered — before anything new — and ticks continue past the log."""
+
+    @staticmethod
+    def generation(data_dir, seed):
+        return AioSystem(
+            chain_topology(),
+            params=FAST_PARAMS,
+            transport=LocalTransport(seed=seed),
+            data_dir=data_dir,
+        )
+
+    @staticmethod
+    async def until(system, done, rounds=20, step=0.25):
+        for __ in range(rounds):
+            if done():
+                break
+            await system.run_for(step)
+
+    def test_inherited_publications_are_delivered_before_new_ones(self, tmp_path):
+        async def scenario():
+            first = self.generation(str(tmp_path), seed=1)
+            await first.start()
+            stranded = first.subscribe("a", "b2", ("P0",))
+            first.fail_link("b0", "b1")
+            publisher = first.publisher("P0", rate=100.0)
+            inherited = [publisher.publish_once() for __ in range(5)]
+            await first.run_for(0.3)
+            assert stranded.received == []
+            await first.shutdown()
+
+            second = self.generation(str(tmp_path), seed=2)
+            log = second.brokers["b0"].hosted_logs()["P0"]
+            assert [e.tick for e in log.entries("P0")] == inherited
+            await second.start()
+            client = second.subscribe("a", "b2", ("P0",))
+            await second.run_for(0.2)
+            publisher = second.publisher("P0", rate=100.0)
+            own = [publisher.publish_once() for __ in range(3)]
+            await self.until(
+                second,
+                lambda: len(client.received) >= 8 and not log.entries("P0"),
+            )
+            delivered = [tick for __, tick, __, __ in client.received]
+            nacks = second.obs.instruments.total("repro_subend_nacks_sent_total")
+            left = log.entries("P0")
+            await second.shutdown()
+            return inherited, own, delivered, nacks, left
+
+        inherited, own, delivered, nacks, left = asyncio.run(scenario())
+        assert min(own) > max(inherited)
+        assert delivered == inherited + own
+        assert left == []
+        assert 1 <= nacks <= 3  # one nack for the whole inherited range
+
+    def test_drained_log_restarts_at_its_truncation_point(self, tmp_path):
+        async def scenario():
+            first = self.generation(str(tmp_path), seed=1)
+            await first.start()
+            first.subscribe("a", "b2", ("P0",))
+            publisher = first.publisher("P0", rate=100.0)
+            for __ in range(5):
+                publisher.publish_once()
+            log = first.brokers["b0"].hosted_logs()["P0"]
+            await self.until(first, lambda: not log.entries("P0"))
+            await first.shutdown()
+
+            second = self.generation(str(tmp_path), seed=2)
+            log = second.brokers["b0"].hosted_logs()["P0"]
+            truncated = log.truncated_below("P0")
+            assert truncated > 0 and log.entries("P0") == []
+            sent = second.obs.lifecycle.attach(_PubendEmissions())
+            await second.start()
+            client = second.subscribe("a", "b2", ("P0",))
+            await self.until(second, lambda: sent.messages, step=0.05)
+            tick = second.publisher("P0", rate=100.0).publish_once()
+            await self.until(second, lambda: client.received, step=0.05)
+            await second.run_for(0.3)
+            delivered = [t for __, t, __, __ in client.received]
+            nacks = second.obs.instruments.total("repro_subend_nacks_sent_total")
+            await second.shutdown()
+            first_p0 = next(m for m in sent.messages if m.pubend == "P0")
+            return truncated, first_p0, tick, delivered, nacks
+
+        truncated, first_p0, tick, delivered, nacks = asyncio.run(scenario())
+        # Nothing below the durable truncation point is said again, and
+        # the first thing said starts exactly there.
+        assert first_p0.fin_prefix == truncated
+        assert first_p0.f_ranges[0].start == truncated
+        assert tick >= truncated
+        assert delivered == [tick]
+        assert nacks == 0
 
 
 class TestSubscriptionPropagationOverAio:

@@ -443,13 +443,15 @@ class TestPubendHosting:
         engine.host_pubend(pb)
         services.time = 1.0
         tick = engine.publish("P", {"v": 1})
-        # crash: fresh engine + recovered pubend
+        # crash: fresh engine hosting a fresh pubend over the same log
         services2 = FakeServices()
         engine2 = GDBrokerEngine(self.phb_topo(), LivenessParams(), services2)
-        pb2 = Pubend("P", log)
-        pb2.recover()
-        engine2.host_pubend(pb2)
-        assert engine2.istreams["P"].stream.knowledge.value_at(tick) == K.D
+        engine2.host_pubend(Pubend("P", log))
+        knowledge = engine2.istreams["P"].stream.knowledge
+        assert knowledge.value_at(tick) == K.D
+        assert knowledge.payload_at(tick) == {"v": 1}
+        assert knowledge.final_prefix() == tick  # F[0, first logged tick)
+        assert services2.sent == []  # replay is passive
         engine2.on_envelope("b1", Envelope(NackMessage("P", (TickRange(0, tick + 1),))))
         assert len(services2.knowledge_to("b1")) == 1
 

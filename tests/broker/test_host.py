@@ -129,7 +129,7 @@ class TestCrashRecoverCycle:
             await d.restart("phb")
             new_log = phb.hosted_logs()["P0"]
             recovered = [entry.tick for entry in new_log.entries("P0")]
-            horizon = phb.engine.pubends["P0"].stream.horizon()
+            horizon = phb.engine.pubends["P0"].horizon
             after = publisher.publish_once()
             return {
                 "assigned": assigned,

@@ -130,8 +130,10 @@ class TestLifecycle:
         phb.crash()
         scheduler.run_until(1.0)
         phb.restart()
-        recovered = phb.engine.pubends["P"]
-        assert recovered.stream.value_at(published[0]).name == "D"
+        recovered = phb.engine.istreams["P"].stream.knowledge
+        assert recovered.value_at(published[0]).name == "D"
+        assert recovered.payload_at(published[0]) == {"x": 1}
+        assert phb.engine.pubends["P"].horizon == published[0] + 1
         assert log.entries("P")  # still durable, not yet acknowledged
 
     def test_restart_charges_warmup(self):

@@ -1,9 +1,21 @@
 """Unit tests for the pubend: tick assignment, logging, silence, AET,
-retransmission, and crash recovery."""
+retransmission, and crash recovery.
+
+The pubend stores no knowledge stream — its log *is* the stream — so the
+stream-shape, silence-finality, ack and recovery assertions read the
+istream of a PHB engine hosting it, the one materialised copy.
+"""
+
+import random
 
 import pytest
 
+from repro.broker.engine import BrokerServices, GDBrokerEngine
+from repro.broker.state import BrokerTopologyInfo, Envelope, PubendRoute
+from repro.core.config import LivenessParams
+from repro.core.edges import FilterEdge, MATCH_ALL
 from repro.core.lattice import K
+from repro.core.messages import AckMessage
 from repro.core.pubend import Pubend
 from repro.core.ticks import TickRange
 from repro.storage.log import MemoryLog
@@ -11,6 +23,56 @@ from repro.storage.log import MemoryLog
 
 def make_pubend(**kw):
     return Pubend("P", MemoryLog(), **kw)
+
+
+class _Services(BrokerServices):
+    """Settable clock; timers and sends go nowhere."""
+
+    time = 0.0
+
+    def now(self):
+        return self.time
+
+    def schedule(self, delay, fn):
+        return None
+
+    def send(self, dst, message, size=100):
+        return True
+
+
+# One downstream path (b1) that never acks by itself, so the unacked
+# window stays D until a test acks it.
+PHB_TOPO = BrokerTopologyInfo(
+    broker_id="p1",
+    cell="PHB",
+    neighbors=frozenset({"b1"}),
+    cell_of={"p1": "PHB", "b1": "IB1"},
+    brokers_of_cell={"PHB": ("p1",), "IB1": ("b1",)},
+    routes={
+        "P": PubendRoute(
+            pubend="P",
+            upstream_cell=None,
+            downstream={"IB1": FilterEdge(MATCH_ALL)},
+            subtree={"IB1": frozenset()},
+        )
+    },
+)
+
+
+def host(pubend):
+    """A PHB engine hosting ``pubend`` (replays its log into the istream)."""
+    engine = GDBrokerEngine(PHB_TOPO, LivenessParams(), _Services())
+    engine.host_pubend(pubend)
+    return engine
+
+
+def knowledge(engine):
+    return engine.istreams["P"].stream.knowledge
+
+
+def publish_at(engine, payload, now):
+    engine.services.time = now
+    return engine.publish("P", payload)
 
 
 class TestTickAssignment:
@@ -65,14 +127,13 @@ class TestPublish:
     def test_stream_form_is_prefix_then_data(self):
         """Stream shape F* [D|F]* Q* from section 2.2."""
         pb = make_pubend()
-        for i in range(3):
-            pb.publish(f"m{i}", 1.0 + 0.1 * i)
-        horizon = pb.stream.horizon()
-        seen_q = False
-        for t in range(horizon):
-            value = pb.stream.value_at(t)
-            assert value in (K.D, K.F)
-        assert pb.stream.value_at(horizon) == K.Q
+        engine = host(pb)
+        ticks = [publish_at(engine, f"m{i}", 1.0 + 0.1 * i) for i in range(3)]
+        stream = knowledge(engine)
+        assert stream.horizon() == pb.horizon == ticks[-1] + 1
+        for t in range(pb.horizon):
+            assert stream.value_at(t) == (K.D if t in ticks else K.F)
+        assert stream.value_at(pb.horizon) == K.Q
 
 
 class TestSilence:
@@ -83,13 +144,17 @@ class TestSilence:
 
     def test_silence_finalizes_idle_range(self):
         pb = make_pubend(silence_interval=0.5)
-        pb.publish("a", 1.0)
-        horizon = pb.stream.horizon()
+        engine = host(pb)
+        publish_at(engine, "a", 1.0)
+        horizon = pb.horizon
         msg = pb.maybe_silence(2.0)
         assert msg is not None
         assert msg.is_silence
         assert msg.f_ranges == (TickRange(horizon, 2000),)
-        assert pb.stream.value_at(1800) == K.F
+        assert pb.horizon == 2000
+        engine.on_envelope("", Envelope(msg))
+        assert knowledge(engine).value_at(1800) == K.F
+        assert knowledge(engine).horizon() == 2000
 
     def test_publish_after_silence_never_collides(self):
         pb = make_pubend(silence_interval=0.1)
@@ -103,18 +168,31 @@ class TestAckAndAet:
     def test_record_ack_truncates_log(self):
         log = MemoryLog()
         pb = Pubend("P", log)
-        msg = pb.publish("a", 1.0)
-        tick = msg.data[0].tick
-        assert pb.record_ack(tick + 1)
+        engine = host(pb)
+        tick = publish_at(engine, "a", 1.0)
+        assert knowledge(engine).value_at(tick) == K.D
+        # The only downstream path acks: consolidation reaches record_ack.
+        engine.on_envelope("b1", Envelope(AckMessage("P", tick + 1)))
+        assert pb.acked_up_to == tick + 1
+        assert not pb.record_ack(tick + 1)
         assert log.entries("P") == []
         assert log.truncated_below("P") == tick + 1
-        assert pb.stream.value_at(tick) == K.F
+        assert knowledge(engine).value_at(tick) == K.F
 
     def test_record_ack_monotone(self):
         pb = make_pubend()
         pb.publish("a", 1.0)
         assert pb.record_ack(500)
         assert not pb.record_ack(400)
+
+    def test_record_ack_past_horizon_raises_horizon(self):
+        """A restart forgets the pre-assigned window; an ack that covers
+        it must not let a later tick land below the acked prefix."""
+        pb = make_pubend()
+        tick = pb.publish("a", 1.0).data[0].tick
+        assert pb.record_ack(tick + 500)
+        assert pb.horizon == tick + 500
+        assert pb.assign_tick(1.0) >= tick + 500
 
     def test_aet_quiet_when_acked(self):
         pb = make_pubend(aet=10.0)
@@ -134,8 +212,7 @@ class TestAckAndAet:
         wall-clock time (paper Figure 8)."""
         pb = make_pubend(aet=10.0)
         pb.publish("a", 1.0)
-        horizon = pb.stream.horizon()
-        assert pb.ack_expected_tick(1000.0) == horizon
+        assert pb.ack_expected_tick(1000.0) == pb.horizon
 
 
 class TestRetransmission:
@@ -153,7 +230,7 @@ class TestRetransmission:
     def test_unknown_future_stays_q(self):
         pb = make_pubend()
         pb.publish("a", 1.0)
-        horizon = pb.stream.horizon()
+        horizon = pb.horizon
         out = pb.retransmission([TickRange(horizon, horizon + 100)])
         assert out is None
 
@@ -164,11 +241,13 @@ class TestRecovery:
         pb = Pubend("P", log)
         ticks = [pb.publish(f"m{i}", 1.0 + i * 0.1).data[0].tick for i in range(5)]
         fresh = Pubend("P", log)
-        assert fresh.recover() == 5
+        stream = knowledge(host(fresh))
         for tick, i in zip(ticks, range(5)):
-            assert fresh.stream.value_at(tick) == K.D
-            assert fresh.stream.payload_at(tick) == f"m{i}"
-        assert fresh.stream.horizon() == pb.stream.horizon()
+            assert stream.value_at(tick) == K.D
+            assert stream.payload_at(tick) == f"m{i}"
+        assert fresh.horizon == pb.horizon == stream.horizon()
+        # Never truncated: everything below the first logged tick is final.
+        assert fresh.acked_up_to == ticks[0] == stream.final_prefix()
 
     def test_recover_respects_truncation(self):
         log = MemoryLog()
@@ -177,12 +256,78 @@ class TestRecovery:
         second = pb.publish("b", 2.0).data[0].tick
         pb.record_ack(first + 1)
         fresh = Pubend("P", log)
-        fresh.recover()
+        stream = knowledge(host(fresh))
         assert fresh.acked_up_to == first + 1
-        assert fresh.stream.value_at(first) == K.F
-        assert fresh.stream.value_at(second) == K.D
+        assert stream.value_at(first) == K.F
+        assert stream.value_at(second) == K.D
 
     def test_recover_empty_log(self):
         pb = Pubend("P", MemoryLog())
-        assert pb.recover() == 0
-        assert pb.stream.horizon() == 0
+        assert pb.horizon == 0 and pb.acked_up_to == 0
+        assert knowledge(host(pb)).horizon() == 0
+
+    def test_recover_fully_drained_log(self):
+        """No entries, only a truncation point: it is both integers."""
+        log = MemoryLog()
+        pb = Pubend("P", log)
+        tick = pb.publish("a", 1.0).data[0].tick
+        pb.record_ack(tick + 1)
+        fresh = Pubend("P", log)
+        assert fresh.acked_up_to == fresh.horizon == tick + 1
+        stream = knowledge(host(fresh))
+        assert stream.final_prefix() == stream.horizon() == tick + 1
+
+
+class TestReplayDifferential:
+    """Hosting a pubend *is* replaying its log: for random histories a
+    fresh engine over the same log holds what the live engine holds."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_fresh_host_equals_live_host(self, seed):
+        rng = random.Random(seed)
+        log = MemoryLog()
+        live_pb = Pubend("P", log, silence_interval=0.05)
+        live = host(live_pb)
+        now, acked = 1.0, 0
+        for step in range(rng.randint(0, 40)):
+            now += rng.choice((0.0, 0.0005, 0.003, 0.2))
+            op = rng.random()
+            if op < 0.6:
+                publish_at(live, {"n": step}, now)
+            elif op < 0.8:
+                msg = live_pb.maybe_silence(now)
+                if msg is not None:
+                    live.on_envelope("", Envelope(msg))
+            else:
+                acked = rng.randint(acked, live_pb.horizon)
+                live.on_envelope("b1", Envelope(AckMessage("P", acked)))
+
+        entries = log.entries("P")
+        fresh_pb = Pubend("P", log)
+        fresh = host(fresh_pb)
+
+        # The rule: two integers, read off the log.
+        expect_acked = log.truncated_below("P") or (
+            entries[0].tick if entries else 0
+        )
+        expect_horizon = max(expect_acked, entries[-1].tick + 1 if entries else 0)
+        assert fresh_pb.acked_up_to == expect_acked
+        assert fresh_pb.horizon == expect_horizon
+        assert fresh_pb.acked_up_to >= live_pb.acked_up_to
+        assert fresh_pb.horizon <= live_pb.horizon  # trailing silence is soft
+
+        # Below the replayed horizon the two istreams agree run for run.
+        got, want = knowledge(fresh), knowledge(live)
+        assert got.horizon() == expect_horizon
+        assert list(got.iter_runs(0, expect_horizon)) == list(
+            want.iter_runs(0, expect_horizon)
+        )
+        for entry in entries:
+            assert got.payload_at(entry.tick) == want.payload_at(entry.tick)
+            assert got.payload_at(entry.tick) == entry.payload
+        got.check_invariants()
+
+        # Ticks continue strictly past every logged one.
+        logged = [entry.tick for entry in entries]
+        assert fresh_pb.assign_tick(0.0) > max(logged, default=-1)
+        assert publish_at(fresh, "next", 0.0) > max(logged, default=-1)

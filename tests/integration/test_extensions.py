@@ -64,7 +64,7 @@ class TestPreassignedFinality:
         # Publishing "too early" is pushed past the pre-assigned window.
         t2 = pb.publish("b", 1.01).data[0].tick
         assert t2 >= t1 + 200
-        pb.stream.check_invariants()
+        assert pb.horizon == t2 + 1 + 200
 
     def test_preassign_message_carries_future_finality(self):
         from repro.core.pubend import Pubend

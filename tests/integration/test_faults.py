@@ -248,7 +248,7 @@ class TestFileLogRecovery:
             injector.restart_broker("phb")
             pubend = system.brokers["phb"].engine.pubends["P0"]
             seen["new_log"] = pubend.log
-            seen["horizon"] = pubend.stream.horizon()
+            seen["horizon"] = pubend.horizon
 
         injector.at(2.0, crash)
         injector.at(6.0, restart)

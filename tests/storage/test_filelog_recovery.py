@@ -3,13 +3,18 @@
 ``tests/storage/test_log.py`` pins the basic MessageLog contract; this
 module covers the recovery paths the asyncio runtime leans on — Event
 payloads surviving the wire format, torn tails from mid-write crashes,
-replay being idempotent across repeated reopens, and a ``Pubend``
-rebuilding its knowledge stream from a reopened log.
+replay being idempotent across repeated reopens, and a PHB engine
+rebuilding a pubend's knowledge stream from a reopened log.
 """
 
 import json
 
+from repro.broker.engine import BrokerServices, GDBrokerEngine
+from repro.broker.state import BrokerTopologyInfo
+from repro.core.config import LivenessParams
+from repro.core.lattice import K
 from repro.core.pubend import Pubend
+from repro.core.ticks import TickRange
 from repro.matching.events import Event
 from repro.storage.log import FileLog, LogEntry
 
@@ -18,6 +23,22 @@ def reopen(log: FileLog) -> FileLog:
     path = log.path
     log.close()
     return FileLog(path)
+
+
+def replayed(pubend: Pubend):
+    """The istream knowledge of a fresh PHB engine hosting ``pubend``
+    (hosting replays the log; no route, so nothing else happens)."""
+    topo = BrokerTopologyInfo(
+        broker_id="phb",
+        cell="PHB",
+        neighbors=frozenset(),
+        cell_of={"phb": "PHB"},
+        brokers_of_cell={"PHB": ("phb",)},
+        routes={},
+    )
+    engine = GDBrokerEngine(topo, LivenessParams(), BrokerServices())
+    engine.host_pubend(pubend)
+    return engine.istreams[pubend.pubend_id].stream.knowledge
 
 
 class TestEventPayloads:
@@ -110,8 +131,12 @@ class TestPubendRecovery:
 
         log = FileLog(str(tmp_path / "p.log"))
         recovered = Pubend("P0", log)
-        assert recovered.recover() == 3
+        knowledge = replayed(recovered)
         assert [e.tick for e in log.entries("P0")] == published
+        assert knowledge.d_ticks(TickRange(0, recovered.horizon)) == [
+            (tick, {"seq": i}) for i, tick in enumerate(published)
+        ]
+        assert knowledge.horizon() == recovered.horizon == published[-1] + 1
         # Post-recovery publishes continue past the replayed horizon.
         message = recovered.publish({"seq": 3}, now=1.0)
         assert message.data[-1].tick > max(published)
@@ -128,6 +153,11 @@ class TestPubendRecovery:
 
         log = FileLog(str(tmp_path / "p.log"))
         recovered = Pubend("P0", log)
-        assert recovered.recover() == 2
         assert recovered.acked_up_to == ticks[2]
+        knowledge = replayed(recovered)
+        assert knowledge.final_prefix() == ticks[2]
+        assert [
+            tick for tick, _ in knowledge.d_ticks(TickRange(0, recovered.horizon))
+        ] == ticks[2:]
+        assert knowledge.value_at(ticks[1]) == K.F
         log.close()

@@ -224,14 +224,14 @@ class TestPubendNotAdvertised:
         log = FileLog(str(tmp_path / "p.log"), instruments=instruments)
         pubend = Pubend("P0", log, instruments=instruments)
         pubend.publish({"n": 1}, now=0.1)
-        horizon = pubend.stream.horizon()
+        horizon = pubend.horizon
 
         log.inject_fault("enospc")
         with pytest.raises(LogAppendError):
             pubend.publish({"n": 2}, now=0.2)
-        # Nothing moved: no tick assigned to the stream, no publication
+        # Nothing moved: no tick assigned, no publication
         # counted, nothing for downstream to learn about.
-        assert pubend.stream.horizon() == horizon
+        assert pubend.horizon == horizon
         assert pubend.publish_count == 1
         assert len(log.entries("P0")) == 1
         assert instruments.total("repro_pubend_publish_failures_total") == 1
