@@ -23,7 +23,7 @@ Quickstart::
 
 from .check import (
     ORACLES,
-    FuzzReport,
+    CampaignReport,
     OracleFailure,
     OracleSuite,
     RunResult,
@@ -72,6 +72,7 @@ __all__ = [
     "AckMessage",
     "BruteForceMatcher",
     "C",
+    "CampaignReport",
     "CostModel",
     "CpuAccountant",
     "CuriosityStream",
@@ -81,7 +82,6 @@ __all__ = [
     "FaultInjector",
     "FileLog",
     "FilterEdge",
-    "FuzzReport",
     "INFINITY",
     "IndexedMatcher",
     "Instruments",

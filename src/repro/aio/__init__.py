@@ -1,6 +1,6 @@
 """Asyncio runtime: the same broker engine over real-time transports."""
 
-from .chaos import ChaosAction, ChaosReport, chaos, chaos_schedule, run_chaos
+from .chaos import chaos, run_chaos
 from .runtime import AioBroker, AioPublisher, AioSystem
 from .transport import LocalTransport, TcpTransport, Transport
 from .wire import (
@@ -18,8 +18,6 @@ __all__ = [
     "AioBroker",
     "AioPublisher",
     "AioSystem",
-    "ChaosAction",
-    "ChaosReport",
     "FrameDecoder",
     "FrameError",
     "LocalTransport",
@@ -28,7 +26,6 @@ __all__ = [
     "TcpTransport",
     "Transport",
     "chaos",
-    "chaos_schedule",
     "decode_batch_body",
     "decode_wire_message",
     "encode_batch_frame",

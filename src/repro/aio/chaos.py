@@ -1,24 +1,21 @@
-"""Seeded real-time chaos harness for the asyncio runtime.
+"""Seeded real-time chaos: the paper's §4.2 fault pattern on the asyncio
+runtime, and the wall-clock deployment preset.
 
 The simulator proves exactly-once under deterministically fuzzed fault
-schedules (``repro.check``); this module asserts the same service
-specification against the *real-time* backend: an :class:`AioSystem`
-with ``FileLog``-backed pubends over a real transport, while a seeded
-schedule crashes and restarts brokers and fails and recovers links under
-live traffic.  After the faults, everything is healed, publishers stop,
-and the system is given a settle window; then the offline
-:class:`~repro.client.DeliveryChecker` renders the verdict — zero
-duplicate, zero missing deliveries — exactly as in the simulator's
-oracle suite.
+schedules; chaos asserts the same service specification against the
+*real-time* backend: an :class:`~repro.aio.runtime.AioSystem` with
+``FileLog``-backed pubends over a real transport, while a seeded schedule
+crashes and restarts brokers, fails and recovers links and (with
+``corrupt_rate``) corrupts logs and frames under live traffic.
 
-The schedule is a pure function of ``(seed, duration)``
-(:func:`chaos_schedule`), so a failing seed can be re-run; wall-clock
-jitter means real-time runs are not bit-reproducible, but the fault
-pattern is.  The topology is a three-cell chain ``b0 — b1 — b2`` with
-two pubends at ``b0`` and a subscriber at ``b2``: killing ``b0``
-exercises PHB log replay and doubt-horizon re-advertisement, killing
-``b1`` exercises pure soft-state recovery, and link outages exercise the
-transport's supervision (reconnect, heartbeat failure detection).
+Chaos is a scenario generator, not a harness: the schedule is
+:func:`repro.check.scenario.chaos_scenario` — a pure function of the seed,
+so a failing seed reproduces the same fault pattern (wall-clock jitter
+means real-time runs are not bit-reproducible) — and it runs through the
+one asyncio driver, :func:`repro.check.runner.run_scenario_aio`, which
+polls for convergence and judges exactly-once against the run's own
+ground truth.  A failing run is shrunk and written as ``chaos-*.json`` by
+the one campaign loop, and ``python -m repro replay`` re-runs it.
 
 Used by ``python -m repro chaos`` and the ``aio-chaos-smoke`` CI job;
 see docs/DEPLOYMENT.md.
@@ -26,25 +23,28 @@ see docs/DEPLOYMENT.md.
 
 from __future__ import annotations
 
-import asyncio
 import math
 import os
-import random
-import shutil
 import tempfile
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Optional
 
-from ..client import CheckReport, DeliveryChecker
+from ..check.runner import (
+    DEFAULT_TIME_SCALE,
+    CampaignReport,
+    RunResult,
+    campaign,
+    run_scenario_aio,
+)
+from ..check.scenario import Scenario, chaos_scenario
 from ..core.config import LivenessParams
-from ..storage.faults import corrupt_log_file
 from ..topology import Topology
-from .runtime import AioSystem, run_schedule
-from .transport import LocalTransport, TcpTransport, Transport
 
-__all__ = ["ChaosAction", "ChaosReport", "chaos_schedule", "run_chaos", "chaos"]
+__all__ = ["FAST_PARAMS", "chain_topology", "run_chaos", "chaos"]
 
-#: Liveness tuned for sub-second recovery in a smoke-test budget.
+#: The *wall-clock* preset: liveness tuned for sub-second recovery in real
+#: time — what ``repro serve`` and the load benchmark deploy with.  (The
+#: simulated-clock preset every scenario runs under, scaled to about this
+#: by the asyncio driver, is :data:`repro.check.scenario.FAST_PARAMS`.)
 FAST_PARAMS = LivenessParams(
     gct=0.05,
     nrt_min=0.1,
@@ -54,74 +54,6 @@ FAST_PARAMS = LivenessParams(
     silence_interval=0.1,
     link_status_interval=0.1,
 )
-
-
-@dataclass(frozen=True)
-class ChaosAction:
-    """One scheduled fault.  ``kind`` is a
-    :class:`~repro.facade.SystemFacade` fault verb applied as
-    ``getattr(system, kind)(*target)`` — ``crash_broker``/``restart_broker``
-    with target ``(broker,)``, ``fail_link``/``recover_link`` with
-    ``(a, b)`` — or one of the corruption injections, which act on files
-    and log handles rather than on the system surface: ``corrupt-log``
-    (flip a bit in a stable-log record while its broker is down),
-    ``corrupt-wire`` (damage the next frame on the wire), ``disk-full``
-    (the next stable-log append hits ENOSPC)."""
-
-    t: float
-    kind: str
-    target: Tuple[str, ...]
-
-    def render(self) -> str:
-        return f"t={self.t:.2f} {self.kind} {'-'.join(self.target)}"
-
-
-@dataclass
-class ChaosReport:
-    """Outcome of one chaos run."""
-
-    seed: int
-    duration: float
-    transport: str
-    actions: List[ChaosAction]
-    published: int = 0
-    delivered: int = 0
-    reports: Dict[str, CheckReport] = field(default_factory=dict)
-    #: Online failures (duplicate/order violations raised by clients,
-    #: unexpected broker exceptions) — empty on a clean run.
-    failures: List[str] = field(default_factory=list)
-    counters: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and all(
-            r.exactly_once for r in self.reports.values()
-        )
-
-    def render(self) -> str:
-        lines = [
-            f"chaos seed={self.seed} duration={self.duration}s "
-            f"transport={self.transport}"
-        ]
-        lines += [f"  {a.render()}" for a in self.actions]
-        lines.append(
-            f"  published {self.published}, delivered {self.delivered}"
-        )
-        for sub, report in sorted(self.reports.items()):
-            verdict = "exactly-once" if report.exactly_once else (
-                f"{len(report.missing)} missing, "
-                f"{len(report.unexpected)} unexpected"
-            )
-            lines.append(f"  {sub}: {verdict}")
-        for failure in self.failures:
-            lines.append(f"  FAILURE: {failure}")
-        if self.counters:
-            rendered = ", ".join(
-                f"{k}={v}" for k, v in sorted(self.counters.items())
-            )
-            lines.append(f"  transport: {rendered}")
-        lines.append(f"  verdict: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(lines)
 
 
 def chain_topology(link_latency: float = 0.002) -> Topology:
@@ -135,204 +67,16 @@ def chain_topology(link_latency: float = 0.002) -> Topology:
     return topo
 
 
-def chaos_schedule(
-    seed: int, duration: float, corrupt_rate: float = 0.0
-) -> List[ChaosAction]:
-    """The fault schedule for one seed: a pure function, so a failing
-    seed reproduces the same fault pattern.
-
-    Always includes one crash/restart of the publisher-hosting broker
-    (the acceptance case: exactly-once across real PHB crash) and one
-    fail/recover of a link; may add an intermediate-broker outage.  Every
-    outage closes before ``0.72 * duration``, leaving the tail of the
-    run for organic recovery before the settle window.
-
-    ``corrupt_rate`` (default 0: schedules are byte-identical to the
-    pre-corruption harness) adds each corruption action with that
-    probability — at 1.0, all of:
-
-    * ``corrupt-log`` at the midpoint of the PHB outage, while the log
-      files are closed: the *oldest* record of each log gets a bit flip.
-      It was published, delivered, and possibly truncated long before
-      the fault window, so quarantining it on replay must not cost a
-      delivery — only prove detection (``log_records_quarantined``).
-    * ``corrupt-wire`` during the fault window: the next data frame is
-      damaged in flight and must be rejected by checksum
-      (``frames_rejected_crc``), never delivered.
-    * ``disk-full`` after every outage has healed: the PHB's next stable
-      append hits ENOSPC; the publish must fail *visibly*
-      (``log_append_errors``) instead of advertising an unlogged tick.
-
-    Corruption draws come after the base schedule, so the base fault
-    pattern of a seed is unchanged by enabling corruption.
-    """
-    rng = random.Random(seed)
-    window_lo, window_hi = 0.2 * duration, 0.72 * duration
-    actions: List[ChaosAction] = []
-
-    def outage(start_kind: str, end_kind: str, *target: str) -> Tuple[float, float]:
-        start = rng.uniform(window_lo, window_hi - 0.15 * duration)
-        end = min(start + rng.uniform(0.15, 0.3) * duration, window_hi)
-        actions.append(ChaosAction(start, start_kind, target))
-        actions.append(ChaosAction(end, end_kind, target))
-        return start, end
-
-    crash_t, restart_t = outage("crash_broker", "restart_broker", "b0")
-    outage("fail_link", "recover_link", *rng.choice([("b0", "b1"), ("b1", "b2")]))
-    if rng.random() < 0.5:
-        outage("crash_broker", "restart_broker", "b1")
-    if corrupt_rate > 0:
-        if rng.random() < corrupt_rate:
-            actions.append(
-                ChaosAction((crash_t + restart_t) / 2.0, "corrupt-log", ("b0",))
-            )
-        if rng.random() < corrupt_rate:
-            actions.append(
-                ChaosAction(
-                    rng.uniform(window_lo, window_hi), "corrupt-wire", ("wire",)
-                )
-            )
-        if rng.random() < corrupt_rate:
-            actions.append(ChaosAction(0.8 * duration, "disk-full", ("b0",)))
-    return sorted(actions, key=lambda a: (a.t, a.kind, a.target))
-
-
-async def chaos(
-    seed: int = 0,
-    duration: float = 2.0,
-    transport: str = "tcp",
-    data_dir: Optional[str] = None,
-    params: Optional[LivenessParams] = None,
-    rate: float = 60.0,
-    settle: float = 2.5,
-    corrupt_rate: float = 0.0,
-) -> ChaosReport:
-    """Run one seeded chaos scenario against the asyncio runtime."""
-    if transport == "tcp":
-        wire: Transport = TcpTransport(heartbeat_interval=0.1, seed=seed)
-    elif transport == "local":
-        wire = LocalTransport(latency=0.001, seed=seed)
-    else:
-        raise ValueError(f"transport must be 'tcp' or 'local', got {transport!r}")
-    tmp_dir = None
-    if data_dir is None:
-        tmp_dir = data_dir = tempfile.mkdtemp(prefix="repro-chaos-")
-    actions = chaos_schedule(seed, duration, corrupt_rate)
-    report = ChaosReport(
-        seed=seed,
-        duration=duration,
-        transport=transport,
-        actions=actions,
+def _wall_clock_scenario(
+    seed: int, duration: float, settle: float, corrupt_rate: float
+) -> Scenario:
+    """``duration`` wall seconds of traffic and faults, then at most
+    ``settle`` wall seconds to converge, as a scenario for the driver's
+    default time scale."""
+    scenario = chaos_scenario(seed, duration / DEFAULT_TIME_SCALE, corrupt_rate)
+    return scenario.with_(
+        drain_until=scenario.publish_until + settle / DEFAULT_TIME_SCALE
     )
-    system = AioSystem(
-        chain_topology(),
-        params=params if params is not None else FAST_PARAMS,
-        transport=wire,
-        data_dir=data_dir,
-    )
-    try:
-        await system.start()
-        client = system.subscribe("sub0", "b2", ("P0", "P1"))
-        publishers = [system.publisher(p, rate=rate) for p in ("P0", "P1")]
-        for publisher in publishers:
-            publisher.start()
-
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        for action in actions:
-            await asyncio.sleep(max(0.0, t0 + action.t - loop.time()))
-            if action.kind == "corrupt-log":
-                # The broker is down (midpoint of its outage): its log
-                # files are closed.  Flip a bit in the *oldest* record of
-                # each — delivered long ago, so replay must quarantine it
-                # without costing a delivery.
-                injected = 0
-                for name in sorted(os.listdir(data_dir)):
-                    if name.endswith(".log") and corrupt_log_file(
-                        os.path.join(data_dir, name), seed=seed
-                    ):
-                        injected += 1
-                report.counters["log_corruptions_injected"] = (
-                    report.counters.get("log_corruptions_injected", 0) + injected
-                )
-            elif action.kind == "corrupt-wire":
-                wire.corrupt_next_messages(1)
-                report.counters["wire_corruptions_injected"] = (
-                    report.counters.get("wire_corruptions_injected", 0) + 1
-                )
-            elif action.kind == "disk-full":
-                broker = system.brokers.get(action.target[0])
-                armed = 0
-                if broker is not None and broker.alive:
-                    # data_dir is always set here: every log is a FileLog.
-                    for log in broker.hosted_logs().values():
-                        log.inject_fault("enospc")
-                        armed += 1
-                report.counters["disk_full_injected"] = (
-                    report.counters.get("disk_full_injected", 0) + armed
-                )
-            else:  # a fault verb of the system, due now
-                await run_schedule(
-                    system, [(action.t, action.kind, action.target, {})], t0
-                )
-        await asyncio.sleep(max(0.0, t0 + duration - loop.time()))
-
-        # End of the fault window: the schedule already closed every
-        # outage; stop traffic and let recovery machinery finish.
-        for publisher in publishers:
-            await publisher.stop()
-        await asyncio.sleep(settle)
-
-        checker = DeliveryChecker(publishers)
-        report.published = sum(len(p.published) for p in publishers)
-        report.delivered = len(client.received)
-        report.reports["sub0"] = checker.check(
-            client, system.subscriptions["sub0"]
-        )
-        for broker_id, broker in sorted(system.brokers.items()):
-            if broker.failure is not None:
-                report.failures.append(f"{broker_id}: {broker.failure!r}")
-        for name in (
-            "reconnects",
-            "heartbeat_failures",
-            "shed",
-            "sent",
-            "frames_sent",
-            "msgs_sent",
-            "serialize_cache_hits",
-            "frames_rejected_crc",
-        ):
-            value = getattr(wire, name, None)
-            if value is not None:
-                report.counters[name] = value
-        report.counters["broker_restarts"] = sum(
-            b.restarts for b in system.brokers.values()
-        )
-        instruments = system.obs.instruments
-        for name in ("log_records_quarantined", "log_append_errors"):
-            report.counters[name] = int(instruments.total(name))
-        # Every injected corruption must have been *detected and healed*,
-        # not silently absorbed: the matching detection counter proves the
-        # integrity layer saw it (the exactly-once verdict above proves
-        # the healing).
-        checks = (
-            ("log_corruptions_injected", "log_records_quarantined",
-             "injected log corruption was never quarantined on replay"),
-            ("wire_corruptions_injected", "frames_rejected_crc",
-             "injected wire corruption was never rejected by checksum"),
-            ("disk_full_injected", "log_append_errors",
-             "injected disk-full fault never surfaced as a log append error"),
-        )
-        for injected_name, detected_name, message in checks:
-            if report.counters.get(injected_name, 0) and not report.counters.get(
-                detected_name, 0
-            ):
-                report.failures.append(message)
-    finally:
-        await system.shutdown()
-        if tmp_dir is not None:
-            shutil.rmtree(tmp_dir, ignore_errors=True)
-    return report
 
 
 def run_chaos(
@@ -340,21 +84,74 @@ def run_chaos(
     duration: float = 2.0,
     transport: str = "tcp",
     data_dir: Optional[str] = None,
-    params: Optional[LivenessParams] = None,
-    rate: float = 60.0,
     settle: float = 2.5,
     corrupt_rate: float = 0.0,
-) -> ChaosReport:
-    """Synchronous wrapper: run one chaos scenario on a fresh loop."""
-    return asyncio.run(
-        chaos(
-            seed=seed,
-            duration=duration,
-            transport=transport,
-            data_dir=data_dir,
-            params=params,
-            rate=rate,
-            settle=settle,
-            corrupt_rate=corrupt_rate,
+) -> RunResult:
+    """One seeded chaos run over durable logs (under ``data_dir``, else a
+    temporary directory)."""
+    return run_scenario_aio(
+        _wall_clock_scenario(seed, duration, settle, corrupt_rate),
+        transport=transport,
+        data_dir=data_dir,
+        durable=True,
+    )
+
+
+def chaos(
+    base_seed: int,
+    runs: int,
+    *,
+    duration: float = 2.0,
+    transport: str = "tcp",
+    data_dir: Optional[str] = None,
+    settle: float = 2.5,
+    corrupt_rate: float = 0.0,
+    min_published: int = 0,
+    shrink_budget: int = 24,
+    **campaign_options: Any,
+) -> CampaignReport:
+    """The chaos campaign: consecutive seeds from ``base_seed``
+    (``campaign_options`` as for :func:`repro.check.runner.campaign`).  A
+    run that carried fewer than ``min_published`` publications fails: it
+    saw too little traffic to mean anything.  A shrink probe takes
+    seconds, hence the small ``shrink_budget``."""
+    if data_dir is not None:
+        os.makedirs(data_dir, exist_ok=True)
+
+    def run_fn(scenario: Scenario) -> RunResult:
+        # Every run — the shrink probes of a failing seed too — gets a
+        # fresh subdirectory, so none cold-starts over another's logs and
+        # the log files (and any .quarantine sidecars left by corruption
+        # injection) survive side by side for post-mortem / CI artifacts.
+        run_dir = None
+        if data_dir is not None:
+            run_dir = tempfile.mkdtemp(prefix=f"seed-{scenario.seed}-", dir=data_dir)
+        result = run_scenario_aio(
+            scenario, transport=transport, data_dir=run_dir, durable=True
         )
+        if result.published < min_published:
+            result.failures.append(
+                f"[workload] only {result.published} publications (wanted "
+                f">= {min_published}): too little traffic to mean anything"
+            )
+        return result
+
+    say = campaign_options.get("progress") or (lambda _line: None)
+
+    def scenario_for(index: int) -> Scenario:
+        scenario = _wall_clock_scenario(
+            base_seed + index, duration, settle, corrupt_rate
+        )
+        schedule = ", ".join(f.describe(DEFAULT_TIME_SCALE) for f in scenario.faults)
+        say(f"chaos seed={scenario.seed} {duration}s over {transport}: {schedule}")
+        return scenario
+
+    return campaign(
+        base_seed,
+        runs,
+        scenario_for,
+        run_fn,
+        stem="chaos",
+        shrink_budget=shrink_budget,
+        **campaign_options,
     )

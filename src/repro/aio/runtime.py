@@ -37,6 +37,7 @@ from ..core.subend import Subscription
 from ..core.ticks import Tick
 from ..facade import SubscribeMixin
 from ..obs.observability import Observability
+from ..storage.faults import corrupt_log_file
 from ..storage.log import FileLog, MemoryLog, MessageLog
 from ..topology import Topology, TopologyPlan
 from .transport import LocalTransport, Transport
@@ -445,15 +446,17 @@ class AioSystem(SubscribeMixin):
                 preassign_window=preassign,
             )
 
+    def _log_path(self, pubend_id: str) -> str:
+        return os.path.join(self._data_dir, f"{pubend_id}.log")
+
     def _file_log(self, pubend_id: str) -> FileLog:
         """Default durable log: one checksummed record file per pubend
         under ``data_dir`` (see docs/DEPLOYMENT.md for the layout).
         Instruments are threaded through so replay quarantines and
         append failures surface as ``log_records_quarantined`` /
         ``log_append_errors``."""
-        path = os.path.join(self._data_dir, f"{pubend_id}.log")
         return FileLog(
-            path,
+            self._log_path(pubend_id),
             commit_latency=self._log_commit_latency,
             instruments=self.obs.instruments,
         )
@@ -587,6 +590,46 @@ class AioSystem(SubscribeMixin):
         self.transport.clear_pathology(a, b)
         self._report_fault("clear_link_pathology", f"{a}-{b}")
 
+    # The three integrity verbs act on files and frames, so they exist on
+    # this backend only.  Each reports itself only when it injected
+    # something: the report is what the "every injected corruption was
+    # detected" check (repro.check.scenario.INTEGRITY_KINDS) counts.
+
+    def corrupt_log(self, broker_id: str) -> None:
+        """At-rest corruption: flip one bit in the *oldest* record of each
+        log file of a crashed broker, to be quarantined on replay.  A live
+        broker is left alone — damage under an open append handle models
+        nothing a real disk does."""
+        if self._data_dir is None or self.brokers[broker_id].alive:
+            return
+        hit = [
+            corrupt_log_file(self._log_path(pubend_id))
+            for pubend_id, host in sorted(self.pubend_hosts.items())
+            if host == broker_id
+        ]
+        if any(hit):
+            self._report_fault("corrupt_log", broker_id)
+
+    def corrupt_wire(self) -> None:
+        """In-flight corruption: the next frame on the wire is damaged and
+        must be rejected by the receiving checksum, never delivered."""
+        self.transport.corrupt_next_messages(1)
+        self._report_fault("corrupt_wire", "wire")
+
+    def disk_full(self, broker_id: str) -> None:
+        """The next stable append of each file log the broker hosts hits
+        ENOSPC: the publish must fail visibly, not advertise an unlogged
+        tick."""
+        logs = [
+            log
+            for log in self.brokers[broker_id].hosted_logs().values()
+            if isinstance(log, FileLog)
+        ]
+        for log in logs:
+            log.inject_fault("enospc")
+        if logs:
+            self._report_fault("disk_full", broker_id)
+
     # -- teardown ----------------------------------------------------------
 
     async def shutdown(self) -> None:
@@ -612,8 +655,7 @@ async def run_schedule(
     """The asyncio schedule executor: sleep until loop time ``t0 + t``,
     then apply ``getattr(target, verb)(*args, **kwargs)``, awaiting the
     verbs that are coroutines here.  ``steps`` must be in time order
-    (:meth:`repro.check.scenario.Scenario.fault_steps`,
-    :func:`repro.aio.chaos.chaos_schedule`)."""
+    (:meth:`repro.check.scenario.Scenario.fault_steps`)."""
     loop = asyncio.get_running_loop()
     for t, verb, args, kwargs in steps:
         await asyncio.sleep(max(0.0, t0 + t - loop.time()))

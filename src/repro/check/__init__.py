@@ -1,32 +1,30 @@
-"""``repro.check`` — the deterministic fuzzer and the conformance harness.
+"""``repro.check`` — the scenario pipeline: fuzz, conformance and chaos.
 
 Seeded scenario generation (:mod:`~repro.check.scenario`), the
-exactly-once oracle suite (:mod:`~repro.check.oracles`), the execution
-harness and fuzz loop (:mod:`~repro.check.runner`), the repro shrinker
+exactly-once oracle suite and the backend-neutral verdict
+(:mod:`~repro.check.oracles`), one driver per clock, the campaign loop
+and the repro file (:mod:`~repro.check.runner`), the repro shrinker
 (:mod:`~repro.check.shrink`), and the differential sim↔asyncio
-conformance harness (:mod:`~repro.check.conformance`).  See
-``docs/FUZZING.md`` for the seed/repro formats and the corpus check-in
-workflow, and ``docs/TESTING.md`` for how the tiers fit together.
+comparison (:mod:`~repro.check.conformance`).  See ``docs/FUZZING.md``
+for the seed/repro formats and the corpus check-in workflow, and
+``docs/TESTING.md`` for how the tiers fit together.
 """
 
 from .conformance import (
-    CONFORM_FORMAT,
     ConformanceResult,
-    ConformReport,
-    StackOutcome,
     conform,
-    load_conformance_repro,
     replay_conformance,
     run_conformance,
-    write_conformance_repro,
 )
-from .oracles import ORACLES, OracleFailure, OracleSuite
+from .oracles import ORACLES, OracleFailure, OracleSuite, StackOutcome
 from .runner import (
-    FuzzReport,
+    CampaignReport,
     RunResult,
+    campaign,
     fuzz,
     load_repro,
     run_scenario,
+    run_scenario_aio,
     run_seed,
     write_repro,
 )
@@ -38,6 +36,7 @@ from .scenario import (
     SubscriberSpec,
     TopologyMeta,
     build_topology,
+    chaos_scenario,
     generate,
     scenario_seed,
 )
@@ -47,11 +46,14 @@ __all__ = [
     "ORACLES",
     "OracleFailure",
     "OracleSuite",
-    "FuzzReport",
+    "StackOutcome",
+    "CampaignReport",
     "RunResult",
+    "campaign",
     "fuzz",
     "load_repro",
     "run_scenario",
+    "run_scenario_aio",
     "run_seed",
     "write_repro",
     "FORMAT",
@@ -61,17 +63,13 @@ __all__ = [
     "SubscriberSpec",
     "TopologyMeta",
     "build_topology",
+    "chaos_scenario",
     "generate",
     "scenario_seed",
     "ShrinkStats",
     "shrink",
-    "CONFORM_FORMAT",
     "ConformanceResult",
-    "ConformReport",
-    "StackOutcome",
     "conform",
-    "load_conformance_repro",
     "replay_conformance",
     "run_conformance",
-    "write_conformance_repro",
 ]

@@ -42,18 +42,36 @@ just at the end:
 Failures are :class:`OracleFailure` (an ``AssertionError`` subclass so a
 raising oracle aborts the simulated run the way the online client checks
 do), each tagged with the oracle name for triage and shrinking.
+
+The suite arms its sweeps on the simulator's scheduler.  What can be
+judged on *either* clock is a :class:`StackOutcome` — one backend's run
+keyed by cross-stack publication identity ``(pubend, seq)``, collected by
+both drivers of :mod:`repro.check.runner` — and :func:`judge_outcome`,
+the verdict of one stack against its own ground truth.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..client import DeliveryChecker, PublisherClient, SubscriberClient
 from ..core.ticks import Tick
-from ..obs.lifecycle import LifecycleListener
+from ..facade import resolve_predicate
+from ..matching.events import Event
+from ..obs.lifecycle import LifecycleListener, LifecycleRecorder
 from ..topology import System
+from .scenario import Scenario
 
-__all__ = ["OracleFailure", "OracleSuite", "ORACLES"]
+__all__ = [
+    "OracleFailure",
+    "OracleSuite",
+    "ORACLES",
+    "StackOutcome",
+    "collect_outcome",
+    "judge_outcome",
+]
 
 #: The oracle names a suite can report (documented in docs/FUZZING.md).
 ORACLES = (
@@ -177,10 +195,9 @@ class OracleSuite(LifecycleListener):
             if publisher.pubend != pubend_id:
                 continue
             for broker in self.system.brokers.values():
-                engine = getattr(broker, "engine", None)
-                if not broker.alive or engine is None:
+                if not broker.alive:
                     continue
-                subend = getattr(engine, "subend", None)
+                subend = broker.engine.subend
                 if subend is None or not subend.has_pubend(pubend_id):
                     continue
                 for subscription in subend.subscriptions_for(pubend_id):
@@ -235,14 +252,10 @@ class OracleSuite(LifecycleListener):
             raise OracleFailure("stream-invariants", str(exc)) from exc
         self._check_soft_state_size()
         for broker in self.system.brokers.values():
-            engine = getattr(broker, "engine", None)
-            if not broker.alive or engine is None:
+            if not broker.alive:
                 continue
-            if not hasattr(engine, "stream_state"):
-                continue
-            incarnation = (broker.node_id, getattr(broker, "epoch", 0))
-            state = engine.stream_state()
-            for pubend, entry in state.items():
+            incarnation = (broker.node_id, broker.epoch)
+            for pubend, entry in broker.engine.stream_state().items():
                 self._monotone(
                     incarnation, pubend, "istream", entry["istream"],
                     ("doubt_horizon", "final_prefix", "horizon", "acked_upstream"),
@@ -280,7 +293,7 @@ class OracleSuite(LifecycleListener):
         engines = [
             (broker.node_id, broker.engine)
             for broker in self.system.brokers.values()
-            if broker.alive and hasattr(getattr(broker, "engine", None), "istreams")
+            if broker.alive
         ]
         # Quiescent only when the (live) PHB says so.
         acked_end_to_end = {
@@ -341,9 +354,7 @@ class OracleSuite(LifecycleListener):
     # ------------------------------------------------------------------
 
     def final_check(
-        self,
-        publishers: Sequence[PublisherClient],
-        subscribers: Optional[Dict[str, SubscriberClient]] = None,
+        self, publishers: Sequence[PublisherClient]
     ) -> List[OracleFailure]:
         """The offline oracles, after the quiescent drain.
 
@@ -351,9 +362,7 @@ class OracleSuite(LifecycleListener):
         a caller can report *all* end-state violations at once.
         """
         failures: List[OracleFailure] = []
-        subscribers = (
-            subscribers if subscribers is not None else self.system.subscribers
-        )
+        subscribers = self.system.subscribers
         checker = DeliveryChecker(list(publishers))
         for name, client in sorted(subscribers.items()):
             subscription = self.system.subscriptions.get(name)
@@ -409,3 +418,204 @@ class OracleSuite(LifecycleListener):
                         )
                     )
         return failures
+
+
+# ---------------------------------------------------------------------------
+# The backend-neutral record of a run, and its verdict
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class StackOutcome:
+    """Everything observable from one backend's run of a scenario, keyed
+    by cross-stack publication identity ``(pubend, seq)``."""
+
+    stack: str
+    #: pubend -> successfully published seqs, in publish order.
+    published: Dict[str, List[int]] = field(default_factory=dict)
+    #: pubend -> publish attempts made (== the fixed count on success).
+    attempts: Dict[str, int] = field(default_factory=dict)
+    #: subscriber -> {(pubend, seq)} actually delivered to the client.
+    delivered: Dict[str, Set[Tuple[str, int]]] = field(default_factory=dict)
+    #: Failures raised *inside* the run (oracles, delivery safety, a
+    #: broker exception, an undetected injected corruption, ...).
+    failures: List[str] = field(default_factory=list)
+    #: pubend -> True when every live broker's istream doubt horizon
+    #: cleared this stack's highest published tick.
+    converged: Dict[str, bool] = field(default_factory=dict)
+    #: (pubend, seq) -> lifecycle commit events observed.
+    committed: Counter = field(default_factory=Counter)
+    #: (subscriber, pubend, seq) -> lifecycle delivery events observed.
+    lifecycle_delivered: Counter = field(default_factory=Counter)
+    #: ``(kind, target)`` of every fault verb the stack reported, in order.
+    faults: List[Tuple[str, str]] = field(default_factory=list)
+    #: mutation name -> times the deliberate defect fired (aio only).
+    mutated: Counter = field(default_factory=Counter)
+    #: detection instrument -> corruptions the integrity layer caught
+    #: (aio only; see ``repro.check.scenario.INTEGRITY_KINDS``).
+    detected: Dict[str, int] = field(default_factory=dict)
+
+
+def collect_outcome(
+    stack: str,
+    publishers: List[Any],
+    system: Any,
+    recorder: LifecycleRecorder,
+    failures: List[str],
+) -> StackOutcome:
+    """Read a run, as it stands, off its system (either backend)."""
+    outcome = StackOutcome(stack=stack, failures=failures)
+    tick_to_seq: Dict[str, Dict[int, int]] = {}
+    for publisher in publishers:
+        outcome.published[publisher.pubend] = [
+            seq for (seq, __, ___) in publisher.published
+        ]
+        outcome.attempts[publisher.pubend] = publisher.seq
+        tick_to_seq[publisher.pubend] = {
+            tick: seq for (seq, tick, __) in publisher.published
+        }
+    for name, client in system.subscribers.items():
+        outcome.delivered[name] = {
+            (pubend, event.get_attr("seq"))
+            for pubend, __, event, ___ in client.received
+        }
+    for (pubend, tick), n in recorder.committed_events.items():
+        seqmap = tick_to_seq.get(pubend)
+        if seqmap is not None and tick in seqmap:
+            outcome.committed[(pubend, seqmap[tick])] += n
+    for (sub, pubend, tick), n in recorder.delivered_events.items():
+        seqmap = tick_to_seq.get(pubend)
+        if seqmap is not None and tick in seqmap:
+            outcome.lifecycle_delivered[(sub, pubend, seqmap[tick])] += n
+    outcome.faults = list(recorder.faults)
+    outcome.converged = _knowledge_convergence(system.brokers, publishers)
+    return outcome
+
+
+def _knowledge_convergence(
+    brokers: Dict[str, Any], publishers: List[Any]
+) -> Dict[str, bool]:
+    """Per pubend: did every *subend-hosting* broker's istream resolve
+    all doubt at or below the highest tick this stack published?
+
+    The check is scoped to brokers that host a subend for the pubend —
+    the delivery path the paper's guarantee covers.  Brokers off the
+    pubend's route (the other branch of a slot-partitioned bundle, or a
+    broker holding only sideways-relay fragments) legitimately keep
+    partial istreams forever: nobody downstream of them is curious."""
+    top: Dict[str, int] = {}
+    for publisher in publishers:
+        if publisher.published:
+            top[publisher.pubend] = max(t for (__, t, ___) in publisher.published)
+    converged = {publisher.pubend: True for publisher in publishers}
+    for broker in brokers.values():
+        if not broker.alive:
+            continue
+        for pubend, state in broker.engine.stream_state().items():
+            if pubend not in top or state.get("subend") is None:
+                continue
+            if state["istream"]["doubt_horizon"] <= top[pubend]:
+                converged[pubend] = False
+    return converged
+
+
+def _matching_sets(
+    scenario: Scenario, published: Dict[str, List[int]]
+) -> Dict[str, Set[Tuple[str, int]]]:
+    """Expected delivery set per subscriber, given one stack's published
+    seqs — events are reconstructed from the deterministic workload
+    attributes, so predicates must only use pub/seq/g (the generator's
+    predicate pool guarantees this)."""
+    modulus = {spec.pubend: spec.modulus for spec in scenario.publishers}
+    expected: Dict[str, Set[Tuple[str, int]]] = {}
+    for spec in scenario.subscribers:
+        predicate = resolve_predicate(spec.predicate)
+        matches: Set[Tuple[str, int]] = set()
+        for pubend in spec.pubends:
+            for seq in published.get(pubend, ()):
+                event = Event(
+                    {"pub": pubend, "seq": seq, "g": seq % modulus[pubend]}
+                )
+                if predicate(event):
+                    matches.add((pubend, seq))
+        expected[spec.subscriber] = matches
+    return expected
+
+
+def _preview(pairs: Any, limit: int = 3) -> str:
+    items = sorted(pairs)
+    head = ", ".join(repr(item) for item in items[:limit])
+    more = f", ... +{len(items) - limit}" if len(items) > limit else ""
+    return f"[{head}{more}]"
+
+
+def judge_outcome(scenario: Scenario, outcome: StackOutcome) -> List[str]:
+    """One stack against its own ground truth: every way the run broke
+    the service specification, as ``[oracle] message`` lines (empty ==
+    clean).  Exactly-once is judged against *this stack's* published set;
+    the lifecycle-event multisets must be phantom- and duplicate-free
+    against the client-visible record; knowledge must have converged."""
+    lines = list(outcome.failures)
+    expected = _matching_sets(scenario, outcome.published)
+    for spec in scenario.subscribers:
+        name = spec.subscriber
+        delivered = outcome.delivered.get(name, set())
+        missing = expected[name] - delivered
+        unexpected = delivered - expected[name]
+        if missing:
+            lines.append(
+                f"[exactly-once] {name}: {len(missing)} matching "
+                f"publication(s) never delivered {_preview(missing)}"
+            )
+        if unexpected:
+            lines.append(
+                f"[exactly-once] {name}: {len(unexpected)} delivery(ies) of "
+                f"unpublished or non-matching messages {_preview(unexpected)}"
+            )
+
+    published_flat = {
+        (pubend, seq)
+        for pubend, seqs in outcome.published.items()
+        for seq in seqs
+    }
+    # Commit *events* may legitimately undercount the publish record:
+    # the engine emits ``committed`` from a callback scheduled one
+    # commit latency after the publish, and a crash inside that window
+    # kills the callback while the log append survives — recovery
+    # replays the committed state into the istream without re-emitting
+    # lifecycle events.  The sound invariants are therefore phantom-
+    # and duplicate-freedom, not set equality.
+    phantom = set(outcome.committed) - published_flat
+    if phantom:
+        lines.append(
+            f"[lifecycle] commit events for {len(phantom)} publication(s) "
+            f"absent from the publish record {_preview(phantom)}"
+        )
+    for what, events in (
+        ("commit", outcome.committed),
+        ("delivery", outcome.lifecycle_delivered),
+    ):
+        repeated = {key: n for key, n in events.items() if n != 1}
+        if repeated:
+            lines.append(
+                f"[lifecycle] duplicate {what} events {_preview(repeated.items())}"
+            )
+    client_keys = {
+        (sub, pubend, seq)
+        for sub, pairs in outcome.delivered.items()
+        for (pubend, seq) in pairs
+    }
+    drift = set(outcome.lifecycle_delivered) ^ client_keys
+    if drift:
+        lines.append(
+            f"[lifecycle] delivered-event multiset disagrees with client "
+            f"records on {len(drift)} delivery(ies) {_preview(drift)}"
+        )
+
+    for spec in scenario.publishers:
+        if not outcome.converged.get(spec.pubend, True):
+            lines.append(
+                f"[knowledge] residual doubt below the published horizon "
+                f"of {spec.pubend} after drain"
+            )
+    return lines

@@ -6,7 +6,8 @@ redundant-path networks over :class:`~repro.topology.Topology`), which
 publishers and subscribers to attach, the ambient link pathology (drop
 probability, jitter), and a schedule of :class:`FaultSpec` injections
 (crash/restart, stall-then-crash, stall-then-restart, link outages,
-drop and reorder bursts).
+drop and reorder bursts, and — where there are files and frames — log
+and wire corruption and a full disk).
 
 Two properties make scenarios useful as a fuzzing substrate:
 
@@ -45,6 +46,7 @@ __all__ = [
     "Scenario",
     "TopologyMeta",
     "generate",
+    "chaos_scenario",
     "build_topology",
     "scenario_seed",
     "FORMAT",
@@ -53,8 +55,10 @@ __all__ = [
 #: Repro-file format tag (bump on incompatible schema changes).
 FORMAT = "repro-fuzz/1"
 
-#: Fast liveness parameters so faulted runs drain quickly (mirrors the
-#: settings the hand-written property tests converged on).
+#: The *simulated-clock* preset: liveness fast enough that a faulted run
+#: drains in seconds of simulated time.  Every scenario runs under it (the
+#: asyncio driver scales it to wall-clock time); the wall-clock deployment
+#: preset is :data:`repro.aio.chaos.FAST_PARAMS`.
 FAST_PARAMS = LivenessParams(gct=0.1, nrt_min=0.3, aet=3.0, dct=INFINITY)
 
 #: Subscription predicates the generator samples from (``None`` = all).
@@ -68,10 +72,30 @@ Step = Tuple[float, str, Tuple[str, ...], Dict[str, float]]
 #: and whether that argument is measured in seconds.  (A corrupted message
 #: is detected by checksum and discarded at the receiver; the simulator's
 #: verb folds that into loss.)
-_BURST_ARGUMENT = {
+BURST_KINDS = {
     "drop_burst": ("drop_probability", False),
     "reorder_burst": ("jitter", True),
     "corrupt_burst": ("corrupt_probability", False),
+}
+
+#: Integrity faults: each is one verb of the same name on
+#: :class:`~repro.aio.runtime.AioSystem`, mapped here to (the instrument
+#: that must count its detection, the failure when it never did).  They
+#: exist only where there are files and frames, so the simulator driver
+#: strips them (:func:`repro.check.runner.normalize_for_transport`).
+INTEGRITY_KINDS = {
+    "corrupt_log": (
+        "log_records_quarantined",
+        "injected log corruption was never quarantined on replay",
+    ),
+    "corrupt_wire": (
+        "aio_frames_rejected_crc",
+        "injected wire corruption was never rejected by checksum",
+    ),
+    "disk_full": (
+        "log_append_errors",
+        "injected disk-full fault never surfaced as a log append error",
+    ),
 }
 
 #: What a stall kind becomes where nothing can stall (see FaultSpec.steps).
@@ -86,10 +110,12 @@ _WITHOUT_STALL = {
 class FaultSpec:
     """One scheduled fault.
 
-    ``target`` is ``(broker,)`` for broker faults and ``(a, b)`` for link
-    faults.  ``duration`` is the outage/downtime/burst length, ``stall``
-    the pre-failure sick window (paper section 4.2), and ``intensity``
-    the burst drop probability or jitter.
+    ``target`` is ``(broker,)`` for broker faults, ``(a, b)`` for link
+    faults and ``()`` for ``corrupt_wire`` (the next frame, whichever link
+    carries it).  ``duration`` is the outage/downtime/burst length (0 for
+    the one-shot integrity faults), ``stall`` the pre-failure sick window
+    (paper section 4.2), and ``intensity`` the burst drop probability or
+    jitter.
     """
 
     kind: str
@@ -104,8 +130,8 @@ class FaultSpec:
     def healed_at(self) -> float:
         return self.at + self.stall + self.duration
 
-    def describe(self) -> str:
-        return f"{self.kind}({'-'.join(self.target)}) @ {self.at:.2f}"
+    def describe(self, time_scale: float = 1.0) -> str:
+        return f"{self.kind}({'-'.join(self.target)}) @ {self.at * time_scale:.2f}"
 
     def steps(self, stall: bool = True, time_scale: float = 1.0) -> List[Step]:
         """This fault as timed fault verbs ``(t, verb, args, kwargs)`` —
@@ -152,13 +178,15 @@ class FaultSpec:
                 step(failed, "fail_link"),
                 step(healed, "recover_link"),
             ]
-        if kind in _BURST_ARGUMENT:
-            argument, in_seconds = _BURST_ARGUMENT[kind]
+        if kind in BURST_KINDS:
+            argument, in_seconds = BURST_KINDS[kind]
             value = self.intensity * time_scale if in_seconds else self.intensity
             return [
                 step(start, "set_link_pathology", **{argument: value}),
                 step(healed, "clear_link_pathology"),
             ]
+        if kind in INTEGRITY_KINDS:
+            return [step(start, kind)]
         raise ValueError(f"unknown fault kind {kind!r}")
 
 
@@ -490,3 +518,62 @@ def _generate_faults(
         if fault.healed_at <= heal_deadline:
             faults.append(fault)
     return sorted(faults, key=lambda f: (f.at, f.kind, f.target))
+
+
+def chaos_scenario(
+    seed: int, duration: float, corrupt_rate: float = 0.0
+) -> Scenario:
+    """The chaos scenario for ``seed``: ``duration`` seconds of traffic
+    from two pubends down the chain ``phb — m0 — shb`` under the paper's
+    §4.2 fault pattern — a pure function, like :func:`generate`.
+
+    Always one crash/restart of the publisher-hosting broker (the
+    acceptance case: exactly-once across a PHB crash, which on the asyncio
+    runtime is log replay from disk) and one link outage; half the seeds
+    add an intermediate-broker crash (pure soft-state recovery).  Every
+    outage closes before ``0.72 * duration``, leaving the tail of the
+    publish window for organic recovery.
+
+    ``corrupt_rate`` adds each integrity fault (:data:`INTEGRITY_KINDS`;
+    what each does is on the :class:`~repro.aio.runtime.AioSystem` verb of
+    its name) with that probability — at 1.0, all of: ``corrupt_log`` at
+    the midpoint of the PHB outage, while the log files are closed (the
+    oldest record was delivered long before, so quarantining it must not
+    cost a delivery — only prove detection); ``corrupt_wire`` during the
+    fault window; ``disk_full`` after every outage has healed.  These
+    draws come last, so the base fault pattern of a seed is unchanged by
+    ``corrupt_rate``.
+    """
+    rng = random.Random(seed)
+    window_lo, window_hi = 0.2 * duration, 0.72 * duration
+
+    def outage(kind: str, *target: str) -> FaultSpec:
+        start = rng.uniform(window_lo, window_hi - 0.15 * duration)
+        end = min(start + rng.uniform(0.15, 0.3) * duration, window_hi)
+        return FaultSpec(kind, target, at=start, duration=end - start)
+
+    phb_crash = outage("crash", "phb")
+    faults = [
+        phb_crash,
+        outage("link_fail", *rng.choice([("phb", "m0"), ("m0", "shb")])),
+    ]
+    if rng.random() < 0.5:
+        faults.append(outage("crash", "m0"))
+    for kind, target, at in (
+        ("corrupt_log", ("phb",), lambda: phb_crash.at + phb_crash.duration / 2.0),
+        ("corrupt_wire", (), lambda: rng.uniform(window_lo, window_hi)),
+        ("disk_full", ("phb",), lambda: 0.8 * duration),
+    ):
+        if rng.random() < corrupt_rate:
+            faults.append(FaultSpec(kind, target, at=at(), duration=0.0))
+    pubends = ("P0", "P1")
+    return Scenario(
+        seed=seed,
+        topology="chain",
+        pubends=pubends,
+        publishers=tuple(PublisherSpec(name, rate=20.0) for name in pubends),
+        subscribers=(SubscriberSpec("c0", "shb", pubends),),
+        faults=tuple(sorted(faults, key=lambda f: (f.at, f.kind, f.target))),
+        publish_until=duration,
+        drain_until=duration + 20.0,
+    )

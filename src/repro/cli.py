@@ -10,6 +10,7 @@ Examples::
     python -m repro trace --drop 0.1 --chrome out.json    # causal spans + Perfetto
     python -m repro fuzz --seed 7 --runs 50 --shrink      # oracle fuzzing
     python -m repro replay tests/corpus/*.json            # corpus replay
+    python -m repro chaos --runs 3                        # real-time fault drill
 
 Each experiment prints the same rows/series the corresponding benchmark
 asserts on (see EXPERIMENTS.md).
@@ -21,6 +22,7 @@ import argparse
 import sys
 from typing import List, Optional
 
+from .check.runner import DEFAULT_TIME_SCALE
 from .experiments.fig45 import run_overhead_sweep
 from .experiments.fig678 import run_fault_experiment
 
@@ -90,30 +92,28 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 
 
 def _cmd_quickcheck(args: argparse.Namespace) -> int:
-    from .client import DeliveryChecker
-    from .core.config import LivenessParams
-    from .topology import two_broker_topology
+    from .check import PublisherSpec, Scenario, SubscriberSpec, run_scenario
 
-    topo = two_broker_topology()
-    topo.pubend("P0", "phb")
-    topo.route("P0", "PHB", "SHB")
-    system = topo.build(seed=args.seed, params=LivenessParams(gct=0.1, nrt_min=0.3))
-    system.network.link("phb", "shb").drop_probability = 0.1
-    client = system.subscribe("check", "shb", ("P0",))
-    publisher = system.publisher("P0", rate=100.0)
-    publisher.start(at=0.1)
-    system.run_until(3.0)
-    publisher.stop()
-    system.run_until(10.0)
-    report = DeliveryChecker([publisher]).check(
-        client, system.subscriptions["check"]
+    result = run_scenario(
+        Scenario(
+            seed=args.seed,
+            topology="two_broker",
+            pubends=("P0",),
+            publishers=(PublisherSpec("P0", rate=100.0),),
+            subscribers=(SubscriberSpec("check", "shb", ("P0",)),),
+            drop_probability=0.1,
+            publish_until=3.0,
+            drain_until=10.0,
+        )
     )
     print(
-        f"published {len(publisher.published)}, delivered {report.delivered}, "
-        f"exactly once: {report.exactly_once} "
+        f"published {result.published}, delivered {result.delivered}, "
+        f"exactly once: {result.ok} "
         f"(10% of messages were dropped on the wire)"
     )
-    return 0 if report.exactly_once else 1
+    for line in result.failures:
+        print(f"  {line}")
+    return 0 if result.ok else 1
 
 
 def _stats_system(args: argparse.Namespace):
@@ -198,6 +198,29 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 1 if bad else 0
 
 
+def _campaign_options(args: argparse.Namespace) -> dict:
+    """The flags :func:`_add_campaign_flags` declares, as
+    :func:`repro.check.runner.campaign` keywords."""
+    return dict(
+        time_budget=args.time_budget,
+        shrink=args.shrink,
+        repro_dir=args.repro_dir,
+        keep_going=args.keep_going,
+        progress=print,
+    )
+
+
+def _campaign_status(name: str, report) -> int:
+    print(
+        f"{name}: {report.runs} scenario(s), {len(report.failures)} failure(s), "
+        f"{report.elapsed:.1f}s wall (base seed {report.base_seed}): "
+        f"{'PASS' if report.ok else 'FAIL'}"
+    )
+    for path in report.repro_paths:
+        print(f"repro: {path}")
+    return 0 if report.ok else 1
+
+
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .check import fuzz, run_seed, scenario_seed
 
@@ -213,35 +236,31 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     report = fuzz(
         args.seed,
         args.runs,
-        time_budget=args.time_budget,
-        shrink_failures=args.shrink,
-        repro_dir=args.repro_dir,
-        progress=print,
-        stop_on_failure=not args.keep_going,
         flush_delay=args.flush_delay,
+        **_campaign_options(args),
     )
-    print(
-        f"fuzz: {report.runs} scenario(s), {len(report.failures)} failure(s), "
-        f"{report.elapsed:.1f}s wall (base seed {report.base_seed})"
-    )
-    for path in report.repro_paths:
-        print(f"repro: {path}")
-    return 0 if report.ok else 1
+    return _campaign_status("fuzz", report)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from .check import load_repro, run_scenario
+    from .check import load_repro, run_conformance, run_scenario, run_scenario_aio
 
+    judges = {
+        "fuzz": run_scenario,
+        "conform": run_conformance,
+        "chaos": run_scenario_aio,
+    }
     status = 0
     for path in args.repro:
-        scenario, expect = load_repro(path)
+        scenario, expect, judge, options = load_repro(path)
         if args.flush_delay is not None:
             scenario = scenario.with_(flush_delay=args.flush_delay)
-        result = run_scenario(scenario)
+        result = judges[judge](scenario, **options)
         verdict = "pass" if result.ok else "fail"
         agree = verdict == expect
-        print(f"{path}: expected {expect}, got {verdict} "
+        print(f"{path}: {judge} expected {expect}, got {verdict} "
               f"{'OK' if agree else 'MISMATCH'}")
+        print(f"  {result.summary()}")
         for line in result.failures:
             print(f"  {line}")
         if not agree:
@@ -250,50 +269,20 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_conform(args: argparse.Namespace) -> int:
-    from .check import conform, replay_conformance
-    from .check.conformance import DEFAULT_TIME_SCALE
+    from functools import partial
 
-    mutations = tuple(args.mutate or ())
-    time_scale = (
-        args.time_scale if args.time_scale is not None else DEFAULT_TIME_SCALE
-    )
+    from .check import conform, run_conformance
 
-    if args.replay:
-        status = 0
-        for path in args.replay:
-            result, expect = replay_conformance(path)
-            verdict = "agree" if result.ok else "diverge"
-            agree = verdict == expect
-            print(f"{path}: expected {expect}, got {verdict} "
-                  f"{'OK' if agree else 'MISMATCH'}")
-            for line in result.divergences:
-                print(f"  {line}")
-            if not agree:
-                status = 1
-        return status
-
-    report = conform(
-        args.seed,
-        args.runs,
-        time_budget=args.time_budget,
-        shrink_divergences=args.shrink,
-        repro_dir=args.repro_dir,
-        progress=print,
-        stop_on_divergence=not args.keep_going,
-        time_scale=time_scale,
+    run_fn = partial(
+        run_conformance,
+        time_scale=args.time_scale,
         transport=args.transport,
-        mutations=mutations,
+        mutations=tuple(args.mutate or ()),
         aio_flush_delay=args.aio_flush_delay,
         corrupt_rate=args.corrupt_rate,
     )
-    print(
-        f"conform: {report.runs} scenario(s), "
-        f"{len(report.divergences)} divergence(s), "
-        f"{report.elapsed:.1f}s wall (base seed {report.base_seed})"
-    )
-    for path in report.repro_paths:
-        print(f"repro: {path}")
-    return 0 if report.ok else 1
+    report = conform(args.seed, args.runs, run_fn, **_campaign_options(args))
+    return _campaign_status("conform", report)
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -303,38 +292,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import os
+    from .aio.chaos import chaos
 
-    from .aio.chaos import run_chaos
-
-    status = 0
-    for offset in range(args.runs):
-        seed = args.seed + offset
-        # Each seed gets its own subdirectory so log files (and any
-        # .quarantine sidecars left by corruption injection) survive
-        # side by side for post-mortem / CI artifact collection.
-        data_dir = args.data_dir
-        if data_dir is not None and args.runs > 1:
-            data_dir = os.path.join(data_dir, f"seed-{seed}")
-        report = run_chaos(
-            seed=seed,
-            duration=args.duration,
-            transport=args.transport,
-            data_dir=data_dir,
-            settle=args.settle,
-            corrupt_rate=args.corrupt_rate,
-        )
-        print(report.render())
-        if not report.ok:
-            status = 1
-        if report.published < args.min_published:
-            print(
-                f"FAILURE: only {report.published} publications "
-                f"(wanted >= {args.min_published}); the run carried too "
-                f"little traffic to mean anything"
-            )
-            status = 1
-    return status
+    report = chaos(
+        args.seed,
+        args.runs,
+        duration=args.duration,
+        transport=args.transport,
+        data_dir=args.data_dir,
+        settle=args.settle,
+        corrupt_rate=args.corrupt_rate,
+        min_published=args.min_published,
+        keep_going=True,
+        progress=print,
+    )
+    return _campaign_status("chaos", report)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -394,6 +366,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 0 if report.exactly_once else 1
 
     return asyncio.run(serve())
+
+
+def _add_campaign_flags(p: argparse.ArgumentParser, runs: int) -> None:
+    """The flags every shrinking campaign takes (see ``campaign``)."""
+    p.add_argument("--seed", type=int, default=0, help="base campaign seed")
+    p.add_argument("--runs", type=int, default=runs, help="scenarios to run")
+    p.add_argument(
+        "--time-budget", type=float, default=None, metavar="SECONDS",
+        help="stop starting new scenarios after this much wall time",
+    )
+    p.add_argument(
+        "--shrink", action=argparse.BooleanOptionalAction, default=True,
+        help="minimize failures before writing repro files",
+    )
+    p.add_argument(
+        "--repro-dir", default=".",
+        help="directory for repro files of shrunk failures",
+    )
+    p.add_argument(
+        "--keep-going", action="store_true",
+        help="continue the campaign after a failure instead of stopping",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,24 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="deterministic fault-schedule fuzzing under the exactly-once "
         "oracle suite (see docs/FUZZING.md)",
     )
-    p.add_argument("--seed", type=int, default=0, help="base campaign seed")
-    p.add_argument("--runs", type=int, default=50, help="scenarios to run")
-    p.add_argument(
-        "--time-budget", type=float, default=None, metavar="SECONDS",
-        help="stop starting new scenarios after this much wall time",
-    )
-    p.add_argument(
-        "--shrink", action=argparse.BooleanOptionalAction, default=True,
-        help="minimize failures before writing repro files",
-    )
-    p.add_argument(
-        "--repro-dir", default=".",
-        help="directory for repro files of shrunk failures",
-    )
-    p.add_argument(
-        "--keep-going", action="store_true",
-        help="continue the campaign after a failure instead of stopping",
-    )
+    _add_campaign_flags(p, runs=50)
     p.add_argument(
         "--verify-deterministic", action="store_true",
         help="run the first scenario twice and compare digests before fuzzing",
@@ -507,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "replay",
-        help="replay repro files (tests/corpus/*.json) and check verdicts",
+        help="replay repro files (tests/corpus/**/*.json, or what a failing "
+        "fuzz, conform or chaos run wrote) under the judge each names",
     )
     p.add_argument("repro", nargs="+", help="repro JSON files to replay")
     p.add_argument(
@@ -522,35 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario executed on both backends and cross-checked "
         "(docs/TESTING.md)",
     )
-    p.add_argument("--seed", type=int, default=0, help="base campaign seed")
-    p.add_argument("--runs", type=int, default=25, help="scenarios to run")
-    p.add_argument(
-        "--time-budget", type=float, default=None, metavar="SECONDS",
-        help="stop starting new scenarios after this much wall time",
-    )
-    p.add_argument(
-        "--replay", nargs="+", metavar="REPRO", default=None,
-        help="replay conformance repro files instead of running a campaign",
-    )
-    p.add_argument(
-        "--shrink", action=argparse.BooleanOptionalAction, default=True,
-        help="minimize divergences before writing repro files",
-    )
-    p.add_argument(
-        "--repro-dir", default=".",
-        help="directory for repro files of shrunk divergences",
-    )
-    p.add_argument(
-        "--keep-going", action="store_true",
-        help="continue the campaign after a divergence instead of stopping",
-    )
+    _add_campaign_flags(p, runs=25)
     p.add_argument(
         "--transport", choices=("local", "tcp"), default="local",
         help="asyncio transport (tcp strips wire-loss pathologies: a "
         "reliable stream cannot drop frames)",
     )
     p.add_argument(
-        "--time-scale", type=float, default=None,
+        "--time-scale", type=float, default=DEFAULT_TIME_SCALE,
         help="wall-clock seconds per simulated second for the asyncio leg",
     )
     p.add_argument(
@@ -613,11 +570,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=2.0,
                    help="seconds of live traffic + faults per run")
     p.add_argument("--settle", type=float, default=2.5,
-                   help="post-fault drain window before the oracle check")
+                   help="seconds a run may take to converge after its "
+                   "traffic stops before it is judged as it stands")
     p.add_argument("--transport", choices=("tcp", "local"), default="tcp")
     p.add_argument(
         "--data-dir", default=None,
-        help="pubend log directory (default: fresh temp dir per run)",
+        help="keep every run's pubend logs here, one fresh subdirectory "
+        "per run (default: a temporary directory per run)",
     )
     p.add_argument(
         "--min-published", type=int, default=20,

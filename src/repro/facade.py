@@ -42,12 +42,16 @@ expose the same public surface, captured here as the
   A fault schedule is a list of timed verbs ``(t, verb, args, kwargs)``
   (:meth:`repro.check.scenario.FaultSpec.steps`) that an executor applies
   with ``getattr(target, verb)(*args, **kwargs)``, awaiting the result
-  when it is awaitable — no caller branches on the backend.
+  when it is awaitable — no caller branches on the backend.  (The
+  asyncio runtime adds three integrity verbs — ``corrupt_log``,
+  ``corrupt_wire``, ``disk_full`` — that act on files and frames; the
+  simulator has neither, so they are not part of this protocol and the
+  simulator's driver strips them from a scenario.)
 
 The protocol is ``runtime_checkable`` so harness code can assert
 ``isinstance(system, SystemFacade)`` against either backend — the
-conformance harness (:mod:`repro.check.conformance`) does exactly that
-before driving the simulator and the asyncio runtime through the same
+scenario drivers (:mod:`repro.check.runner`) do exactly that before
+driving the simulator and the asyncio runtime through the same
 scenario.
 """
 

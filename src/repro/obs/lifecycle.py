@@ -157,15 +157,16 @@ class LifecycleListener:
 class LifecycleRecorder(LifecycleListener):
     """Order-insensitive multiset record of a run's semantic events.
 
-    The conformance harness (:mod:`repro.check.conformance`) attaches one
-    per backend and compares the projections that must agree across the
-    simulator and the asyncio runtime regardless of wall-clock
-    interleaving: how many times each publication *committed* and how
-    many times each (subscriber, publication) *delivery* fired.  Counters
+    The scenario drivers (:mod:`repro.check.runner`) attach one per
+    backend, and the conformance harness compares the projections that
+    must agree across the simulator and the asyncio runtime regardless
+    of wall-clock interleaving: how many times each publication
+    *committed* and how many times each (subscriber, publication)
+    *delivery* fired.  Counters
     rather than sets, so a duplicated commit or delivery — which the
     protocol forbids — shows up as a count above one instead of
-    vanishing into set semantics.  Retransmission traffic and injected
-    faults are tallied as context for divergence reports.
+    vanishing into set semantics.  Injected faults are listed as context
+    for divergence reports.
     """
 
     def __init__(self) -> None:
@@ -173,7 +174,6 @@ class LifecycleRecorder(LifecycleListener):
         self.committed_events: Counter = Counter()
         #: (subscriber, pubend, tick) -> times the client saw delivery.
         self.delivered_events: Counter = Counter()
-        self.retransmits_sent = 0
         #: (kind, target) fault applications, in observation order.
         self.faults: List[Tuple[str, str]] = []
 
@@ -184,19 +184,6 @@ class LifecycleRecorder(LifecycleListener):
         self, t: float, node: str, subscriber: str, pubend: str, tick: int
     ) -> None:
         self.delivered_events[(subscriber, pubend, tick)] += 1
-
-    def knowledge_sent(
-        self,
-        t: float,
-        node: str,
-        dst: str,
-        cell: str,
-        message: Any,
-        kind: str,
-        sideways: bool = False,
-    ) -> None:
-        if kind == "retransmit":
-            self.retransmits_sent += 1
 
     def fault(self, t: float, kind: str, target: str) -> None:
         self.faults.append((kind, target))

@@ -16,8 +16,10 @@ Two tools, matching the two ways real disks betray a log:
   acknowledged.  Replay must detect the damage by checksum
   (see ``FileLog._replay``), quarantine it, and recover everything else.
 
-Both are deterministic under a seed, so the chaos harness
-(:mod:`repro.aio.chaos`) can reproduce a failing corruption schedule.
+Both are deterministic under a seed, so a failing corruption schedule
+reproduces.  On a running system they are the ``disk_full`` and
+``corrupt_log`` fault verbs of :class:`~repro.aio.runtime.AioSystem`,
+scheduled by :func:`repro.check.scenario.chaos_scenario`.
 """
 
 from __future__ import annotations

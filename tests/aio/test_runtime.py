@@ -171,6 +171,57 @@ class TestLocalTransport:
             asyncio.run(scenario(TcpTransport()))
 
 
+    def test_integrity_verbs_report_only_what_they_injected(self, tmp_path):
+        async def scenario():
+            system = AioSystem(
+                gd_topology(), params=FAST, transport=LocalTransport(),
+                data_dir=str(tmp_path),
+            )
+            await system.start()
+            try:
+                publisher = system.publisher("P0", rate=100.0)
+                assert publisher.publish_once() is not None
+                system.corrupt_log("phb")  # up: its log is left alone
+                system.disk_full("shb")  # hosts no log: nothing to arm
+                assert system.obs.fault_events == []
+                system.disk_full("phb")
+                assert publisher.publish_once() is None  # fails visibly
+                assert publisher.publish_once() is not None  # one shot
+                await system.crash_broker("phb")
+                system.corrupt_log("phb")
+                await system.restart_broker("phb")  # replay quarantines it
+                system.corrupt_wire()
+            finally:
+                await system.shutdown()
+            return system.obs
+
+        obs = asyncio.run(scenario())
+        assert [(e.kind, e.target) for e in obs.fault_events] == [
+            ("disk_full", "phb"),
+            ("crash", "phb"),
+            ("corrupt_log", "phb"),
+            ("restart", "phb"),
+            ("corrupt_wire", "wire"),
+        ]
+        assert obs.instruments.total("log_append_errors") == 1
+        assert obs.instruments.total("log_records_quarantined") == 1
+        assert (tmp_path / "P0.log.quarantine").exists()
+
+    def test_integrity_verbs_need_file_logs(self):
+        async def scenario():
+            system = AioSystem(gd_topology(), params=FAST)  # MemoryLog
+            await system.start()
+            try:
+                system.disk_full("phb")
+                await system.crash_broker("phb")
+                system.corrupt_log("phb")
+            finally:
+                await system.shutdown()
+            return [e.kind for e in system.obs.fault_events]
+
+        assert asyncio.run(scenario()) == ["crash"]
+
+
 class _PubendEmissions(LifecycleListener):
     """Every first-time knowledge message a pubend hosted at ``b0``
     emits (publication or silence), as its PHB ingests it."""

@@ -14,16 +14,21 @@ from collections import Counter
 
 import pytest
 
+from repro.check import conformance
 from repro.check.conformance import (
-    DEFAULT_TIME_SCALE,
-    StackOutcome,
+    ConformanceResult,
     compare_outcomes,
-    load_conformance_repro,
+    replay_conformance,
+    run_conformance,
+)
+from repro.check.oracles import StackOutcome
+from repro.check.runner import (
+    DEFAULT_TIME_SCALE,
+    load_repro,
     message_counts,
     normalize_for_transport,
     publisher_start,
-    run_conformance,
-    write_conformance_repro,
+    write_repro,
 )
 from repro.check.scenario import (
     FaultSpec,
@@ -118,6 +123,20 @@ class TestTransportNormalization:
         assert clean.jitter == 0.0
         assert [fault.kind for fault in clean.faults] == ["crash"]
 
+    def test_sim_strips_what_needs_files_and_frames(self):
+        scenario = tiny_scenario(
+            drop_probability=0.2,
+            faults=(
+                FaultSpec(kind="crash", target=("phb",), at=1.0, duration=0.5),
+                FaultSpec(kind="corrupt_log", target=("phb",), at=1.2, duration=0.0),
+                FaultSpec(kind="corrupt_wire", target=(), at=1.3, duration=0.0),
+                FaultSpec(kind="disk_full", target=("phb",), at=1.8, duration=0.0),
+            ),
+        )
+        clean = normalize_for_transport(scenario, "sim")
+        assert clean.drop_probability == 0.2
+        assert [fault.kind for fault in clean.faults] == ["crash"]
+
 
 class TestComparisonRelation:
     def test_identical_outcomes_conform(self):
@@ -207,7 +226,7 @@ class TestComparisonRelation:
         aio = outcome("aio")
         aio.lifecycle_delivered[("c1", "P0", 0)] = 2
         lines = compare_outcomes(scenario, outcome("sim"), aio)
-        assert any("non-exactly-once delivery" in line for line in lines)
+        assert any("duplicate delivery" in line for line in lines)
 
     def test_delivered_events_must_match_client_records(self):
         scenario = tiny_scenario()
@@ -228,33 +247,74 @@ class TestComparisonRelation:
 class TestReproFiles:
     def test_round_trip(self, tmp_path):
         scenario = tiny_scenario()
-        path = write_conformance_repro(
-            scenario, directory=str(tmp_path), stem="case"
+        path = write_repro(
+            scenario, judge="conform", directory=str(tmp_path), stem="case"
         )
-        loaded, expect, options = load_conformance_repro(path)
+        loaded, expect, judge, options = load_repro(path)
         assert loaded == scenario
-        assert expect == "diverge"  # no result recorded → assume divergent
+        assert expect == "fail"  # no result recorded → assume divergent
+        assert judge == "conform"
         assert options["transport"] == "local"
         assert options["time_scale"] == DEFAULT_TIME_SCALE
         assert options["mutations"] == ()
+
+    def test_every_run_option_reaches_the_replay(self, tmp_path, monkeypatch):
+        # A divergence found (and shrunk) under --corrupt-rate 0.05 must
+        # replay under the same rate, not a different experiment.
+        scenario = tiny_scenario()
+        options = {
+            "transport": "local",
+            "time_scale": 0.5,
+            "durable": True,
+            "mutations": ["suppress-retransmit"],
+            "aio_flush_delay": 0.005,
+            "corrupt_rate": 0.05,
+        }
+        result = ConformanceResult(
+            scenario, outcome("sim"), outcome("aio"), options, divergences=["x"]
+        )
+        path = write_repro(
+            scenario, result, judge="conform", directory=str(tmp_path), stem="case"
+        )
+        calls = []
+        monkeypatch.setattr(
+            conformance,
+            "run_conformance",
+            lambda scenario, **received: calls.append(received) or result,
+        )
+        assert replay_conformance(path) == (result, "fail")
+        assert calls == [{**options, "mutations": ("suppress-retransmit",)}]
+
+    def test_files_older_than_an_option_load_its_default(self):
+        # Written before corrupt_rate and durable were persisted, with the
+        # legacy top-level format tag and agree/diverge verdicts.
+        import os
+
+        path = os.path.join(
+            os.path.dirname(__file__), "..", "corpus", "conformance",
+            "suppress-retransmit-two-broker.json",
+        )
+        __, expect, judge, options = load_repro(path)
+        assert (expect, judge) == ("fail", "conform")
+        assert options["mutations"] == ("suppress-retransmit",)
+        assert options["corrupt_rate"] == 0.0
+        assert options["durable"] is False
 
     def test_rejects_unknown_format(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "repro-conform/99", "scenario": {}}')
         with pytest.raises(ValueError, match="format"):
-            load_conformance_repro(str(path))
+            load_repro(str(path))
 
     def test_rejects_bad_expectation(self, tmp_path):
         scenario = tiny_scenario()
-        path = write_conformance_repro(
-            scenario, directory=str(tmp_path), stem="case"
+        path = write_repro(
+            scenario, judge="conform", directory=str(tmp_path), stem="case"
         )
         text = (tmp_path / "case.json").read_text()
-        (tmp_path / "case.json").write_text(
-            text.replace('"diverge"', '"maybe"')
-        )
+        (tmp_path / "case.json").write_text(text.replace('"fail"', '"maybe"'))
         with pytest.raises(ValueError, match="expect"):
-            load_conformance_repro(str(path))
+            load_repro(str(path))
 
 
 class TestMutationRegistry:
@@ -320,17 +380,18 @@ class TestDifferentialRuns:
         assert any("[aio]" in line and "never delivered" in line
                    for line in result.divergences)
         # The divergence persists as a replayable repro.
-        path = write_conformance_repro(
-            scenario, result, directory=str(tmp_path), stem="mutant"
+        path = write_repro(
+            scenario, result, judge="conform", directory=str(tmp_path),
+            stem="mutant",
         )
-        loaded, expect, options = load_conformance_repro(path)
+        loaded, expect, judge, options = load_repro(path)
         assert loaded == scenario
-        assert expect == "diverge"
+        assert (expect, judge) == ("fail", "conform")
         assert options["mutations"] == ("suppress-retransmit",)
 
 
 def test_scale_params_skips_infinities():
-    from repro.check.conformance import _scale_params
+    from repro.check.runner import _scale_params
 
     params = LivenessParams(gct=0.1, nrt_min=0.3, aet=3.0, dct=INFINITY)
     scaled = _scale_params(params, 0.5)
@@ -338,3 +399,25 @@ def test_scale_params_skips_infinities():
     assert scaled.nrt_min == pytest.approx(0.15)
     assert scaled.aet == pytest.approx(1.5)
     assert scaled.dct == INFINITY
+
+
+def test_scale_params_scales_the_durations_and_nothing_else():
+    # The driver scales every float field; if LivenessParams ever grows a
+    # float that is not a duration in seconds, this list is where to say so.
+    import dataclasses
+
+    from repro.check.runner import _scale_params
+
+    durations = {
+        "gct", "nrt_min", "nrt_max", "dct", "aet", "aet_check_interval",
+        "silence_interval", "link_status_interval", "subend_check_interval",
+        "preassign_window", "flush_delay",
+    }
+    params = LivenessParams(preassign_window=0.2, flush_delay=0.04)
+    scaled = _scale_params(params, 0.5)
+    for f in dataclasses.fields(params):
+        before, after = getattr(params, f.name), getattr(scaled, f.name)
+        if f.name in durations:
+            assert after == (before if before == INFINITY else before * 0.5)
+        else:
+            assert after == before and not isinstance(before, float)

@@ -1,9 +1,14 @@
-"""The fuzz harness: bit-for-bit determinism, verdicts, repro files."""
+"""The simulated-clock driver, the campaign loop and repro files:
+bit-for-bit determinism, verdicts, shrinking on failure."""
 
 import json
+import os
+from types import SimpleNamespace
 
 from repro.check import (
     ORACLES,
+    campaign,
+    chaos_scenario,
     fuzz,
     generate,
     load_repro,
@@ -53,10 +58,84 @@ class TestVerdicts:
         assert set(result.oracles_failed) <= set(ORACLES)
 
     def test_fuzz_campaign_reports_runs(self):
-        report = fuzz(base_seed=42, runs=3, shrink_failures=False)
+        report = fuzz(base_seed=42, runs=3, shrink=False)
         assert report.runs == 3
         assert report.ok
         assert report.elapsed > 0
+
+    def test_chaos_scenarios_hold_under_the_continuous_oracles(self):
+        # The chaos fault pattern (PHB crash + link outage + optional
+        # mid-broker crash) under truncation safety, soft-state size and
+        # monotonicity — oracles a wall-clock run cannot sweep.
+        for seed in range(20):
+            scenario = chaos_scenario(seed, 2.0)
+            result = run_scenario(scenario)
+            assert result.ok, (seed, result.failures)
+            assert result.sweeps > 0
+            assert result.published > 20
+            assert any("phb crashed" in line for line in result.fault_log)
+            assert result.digest == run_scenario(scenario).digest
+
+    def test_simulator_skips_the_integrity_faults(self):
+        # No files, no frames: the three kinds are stripped, not no-ops.
+        plain = run_scenario(chaos_scenario(3, 2.0))
+        corrupting = run_scenario(chaos_scenario(3, 2.0, corrupt_rate=1.0))
+        assert len(corrupting.scenario.faults) == len(plain.scenario.faults) + 3
+        assert corrupting.fault_log == plain.fault_log
+        assert corrupting.digest == plain.digest
+
+
+class TestCampaign:
+    """The one loop behind fuzz, conform and chaos, on a fake judge."""
+
+    @staticmethod
+    def run(tmp_path, failing, **options):
+        seen = []
+
+        def run_fn(scenario):
+            seen.append(scenario.seed)
+            return SimpleNamespace(
+                scenario=scenario,
+                ok=scenario.seed not in failing,
+                failures=["[fake] boom"],
+                options={"transport": "tcp"},
+                summary=lambda: f"seed={scenario.seed}",
+            )
+
+        lines = []
+        report = campaign(
+            7, 5, lambda index: generate(100 + index).with_(faults=()), run_fn,
+            stem="chaos", repro_dir=str(tmp_path), progress=lines.append,
+            **options,
+        )
+        return report, seen, lines
+
+    def test_stops_shrinks_and_writes_at_the_first_failure(self, tmp_path):
+        report, seen, lines = self.run(tmp_path, failing={102})
+        assert report.runs == 3 and not report.ok
+        assert [r.scenario.seed for r in report.failures] == [102]
+        # Runs 100..102, then the shrinker's probes of 102 only.
+        assert seen[:3] == [100, 101, 102] and set(seen[3:]) == {102}
+        # <stem>-<base seed>-<run index>.json, naming its judge.
+        assert report.repro_paths == [os.path.join(str(tmp_path), "chaos-7-2.json")]
+        scenario, expect, judge, options = load_repro(report.repro_paths[0])
+        assert (scenario.seed, expect, judge) == (102, "fail", "chaos")
+        assert options["transport"] == "tcp"
+        assert "  [fake] boom" in lines
+
+    def test_keep_going_runs_every_index(self, tmp_path):
+        report, seen, __ = self.run(
+            tmp_path, failing={101, 103}, keep_going=True, shrink=False
+        )
+        assert report.runs == 5
+        assert [r.scenario.seed for r in report.failures] == [101, 103]
+        assert seen == [100, 101, 102, 103, 104]
+        assert report.repro_paths == [] and not os.listdir(tmp_path)
+
+    def test_time_budget_stops_starting_runs(self, tmp_path):
+        report, seen, lines = self.run(tmp_path, failing=set(), time_budget=-1.0)
+        assert report.runs == 0 and report.ok and seen == []
+        assert any("time budget" in line for line in lines)
 
 
 class TestReproFiles:
@@ -66,9 +145,10 @@ class TestReproFiles:
         path = write_repro(
             scenario, result, directory=str(tmp_path), stem="round-trip"
         )
-        loaded, expect = load_repro(path)
+        loaded, expect, judge, options = load_repro(path)
         assert loaded == scenario
         assert expect == ("pass" if result.ok else "fail")
+        assert (judge, options) == ("fuzz", {})
 
     def test_repro_file_is_stable_json(self, tmp_path):
         scenario = generate(PASS_SEED)

@@ -10,9 +10,11 @@ from repro.check import (
     FaultSpec,
     Scenario,
     build_topology,
+    chaos_scenario,
     generate,
     scenario_seed,
 )
+from repro.check.scenario import INTEGRITY_KINDS
 from repro.faults.injector import FaultInjector
 from repro.topology import System
 
@@ -191,6 +193,22 @@ class TestFaultSteps:
             for fault in generate(scenario_seed(0, i)).faults
         }
         assert generated == set(STEP_TABLE)
+        chaotic = {
+            fault.kind
+            for seed in range(20)
+            for fault in chaos_scenario(seed, 2.0, corrupt_rate=1.0).faults
+        }
+        assert chaotic == {"crash", "link_fail"} | set(INTEGRITY_KINDS)
+
+    @pytest.mark.parametrize("kind", INTEGRITY_KINDS)
+    def test_an_integrity_kind_is_one_verb_of_the_asyncio_system(self, kind):
+        target = () if kind == "corrupt_wire" else BROKER
+        spec = FaultSpec(kind, target, at=1.0, duration=0.0)
+        assert spec.steps() == [(1.0, kind, target, {})]
+        assert spec.steps(stall=False, time_scale=0.5) == [(0.5, kind, target, {})]
+        assert callable(getattr(AioSystem, kind))
+        # Files and frames exist on one backend: no no-op twin elsewhere.
+        assert not hasattr(System, kind) and not hasattr(FaultInjector, kind)
 
     @pytest.mark.parametrize("kind", sorted(STEP_TABLE))
     def test_each_kind_expands_to_the_expected_verbs(self, kind):

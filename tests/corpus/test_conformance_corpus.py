@@ -31,12 +31,12 @@ def test_conformance_corpus_is_not_empty():
 )
 def test_replay(path):
     result, expect = replay_conformance(path)
-    verdict = "agree" if result.ok else "diverge"
+    verdict = "pass" if result.ok else "fail"
     assert verdict == expect, (
         f"{os.path.basename(path)}: expected {expect}, got {verdict}: "
         f"{result.divergences[:3]}"
     )
-    if result.mutations:
+    if result.options["mutations"]:
         # A mutation repro only proves anything if the deliberate defect
         # actually fired during the replay.
         assert sum(result.aio.mutated.values()) > 0

@@ -27,7 +27,7 @@ def test_corpus_is_not_empty():
     "path", REPRO_FILES, ids=[os.path.basename(p) for p in REPRO_FILES]
 )
 def test_replay(path):
-    scenario, expect = load_repro(path)
+    scenario, expect, __, ___ = load_repro(path)
     result = run_scenario(scenario)
     verdict = "pass" if result.ok else "fail"
     assert verdict == expect, (
@@ -47,7 +47,7 @@ def test_replay_causal_timeline_matches_golden(path):
     The causal tracer is pure observation, so the digest stays identical
     to the plain replay either way.
     """
-    scenario, expect = load_repro(path)
+    scenario, expect, __, ___ = load_repro(path)
     plain = run_scenario(scenario)
     result = run_scenario(scenario, causal=True)
     assert result.digest == plain.digest, "causal tracing changed the run"

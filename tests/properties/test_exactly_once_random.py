@@ -14,23 +14,19 @@ are pytest parameters, so each combination is a separately reported and
 separately selectable case.
 """
 
-import math
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import FaultInjector, LivenessParams
+from repro import FaultInjector
 from repro.check import FaultSpec, OracleSuite
 from repro.check.runner import schedule_steps
+from repro.check.scenario import FAST_PARAMS
 from repro.topology import (
     balanced_pubend_names,
     figure3_topology,
     two_broker_topology,
 )
-
-# Faster liveness settings so drained runs converge quickly.
-FAST_PARAMS = LivenessParams(gct=0.1, nrt_min=0.3, aet=3.0, dct=math.inf)
 
 #: Ambient link pathology: (drop probability, reorder jitter seconds).
 LINK_PATHOLOGY = {

@@ -62,22 +62,30 @@ class TestBenchParser:
         args = build_parser().parse_args(["conform"])
         assert args.seed == 0
         assert args.runs == 25
-        assert args.replay is None
         assert args.shrink is True
         assert args.transport == "local"
-        assert args.time_scale is None
+        assert args.time_scale == 0.35
         assert args.mutate is None
 
-    def test_conform_takes_mutations_and_replay_list(self):
+    def test_conform_takes_mutations_and_replay_is_its_own_command(self):
         args = build_parser().parse_args(
             ["conform", "--mutate", "suppress-retransmit", "--transport", "tcp"]
         )
         assert args.mutate == ["suppress-retransmit"]
         assert args.transport == "tcp"
-        replay = build_parser().parse_args(
-            ["conform", "--replay", "a.json", "b.json"]
-        )
-        assert replay.replay == ["a.json", "b.json"]
+        # `repro replay` replays every kind of repro file.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["conform", "--replay", "a.json"])
+
+    def test_fuzz_and_conform_share_the_campaign_flags(self):
+        flags = ["--seed", "3", "--runs", "4", "--time-budget", "9",
+                 "--no-shrink", "--repro-dir", "out", "--keep-going"]
+        for command in ("fuzz", "conform"):
+            args = build_parser().parse_args([command] + flags)
+            assert (args.seed, args.runs, args.time_budget) == (3, 4, 9.0)
+            assert (args.shrink, args.repro_dir, args.keep_going) == (
+                False, "out", True
+            )
 
 
 class TestBenchCommand:
