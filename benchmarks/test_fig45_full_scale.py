@@ -11,8 +11,17 @@ show the cost model lands in the paper's measured range at full scale:
 * PHB utilization is flat in N with the constant logging gap;
 * the GD − best-effort latency difference stays the 100 ms commit delay.
 
-Takes ~1 minute of wall time; the scaled sweep benches cover the same
-claims in seconds.
+Takes ~11 s of wall time (49 s while every publication walked every
+local subscriber, at the SHB and in the baselines' fan-out alike): one
+paper-scale point — 16000 subscribers, 2000 msgs/s, 1.5 simulated
+seconds plus the drain — went from 5.9 to 1.3 CPU-s under GD and from
+5.9 to 0.8 under best-effort once both shared
+``core.subend.SubscriptionIndex``.  The printed figures cannot move with
+that: ``shb_cpu`` / ``phb_cpu`` / ``remote_median_ms`` are 0.51804 /
+0.180138 / 102.65 (GD) and 0.476238 / 0.04405 / 2.633 (best-effort) to
+the last digit on both sides, because the simulated CPU is charged by
+the cost model, not measured.  ``benchmarks/test_shb_fanout_scale.py``
+is the measured counterpart.
 """
 
 import pytest

@@ -338,8 +338,7 @@ class GDBrokerEngine:
         """Withdraw a local subscriber, narrowing summaries upstream."""
         if self.subend is None:
             return
-        subscription = self.subend._subscriptions.get(subscriber)
-        self.subend.unsubscribe(subscriber)
+        subscription = self.subend.unsubscribe(subscriber)
         if self.params.subscription_propagation and subscription is not None:
             for pubend in subscription.pubends:
                 self._advertise_summary(pubend)

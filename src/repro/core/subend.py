@@ -26,7 +26,7 @@ client delivery).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..matching.ast import Predicate as AstPredicate
 from ..matching.tree import MatchingTree
@@ -38,7 +38,13 @@ from .rto import RtoEstimator
 from .streams import Stream
 from .ticks import Tick, TickRange, merge_ranges, subtract_ranges, tick_of_time
 
-__all__ = ["SubendServices", "SubendManager", "Subscription", "Delivery"]
+__all__ = [
+    "SubendServices",
+    "SubendManager",
+    "Subscription",
+    "SubscriptionIndex",
+    "Delivery",
+]
 
 
 class SubendServices:
@@ -90,6 +96,98 @@ class Delivery:
     pubend: str
     tick: Tick
     payload: Any
+
+
+_Members = Dict[str, Subscription]
+_NO_MEMBERS: Tuple[_Members, _Members] = ({}, {})
+
+
+class SubscriptionIndex:
+    """How a broker turns ``(candidate set, payload)`` into the ordered
+    list of local subscriptions to deliver to.
+
+    A *candidate set* is named by a hashable key — a pubend id for
+    publisher-order delivery, a total-order group's pubend tuple for a
+    merge — and holds the subscriptions consuming that stream, keyed by
+    subscriber.  The AST predicates of every set share one
+    :class:`MatchingTree` (the PODC '99 parallel search tree, Gryphon's
+    own matching algorithm: an event is matched once against the whole
+    subscription set, not once per subscriber).  :meth:`match` iterates
+    the *tree's result* and looks each id up in the candidate set, never
+    the set itself, so it costs one tree pass + O(matches · log matches)
+    whatever the number of subscribers.  Opaque callables (``MATCH_ALL``
+    is one) cannot be indexed: each candidate set keeps its own and every
+    call evaluates all of them, O(opaque candidates).
+
+    Results come in subscription order (a re-subscribe counts as new),
+    which is part of the delivery contract: the tree returns a ``set``
+    whose iteration order moves with ``PYTHONHASHSEED``.
+    """
+
+    def __init__(self) -> None:
+        self._tree = MatchingTree()
+        #: subscriber -> (subscription sequence number — the sort key —,
+        #: subscription, keys of the sets it belongs to).
+        self._entries: Dict[str, Tuple[int, Subscription, Tuple[Hashable, ...]]] = {}
+        self._subscribed = 0
+        #: key -> (its members, those of them the tree cannot hold), both
+        #: subscriber -> subscription in subscription order.
+        self._sets: Dict[Hashable, Tuple[_Members, _Members]] = {}
+
+    def add(self, subscription: Subscription, keys: Sequence[Hashable]) -> None:
+        """Put ``subscription`` into the candidate sets ``keys``,
+        replacing any subscription its subscriber already has."""
+        subscriber = subscription.subscriber
+        self.remove(subscriber)
+        self._subscribed += 1
+        self._entries[subscriber] = (self._subscribed, subscription, tuple(keys))
+        indexed = isinstance(subscription.predicate, AstPredicate)
+        if indexed:
+            self._tree.add(subscriber, subscription.predicate)
+        for key in keys:
+            members, opaque = self._sets.setdefault(key, ({}, {}))
+            members[subscriber] = subscription
+            if not indexed:
+                opaque[subscriber] = subscription
+
+    def remove(self, subscriber: str) -> Optional[Subscription]:
+        """Drop ``subscriber`` from every set; returns what it had."""
+        entry = self._entries.pop(subscriber, None)
+        if entry is None:
+            return None
+        __, subscription, keys = entry
+        if isinstance(subscription.predicate, AstPredicate):
+            self._tree.remove(subscriber)
+        for key in keys:
+            for table in self._sets[key]:
+                table.pop(subscriber, None)
+        return subscription
+
+    def members(self, key: Hashable) -> Mapping[str, Subscription]:
+        """The candidate set ``key``, in subscription order."""
+        return self._sets.get(key, _NO_MEMBERS)[0]
+
+    def match(self, key: Hashable, payload: Any) -> List[Subscription]:
+        """Members of candidate set ``key`` whose predicate accepts
+        ``payload``.  A non-``Mapping`` payload is seen by opaque
+        predicates only; an id the tree matched that is not in this set
+        (another pubend's or group's subscriber) is skipped."""
+        candidates, opaque = self._sets.get(key, _NO_MEMBERS)
+        if not candidates:
+            return []
+        out: List[Subscription] = []
+        if isinstance(payload, Mapping):
+            for subscriber in self._tree.match(payload):
+                subscription = candidates.get(subscriber)
+                if subscription is not None:
+                    out.append(subscription)
+        for subscription in opaque.values():
+            if subscription.predicate(payload):
+                out.append(subscription)
+        if len(out) > 1:
+            entries = self._entries
+            out.sort(key=lambda subscription: entries[subscription.subscriber][0])
+        return out
 
 
 @dataclass
@@ -170,7 +268,6 @@ class _TotalOrderGroup:
         self.pubends = pubends
         self.view = view
         self.delivered_horizon: Tick = 0
-        self.subscribers: List[Subscription] = []
 
 
 class SubendManager:
@@ -220,17 +317,11 @@ class SubendManager:
             **labels,
         )
         self._states: Dict[str, _PubendState] = {}
-        self._subscriptions: Dict[str, Subscription] = {}
+        #: Total-order groups by their (sorted) pubend tuple.
         self._groups: Dict[Tuple[str, ...], _TotalOrderGroup] = {}
-        #: Publisher-order subscriptions indexed by pubend.
-        self._by_pubend: Dict[str, List[Subscription]] = {}
-        #: Content index over AST predicates (paper: the SHB matches each
-        #: event once against the whole subscription set, not once per
-        #: subscriber) — the PODC '99 parallel search tree, Gryphon's own
-        #: matching algorithm; opaque callable predicates are evaluated
-        #: directly.
-        self._matcher = MatchingTree()
-        self._indexed: Set[str] = set()
+        #: Local subscriptions; a publisher-order candidate set is keyed by
+        #: its pubend, a total-order group's by the group's pubend tuple.
+        self._index = SubscriptionIndex()
         self.delivered_count = 0
 
     # ------------------------------------------------------------------
@@ -256,50 +347,30 @@ class SubendManager:
         return sorted(self._states)
 
     def subscribe(self, subscription: Subscription) -> None:
-        """Add a subscription.  All its pubends must be attached first."""
+        """Add a subscription, replacing the one its subscriber already
+        has.  All its pubends must be attached first."""
         for pubend in subscription.pubends:
             if pubend not in self._states:
                 raise KeyError(f"pubend {pubend!r} not attached")
-        self._subscriptions[subscription.subscriber] = subscription
-        if isinstance(subscription.predicate, AstPredicate):
-            self._matcher.add(subscription.subscriber, subscription.predicate)
-            self._indexed.add(subscription.subscriber)
+        self.unsubscribe(subscription.subscriber)
+        keys: Sequence[Hashable] = subscription.pubends
         if subscription.total_order:
             key = tuple(sorted(subscription.pubends))
-            group = self._groups.get(key)
-            if group is None:
-                view = MergeView(
-                    [self._states[p].stream.knowledge for p in key]
-                )
-                group = _TotalOrderGroup(key, view)
-                self._groups[key] = group
-            group.subscribers.append(subscription)
-        else:
-            for pubend in subscription.pubends:
-                self._by_pubend.setdefault(pubend, []).append(subscription)
+            if key not in self._groups:
+                view = MergeView([self._states[p].stream.knowledge for p in key])
+                self._groups[key] = _TotalOrderGroup(key, view)
+            keys = (key,)
+        self._index.add(subscription, keys)
 
-    def unsubscribe(self, subscriber: str) -> None:
-        subscription = self._subscriptions.pop(subscriber, None)
-        if subscription is None:
-            return
-        if subscriber in self._indexed:
-            self._matcher.remove(subscriber)
-            self._indexed.discard(subscriber)
-        if subscription.total_order:
+    def unsubscribe(self, subscriber: str) -> Optional[Subscription]:
+        """Remove ``subscriber``'s subscription and return it (``None``
+        if it had none)."""
+        subscription = self._index.remove(subscriber)
+        if subscription is not None and subscription.total_order:
             key = tuple(sorted(subscription.pubends))
-            group = self._groups.get(key)
-            if group is not None:
-                group.subscribers = [
-                    s for s in group.subscribers if s.subscriber != subscriber
-                ]
-                if not group.subscribers:
-                    del self._groups[key]
-        else:
-            for pubend in subscription.pubends:
-                subs = self._by_pubend.get(pubend, [])
-                self._by_pubend[pubend] = [
-                    s for s in subs if s.subscriber != subscriber
-                ]
+            if not self._index.members(key):
+                del self._groups[key]
+        return subscription
 
     # ------------------------------------------------------------------
     # Knowledge arrival: delivery, acks, gap detection
@@ -320,27 +391,13 @@ class SubendManager:
             self._maybe_ack(other)
         self._watch_gaps(state)
 
-    def _matching_subs(
-        self, candidates: Sequence[Subscription], payload: Any
-    ) -> List[Subscription]:
-        """Subscriptions among ``candidates`` matching ``payload``.
-
-        Indexed (AST) predicates are answered by one matcher pass per
-        event; opaque callables are evaluated individually.
-        """
-        if not candidates:
-            return []
-        matched_ids: Optional[Set[str]] = None
-        if isinstance(payload, Mapping):
-            matched_ids = self._matcher.match(payload)
-        out: List[Subscription] = []
-        for subscription in candidates:
-            if subscription.subscriber in self._indexed:
-                if matched_ids is not None and subscription.subscriber in matched_ids:
-                    out.append(subscription)
-            elif subscription.predicate(payload):
-                out.append(subscription)
-        return out
+    def _fan_out(self, key: Hashable, pubend: str, tick: Tick, payload: Any) -> None:
+        """Deliver one D tick to the matching members of candidate set
+        ``key``: one index pass, then one client send per match."""
+        for subscription in self._index.match(key, payload):
+            self.services.deliver(subscription.subscriber, pubend, tick, payload)
+            self.delivered_count += 1
+            self._m_deliveries.inc()
 
     def _deliver_publisher_order(self, state: _PubendState) -> None:
         horizon = state.stream.knowledge.doubt_horizon()
@@ -354,16 +411,10 @@ class SubendManager:
                 state.delivered_horizon,
                 horizon,
             )
-        subs = self._by_pubend.get(state.pubend, ())
-        if subs:
+        if self._index.members(state.pubend):
             window = TickRange(state.delivered_horizon, horizon)
             for tick, payload in state.stream.knowledge.d_ticks(window):
-                for subscription in self._matching_subs(subs, payload):
-                    self.services.deliver(
-                        subscription.subscriber, state.pubend, tick, payload
-                    )
-                    self.delivered_count += 1
-                    self._m_deliveries.inc()
+                self._fan_out(state.pubend, state.pubend, tick, payload)
         state.delivered_horizon = horizon
 
     def _deliver_total_order(self, pubend: str) -> None:
@@ -376,12 +427,7 @@ class SubendManager:
             pairs = group.view.d_ticks_below(horizon, group.delivered_horizon)
             for tick, payload in pairs:
                 source = self._pubend_of_tick(group, tick)
-                for subscription in self._matching_subs(group.subscribers, payload):
-                    self.services.deliver(
-                        subscription.subscriber, source, tick, payload
-                    )
-                    self.delivered_count += 1
-                    self._m_deliveries.inc()
+                self._fan_out(group.pubends, source, tick, payload)
             group.delivered_horizon = horizon
 
     def _pubend_of_tick(self, group: _TotalOrderGroup, tick: Tick) -> str:
@@ -583,10 +629,10 @@ class SubendManager:
     def subscriptions_for(self, pubend: str) -> List[Subscription]:
         """Every local subscription (publisher- or total-order) that
         consumes this pubend — the input to subscription summaries."""
-        out = list(self._by_pubend.get(pubend, ()))
+        out = list(self._index.members(pubend).values())
         for group in self._groups.values():
             if pubend in group.pubends:
-                out.extend(group.subscribers)
+                out.extend(self._index.members(group.pubends).values())
         return out
 
     def ack_horizon(self, pubend: str) -> Tick:

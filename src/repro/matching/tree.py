@@ -44,11 +44,19 @@ def _eq_key(value: Any) -> Tuple[str, Any]:
 class _Node:
     """One tree node: tests ``attribute``; edges per constant + don't-care."""
 
-    __slots__ = ("attribute", "edges", "star", "results")
+    __slots__ = ("attribute", "edges", "star", "results", "parent", "label")
 
-    def __init__(self, attribute: Optional[str] = None):
+    def __init__(
+        self,
+        parent: Optional["_Node"] = None,
+        label: Optional[Tuple[str, Any]] = None,
+    ):
         #: The attribute this node tests (None for pure leaf nodes).
-        self.attribute = attribute
+        self.attribute: Optional[str] = None
+        #: The node above and the edge constant leading here (``None``
+        #: for its ``*`` edge) — what :meth:`MatchingTree.remove` prunes by.
+        self.parent = parent
+        self.label = label
         #: constant -> child node.
         self.edges: Dict[Tuple[str, Any], "_Node"] = {}
         #: don't-care child (subscriptions not constraining the attribute).
@@ -131,21 +139,34 @@ class MatchingTree(Matcher):
                 key = _eq_key(equalities[attribute])
                 child = node.edges.get(key)
                 if child is None:
-                    child = _Node()
+                    child = _Node(node, key)
                     node.edges[key] = child
                 node = child
             else:
                 if node.star is None:
-                    node.star = _Node()
+                    node.star = _Node(node)
                 node = node.star
         return node
 
     def remove(self, sub_id: str) -> None:
         self._subs.pop(sub_id, None)
         self._fallback.pop(sub_id, None)
-        leaf = self._leaf_of.pop(sub_id, None)
-        if leaf is not None:
-            leaf.results = [(s, r) for (s, r) in leaf.results if s != sub_id]
+        node = self._leaf_of.pop(sub_id, None)
+        if node is None:
+            return
+        node.results = [(s, r) for (s, r) in node.results if s != sub_id]
+        # Prune the chain this subscription alone kept alive, so the tree
+        # is sized by the live set, not by history.  (``_order`` never
+        # shrinks, so a surviving node's attribute still fits its depth.)
+        while node.parent is not None and not (
+            node.results or node.edges or node.star
+        ):
+            parent = node.parent
+            if node.label is None:
+                parent.star = None
+            else:
+                del parent.edges[node.label]
+            node = parent
 
     # ------------------------------------------------------------------
     # Matching

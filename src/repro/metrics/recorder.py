@@ -121,12 +121,14 @@ class LatencyRecorder:
         self.delivered = 0
 
     def record(self, subscriber: str, send_time: float, recv_time: float) -> None:
-        series = self._series.setdefault(subscriber, Series(subscriber))
-        series.add(send_time, recv_time - send_time)
+        self.series(subscriber).add(send_time, recv_time - send_time)
         self.delivered += 1
 
     def series(self, subscriber: str) -> Series:
-        return self._series.setdefault(subscriber, Series(subscriber))
+        series = self._series.get(subscriber)
+        if series is None:
+            series = self._series[subscriber] = Series(subscriber)
+        return series
 
     def subscribers(self) -> List[str]:
         return sorted(self._series)

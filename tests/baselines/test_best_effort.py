@@ -100,3 +100,20 @@ class TestLossIsPermanent:
         gd = run(None)
         assert not be.exactly_once
         assert gd.exactly_once
+
+
+class TestFanout:
+    def test_resubscribe_replaces(self):
+        """The baselines' fan-out is the SHB's subscription index: adding
+        a subscriber id again leaves one entry, with the new predicate."""
+        from repro.baselines.fanout import LocalFanout
+        from repro.core.subend import Subscription
+        from repro.matching.parser import parse
+
+        fanout = LocalFanout()
+        fanout.add(Subscription("a", parse("g = 1"), pubends=("P0",)), None)
+        replacement = Subscription("a", lambda p: p["g"] == 2, pubends=("P0",))
+        fanout.add(replacement, None)
+        assert fanout.matching("P0", {"g": 1}) == []
+        assert fanout.matching("P0", {"g": 2}) == [replacement]
+        assert fanout.has_subscribers("P0") and not fanout.has_subscribers("P1")

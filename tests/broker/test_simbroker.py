@@ -274,3 +274,68 @@ class TestWindowIndependence:
         # (6.0 splices before the prefix was a cursor); +25% headroom.
         assert deep["scan_steps"] <= 7.5
         assert deep["splices"] <= 0.05
+
+
+class TestSubscriberCountIndependence:
+    @staticmethod
+    def fanout_run(subscribers):
+        """200 publications down a two-broker system whose SHB holds
+        ``subscribers`` content subscriptions, of which the same ten match
+        every publication; Python line events executed inside the subend
+        and the matching tree per publication, and what was delivered."""
+        import sys
+
+        from repro.topology import two_broker_topology
+
+        topo = two_broker_topology()
+        topo.pubend("P0", "phb")
+        topo.route("P0", "PHB", "SHB")
+        system = topo.build(seed=1)
+        for i in range(subscribers):
+            hot = i < 200 and i % 20 == 0
+            system.subscribe(
+                f"sub{i}", "shb", ("P0",), "hot = 1" if hot else f"group = {i}"
+            )
+        system.publisher(
+            "P0", rate=100.0, max_messages=200,
+            make_attributes=lambda seq: {"hot": 1, "group": -1 - seq},
+        ).start(at=0.1)
+        lines = [0]
+
+        def count_line(frame, event, arg):
+            lines[0] += event == "line"
+            return count_line
+
+        def trace(frame, event, arg):
+            if frame.f_code.co_filename.endswith(
+                ("repro/core/subend.py", "repro/matching/tree.py")
+            ):
+                return count_line
+            return None
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            system.run_until(4.0)
+        finally:
+            sys.settrace(previous)
+        delivered = {
+            name: [(p, t) for (p, t, __, ___) in client.received]
+            for name, client in system.subscribers.items()
+            if client.received
+        }
+        return lines[0] / 200, delivered
+
+    def test_shb_work_per_publication_ignores_subscriber_count(self):
+        """The paper's Figure 4 claim (2) for the code that runs: SHB
+        matching and fan-out cost follows the matches, not the local
+        subscriber count — the index iterates the tree's result, never the
+        candidate set.  A count, not a timing."""
+        few_lines, few = self.fanout_run(200)
+        many_lines, many = self.fanout_run(4000)
+        assert few == many
+        assert sorted(few) == sorted(f"sub{i}" for i in range(0, 200, 20))
+        assert all(len(ticks) == 200 for ticks in few.values())
+        # 198.8 at both sizes; 800.8 and 12200.8 when every publication
+        # walked every subscriber.
+        assert abs(many_lines - few_lines) < 0.02 * few_lines

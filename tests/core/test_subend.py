@@ -6,13 +6,23 @@ so timer behaviour is tested without the full simulator.
 """
 
 import math
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 
+from repro.baselines.fanout import LocalFanout
 from repro.core.config import LivenessParams
+from repro.core.edges import MATCH_ALL
 from repro.core.streams import Stream
 from repro.core.subend import SubendManager, SubendServices, Subscription
 from repro.core.ticks import TickRange
+from repro.matching.ast import Predicate as AstPredicate
+from repro.matching.parser import parse
 
 
 class FakeTimer:
@@ -390,3 +400,254 @@ class TestDct:
         assert services.nacks
         hi = max(r.stop for (__, rs) in services.nacks for r in rs)
         assert hi == 4000  # now - DCT in ticks
+
+
+class TestResubscribe:
+    """Tables are keyed by subscriber: subscribing an id again replaces
+    its subscription — one entry, the new predicate, one delivery."""
+
+    def test_publisher_order_resubscribe_delivers_once(self):
+        services, manager, streams = make_manager()
+        manager.subscribe(Subscription("a", pubends=("P",)))
+        manager.subscribe(Subscription("a", pubends=("P",)))
+        s = streams["P"]
+        s.accumulate_final(TickRange(0, 5))
+        s.accumulate_data(5, "m5")
+        manager.on_knowledge("P")
+        assert services.deliveries == [("a", "P", 5, "m5")]
+        assert manager.delivered_count == 1
+        assert len(manager.subscriptions_for("P")) == 1
+
+    def test_resubscribe_changing_predicate_kind_drops_the_stale_one(self):
+        services, manager, streams = make_manager()
+        manager.subscribe(Subscription("a", parse("x = 1"), pubends=("P",)))
+        opaque = Subscription("a", lambda p: p["x"] == 2, pubends=("P",))
+        manager.subscribe(opaque)
+        s = streams["P"]
+        s.accumulate_data(0, {"x": 1})  # the replaced AST predicate's match
+        s.accumulate_data(1, {"x": 2})
+        manager.on_knowledge("P")
+        assert [d[2] for d in services.deliveries] == [1]
+        assert manager.subscriptions_for("P") == [opaque]
+        # ... and back: the callable must not linger beside the tree entry.
+        manager.subscribe(Subscription("a", parse("x = 1"), pubends=("P",)))
+        s.accumulate_data(2, {"x": 2})
+        s.accumulate_data(3, {"x": 1})
+        manager.on_knowledge("P")
+        assert [d[2] for d in services.deliveries] == [1, 3]
+
+    def test_total_order_resubscribe_delivers_once(self):
+        services, manager, streams = make_manager(pubends=("A", "B"))
+        for _ in range(2):
+            manager.subscribe(Subscription("t", pubends=("A", "B"), total_order=True))
+        streams["A"].accumulate_data(0, "a0")
+        streams["B"].accumulate_final(TickRange(0, 1))
+        manager.on_knowledge("A")
+        manager.on_knowledge("B")
+        assert services.deliveries == [("t", "A", 0, "a0")]
+
+    def test_last_member_of_total_order_group_leaves_and_returns(self):
+        services, manager, streams = make_manager(pubends=("A", "B"))
+        subscription = Subscription("t", pubends=("A", "B"), total_order=True)
+        manager.subscribe(subscription)
+        a, b = streams["A"], streams["B"]
+        a.accumulate_data(0, "a0")
+        b.accumulate_final(TickRange(0, 1))
+        manager.on_knowledge("A")
+        manager.on_knowledge("B")
+        assert manager.unsubscribe("t") == subscription
+        assert manager.unsubscribe("t") is None
+        assert manager.subscriptions_for("A") == []
+        # With the group gone nothing holds A's acks back to the merge.
+        a.accumulate_data(1, "a1")
+        manager.on_knowledge("A")
+        assert services.acks[-1] == ("A", 2)
+        manager.subscribe(subscription)
+        assert manager.subscriptions_for("B") == [subscription]
+        b.accumulate_data(1, "b1")
+        a.accumulate_final(TickRange(2, 3))
+        manager.on_knowledge("B")
+        manager.on_knowledge("A")
+        assert [d[1:] for d in services.deliveries] == [("A", 0, "a0"), ("B", 1, "b1")]
+
+
+# --- differential: the subscription index against "ask every candidate" -------
+
+PREDICATE_KINDS = {
+    "equality": lambda g, s, x: parse(f"group = {g}"),
+    "equality+range": lambda g, s, x: parse(f"group = {g} and price >= {x}"),
+    "conjunction": lambda g, s, x: parse(
+        f"group = {g} and symbol = '{s}' and price < {x}"
+    ),
+    "or (tree fallback)": lambda g, s, x: parse(f"group = {g} or symbol = '{s}'"),
+    "opaque": lambda g, s, x: lambda p: isinstance(p, Mapping) and p.get("group") == g,
+    "opaque, any payload": lambda g, s, x: lambda p: p == "raw" or x < 3,
+    "match-all": lambda g, s, x: MATCH_ALL,
+}
+
+
+def accepts(subscription, payload):
+    """The oracle: one subscription's own verdict on one payload."""
+    predicate = subscription.predicate
+    if isinstance(predicate, AstPredicate):
+        return isinstance(payload, Mapping) and predicate.evaluate(payload)
+    return bool(predicate(payload))
+
+
+def subend_keys(subscription):
+    """The candidate sets the subend files a subscription under: its
+    pubends, or the one merge of them."""
+    if subscription.total_order:
+        return (tuple(sorted(subscription.pubends)),)
+    return subscription.pubends
+
+
+class TestIndexDifferential:
+    """Random subscribe / unsubscribe / re-subscribe steps and payloads;
+    after each step the subend and the baselines' ``LocalFanout`` must
+    serve exactly the subscriptions the oracle names — evaluate every
+    candidate's predicate, in subscription order — in that order."""
+
+    def test_same_subscriptions_in_the_same_order(self):
+        arms = Counter()
+        for seed in range(12):
+            self.run_seed(random.Random(seed), arms)
+        for arm in (
+            *PREDICATE_KINDS,
+            "non-mapping payload",
+            "matched but not a candidate",
+            "sorted",
+            "publisher order",
+            "total order",
+        ):
+            assert arms[arm] > 0, f"arm never taken: {arm}"
+
+    def run_seed(self, rng, arms):
+        services, manager, streams = make_manager(pubends=("A", "B"))
+        fanout = LocalFanout()  # has no unsubscribe: sees the subscribes only
+        #: subscriber -> subscription, in subscription order (the model).
+        live, fan_live = {}, {}
+        kind_of = {}
+        horizon = 0
+        for _ in range(150):
+            name = f"s{rng.randrange(14)}"
+            if rng.random() < 0.3:
+                assert manager.unsubscribe(name) == live.pop(name, None)
+            else:
+                kind = rng.choice(list(PREDICATE_KINDS))
+                subscription = Subscription(
+                    name,
+                    PREDICATE_KINDS[kind](
+                        rng.randrange(3), rng.choice("AB"), rng.randrange(6)
+                    ),
+                    pubends=rng.choice([("A",), ("B",), ("A", "B")]),
+                    total_order=rng.random() < 0.3,
+                )
+                kind_of[subscription] = kind
+                manager.subscribe(subscription)
+                fanout.add(subscription, None)
+                for model in (live, fan_live):
+                    model.pop(name, None)  # a re-subscribe goes to the back
+                    model[name] = subscription
+
+            source = rng.choice("AB")
+            if rng.random() < 0.15:
+                payload = rng.choice(["raw", 7])
+                arms["non-mapping payload"] += 1
+            else:
+                payload = {
+                    "group": rng.randrange(3),
+                    "symbol": rng.choice("AB"),
+                    "price": rng.randrange(6),
+                }
+
+            def oracle(model, keys_of, key):
+                """Ask every member of candidate set ``key`` in turn."""
+                members = [s for s in model.values() if key in keys_of(s)]
+                hits = [s for s in members if accepts(s, payload)]
+                arms.update(kind_of[s] for s in hits)
+                arms["sorted"] += len(hits) > 1
+                arms["matched but not a candidate"] += any(
+                    isinstance(s.predicate, AstPredicate) and accepts(s, payload)
+                    for s in model.values()
+                    if s not in members
+                )
+                return hits
+
+            assert fanout.matching(source, payload) == oracle(
+                fan_live, lambda s: s.pubends, source
+            )
+
+            # One D tick on ``source`` and silence on the other pubend, so
+            # every merge's horizon passes the tick within this step.
+            tick = horizon + rng.randrange(1, 3)
+            for pubend, stream in streams.items():
+                stream.accumulate_final(TickRange(horizon, tick))
+                if pubend == source:
+                    stream.accumulate_data(tick, payload)
+                else:
+                    stream.accumulate_final(TickRange(tick, tick + 1))
+            horizon = tick + 1
+            before = len(services.deliveries)
+            manager.on_knowledge("A")
+            manager.on_knowledge("B")
+
+            served = {}
+            for subscriber, pubend, at, body in services.deliveries[before:]:
+                assert (pubend, at, body) == (source, tick, payload)
+                subscription = live[subscriber]
+                key = subend_keys(subscription)[0] if subscription.total_order else source
+                served.setdefault(key, []).append(subscription)
+            merges = {
+                subend_keys(s)[0]
+                for s in live.values()
+                if s.total_order and source in s.pubends
+            }
+            expected = {key: oracle(live, subend_keys, key) for key in {source} | merges}
+            assert served == {key: hits for key, hits in expected.items() if hits}
+            arms["publisher order"] += bool(expected[source])
+            arms["total order"] += any(expected[key] for key in merges)
+            assert manager.delivered_count == len(services.deliveries)
+
+            for pubend in streams:
+                listed = manager.subscriptions_for(pubend)
+                consumers = [s for s in live.values() if pubend in s.pubends]
+                assert Counter(listed) == Counter(consumers)
+                assert [s for s in listed if not s.total_order] == [
+                    s for s in consumers if not s.total_order
+                ]
+
+
+HASH_ORDER_SCRIPT = """
+import hashlib
+from repro.topology import two_broker_topology
+topo = two_broker_topology()
+topo.pubend("P0", "phb")
+topo.route("P0", "PHB", "SHB")
+system = topo.build(seed=3)
+for i in range(120):
+    system.subscribe(f"sub{i}", "shb", ("P0",), f"g = {i % 4}")
+publisher = system.publisher("P0", rate=100.0, make_attributes=lambda i: {"g": i % 4})
+publisher.start(at=0.1)
+system.run_until(1.5)
+order = [(name, [(t, at) for (_, t, _, at) in client.received])
+         for name, client in sorted(system.subscribers.items())]
+assert sum(len(r) for _, r in order) > 3000
+print(hashlib.sha256(repr(order).encode()).hexdigest())
+"""
+
+
+def test_fan_out_order_does_not_depend_on_the_hash_seed():
+    """The tree returns a ``set`` of ``str``; who is served first within a
+    tick (and so every client's receive time, the SHB's sends being
+    serialised) must not move with ``PYTHONHASHSEED``.  Needs processes:
+    ``repro fuzz --verify-deterministic`` re-runs inside one."""
+    digests = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run(
+            [sys.executable, "-c", HASH_ORDER_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1

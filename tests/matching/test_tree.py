@@ -98,6 +98,31 @@ class TestMutation:
         assert tree.match(Event({"a": 1})) == {"old"}
         assert tree.match(Event({"a": 1, "b": 2, "c": 3})) == {"old", "new"}
 
+    def test_remove_prunes_the_chain_it_emptied(self):
+        """The tree is sized by the live set, not by history: churn over
+        high-cardinality constants leaves no dead nodes behind."""
+        tree = MatchingTree()
+        tree.add("live", parse("symbol = 'A'"))
+        before = tree.node_count()
+        for i in range(5000):
+            tree.add("churn", parse(f"user = {i} and symbol = 'A'"))
+            tree.remove("churn")
+        assert tree.node_count() == before == 2
+        assert tree.match(Event({"symbol": "A", "user": 7})) == {"live"}
+
+    def test_remove_keeps_shared_and_star_chains(self):
+        tree = MatchingTree()
+        tree.add("ab", parse("a = 1 and b = 2"))
+        tree.add("b_only", parse("b = 2"))  # root -*-> node -[b=2]-> leaf
+        tree.add("ab2", parse("a = 1 and b = 3"))
+        tree.remove("ab")
+        assert tree.match(Event({"a": 1, "b": 3})) == {"ab2"}
+        assert tree.match(Event({"a": 1, "b": 2})) == {"b_only"}
+        tree.remove("b_only")
+        tree.remove("ab2")
+        assert tree.node_count() == 1
+        assert tree.match(Event({"a": 1, "b": 2})) == set()
+
 
 # --- differential -------------------------------------------------------------
 
@@ -135,15 +160,38 @@ class TestDifferential:
 
     @given(
         st.lists(compound, min_size=4, max_size=12),
-        st.lists(st.integers(0, 11), max_size=4),
+        st.lists(st.tuples(st.integers(0, 11), st.none() | compound), max_size=12),
         st.lists(events, max_size=6),
     )
     @settings(max_examples=120, deadline=None)
-    def test_tree_after_removals(self, predicates, removals, evts):
+    def test_tree_after_removals(self, predicates, steps, evts):
+        """Each step removes ``s<i>`` (``None``) or adds / re-adds it with
+        a new predicate; after every step the tree has exactly the nodes a
+        tree built from the survivors alone would have."""
         subs = {f"s{i}": p for i, p in enumerate(predicates)}
         brute, tree = both(subs)
-        for index in removals:
-            brute.remove(f"s{index}")
-            tree.remove(f"s{index}")
-        for event in evts:
-            assert tree.match(event) == brute.match(event)
+        for index, predicate in steps:
+            sub_id = f"s{index}"
+            if predicate is None:
+                subs.pop(sub_id, None)
+                brute.remove(sub_id)
+                tree.remove(sub_id)
+            else:
+                subs[sub_id] = predicate
+                brute.add(sub_id, predicate)
+                tree.add(sub_id, predicate)
+            assert len(tree) == len(subs)
+            assert tree.node_count() == rebuilt(tree, subs).node_count()
+            for event in evts:
+                assert tree.match(event) == brute.match(event)
+
+
+def rebuilt(tree, subs):
+    """A fresh tree of ``subs`` alone, testing attributes in ``tree``'s
+    order (the first-seen order never shrinks, and it fixes the shape)."""
+    fresh = MatchingTree()
+    fresh._order = list(tree._order)
+    fresh._order_index = dict(tree._order_index)
+    for sub_id, predicate in subs.items():
+        fresh.add(sub_id, predicate)
+    return fresh
