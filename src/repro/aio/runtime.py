@@ -279,6 +279,12 @@ class AioBroker(BrokerHost):
             self.engine.flush_dirty_ostreams()
 
     def _process(self, src: str, message: Any) -> None:
+        """Handle one message.  This is the boundary that must keep
+        running: a handler exception is kept in :attr:`failure` (the first
+        one; chaos and conformance report it) and the broker goes on to
+        the next message — one poisoned message must not kill the drain
+        task, block the TCP reader behind a full inbox and lose every
+        delivery queued after it."""
         if not self.alive:
             return
         try:
@@ -288,10 +294,9 @@ class AioBroker(BrokerHost):
                     asyncio.get_running_loop().time(), self.broker_id, src, message
                 )
             self.engine.on_message(src, message)
-        except Exception as exc:  # surfaced by shutdown()/the chaos harness
+        except Exception as exc:
             if self.failure is None:
                 self.failure = exc
-            raise
 
     def deliver(self, subscriber: str, pubend: str, tick: Tick, payload: Any) -> None:
         now = asyncio.get_running_loop().time()

@@ -309,7 +309,8 @@ class _Connection:
         #: the link heals.  Payloads are popped only after a successful
         #: write+drain, so a connection failure re-sends the whole
         #: in-flight batch from the head after reconnect (at-least-once;
-        #: the protocol is idempotent to duplicate envelopes).
+        #: the protocol is idempotent to duplicate envelopes —
+        #: tests/broker/test_engine.py::TestIdempotence).
         self.outbox: Deque[bytes] = deque()
         #: Set by send() to rouse the pump from its heartbeat wait.
         self.wakeup = asyncio.Event()

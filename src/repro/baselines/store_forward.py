@@ -26,19 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..broker.engine import stable_hash
-from ..broker.host import SubscriberHooks
-from .fanout import LocalFanout
 from ..broker.state import BrokerTopologyInfo
 from ..core.config import LivenessParams
-from ..core.subend import Subscription
-from ..core.ticks import Tick, tick_of_time
-from ..metrics.cpu import CostModel, CpuAccountant
+from ..core.ticks import Tick
+from ..metrics.cpu import CostModel
 from ..obs.observability import Observability
 from ..sim.network import SimNetwork
-from ..sim.process import SimProcess
 from ..sim.scheduler import Scheduler
-from ..storage.log import MessageLog
+from .fanout import BaselineBroker
 
 __all__ = ["StoreForwardBroker", "SFMessage", "SFAck"]
 
@@ -84,7 +79,7 @@ class _HopReceiver:
         self.buffer: Dict[int, SFMessage] = {}
 
 
-class StoreForwardBroker(SimProcess):
+class StoreForwardBroker(BaselineBroker):
     """Hop-by-hop reliable store-and-forward broker."""
 
     #: Retransmission timer for unacked hop messages.
@@ -102,38 +97,14 @@ class StoreForwardBroker(SimProcess):
         hop_commit_latency: float = 0.02,
         obs: Optional[Observability] = None,
     ):
-        super().__init__(node_id, network, scheduler)
-        self.topo = topo
-        self.params = params
-        self.obs = obs if obs is not None else Observability()
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.client_latency = client_latency
+        super().__init__(
+            node_id, network, scheduler, topo, params, cost_model, client_latency, obs
+        )
         self.hop_commit_latency = hop_commit_latency
-        self.accountant = CpuAccountant(lambda: scheduler.now)
-        self.obs.register_accountant(node_id, self.accountant)
-        self._fanout = LocalFanout()
         self._senders: Dict[Tuple[str, str], _HopSender] = {}
         self._receivers: Dict[str, _HopReceiver] = {}
-        self._last_tick: Dict[str, Tick] = {}
         self.retransmissions = 0
         self._started = False
-
-    # -- SimBroker-compatible surface ---------------------------------------
-
-    def host_pubend(
-        self,
-        pubend_id: str,
-        log: MessageLog,
-        slot: int = 0,
-        n_slots: int = 1,
-        preassign_window: Optional[float] = None,
-    ) -> None:
-        self._last_tick.setdefault(pubend_id, -1)
-
-    def add_subscription(
-        self, subscription: Subscription, client: Optional[SubscriberHooks] = None
-    ) -> None:
-        self._fanout.add(subscription, client)
 
     def start(self) -> None:
         self._started = True
@@ -147,10 +118,7 @@ class StoreForwardBroker(SimProcess):
         self.accountant.charge(
             self.cost_model.msg_receive + self.cost_model.log_append, "publish"
         )
-        tick = max(
-            tick_of_time(self.scheduler.now), self._last_tick.get(pubend_id, -1) + 1
-        )
-        self._last_tick[pubend_id] = tick
+        tick = self._assign_tick(pubend_id)
         message = SFMessage(pubend_id, -1, tick, payload)
         # The publishing hop also pays commit latency before forwarding.
         self.schedule(self.hop_commit_latency, lambda: self._emit(message))
@@ -214,39 +182,10 @@ class StoreForwardBroker(SimProcess):
             )
             sender.next_seq += 1
             sender.unacked[hop_message.seq] = hop_message
-            self._send_hop(hop_message, cell)
-
-    def _send_hop(self, message: SFMessage, cell: str) -> None:
-        candidates = [
-            n
-            for n in self.topo.adjacent_in_cell(cell)
-            if self.network.link_is_usable(self.node_id, n)
-        ]
-        if not candidates:
-            return
-        target = candidates[stable_hash(message.pubend) % len(candidates)]
-        self.accountant.charge(self.cost_model.broker_send, "send")
-        self.send(target, message, 100)
+            self._send_to_cell(cell, hop_message)
 
     def _retransmit_unacked(self) -> None:
         for (pubend, cell), sender in self._senders.items():
             for seq in sorted(sender.unacked):
                 self.retransmissions += 1
-                self._send_hop(sender.unacked[seq], cell)
-
-    def _deliver_local(self, message: SFMessage) -> None:
-        if not self._fanout.has_subscribers(message.pubend):
-            return
-        self.accountant.charge(self.cost_model.match, "match")
-        for subscription in self._fanout.matching(message.pubend, message.payload):
-            completion = self.accountant.charge(self.cost_model.client_send, "fanout")
-            client = self._fanout.client_of(subscription.subscriber)
-            if client is None:
-                continue
-            delay = (completion - self.scheduler.now) + self.client_latency
-            self.schedule(
-                delay,
-                lambda c=client, m=message: c.on_delivery(
-                    m.pubend, m.tick, m.payload, self.scheduler.now
-                ),
-            )
+                self._send_to_cell(cell, sender.unacked[seq])

@@ -36,7 +36,7 @@ Key protocol behaviours implemented here:
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.config import LivenessParams
 from ..core.lattice import K
@@ -288,6 +288,21 @@ class GDBrokerEngine:
                     cells[cell] = OStream(pubend, cell, filter_edge)
         return ist
 
+    def _ostream_of(self, pubend: str, src: str) -> Optional[OStream]:
+        """The path a downstream neighbour speaks for: its cell's ostream."""
+        return self.ostreams.get(pubend, {}).get(self.topo.cell_of.get(src))
+
+    def _note_upstream_sender(self, ist: IStream, src: str) -> None:
+        """Acks and nacks go back to whichever upstream broker last sent
+        this pubend's traffic (paper section 3.1)."""
+        route = self.topo.routes.get(ist.pubend)
+        if (
+            src
+            and route is not None
+            and self.topo.cell_of.get(src) == route.upstream_cell
+        ):
+            ist.last_upstream_sender = src
+
     def host_pubend(self, pubend: Pubend) -> None:
         """Adopt a pubend (PHB role) by replaying its log into the istream.
 
@@ -445,12 +460,7 @@ class GDBrokerEngine:
             self._relay_sideways(src, envelope)
             return
         ist = self._ensure_streams(pubend)
-        if (
-            src
-            and route is not None
-            and self.topo.cell_of.get(src) == route.upstream_cell
-        ):
-            ist.last_upstream_sender = src
+        self._note_upstream_sender(ist, src)
         self.services.charge(0.0, "knowledge_receive")
         self.bump("knowledge_received")
         self._m_knowledge_received.inc()
@@ -505,43 +515,14 @@ class GDBrokerEngine:
             self.lifecycle.knowledge_ingested(
                 self.services.now(), self.topo.broker_id, src, message, relay=True
             )
-        target = self._pick_downstream_broker(message.pubend, envelope.target_cell)
-        if target is None:
-            self.bump("knowledge_undeliverable")
-            return
-        self._m_knowledge_sent.inc()
-        self.services.send(target, Envelope(message), _knowledge_size(message))
-        if self.lifecycle.listeners:
-            self.lifecycle.knowledge_sent(
-                self.services.now(),
-                self.topo.broker_id,
-                target,
-                envelope.target_cell or "",
-                message,
-                "relay",
-            )
-
-    def _path_matches(self, ost: OStream, payload: Any) -> bool:
-        if not ost.filter.matches(payload):
-            return False
-        if (
-            self.params.subscription_propagation
-            and ost.summary_edge is not None
-        ):
-            return ost.summary_edge.matches(payload)
-        return True
-
-    def _apply_path_filter(
-        self, ost: OStream, message: KnowledgeMessage
-    ) -> KnowledgeMessage:
-        """Static edge filter plus the dynamic subscription summary."""
-        filtered = ost.filter.apply(message)
-        if (
-            self.params.subscription_propagation
-            and ost.summary_edge is not None
-        ):
-            filtered = ost.summary_edge.apply(filtered)
-        return filtered
+        self._send_towards(
+            message.pubend,
+            envelope.target_cell,
+            message,
+            _knowledge_size(message),
+            allow_sideways=False,
+            kind="relay",
+        )
 
     def _propagate(
         self,
@@ -554,7 +535,7 @@ class GDBrokerEngine:
         # finality arriving for a curious tick makes it anti-curious here
         # (A is F), but the downstream still has to be told the answer.
         curious = ost.stream.curiosity.curious_ranges()
-        filtered = self._apply_path_filter(ost, message)
+        filtered = ost.apply(message)
         for rng in filtered.merged_f_ranges():
             ost.stream.accumulate_final(rng)
         for data in filtered.data:
@@ -565,23 +546,46 @@ class GDBrokerEngine:
             self._answer_curiosity(ist, ost, curious, allow_sideways)
             return
 
-        if self.params.flush_delay > 0:
-            # Batched delta propagation: record the dirty ticks and flush
-            # one coalesced message per ostream after flush_delay.  Only
-            # the cases that would send immediately mark the path dirty.
-            if filtered.data or (self.params.silence_broadcast and message.is_silence):
+        # flush_delay decides *when* the path is told what is new, never
+        # *what*: both arms send the one _delta.
+        if filtered.data or (self.params.silence_broadcast and message.is_silence):
+            if self.params.flush_delay > 0:
                 self._mark_dirty(ost, filtered, allow_sideways)
-        elif filtered.data:
-            out = self._build_first_time(ost, filtered)
-            self._send_knowledge(ost, out, allow_sideways)
-        elif self.params.silence_broadcast and message.is_silence:
-            out = self._build_silence(ost, filtered)
-            if out is not None:
-                self._send_knowledge(ost, out, allow_sideways, kind="silence")
+            else:
+                out = self._delta(ost, filtered.max_tick(), filtered.data)
+                if out is not None:
+                    kind = "first" if filtered.data else "silence"
+                    self._send_knowledge(ost, out, allow_sideways, kind)
         # Whatever just arrived may also satisfy older curiosity on this
         # path (first-time silence for curious ticks, paper section 3.1).
         # Curiosity answers are never delayed by batching.
         self._answer_curiosity(ist, ost, curious, allow_sideways)
+
+    def _delta(
+        self, ost: OStream, hi: Tick, offered: Sequence[DataTick]
+    ) -> Optional[KnowledgeMessage]:
+        """What the path has not been told yet, below ``hi`` — the one
+        first-time message, whichever arm sends it.
+
+        *Lazy silence*: all F knowledge between the ostream's sent
+        watermark and ``hi`` rides along, so paths that had data filtered
+        out still advance their doubt horizon without dedicated silence
+        messages.  Of the ``offered`` data ticks (sorted) only those still
+        D on the path travel: one the downstream cell has acked meanwhile
+        (a duplicated envelope, an ack over a sideways path) is final
+        here, and its finality is in the prefix or the F runs already.
+        ``None`` when the path has been told all of it.
+        """
+        knowledge = ost.stream.knowledge
+        fin = knowledge.final_prefix()
+        f_runs = knowledge.final_ranges(max(min(ost.sent_watermark, hi), fin), hi)
+        data = tuple(d for d in offered if knowledge.value_at(d.tick) == K.D)
+        if not data and not f_runs and fin <= ost.sent_watermark:
+            return None
+        ost.sent_watermark = max(ost.sent_watermark, hi)
+        return KnowledgeMessage(
+            pubend=ost.pubend, fin_prefix=fin, f_ranges=tuple(f_runs), data=data
+        )
 
     def _mark_dirty(
         self, ost: OStream, filtered: KnowledgeMessage, allow_sideways: bool
@@ -622,9 +626,8 @@ class GDBrokerEngine:
         ingested within one flush window cost one knowledge message with
         N data ticks and merged F brackets instead of N messages.
         """
-        ist = self.istreams.get(pubend)
         ost = self.ostreams.get(pubend, {}).get(cell)
-        if ist is None or ost is None or not ost.flush_pending:
+        if ost is None or not ost.flush_pending:
             return
         ost.flush_pending = False
         self.dirty_ostreams -= 1
@@ -633,45 +636,26 @@ class GDBrokerEngine:
         allow_sideways = ost.pending_sideways
         ost.pending_sideways = True
         self.services.charge(0.0, "knowledge_flush")
-        knowledge = ost.stream.knowledge
-        hi = knowledge.horizon()
-        fin = knowledge.final_prefix()
-        lo = min(ost.sent_watermark, hi)
-        f_runs = knowledge.final_ranges(max(lo, fin), hi)
-        data: List[DataTick] = []
-        for tick in sorted(pending):
-            # A pending tick may have been finalized meanwhile (acked via
-            # a sideways path): finality then travels in fin/f_runs and
-            # the captured payload is dropped.
-            if knowledge.value_at(tick) == K.D:
-                data.append(pending[tick])
-        if not data and not f_runs and fin <= ost.sent_watermark:
-            # The coalesced message turned out empty (ticks finalized or
-            # acked meanwhile): the timer's work was cancelled out.
-            if self.lifecycle.listeners:
-                self.lifecycle.knowledge_flushed(
-                    self.services.now(), self.topo.broker_id, pubend, cell, (), False
-                )
-            return
-        ost.sent_watermark = max(ost.sent_watermark, hi)
-        out = KnowledgeMessage(
-            pubend=pubend,
-            fin_prefix=fin,
-            f_ranges=tuple(f_runs),
-            data=tuple(data),
-            retransmit=False,
+        out = self._delta(
+            ost,
+            ost.stream.knowledge.horizon(),
+            [pending[tick] for tick in sorted(pending)],
         )
-        self.bump("knowledge_flushes")
-        self._m_knowledge_flushes.inc()
         if self.lifecycle.listeners:
             self.lifecycle.knowledge_flushed(
                 self.services.now(),
                 self.topo.broker_id,
                 pubend,
                 cell,
-                [d.tick for d in data],
-                True,
+                out.data_ticks if out is not None else (),
+                out is not None,
             )
+        if out is None:
+            # Everything pending was finalized or acked meanwhile: the
+            # timer's work was cancelled out.
+            return
+        self.bump("knowledge_flushes")
+        self._m_knowledge_flushes.inc()
         self._send_knowledge(ost, out, allow_sideways, kind="flush")
 
     def flush_dirty_ostreams(self, cell: Optional[str] = None) -> int:
@@ -699,51 +683,6 @@ class GDBrokerEngine:
             self._flush_ostream(pubend, ost_cell)
         return len(pending)
 
-    def _build_first_time(
-        self, ost: OStream, filtered: KnowledgeMessage
-    ) -> KnowledgeMessage:
-        """A first-time data message bracketed with lazy silence.
-
-        All F knowledge between the ostream's sent watermark and the
-        newest tick of the message rides along, so paths that had data
-        filtered out still advance their doubt horizon without dedicated
-        silence messages.
-        """
-        hi = filtered.max_tick()
-        lo = min(ost.sent_watermark, hi)
-        fin = ost.stream.knowledge.final_prefix()
-        f_runs = ost.stream.knowledge.final_ranges(max(lo, fin), hi)
-        out = KnowledgeMessage(
-            pubend=ost.pubend,
-            fin_prefix=fin,
-            f_ranges=tuple(f_runs),
-            data=filtered.data,
-            retransmit=False,
-        )
-        ost.sent_watermark = max(ost.sent_watermark, hi)
-        return out
-
-    def _build_silence(
-        self, ost: OStream, filtered: KnowledgeMessage
-    ) -> Optional[KnowledgeMessage]:
-        hi = filtered.max_tick()
-        lo = min(ost.sent_watermark, hi)
-        fin = ost.stream.knowledge.final_prefix()
-        f_runs = ost.stream.knowledge.final_ranges(max(lo, fin), hi)
-        if not f_runs and fin <= ost.sent_watermark:
-            return None
-        ost.sent_watermark = max(ost.sent_watermark, hi)
-        return KnowledgeMessage(
-            pubend=ost.pubend, fin_prefix=fin, f_ranges=tuple(f_runs), data=()
-        )
-
-    def _satisfy_ostream_curiosity(
-        self, ist: IStream, ost: OStream, allow_sideways: bool = True
-    ) -> None:
-        self._answer_curiosity(
-            ist, ost, ost.stream.curiosity.curious_ranges(), allow_sideways
-        )
-
     def _answer_curiosity(
         self,
         ist: IStream,
@@ -768,7 +707,7 @@ class GDBrokerEngine:
                 elif value == K.D:
                     for tick in run:
                         payload = ist.stream.knowledge.payload_at(tick)
-                        if self._path_matches(ost, payload):
+                        if ost.matches(payload):
                             ost.stream.accumulate_data(tick, None)
                         else:
                             ost.stream.accumulate_final(TickRange.single(tick))
@@ -802,55 +741,58 @@ class GDBrokerEngine:
         )
         self.bump("retransmissions_sent")
         self._m_retransmissions.inc()
-        self._send_knowledge(ost, out, allow_sideways)
+        self._send_knowledge(ost, out, allow_sideways, kind="retransmit")
 
     def _send_knowledge(
-        self,
-        ost: OStream,
-        message: KnowledgeMessage,
-        allow_sideways: bool = True,
-        kind: str = "first",
+        self, ost: OStream, message: KnowledgeMessage, allow_sideways: bool, kind: str
     ) -> None:
-        target = self._pick_downstream_broker(ost.pubend, ost.cell)
         self.services.charge(0.0, "knowledge_send")
-        if message.retransmit:
-            kind = "retransmit"
-        if target is not None:
-            self.bump("knowledge_sent")
-            self._m_knowledge_sent.inc()
-            self.services.send(target, Envelope(message), _knowledge_size(message))
-            if self.lifecycle.listeners:
-                self.lifecycle.knowledge_sent(
-                    self.services.now(),
-                    self.topo.broker_id,
-                    target,
-                    ost.cell,
-                    message,
-                    kind,
-                )
+        self._send_towards(
+            ost.pubend, ost.cell, message, _knowledge_size(message), allow_sideways, kind
+        )
+
+    def _send_towards(
+        self,
+        pubend: str,
+        cell: str,
+        payload: Any,
+        size: int,
+        allow_sideways: bool = True,
+        kind: str = "",
+    ) -> None:
+        """The one way out towards a downstream cell: a direct link picked
+        from the bundle, else (when allowed) sideways through a cell peer
+        that re-targets the cell.  ``kind`` labels a knowledge message for
+        the counters and the lifecycle hub; control traffic (AckExpected
+        probes) passes none and is neither counted nor reported."""
+        target = self._pick_downstream_broker(pubend, cell)
+        sideways = target is None and allow_sideways
+        if sideways:
+            target = self._pick_sideways_peer(cell)
+        if target is None:
+            if kind:
+                self.bump("knowledge_undeliverable")
             return
-        if allow_sideways:
-            peer = self._pick_sideways_peer(ost.cell)
-            if peer is not None:
-                self.bump("knowledge_sideways")
-                self._m_knowledge_sent.inc()
-                self.services.send(
-                    peer,
-                    Envelope(message, target_cell=ost.cell, sideways=True),
-                    _knowledge_size(message),
-                )
-                if self.lifecycle.listeners:
-                    self.lifecycle.knowledge_sent(
-                        self.services.now(),
-                        self.topo.broker_id,
-                        peer,
-                        ost.cell,
-                        message,
-                        kind,
-                        sideways=True,
-                    )
-                return
-        self.bump("knowledge_undeliverable")
+        if sideways:
+            envelope = Envelope(payload, target_cell=cell, sideways=True)
+        else:
+            envelope = Envelope(payload)
+        self.services.send(target, envelope, size)
+        if not kind:
+            return
+        if kind != "relay":  # a relay is counted once, on arrival
+            self.bump("knowledge_sideways" if sideways else "knowledge_sent")
+        self._m_knowledge_sent.inc()
+        if self.lifecycle.listeners:
+            self.lifecycle.knowledge_sent(
+                self.services.now(),
+                self.topo.broker_id,
+                target,
+                cell,
+                payload,
+                kind,
+                sideways=sideways,
+            )
 
     # ------------------------------------------------------------------
     # Curiosity (nack) handling — upstream
@@ -870,8 +812,7 @@ class GDBrokerEngine:
             ist = self.istreams.get(pubend)
             if ist is None:
                 return
-            cell = self.topo.cell_of.get(src)
-            ost = self.ostreams.get(pubend, {}).get(cell) if cell else None
+            ost = self._ostream_of(pubend, src)
             if ost is None:
                 return
             for rng in nack.ranges:
@@ -909,7 +850,7 @@ class GDBrokerEngine:
             # stream by refreshing each requesting path.  (The local
             # subend case cannot happen: local knowledge is complete.)
             for ost in self.ostreams.get(pubend, {}).values():
-                self._satisfy_ostream_curiosity(ist, ost)
+                self._answer_curiosity(ist, ost, ost.stream.curiosity.curious_ranges())
             return
         fresh: List[TickRange] = []
         for rng in ranges:
@@ -943,8 +884,7 @@ class GDBrokerEngine:
     def _on_ack(self, src: str, ack: AckMessage) -> None:
         self.services.charge(0.0, "control")
         self._m_acks_received.inc()
-        cell = self.topo.cell_of.get(src)
-        ost = self.ostreams.get(ack.pubend, {}).get(cell) if cell else None
+        ost = self._ostream_of(ack.pubend, src)
         if ost is None:
             return
         if ack.up_to > 0:
@@ -1019,7 +959,7 @@ class GDBrokerEngine:
             for ost in self.ostreams.get(pubend_id, {}).values():
                 if ost.ack_prefix() < threshold:
                     self.bump("ack_expected_sent")
-                    self._send_down_path(ost, Envelope(probe), size=48)
+                    self._send_towards(pubend_id, ost.cell, probe, size=48)
 
     def _on_ack_expected(
         self, src: str, probe: AckExpectedMessage, envelope: Envelope
@@ -1027,11 +967,9 @@ class GDBrokerEngine:
         self.services.charge(0.0, "control")
         pubend = probe.pubend
         ist = self.istreams.get(pubend)
-        route = self.topo.routes.get(pubend)
         if ist is None:
             return
-        if src and route is not None and self.topo.cell_of.get(src) == route.upstream_cell:
-            ist.last_upstream_sender = src
+        self._note_upstream_sender(ist, src)
         if self.subend is not None and self.subend.has_pubend(pubend):
             self.subend.on_ack_expected(pubend, probe.up_to)
         cells = self.ostreams.get(pubend, {})
@@ -1043,7 +981,7 @@ class GDBrokerEngine:
         for cell in targets:
             ost = cells[cell]
             if ost.ack_prefix() < probe.up_to:
-                self._send_down_path(ost, Envelope(probe), size=48)
+                self._send_towards(pubend, cell, probe, size=48)
         # Re-assert whatever is already consolidated here: a probing
         # upstream has lost its soft ack state (restart) and must be told
         # again even though our ack value did not advance.
@@ -1104,8 +1042,7 @@ class GDBrokerEngine:
         if not self.params.subscription_propagation:
             return
         self.services.charge(0.0, "control")
-        cell = self.topo.cell_of.get(src)
-        ost = self.ostreams.get(message.pubend, {}).get(cell) if cell else None
+        ost = self._ostream_of(message.pubend, src)
         if ost is None:
             return
         predicate = predicate_from_wire(message.summary)
@@ -1114,7 +1051,7 @@ class GDBrokerEngine:
         )
         if predicate == previous:
             return
-        ost.summary_edge = FilterEdge(predicate, name=f"summary:{cell}")
+        ost.summary_edge = FilterEdge(predicate, name=f"summary:{ost.cell}")
         # Our own upward need may have changed; tell upstream.
         self._advertise_summary(message.pubend)
 
@@ -1163,19 +1100,6 @@ class GDBrokerEngine:
             if report is None or cell in report:
                 return peer
         return None
-
-    def _send_down_path(self, ost: OStream, envelope: Envelope, size: int) -> None:
-        target = self._pick_downstream_broker(ost.pubend, ost.cell)
-        if target is not None:
-            self.services.send(target, envelope, size)
-        else:
-            peer = self._pick_sideways_peer(ost.cell)
-            if peer is not None and not envelope.sideways:
-                self.services.send(
-                    peer,
-                    Envelope(envelope.payload, target_cell=ost.cell, sideways=True),
-                    size,
-                )
 
     def _send_upstream(
         self, pubend: str, ist: IStream, envelope: Envelope, size: int

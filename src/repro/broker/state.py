@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from ..core.edges import FilterEdge
+from ..core.messages import KnowledgeMessage, register_message_kind
 from ..core.streams import Stream
 from ..core.ticks import Tick
 
@@ -76,7 +77,8 @@ class OStream:
         self.sent_watermark: Tick = 0
         #: Dynamic filter from subscription propagation: the downstream
         #: cell's advertised subscription summary (None until received;
-        #: absent summaries filter nothing — conservative).
+        #: absent summaries filter nothing — conservative).  Only ever set
+        #: under ``LivenessParams.subscription_propagation``.
         self.summary_edge: Optional[FilterEdge] = None
         #: Batched flushing (flush_delay > 0): DataTicks ingested since the
         #: last flush, awaiting one coalesced first-time KnowledgeMessage.
@@ -90,6 +92,20 @@ class OStream:
         #: pending flush — a single non-sideways-eligible contribution
         #: makes the whole coalesced message non-sideways-eligible.
         self.pending_sideways: bool = True
+
+    def matches(self, payload: Any) -> bool:
+        """Whether a payload passes the path's filter: the static edge
+        composed with the subscription summary (``None`` is the identity)."""
+        return self.filter.matches(payload) and (
+            self.summary_edge is None or self.summary_edge.matches(payload)
+        )
+
+    def apply(self, message: KnowledgeMessage) -> KnowledgeMessage:
+        """The path's filtered image of a knowledge message."""
+        filtered = self.filter.apply(message)
+        if self.summary_edge is not None:
+            filtered = self.summary_edge.apply(filtered)
+        return filtered
 
     def ack_prefix(self) -> Tick:
         """Ticks below this are anti-curious, i.e. final in the path's
@@ -212,8 +228,6 @@ class SubscriptionSummaryMessage:
     def from_wire(cls, obj: Dict[str, Any]) -> "SubscriptionSummaryMessage":
         return cls(sender=obj["sender"], pubend=obj["pubend"], summary=obj["summary"])
 
-
-from ..core.messages import register_message_kind
 
 register_message_kind("sub_summary", SubscriptionSummaryMessage.from_wire)
 

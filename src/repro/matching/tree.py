@@ -27,18 +27,9 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from .ast import Comparison, Predicate, TrueP, conjoin
-from .engine import Matcher, _flatten_conjunction
+from .engine import Matcher, _eq_key, _flatten_conjunction
 
 __all__ = ["MatchingTree"]
-
-
-def _eq_key(value: Any) -> Tuple[str, Any]:
-    """Edge label with type fidelity (True must not collide with 1)."""
-    if isinstance(value, bool):
-        return ("b", value)
-    if isinstance(value, (int, float)):
-        return ("n", value)
-    return ("s", value)
 
 
 class _Node:

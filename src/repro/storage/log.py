@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..core.messages import _decode_payload, _encode_payload
 from ..core.ticks import Tick
 from ..obs.instruments import NULL_INSTRUMENTS
 
@@ -75,23 +76,6 @@ class LogAppendError(OSError):
     record boundary before raising, so the failed entry is neither in
     memory nor on disk — the caller must treat the message as *not
     published*."""
-
-
-def _encode_payload(payload: Any) -> Any:
-    """JSON-encodable form of a payload (events carry a marker)."""
-    from ..matching.events import Event
-
-    if isinstance(payload, Event):
-        return {"__event__": payload.to_wire()}
-    return payload
-
-
-def _decode_payload(obj: Any) -> Any:
-    from ..matching.events import Event
-
-    if isinstance(obj, dict) and "__event__" in obj:
-        return Event.from_wire(obj["__event__"])
-    return obj
 
 
 @dataclass(frozen=True)

@@ -222,6 +222,74 @@ class TestLocalTransport:
         assert asyncio.run(scenario()) == ["crash"]
 
 
+class _EchoTransport(LocalTransport):
+    """Delivers every message a second time ``echo`` seconds later — the
+    duplicate ``TcpTransport`` produces when it re-sends its in-flight
+    batch after a reconnect, late enough that the downstream has acked
+    the first copy meanwhile."""
+
+    echo = 0.03
+
+    def send(self, src, dst, message):
+        asyncio.get_running_loop().call_later(
+            self.echo, LocalTransport.send, self, src, dst, message
+        )
+        return super().send(src, dst, message)
+
+
+class TestPoisonedAndDuplicatedMessages:
+    def test_a_chain_that_hears_everything_twice_stays_exactly_once(self):
+        async def scenario():
+            system = AioSystem(
+                chain_topology(), params=FAST_PARAMS, transport=_EchoTransport(seed=5)
+            )
+            await system.start()
+            client = system.subscribe("a", "b2", ("P0",))
+            publisher = system.publisher("P0", rate=200.0)
+            publisher.start()
+            await system.run_for(0.5)
+            await publisher.stop()
+            report = await settle(system, publisher, client, "a")
+            failures = {b: broker.failure for b, broker in system.brokers.items()}
+            await system.shutdown()
+            return report, publisher, failures
+
+        report, publisher, failures = asyncio.run(scenario())
+        assert len(publisher.published) > 50
+        assert failures == {"b0": None, "b1": None, "b2": None}
+        assert report.exactly_once
+
+    def test_a_handler_that_raises_once_does_not_deafen_the_broker(self):
+        async def scenario():
+            system = AioSystem(
+                gd_topology(), params=FAST, transport=LocalTransport(seed=2)
+            )
+            await system.start()
+            client = system.subscribe("a", "shb", ("P0",))
+            shb = system.brokers["shb"]
+            real, poison = shb.engine.on_message, RuntimeError("poisoned message")
+
+            def raise_once(src, message):
+                shb.engine.on_message = real
+                raise poison
+
+            shb.engine.on_message = raise_once
+            publisher = system.publisher("P0", rate=200.0)
+            publisher.start()
+            await system.run_for(0.4)
+            await publisher.stop()
+            report = await settle(system, publisher, client, "a")
+            failure = shb.failure
+            await system.shutdown()
+            return report, failure, poison
+
+        report, failure, poison = asyncio.run(scenario())
+        # Kept for the harnesses to report, and the lost message healed
+        # like any other loss.
+        assert failure is poison
+        assert report.exactly_once
+
+
 class _PubendEmissions(LifecycleListener):
     """Every first-time knowledge message a pubend hosted at ``b0``
     emits (publication or silence), as its PHB ingests it."""

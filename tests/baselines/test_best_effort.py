@@ -106,14 +106,14 @@ class TestFanout:
     def test_resubscribe_replaces(self):
         """The baselines' fan-out is the SHB's subscription index: adding
         a subscriber id again leaves one entry, with the new predicate."""
-        from repro.baselines.fanout import LocalFanout
-        from repro.core.subend import Subscription
-        from repro.matching.parser import parse
-
-        fanout = LocalFanout()
-        fanout.add(Subscription("a", parse("g = 1"), pubends=("P0",)), None)
-        replacement = Subscription("a", lambda p: p["g"] == 2, pubends=("P0",))
-        fanout.add(replacement, None)
-        assert fanout.matching("P0", {"g": 1}) == []
-        assert fanout.matching("P0", {"g": 2}) == [replacement]
-        assert fanout.has_subscribers("P0") and not fanout.has_subscribers("P1")
+        system = be_system()
+        first = system.subscribe("a", "shb", ("P0",), "g = 1")
+        second = system.subscribe("a", "shb", ("P0",), lambda event: event["g"] == 2)
+        pub = system.publisher("P0", rate=100.0, make_attributes=lambda i: {"g": i % 3})
+        pub.start(at=0.1)
+        system.run_until(1.0)
+        pub.stop()
+        system.run_until(1.5)
+        assert first.count() == 0
+        assert second.count() == sum(1 for (__, ___, e) in pub.published if e["g"] == 2)
+        assert second.count() > 0

@@ -5,6 +5,8 @@ lazy silence bracketing, retransmission targeting, nack satisfaction and
 consolidation, ack consolidation, link selection, and sideways routing.
 """
 
+import random
+
 import pytest
 
 from repro.broker.engine import BrokerServices, GDBrokerEngine, stable_hash
@@ -20,6 +22,7 @@ from repro.core.messages import (
     NackMessage,
 )
 from repro.core.pubend import Pubend
+from repro.core.streams import Stream
 from repro.core.subend import Subscription
 from repro.core.ticks import TickRange
 from repro.storage.log import MemoryLog
@@ -540,3 +543,185 @@ class TestLinkSelection:
         # If no candidate reaches the subtree, fall back to hash anyway.
         engine.on_message("b2", LinkStatusMessage("b2", frozenset()))
         assert engine._pick_downstream_broker("P", "IB1") in ("b1", "b2")
+
+
+def fire_timers(services):
+    """Run every scheduled callback (the flush timers; `engine.start()` is
+    never called here, so nothing periodic is armed)."""
+    while services.timers:
+        when, fn, handle = services.timers.pop(0)
+        services.time = max(services.time, when)
+        if not handle.cancelled:
+            fn()
+
+
+def first_time_to(services, dst):
+    return [
+        env.payload
+        for (__, env) in services.knowledge_to(dst)
+        if not env.payload.retransmit
+    ]
+
+
+FLUSH_ARMS = [0.0, 0.05]
+
+#: One envelope of every kind the engine handles, direct and sideways.
+ENVELOPE_KINDS = {
+    "data": ("p1", Envelope(data_msg(5, 99, f=[(0, 5)]))),
+    "data-sideways": (
+        "b2",
+        Envelope(data_msg(5, 99, f=[(0, 5)]), target_cell="SHB1", sideways=True),
+    ),
+    "silence": (
+        "p1",
+        Envelope(KnowledgeMessage(pubend="P", f_ranges=(TickRange(0, 8),))),
+    ),
+    "retransmission": (
+        "p1",
+        Envelope(
+            KnowledgeMessage(
+                pubend="P",
+                f_ranges=(TickRange(0, 5),),
+                data=(DataTick(5, {"v": 99}),),
+                retransmit=True,
+            )
+        ),
+    ),
+    "ack": ("s1", Envelope(AckMessage("P", 6))),
+    "nack": ("s1", Envelope(NackMessage("P", (TickRange(0, 8),)))),
+    "ack-expected": ("p1", Envelope(AckExpectedMessage("P", 6))),
+    "ack-expected-sideways": (
+        "b2",
+        Envelope(AckExpectedMessage("P", 6), target_cell="SHB1", sideways=True),
+    ),
+}
+
+
+class TestIdempotence:
+    """The protocol is lattice accumulation, so a duplicated envelope —
+    the one fault ``TcpTransport`` really produces when it re-sends its
+    in-flight batch after a reconnect — must change nothing."""
+
+    @staticmethod
+    def run(flush_delay, kind, acked, deliveries):
+        services, engine = make_engine(params=LivenessParams(flush_delay=flush_delay))
+        src, envelope = ENVELOPE_KINDS[kind]
+        # Tick 5 is known and told to both paths before anything repeats.
+        engine.on_envelope("p1", Envelope(data_msg(5, 99, f=[(0, 5)])))
+        fire_timers(services)
+        engine.on_envelope(src, envelope)
+        fire_timers(services)
+        if acked:
+            engine.on_envelope("s1", Envelope(AckMessage("P", 6)))
+        for __ in range(deliveries - 1):
+            engine.on_envelope(src, envelope)
+            fire_timers(services)
+        engine.istreams["P"].stream.check_invariants()
+        return engine.stream_state()
+
+    @pytest.mark.parametrize("flush_delay", FLUSH_ARMS)
+    @pytest.mark.parametrize("acked", [False, True], ids=["before-ack", "after-ack"])
+    @pytest.mark.parametrize("kind", sorted(ENVELOPE_KINDS))
+    def test_a_second_delivery_changes_nothing(self, kind, acked, flush_delay):
+        once = self.run(flush_delay, kind, acked, deliveries=1)
+        assert self.run(flush_delay, kind, acked, deliveries=2) == once
+        assert self.run(flush_delay, kind, acked, deliveries=3) == once
+
+    @pytest.mark.parametrize("flush_delay", FLUSH_ARMS)
+    def test_duplicate_after_the_ack_sends_no_first_time_message(self, flush_delay):
+        services, engine = make_engine(params=LivenessParams(flush_delay=flush_delay))
+        envelope = Envelope(data_msg(5, 99, f=[(0, 5)]))
+        engine.on_envelope("p1", envelope)
+        fire_timers(services)
+        engine.on_envelope("s1", Envelope(AckMessage("P", 6)))
+        told = len(first_time_to(services, "s1"))
+        engine.on_envelope("p1", envelope)
+        fire_timers(services)
+        assert len(first_time_to(services, "s1")) == told
+        # SHB2 has not acked: the tick is still D on that path and the
+        # duplicate travels (receivers dedup).
+        assert first_time_to(services, "s2")[-1].data_ticks == [5]
+
+
+class TestArmEquivalence:
+    """``flush_delay`` decides *when* a path is told what is new, never
+    *what*: the same arrivals give the downstream the same knowledge."""
+
+    @staticmethod
+    def steps(seed):
+        """A seeded arrival sequence: first-time publications with lazy
+        silence brackets, some delivered twice, some swapped with their
+        successor, acks from s1 for prefixes it has been told."""
+        rng = random.Random(seed)
+        upstream, tick = [], 0
+        for __ in range(rng.randint(6, 14)):
+            lo, tick = tick, tick + rng.randint(1, 4)
+            upstream.append(data_msg(tick, rng.randint(0, 100), f=[(lo, tick)]))
+            tick += 1
+        for i in range(len(upstream) - 1):
+            if rng.random() < 0.2:
+                upstream[i], upstream[i + 1] = upstream[i + 1], upstream[i]
+        steps, told = [], []
+        for message in upstream:
+            steps.append(("data", message))
+            told.append(message)
+            roll = rng.random()
+            if roll < 0.3:
+                steps.append(("duplicate", rng.choice(told)))
+            elif roll < 0.6:
+                steps.append(("ack", 1 + max(m.data[0].tick for m in told)))
+        # Close with a publication nothing reordered, so lazy silence
+        # brackets everything below it on both arms.
+        steps.append(("data", data_msg(tick + 1, 50, f=[(tick, tick + 1)])))
+        return steps
+
+    @staticmethod
+    def drive(flush_delay, steps):
+        services, engine = make_engine(params=LivenessParams(flush_delay=flush_delay))
+        acked = 0
+        for step, arg in steps:
+            if step == "ack":
+                # A downstream acks only what it has been sent.
+                fire_timers(services)
+                acked = max(acked, arg)
+                engine.on_envelope("s1", Envelope(AckMessage("P", arg)))
+                continue
+            if step == "duplicate" and arg.data[0].tick < acked:
+                # After the ack a duplicate tells s1 nothing, on either arm.
+                fire_timers(services)
+                told = len(first_time_to(services, "s1"))
+                engine.on_envelope("p1", Envelope(arg))
+                fire_timers(services)
+                assert len(first_time_to(services, "s1")) == told
+            else:
+                engine.on_envelope("p1", Envelope(arg))
+        fire_timers(services)
+        # What s1 would hold: everything sent towards it, accumulated; the
+        # gaps a reordered arrival left are healed by its curiosity.
+        held = Stream()
+        seen = 0
+        for __ in range(3):
+            for __, envelope in services.knowledge_to("s1")[seen:]:
+                for rng in envelope.payload.merged_f_ranges():
+                    held.accumulate_final(rng)
+                for data in envelope.payload.data:
+                    held.accumulate_data(data.tick, data.payload)
+            seen = len(services.knowledge_to("s1"))
+            gaps = held.knowledge.ranges_with(
+                lambda v: v == K.Q, 0, held.knowledge.horizon()
+            )
+            if not gaps:
+                break
+            engine.on_envelope("s1", Envelope(NackMessage("P", tuple(gaps))))
+        held.check_invariants()
+        horizon = held.knowledge.horizon()
+        return list(held.knowledge.iter_runs(0, horizon)), held.knowledge.d_ticks(
+            TickRange(0, horizon)
+        )
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_both_arms_tell_the_path_the_same(self, seed):
+        steps = self.steps(seed)
+        immediate = self.drive(0.0, steps)
+        assert self.drive(0.05, steps) == immediate
+        assert immediate[0], "nothing reached s1"

@@ -15,11 +15,15 @@ from collections.abc import Mapping
 
 import pytest
 
-from repro.baselines.fanout import LocalFanout
 from repro.core.config import LivenessParams
 from repro.core.edges import MATCH_ALL
 from repro.core.streams import Stream
-from repro.core.subend import SubendManager, SubendServices, Subscription
+from repro.core.subend import (
+    SubendManager,
+    SubendServices,
+    Subscription,
+    SubscriptionIndex,
+)
 from repro.core.ticks import TickRange
 from repro.matching.ast import Predicate as AstPredicate
 from repro.matching.parser import parse
@@ -504,7 +508,8 @@ def subend_keys(subscription):
 
 class TestIndexDifferential:
     """Random subscribe / unsubscribe / re-subscribe steps and payloads;
-    after each step the subend and the baselines' ``LocalFanout`` must
+    after each step the subend and the baselines' index (one candidate
+    set per pubend, as ``BaselineBroker.add_subscription`` fills it) must
     serve exactly the subscriptions the oracle names — evaluate every
     candidate's predicate, in subscription order — in that order."""
 
@@ -524,7 +529,7 @@ class TestIndexDifferential:
 
     def run_seed(self, rng, arms):
         services, manager, streams = make_manager(pubends=("A", "B"))
-        fanout = LocalFanout()  # has no unsubscribe: sees the subscribes only
+        fanout = SubscriptionIndex()  # no unsubscribe: sees the subscribes only
         #: subscriber -> subscription, in subscription order (the model).
         live, fan_live = {}, {}
         kind_of = {}
@@ -545,7 +550,7 @@ class TestIndexDifferential:
                 )
                 kind_of[subscription] = kind
                 manager.subscribe(subscription)
-                fanout.add(subscription, None)
+                fanout.add(subscription, subscription.pubends)
                 for model in (live, fan_live):
                     model.pop(name, None)  # a re-subscribe goes to the back
                     model[name] = subscription
@@ -574,7 +579,7 @@ class TestIndexDifferential:
                 )
                 return hits
 
-            assert fanout.matching(source, payload) == oracle(
+            assert fanout.match(source, payload) == oracle(
                 fan_live, lambda s: s.pubends, source
             )
 
