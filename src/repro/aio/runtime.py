@@ -233,7 +233,9 @@ class AioBroker(BrokerHost):
             else:
                 # In-process senders have no socket to push back on;
                 # process inline so nothing is dropped and memory stays
-                # bounded by the queue.
+                # bounded by the queue.  Its acks leave before this
+                # returns — or, when this send began in one of this
+                # broker's own drain batches, when that batch's turn ends.
                 self._process(src, message)
 
     async def on_receive_async(self, src: str, message: Any) -> None:
@@ -250,12 +252,15 @@ class AioBroker(BrokerHost):
     async def _drain(self) -> None:
         """Inbox pump: block for the first message, then greedily drain
         up to ``_INBOX_BATCH`` already-queued messages in the same wakeup
-        — one task switch amortized over the whole micro-batch."""
+        — one task switch amortized over the whole micro-batch.  The
+        micro-batch is one engine turn: the acks it makes due leave once,
+        when it ends."""
         inbox = self._inbox
         assert inbox is not None
         try:
             while True:
                 src, message = await inbox.get()
+                self.engine.open_turn()
                 try:
                     self._process(src, message)
                 finally:
@@ -269,6 +274,7 @@ class AioBroker(BrokerHost):
                         self._process(src, message)
                     finally:
                         inbox.task_done()
+                self._close_turn()
         except asyncio.CancelledError:
             pass
 
@@ -294,6 +300,16 @@ class AioBroker(BrokerHost):
                     asyncio.get_running_loop().time(), self.broker_id, src, message
                 )
             self.engine.on_message(src, message)
+        except Exception as exc:
+            if self.failure is None:
+                self.failure = exc
+
+    def _close_turn(self) -> None:
+        """Send the micro-batch's acks inside the :meth:`_process`
+        boundary: a raise is kept in :attr:`failure`, and the drain task
+        goes on to the next batch."""
+        try:
+            self.engine.close_turn()
         except Exception as exc:
             if self.failure is None:
                 self.failure = exc

@@ -26,7 +26,9 @@ Key protocol behaviours implemented here:
   nacks appear fresh;
 * ack consolidation: an istream tick becomes anti-curious only when every
   ostream (and every local subend) is anti-curious for it, at which point
-  the ack is forwarded upstream and the local soft state garbage-collected;
+  the ack is forwarded upstream and the local soft state garbage-collected
+  — once per host turn (see :meth:`GDBrokerEngine.open_turn`), however
+  many acks the turn made due;
 * link-bundle selection by pubend hash over operational candidate links,
   preferring brokers that advertise reachability to the whole subtree;
 * sideways routing to a cell peer when no direct link to a downstream
@@ -161,7 +163,7 @@ class _EngineSubendServices(SubendServices):
         self.engine.local_nack(pubend, ranges)
 
     def send_ack(self, pubend: str, up_to: Tick) -> None:
-        self.engine.consolidate_ack(pubend)
+        self.engine._ack_due(pubend)
 
     def deliver(self, subscriber: str, pubend: str, tick: Tick, payload: Any) -> None:
         self.engine.services.deliver(subscriber, pubend, tick, payload)
@@ -203,6 +205,11 @@ class GDBrokerEngine:
         #: knowledge deltas onto outgoing traffic (see
         #: :meth:`flush_dirty_ostreams`) without scanning the maps.
         self.dirty_ostreams = 0
+        #: Pubends whose consolidated ack may have advanced during the
+        #: open turn, in the order they became due (empty outside a turn).
+        self.acks_due: Dict[str, None] = {}
+        #: Whether the host holds a turn open (:meth:`open_turn`).
+        self.turn_open = False
         for pubend, route in topo.routes.items():
             self._ensure_streams(pubend)
 
@@ -479,7 +486,7 @@ class GDBrokerEngine:
         elif not self.ostreams.get(pubend):
             # Consumer-less sink: acknowledge on arrival so upstream soft
             # state and the pubend log can be collected.
-            self.consolidate_ack(pubend)
+            self._ack_due(pubend)
 
         cells = self.ostreams.get(pubend, {})
         if envelope.target_cell is not None:
@@ -890,7 +897,40 @@ class GDBrokerEngine:
         if ack.up_to > 0:
             # Prefix-form: a compare when stale, else one front-trim.
             ost.stream.set_ack(TickRange(0, ack.up_to))
-        self.consolidate_ack(ack.pubend)
+        self._ack_due(ack.pubend)
+
+    def open_turn(self) -> None:
+        """Start a turn: until :meth:`close_turn`, an ack made due only
+        marks its pubend, and each marked pubend's ack leaves once, when
+        the turn closes.
+
+        The host decides where a turn ends (the asyncio runtime: around
+        each inbox micro-batch).  Outside a turn an ack leaves as soon as
+        it is due, so a host that opens none — the simulator — sends what
+        it always sent.  Deferring is safe because an ack is a cumulative
+        prefix: the one sent at the end of the turn carries the maximum of
+        those it replaces, and a lost or late ack is re-asserted on the
+        next AckExpected probe (paper section 3.2)."""
+        self.turn_open = True
+
+    def close_turn(self) -> None:
+        """End the turn: consolidate each pubend made due during it once."""
+        self.turn_open = False
+        self._flush_acks()
+
+    def _ack_due(self, pubend: str) -> None:
+        """The pubend's consolidated ack may have advanced."""
+        self.acks_due[pubend] = None
+        if not self.turn_open:
+            self._flush_acks()
+
+    def _flush_acks(self) -> None:
+        # One pubend at a time: a raise leaves the others due.
+        due = self.acks_due
+        while due:
+            pubend = next(iter(due))
+            del due[pubend]
+            self.consolidate_ack(pubend)
 
     def consolidate_ack(self, pubend: str, force: bool = False) -> None:
         """Advance the istream's anti-curious prefix to the minimum over
@@ -900,7 +940,9 @@ class GDBrokerEngine:
 
         ``force`` re-sends the current ack even if it has not advanced —
         needed after an upstream restart (the probe implies the upstream
-        lost its soft ack state and must be told again)."""
+        lost its soft ack state and must be told again).  That probe path
+        is the one caller besides the turn flush, and it does not wait
+        for the turn to end."""
         ist = self.istreams.get(pubend)
         if ist is None:
             return

@@ -50,6 +50,14 @@ async def settle(system, publisher, client, sub_id, rounds=16, step=0.5):
     return report
 
 
+async def until_acked(system, phb, tick, rounds=40, step=0.05):
+    """Poll until the PHB's pubend has been acked past ``tick``."""
+    for __ in range(rounds):
+        if phb.stream_state()["P0"]["pubend"]["acked_up_to"] > tick:
+            break
+        await system.run_for(step)
+
+
 class TestLocalTransport:
     def test_end_to_end_exactly_once(self):
         async def scenario():
@@ -288,6 +296,84 @@ class TestPoisonedAndDuplicatedMessages:
         # like any other loss.
         assert failure is poison
         assert report.exactly_once
+
+    def test_a_raise_in_the_turn_flush_does_not_deafen_the_broker(self):
+        async def scenario():
+            system = AioSystem(
+                gd_topology(), params=FAST, transport=LocalTransport(seed=2)
+            )
+            await system.start()
+            client = system.subscribe("a", "shb", ("P0",))
+            shb = system.brokers["shb"]
+            engine = shb.engine
+            real, poison = engine.consolidate_ack, RuntimeError("poisoned flush")
+
+            def raise_once(pubend, force=False):
+                if force:  # the AckExpected path; only the flush is poisoned
+                    return real(pubend, force)
+                engine.consolidate_ack = real
+                raise poison
+
+            engine.consolidate_ack = raise_once
+            publisher = system.publisher("P0", rate=200.0)
+            publisher.start()
+            await system.run_for(0.4)
+            await publisher.stop()
+            report = await settle(system, publisher, client, "a")
+            last = publisher.published[-1][1]
+            phb = system.brokers["phb"].engine
+            await until_acked(system, phb, last)
+            acked = phb.stream_state()["P0"]["pubend"]["acked_up_to"]
+            outcome = (shb.failure, shb._drain_task.done(), engine.consolidate_ack)
+            await system.shutdown()
+            return report, outcome, acked, last, poison, real
+
+        report, outcome, acked, last, poison, real = asyncio.run(scenario())
+        failure, drain_done, consolidate = outcome
+        assert consolidate == real, "the flush never ran"
+        assert failure is poison
+        assert not drain_done
+        assert report.exactly_once
+        # The mark the raise lost is made again by the next turn.
+        assert acked > last
+
+
+class TestAcksPerTurn:
+    """The inbox micro-batch is one engine turn: however many acks its
+    messages make due, each pubend's cumulative ack leaves once, when the
+    batch ends — and never stays due after it."""
+
+    def test_a_burst_leaves_no_ack_behind(self):
+        burst = 1000
+
+        async def scenario():
+            system = AioSystem(
+                chain_topology(), params=FAST_PARAMS, transport=LocalTransport(seed=4)
+            )
+            await system.start()
+            client = system.subscribe("a", "b2", ("P0",))
+            publisher = system.publisher("P0", rate=1.0)
+            for __ in range(burst):
+                assert publisher.publish_once() is not None
+            report = await settle(system, publisher, client, "a")
+            last = publisher.published[-1][1]
+            phb = system.brokers["b0"].engine
+            await until_acked(system, phb, last)
+            acked = phb.stream_state()["P0"]["pubend"]["acked_up_to"]
+            brokers = system.brokers.items()
+            acks = sum(broker.engine.counters.get("acks_sent", 0) for __, broker in brokers)
+            idle = [
+                (b, broker._inbox.qsize(), dict(broker.engine.acks_due))
+                for b, broker in brokers
+            ]
+            await system.shutdown()
+            return report, acked, last, acks, idle
+
+        report, acked, last, acks, idle = asyncio.run(scenario())
+        assert report.exactly_once
+        assert idle == [("b0", 0, {}), ("b1", 0, {}), ("b2", 0, {})]
+        assert acks <= 0.1 * burst, acks
+        assert acked > last
 
 
 class _PubendEmissions(LifecycleListener):

@@ -6,6 +6,7 @@ consolidation, ack consolidation, link selection, and sideways routing.
 """
 
 import random
+from itertools import takewhile
 
 import pytest
 
@@ -725,3 +726,96 @@ class TestArmEquivalence:
         immediate = self.drive(0.0, steps)
         assert self.drive(0.05, steps) == immediate
         assert immediate[0], "nothing reached s1"
+
+
+#: broker under test -> (its topology, its upstream sender, whether it
+#: hosts a local subscriber) — between them, every site that makes an ack
+#: due: a downstream ack, a subend horizon advance, and a consumer-less
+#: sink (s1 with nobody subscribed).
+TURN_BROKERS = {
+    "relay-with-subend": (intermediate_topo, "p1", True),
+    "consumerless-sink": (TestSubendIntegration().shb_topo, "b1", False),
+}
+
+
+class TestTurnPartition:
+    """An ack is a cumulative prefix, so where the host ends a turn
+    decides how many acks leave, never what they say: the knowledge lattice
+    applied to acks.  (AckExpected is left out: its forced re-assertion
+    does not wait for the turn.)"""
+
+    @staticmethod
+    def steps(seed, upstream_sender, downstream_acks):
+        """Publications with lazy silence brackets, some swapped with their
+        successor or delivered twice, and acks from s1 and s2 below the
+        first publication that has not arrived yet."""
+        rng = random.Random(seed)
+        upstream, tick = [], 0
+        for __ in range(rng.randint(10, 30)):
+            lo, tick = tick, tick + rng.randint(1, 4)
+            upstream.append(data_msg(tick, rng.randint(0, 100), f=[(lo, tick)]))
+            tick += 1
+        for i in range(len(upstream) - 1):
+            if rng.random() < 0.2:
+                upstream[i], upstream[i + 1] = upstream[i + 1], upstream[i]
+        in_order = sorted(m.data[0].tick for m in upstream)
+        steps, arrived = [], set()
+        for message in upstream:
+            steps.append((upstream_sender, Envelope(message)))
+            arrived.add(message.data[0].tick)
+            if rng.random() < 0.2:
+                steps.append((upstream_sender, Envelope(message)))
+            told = 1 + max(takewhile(arrived.__contains__, in_order), default=-1)
+            for downstream in ("s1", "s2") if downstream_acks else ():
+                if told and rng.random() < 0.4:
+                    steps.append((downstream, Envelope(AckMessage("P", told))))
+        return steps
+
+    @staticmethod
+    def drive(broker, steps, turns):
+        """Feed ``steps`` in turns of the given sizes.  Returns the final
+        stream state, the acks sent upstream in each turn, and every
+        other message sent."""
+        topo, __, subscribed = TURN_BROKERS[broker]
+        services, engine = make_engine(topo=topo())
+        if subscribed:
+            engine.add_subscription(Subscription("alice", pubends=("P",)))
+        acks, others, at = [], [], 0
+        for size in turns:
+            before = len(services.sent)
+            engine.open_turn()
+            for src, envelope in steps[at : at + size]:
+                engine.on_message(src, envelope)
+            engine.close_turn()
+            at += size
+            sent = services.sent[before:]
+            acks.append(
+                [(dst, m.payload.up_to) for dst, m in sent
+                 if isinstance(m.payload, AckMessage)]
+            )
+            others.extend(
+                (dst, m) for dst, m in sent if not isinstance(m.payload, AckMessage)
+            )
+            assert engine.acks_due == {}
+        return engine.stream_state(), acks, others
+
+    @pytest.mark.parametrize("seed", range(25))
+    @pytest.mark.parametrize("broker", sorted(TURN_BROKERS))
+    def test_one_ack_per_turn_carries_the_last_one(self, broker, seed):
+        __, upstream_sender, subscribed = TURN_BROKERS[broker]
+        steps = self.steps(seed, upstream_sender, downstream_acks=subscribed)
+        state, per_message, others = self.drive(broker, steps, [1] * len(steps))
+        rng, turns, left = random.Random(-1 - seed), [], len(steps)
+        while left:
+            turns.append(rng.randint(1, min(left, 8)))
+            left -= turns[-1]
+        batched = self.drive(broker, steps, turns)
+        assert batched[0] == state
+        assert batched[2] == others
+        at = 0
+        for size, sent in zip(turns, batched[1]):
+            replaced = [ack for turn in per_message[at : at + size] for ack in turn]
+            assert sent == replaced[-1:]
+            at += size
+        assert sum(map(len, batched[1])) <= sum(map(len, per_message))
+        assert any(per_message), "no ack left the broker"
