@@ -15,7 +15,8 @@ import pytest
 
 from repro.client import DeliveryChecker
 from repro.core.config import PAPER_FAULT_PARAMS
-from repro.faults.injector import FaultInjector
+from repro.check import FaultSpec
+from repro.check.runner import schedule_steps
 from repro.topology import balanced_pubend_names, figure3_topology
 
 from _bench_tables import print_table
@@ -31,8 +32,8 @@ def run(consolidation: bool):
         s: system.subscribe(f"sub_{s}", s, tuple(names)) for s in ("s1", "s2")
     }
     pubs = [system.publisher(name, rate=25.0) for name in names]
-    injector = FaultInjector(system)
-    injector.stall_then_crash_broker("b1", at=5.0, stall=2.5, downtime=15.0)
+    fault = FaultSpec("stall_crash", ("b1",), at=5.0, duration=15.0, stall=2.5)
+    schedule_steps(system.scheduler, system, fault.steps())
     # Count nacks arriving at the PHB.
     p1 = system.brokers["p1"]
     for pub in pubs:

@@ -20,7 +20,8 @@ import pytest
 
 from repro.client import DeliveryChecker
 from repro.core.config import LivenessParams
-from repro.faults.injector import FaultInjector
+from repro.check import FaultSpec
+from repro.check.runner import schedule_steps
 from repro.topology import balanced_pubend_names, figure3_topology
 
 from _bench_tables import print_table
@@ -44,8 +45,8 @@ def run(params: LivenessParams):
     )
     sub = system.subscribe("sub_s1", "s1", tuple(names))
     pubs = [system.publisher(name, rate=25.0) for name in names]
-    injector = FaultInjector(system)
-    injector.stall_then_fail_link("b1", "s1", at=5.0, stall=2.0, outage=8.0)
+    fault = FaultSpec("stall_link_fail", ("b1", "s1"), at=5.0, duration=8.0, stall=2.0)
+    schedule_steps(system.scheduler, system, fault.steps())
     for pub in pubs:
         pub.start(at=0.2)
     system.run_until(25.0)

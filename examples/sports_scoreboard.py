@@ -17,7 +17,9 @@ Run:  python examples/sports_scoreboard.py
 
 from typing import Dict
 
-from repro import FaultInjector, LivenessParams
+from repro import LivenessParams
+from repro.check import FaultSpec
+from repro.check.runner import schedule_steps
 from repro.topology import balanced_pubend_names, figure3_topology
 
 
@@ -46,8 +48,8 @@ def main() -> None:
     for link in system.network._links.values():
         link.drop_probability = 0.03
     # …and a failing link mid-game.
-    injector = FaultInjector(system)
-    injector.stall_then_fail_link("b1", "s1", at=4.0, stall=1.5, outage=5.0)
+    fault = FaultSpec("stall_link_fail", ("b1", "s1"), at=4.0, duration=5.0, stall=1.5)
+    schedule_steps(system.scheduler, system, fault.steps())
 
     # Displays at three different SHBs, all in TOTAL order over both feeds.
     displays = {

@@ -15,7 +15,9 @@ no trader misses a trade that others saw.
 Run:  python examples/stock_ticker.py
 """
 
-from repro import DeliveryChecker, FaultInjector, PAPER_FAULT_PARAMS
+from repro import DeliveryChecker, PAPER_FAULT_PARAMS
+from repro.check import FaultSpec
+from repro.check.runner import schedule_steps
 from repro.topology import balanced_pubend_names, figure3_topology
 
 SYMBOLS = ["IBM", "ACME", "GRYP", "PUBX"]
@@ -55,8 +57,8 @@ def main() -> None:
 
     # Crash intermediate broker b1 mid-session (with the paper's stall,
     # so ~2s of trades on its paths are actually lost in flight).
-    injector = FaultInjector(system)
-    injector.stall_then_crash_broker("b1", at=5.0, stall=2.0, downtime=10.0)
+    fault = FaultSpec("stall_crash", ("b1",), at=5.0, duration=10.0, stall=2.0)
+    schedule_steps(system.scheduler, system, fault.steps())
 
     for publisher in publishers:
         publisher.start(at=0.2)
@@ -66,8 +68,8 @@ def main() -> None:
     system.run_until(40.0)
 
     print("fault timeline:")
-    for line in injector.log:
-        print(f"  {line}")
+    for event in system.obs.fault_events:
+        print(f"  {event}")
     print()
 
     checker = DeliveryChecker(publishers)

@@ -10,7 +10,7 @@ a regression is a diff.
 Run:  python examples/trace_debugging.py
 """
 
-from repro import FaultInjector, LivenessParams
+from repro import LivenessParams
 from repro.obs.trace import Tracer
 from repro.topology import two_broker_topology
 
@@ -25,13 +25,12 @@ def main() -> None:
         log_commit_latency=0.01,
     )
     tracer = Tracer(system).install()
-    injector = FaultInjector(system)
     system.subscribe("a", "shb", ("P0",))
     publisher = system.publisher("P0", rate=40.0)
 
     # Stall the link for 300 ms mid-run: ~12 messages silently vanish.
-    injector.at(1.0, lambda: injector.stall_link("phb", "shb"))
-    injector.at(1.3, lambda: injector.recover_link("phb", "shb"))
+    system.scheduler.call_at(1.0, lambda: system.stall_link("phb", "shb"))
+    system.scheduler.call_at(1.3, lambda: system.recover_link("phb", "shb"))
 
     publisher.start(at=0.1)
     system.run_until(3.0)

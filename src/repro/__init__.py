@@ -50,7 +50,6 @@ from .core.pubend import Pubend
 from .core.streams import CuriosityStream, KnowledgeStream, Stream
 from .core.subend import SubendManager, Subscription
 from .core.ticks import Tick, TickRange
-from .faults.injector import FaultInjector
 from .matching.ast import Predicate
 from .matching.engine import BruteForceMatcher, IndexedMatcher
 from .matching.tree import MatchingTree
@@ -79,7 +78,6 @@ __all__ = [
     "DataTick",
     "DeliveryChecker",
     "Event",
-    "FaultInjector",
     "FileLog",
     "FilterEdge",
     "INFINITY",

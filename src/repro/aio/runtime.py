@@ -570,7 +570,9 @@ class AioSystem(SubscribeMixin):
     async def restart_broker(self, broker_id: str) -> None:
         """Restart a crashed broker: a new listening socket (new port —
         peers re-resolve it through their connection supervisors), then
-        log replay and doubt-horizon re-advertisement."""
+        log replay and doubt-horizon re-advertisement.  A live broker is
+        only cleared of any stall."""
+        self._clear_stall(broker_id)
         broker = self.brokers[broker_id]
         if not broker.alive:
             await self._attach(broker)
@@ -584,6 +586,26 @@ class AioSystem(SubscribeMixin):
     def recover_link(self, a: str, b: str) -> None:
         self.transport.recover_link(a, b)
         self._report_fault("recover_link", f"{a}-{b}")
+
+    def stall_link(self, a: str, b: str) -> None:
+        """The paper's pre-failure sickness (§4.2): the pair's data is
+        discarded while its heartbeats are still answered, so
+        ``link_usable`` stays true."""
+        self.transport.stall(a, b)
+        self._report_fault("stall_link", f"{a}-{b}")
+
+    def stall_broker(self, broker_id: str) -> None:
+        for peer in self.plan.infos[broker_id].neighbors:
+            self.transport.stall(broker_id, peer)
+        self._report_fault("stall_broker", broker_id)
+
+    def unstall_broker(self, broker_id: str) -> None:
+        self._clear_stall(broker_id)
+        self._report_fault("unstall_broker", broker_id)
+
+    def _clear_stall(self, broker_id: str) -> None:
+        for peer in self.plan.infos[broker_id].neighbors:
+            self.transport.unstall(broker_id, peer)
 
     # Frozen spellings benchmarks/load/workloads.py:816-818 still calls
     # (that tree only changes in a [benchmark] PR; ROADMAP item 4 removes

@@ -20,10 +20,10 @@ provides two asyncio transports so the same protocol runs in real time:
 
 Both implement the :class:`Transport` contract the runtime is written
 against: ``send(src, dst, message) -> bool``, ``link_usable(a, b)``,
-``fail_link``/``recover_link`` (so fault injection is
-transport-agnostic), ``set_pathology``/``clear_pathology`` for a timed
-per-pair loss/jitter/corruption override (in-process only: nothing can be
-injected below a reliable TCP stream, so it raises there),
+``fail_link``/``recover_link`` and ``stall``/``unstall`` (so fault
+injection is transport-agnostic), ``set_pathology``/``clear_pathology``
+for a timed per-pair loss/jitter/corruption override (in-process only:
+nothing can be injected below a reliable TCP stream, so it raises there),
 ``attach``/``detach`` to bring a broker on and off the wire, and
 ``corrupt_next_messages`` for in-flight corruption.
 ``link_usable`` reports *local* knowledge of link health the way the
@@ -69,6 +69,10 @@ class Transport(ABC):
         #: Sends the chaos harness will corrupt next (deterministic
         #: injection; see :meth:`corrupt_next_messages`).
         self._corrupt_pending = 0
+        #: Stalled broker pairs (the paper's §4.2 sickness): ``send``
+        #: discards their data, but heartbeats are not sends, so the pair
+        #: still looks healthy.  ``fail_link``/``recover_link`` clear it.
+        self.stalled: Set[Tuple[str, str]] = set()
 
     @staticmethod
     def _key(a: str, b: str) -> Tuple[str, str]:
@@ -107,6 +111,12 @@ class Transport(ABC):
     @abstractmethod
     def recover_link(self, a: str, b: str) -> None:
         """Undo :meth:`fail_link`."""
+
+    def stall(self, a: str, b: str) -> None:
+        self.stalled.add(self._key(a, b))
+
+    def unstall(self, a: str, b: str) -> None:
+        self.stalled.discard(self._key(a, b))
 
     def set_pathology(
         self,
@@ -206,9 +216,11 @@ class LocalTransport(Transport):
         self._receivers.pop(broker_id, None)
 
     def fail_link(self, a: str, b: str) -> None:
+        self.unstall(a, b)
         self._down.add(self._key(a, b))
 
     def recover_link(self, a: str, b: str) -> None:
+        self.unstall(a, b)
         self._down.discard(self._key(a, b))
 
     def link_usable(self, a: str, b: str) -> bool:
@@ -244,8 +256,11 @@ class LocalTransport(Transport):
 
     def send(self, src: str, dst: str, message: Any) -> bool:
         self.sent += 1
-        if self._key(src, dst) in self._down:
+        key = self._key(src, dst)
+        if key in self._down:
             return False
+        if key in self.stalled:
+            return True  # absorbed: the sender cannot tell
         drop, jitter, corrupt = self.pathology(src, dst)
         if drop and self.rng.random() < drop:
             self.dropped += 1
@@ -610,6 +625,7 @@ class TcpTransport(Transport):
         """Sever the pair: established connections are torn down and new
         frames (including heartbeats' acks) die on the floor until
         :meth:`recover_link`."""
+        self.unstall(a, b)
         self._severed.add(self._key(a, b))
         for key in ((a, b), (b, a)):
             conn = self._conns.get(key)
@@ -617,6 +633,7 @@ class TcpTransport(Transport):
                 conn.up = False  # the supervisor notices and backs off
 
     def recover_link(self, a: str, b: str) -> None:
+        self.unstall(a, b)
         self._severed.discard(self._key(a, b))
 
     # -- data path ---------------------------------------------------------
@@ -642,8 +659,11 @@ class TcpTransport(Transport):
         connection (spawning its supervisor on first use).  Returns the
         local link-health verdict, like the simulator's network."""
         self.sent += 1
-        if self._is_severed(src, dst):
+        key = self._key(src, dst)
+        if key in self._severed:
             return False
+        if key in self.stalled:
+            return True  # absorbed: the heartbeats still say healthy
         conn = self._conns.get((src, dst))
         if conn is None:
             conn = _Connection(src, dst)

@@ -15,15 +15,14 @@ topology + workload + fault schedule) and
 
 1. runs it on the simulator with the fuzzer's own driver
    (:func:`~repro.check.runner.run_scenario`: oracle suite, the fault
-   schedule as timed verbs on a
-   :class:`~repro.faults.injector.FaultInjector`), except publishers are
+   schedule as timed verbs on the system), except publishers are
    *count-limited* — each makes a fixed number of publish attempts
    derived from the scenario
    (:func:`~repro.check.runner.message_counts`), so any backend attempts
    the identical seq sequence;
 2. runs it on the asyncio runtime with the chaos harness's own driver
    (:func:`~repro.check.runner.run_scenario_aio`: scaled wall-clock
-   time, the same schedule expanded without stalls and applied to the
+   time, the same schedule — stalls included — applied to the
    :class:`~repro.aio.runtime.AioSystem`'s own fault verbs over either
    transport, convergence polling instead of a fixed drain window);
 3. cross-checks the two :class:`~repro.check.oracles.StackOutcome`

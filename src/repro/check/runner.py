@@ -8,16 +8,16 @@ exactly one driver per clock, both returning a :class:`RunResult`:
 
 * :func:`run_scenario` realizes it as a simulated system, arms the
   :class:`~repro.check.oracles.OracleSuite`, expands the fault script
-  into timed verbs on a :class:`~repro.faults.injector.FaultInjector`
-  (:func:`schedule_steps`), and runs publish + quiescent drain.  Its
+  into timed verbs on the system itself (:func:`schedule_steps`), and
+  runs publish + quiescent drain.  Its
   ``digest`` is a stable fingerprint of everything observable — two runs
   of the same scenario must produce byte-identical digests, which is what
   the determinism tests and ``--verify-deterministic`` check.
 * :func:`run_scenario_aio` realizes it as an
   :class:`~repro.aio.runtime.AioSystem` in scaled wall-clock time over
-  either transport: the same schedule, expanded without stalls, applied
-  to the system's own fault verbs; it polls for the verdict instead of
-  racing a fixed drain window.
+  either transport: the same schedule, stalls included, applied to the
+  system's own fault verbs; it polls for the verdict instead of racing a
+  fixed drain window.
 
 :func:`campaign` is the one loop over them — a scenario per run, and on
 a failure :func:`~repro.check.shrink.shrink` plus :func:`write_repro` —
@@ -41,7 +41,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 from ..client import DuplicateDelivery, OrderViolation
 from ..core.config import LivenessParams
 from ..facade import SystemFacade
-from ..faults.injector import FaultInjector
 from ..obs.lifecycle import LifecycleRecorder
 from .oracles import (
     OracleFailure,
@@ -144,10 +143,11 @@ class RunResult:
     subjects: List[Tuple[str, int]] = field(default_factory=list)
     published: int = 0
     delivered: int = 0
-    #: Simulator only: oracle sweeps made, the injector's narration, and
-    #: the fingerprint (wall-clock runs are not bit-reproducible).
-    sweeps: int = 0
+    #: The applied faults, one ``str(FaultEvent)`` line each.
     fault_log: List[str] = field(default_factory=list)
+    #: Simulator only: oracle sweeps made and the fingerprint (wall-clock
+    #: runs are not bit-reproducible).
+    sweeps: int = 0
     digest: str = ""
     #: The run keyed by cross-stack identity ``(pubend, seq)``.
     outcome: Optional[StackOutcome] = None
@@ -215,9 +215,8 @@ def attach_workload(
 
 def schedule_steps(scheduler: Any, target: Any, steps: Iterable[Step]) -> None:
     """The simulator's schedule executor: ``getattr(target, verb)(*args,
-    **kwargs)`` at simulated time ``t`` for every step.  The target is a
-    :class:`~repro.faults.injector.FaultInjector` (stall verbs, readable
-    log) or a bare :class:`~repro.topology.System`; the asyncio twin is
+    **kwargs)`` at simulated time ``t`` for every step, the target being
+    a :class:`~repro.topology.System`; the asyncio twin is
     :func:`repro.aio.runtime.run_schedule`."""
     for t, verb, args, kwargs in steps:
         scheduler.call_at(t, partial(getattr(target, verb), *args, **kwargs))
@@ -285,10 +284,9 @@ def run_scenario(
 
     suite = OracleSuite(system, publishers)
     suite.install()
-    injector = FaultInjector(system)
     schedule_steps(
         system.scheduler,
-        injector,
+        system,
         normalize_for_transport(scenario, "sim").fault_steps(),
     )
 
@@ -310,7 +308,7 @@ def run_scenario(
     result.published = sum(len(p.published) for p in publishers)
     result.delivered = sum(c.count() for c in system.subscribers.values())
     result.sweeps = suite.sweeps
-    result.fault_log = list(injector.log)
+    result.fault_log = [str(e) for e in system.obs.fault_events]
     result.digest = _digest(system, result.failures)
     result.outcome = collect_outcome(
         "sim", publishers, system, recorder, result.failures
@@ -420,9 +418,7 @@ def run_scenario_aio(
             )
             for i, publisher in enumerate(publishers):
                 loop.call_at(t0 + publisher_start(i) * time_scale, publisher.start)
-            await run_schedule(
-                system, scenario.fault_steps(stall=False, time_scale=time_scale), t0
-            )
+            await run_schedule(system, scenario.fault_steps(time_scale), t0)
 
             # The sim drains to a fixed deadline because its clock is free;
             # real time is not, so poll until the publishers have made their
@@ -461,6 +457,7 @@ def run_scenario_aio(
                 detected[instrument] = int(system.obs.instruments.total(instrument))
                 if injected[kind] and not detected[instrument]:
                     failures.append(f"[integrity] {message}")
+            result.fault_log = [str(e) for e in system.obs.fault_events]
             final = outcome()
             final.detected = detected
             for broker in system.brokers.values():

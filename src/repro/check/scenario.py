@@ -98,13 +98,6 @@ INTEGRITY_KINDS = {
     ),
 }
 
-#: What a stall kind becomes where nothing can stall (see FaultSpec.steps).
-_WITHOUT_STALL = {
-    "stall_crash": "crash",
-    "stall_restart": "crash",
-    "stall_link_fail": "link_fail",
-}
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -133,23 +126,14 @@ class FaultSpec:
     def describe(self, time_scale: float = 1.0) -> str:
         return f"{self.kind}({'-'.join(self.target)}) @ {self.at * time_scale:.2f}"
 
-    def steps(self, stall: bool = True, time_scale: float = 1.0) -> List[Step]:
+    def steps(self, time_scale: float = 1.0) -> List[Step]:
         """This fault as timed fault verbs ``(t, verb, args, kwargs)`` —
         the one place a fault kind is translated.  An executor applies
-        each as ``getattr(target, verb)(*args, **kwargs)`` at time ``t``.
-
-        With ``stall=True`` (the simulator; target a
-        :class:`~repro.faults.injector.FaultInjector`) the stall kinds use
-        the paper's sick-but-alive window.  A stall has no real-time
-        analogue, so ``stall=False`` (target any
-        :class:`~repro.facade.SystemFacade`) conservatively takes the
-        broker or link down for the whole stall + outage window — the
-        publish failures that causes fall inside the published-set
-        difference the conformance relation tolerates.  ``time_scale``
-        multiplies every quantity measured in seconds."""
+        each as ``getattr(target, verb)(*args, **kwargs)`` at time ``t``
+        on any :class:`~repro.facade.SystemFacade`; the stall kinds use
+        the paper's sick-but-alive window on both backends.
+        ``time_scale`` multiplies every quantity measured in seconds."""
         kind = self.kind
-        if not stall:
-            kind = _WITHOUT_STALL.get(kind, kind)
         start = self.at * time_scale
         failed = (self.at + self.stall) * time_scale
         healed = self.healed_at * time_scale
@@ -168,7 +152,7 @@ class FaultSpec:
             ]
         if kind == "stall_restart":
             # Stall with no intervening crash; the restart must clear the
-            # sickness (the FaultInjector regression the fuzzer guards).
+            # sickness (a regression the fuzzer guards).
             return [step(start, "stall_broker"), step(healed, "restart_broker")]
         if kind == "link_fail":
             return [step(start, "fail_link"), step(healed, "recover_link")]
@@ -292,12 +276,10 @@ class Scenario:
     def with_(self, **changes: Any) -> "Scenario":
         return replace(self, **changes)
 
-    def fault_steps(self, stall: bool = True, time_scale: float = 1.0) -> List[Step]:
+    def fault_steps(self, time_scale: float = 1.0) -> List[Step]:
         """The whole fault schedule as timed verbs, in time order (see
         :meth:`FaultSpec.steps`)."""
-        steps = [
-            step for fault in self.faults for step in fault.steps(stall, time_scale)
-        ]
+        steps = [step for fault in self.faults for step in fault.steps(time_scale)]
         return sorted(steps, key=lambda step: step[0])
 
 

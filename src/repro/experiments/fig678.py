@@ -29,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..check.runner import schedule_steps
+from ..check.scenario import FaultSpec
 from ..client import DeliveryChecker, PublisherClient, SubscriberClient
 from ..core.config import LivenessParams, PAPER_FAULT_PARAMS
-from ..faults.injector import FaultInjector
 from ..topology import balanced_pubend_names, figure3_topology
 
 __all__ = ["FaultResult", "run_fault_experiment", "FAULTS"]
@@ -112,25 +113,17 @@ def run_fault_experiment(
     publishers: List[PublisherClient] = [
         system.publisher(name, rate=rate, body_bytes=msg_bytes) for name in names
     ]
-    injector = FaultInjector(system)
     if fault == "link_b1_s1":
-        injector.stall_then_fail_link("b1", "s1", at=fault_at, stall=stall, outage=link_outage)
-        heal_time = fault_at + stall + link_outage
+        spec = FaultSpec("stall_link_fail", ("b1", "s1"), fault_at, link_outage, stall=stall)
     elif fault == "crash_b1":
-        injector.stall_then_crash_broker(
-            "b1", at=fault_at, stall=stall, downtime=broker_downtime
-        )
-        heal_time = fault_at + stall + broker_downtime
+        spec = FaultSpec("stall_crash", ("b1",), fault_at, broker_downtime, stall=stall)
     else:  # crash_p1 — the paper crashes the PHB without a stall: the
         # publisher is down with it and cannot publish at all.
-        injector.at(fault_at, lambda: injector.crash_broker("p1"))
-        injector.at(
-            fault_at + phb_downtime, lambda: injector.restart_broker("p1")
-        )
-        heal_time = fault_at + phb_downtime
+        spec = FaultSpec("crash", ("p1",), fault_at, phb_downtime)
+    schedule_steps(system.scheduler, system, spec.steps())
     for publisher in publishers:
         publisher.start(at=0.2)
-    stop_at = heal_time + settle
+    stop_at = spec.healed_at + settle
     system.run_until(stop_at)
     for publisher in publishers:
         publisher.stop()
@@ -157,5 +150,5 @@ def run_fault_experiment(
         nacks=nacks,
         exactly_once=exactly_once,
         counts=counts,
-        fault_log=list(injector.log),
+        fault_log=[str(e) for e in system.obs.fault_events],
     )

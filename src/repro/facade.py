@@ -37,8 +37,13 @@ expose the same public surface, captured here as the
   ``set_link_pathology(a, b, *, drop_probability=None, jitter=None,
   corrupt_probability=None)`` / ``clear_link_pathology(a, b)`` — one
   timed override of the link's ambient loss/jitter/corruption (``None``
-  keeps the ambient value, ``clear`` restores all of it).  Every verb
-  reports itself once to the lifecycle hub as ``fault(t, kind, target)``.
+  keeps the ambient value, ``clear`` restores all of it), and the paper's
+  §4.2 stall — ``stall_link(a, b)``, ``stall_broker(id)`` (every link of
+  the broker) and ``unstall_broker(id)``: a stalled link discards data
+  but still looks healthy to both ends, until ``fail_link``,
+  ``recover_link``, ``unstall_broker`` or ``restart_broker`` clears it.
+  Every verb reports itself once to the lifecycle hub as
+  ``fault(t, kind, target)``.
   A fault schedule is a list of timed verbs ``(t, verb, args, kwargs)``
   (:meth:`repro.check.scenario.FaultSpec.steps`) that an executor applies
   with ``getattr(target, verb)(*args, **kwargs)``, awaiting the result
@@ -193,6 +198,17 @@ class SystemFacade(Protocol):
         ...
 
     def recover_link(self, a: str, b: str) -> None:
+        ...
+
+    def stall_link(self, a: str, b: str) -> None:
+        """Discard the link's data while it still looks healthy."""
+        ...
+
+    def stall_broker(self, broker_id: str) -> None:
+        """Stall every link of the broker."""
+        ...
+
+    def unstall_broker(self, broker_id: str) -> None:
         ...
 
     def set_link_pathology(

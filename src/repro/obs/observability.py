@@ -133,8 +133,8 @@ class Observability(LifecycleListener):
             self.tracers.append(tracer)
 
     def report_fault(self, t: float, kind: str, target: str) -> None:
-        """The one emission site of the fault verbs (``System`` /
-        ``AioSystem``'s six, ``FaultInjector``'s stalls)."""
+        """The one emission site of the ``System`` / ``AioSystem`` fault
+        verbs."""
         hub = self.lifecycle
         if hub.listeners:
             hub.fault(t, kind, target)

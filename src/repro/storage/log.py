@@ -153,7 +153,7 @@ _entry_tick = attrgetter("tick")
 class MemoryLog(MessageLog):
     """In-memory append-only log.
 
-    Survives *simulated* crashes (the injector preserves the object),
+    Survives *simulated* crashes (a crash keeps the object),
     modelling a disk that outlives the broker process.
     """
 

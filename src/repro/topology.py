@@ -376,8 +376,33 @@ class System(SubscribeMixin):
         self._report_fault("crash", broker_id)
 
     def restart_broker(self, broker_id: str) -> None:
+        # A restarted process reads and forwards again, whether it was
+        # stalled, then crashed, or only stalled.
+        self._clear_stall(broker_id)
         self.brokers[broker_id].restart()
         self._report_fault("restart", broker_id)
+
+    def stall_link(self, a: str, b: str) -> None:
+        """The paper's pre-failure sickness (§4.2): the link absorbs
+        traffic but still looks up, until ``fail_link``/``recover_link``."""
+        self.network.link(a, b).stall()
+        self._report_fault("stall_link", f"{a}-{b}")
+
+    def stall_broker(self, broker_id: str) -> None:
+        """Stall every link of the broker: it accepts traffic and forwards
+        nothing, and its neighbours cannot tell."""
+        for link in self.network.links_of(broker_id):
+            link.stall()
+        self._report_fault("stall_broker", broker_id)
+
+    def unstall_broker(self, broker_id: str) -> None:
+        self._clear_stall(broker_id)
+        self._report_fault("unstall_broker", broker_id)
+
+    def _clear_stall(self, broker_id: str) -> None:
+        # A failed link is a separate fault and stays down.
+        for link in self.network.links_of(broker_id):
+            link.stalled = False
 
     def fail_link(self, a: str, b: str) -> None:
         self.network.link(a, b).fail()

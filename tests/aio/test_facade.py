@@ -2,7 +2,7 @@
 
 Pins the API-convergence contract: the simulator's ``System`` and the
 real-time ``AioSystem`` expose the same public surface (subscribe /
-publisher / host_pubend / obs / the six fault verbs), accept the same
+publisher / host_pubend / obs / the nine fault verbs), accept the same
 predicate forms, return elapsed time from ``run_for``, and take
 ``total_order`` by keyword only.
 """
@@ -25,6 +25,7 @@ from repro.topology import two_broker_topology
 FAULT_VERBS = (
     "crash_broker", "restart_broker", "fail_link", "recover_link",
     "set_link_pathology", "clear_link_pathology",
+    "stall_link", "stall_broker", "unstall_broker",
 )
 
 FAST = LivenessParams(gct=0.05, nrt_min=0.1, aet=1.0, dct=math.inf,

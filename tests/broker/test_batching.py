@@ -10,7 +10,6 @@ bit-identical to the pre-batching behaviour.
 """
 
 from repro.core.config import LivenessParams
-from repro.faults.injector import FaultInjector
 from repro.topology import Topology
 
 
@@ -109,9 +108,8 @@ class TestExactlyOnce:
         # A crash while flushes are pending must not lose the window's
         # ticks (epoch gating + timer cancellation + recovery nacks).
         system, publisher, subscriber = chain_system(0.05, seed=5)
-        injector = FaultInjector(system)
-        injector.at(0.6, lambda: injector.crash_broker("m"))
-        injector.at(1.1, lambda: injector.restart_broker("m"))
+        system.scheduler.call_at(0.6, lambda: system.crash_broker("m"))
+        system.scheduler.call_at(1.1, lambda: system.restart_broker("m"))
         publisher.start(at=0.05)
         system.run_until(1.5)
         publisher.stop()

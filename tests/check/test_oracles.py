@@ -7,7 +7,6 @@ from repro.core.config import LivenessParams
 from repro.core.lattice import K
 from repro.core.streams import KnowledgeStream
 from repro.core.ticks import TickRange
-from repro.faults.injector import FaultInjector
 from repro.topology import two_broker_topology
 
 
@@ -72,7 +71,7 @@ class TestViolationsAreCaught:
         # must raise while the log still holds the entries.
         system = build_system()
         system.subscribe("c", "shb", ("P0",))
-        FaultInjector(system).fail_link("phb", "shb")
+        system.fail_link("phb", "shb")
         publisher = system.publisher("P0", rate=100.0, max_messages=5)
         publisher.start(at=0.1)
         OracleSuite(system, [publisher], check_interval=60.0).install()
@@ -102,10 +101,9 @@ class TestViolationsAreCaught:
         # so it is given a publisher that never publishes.
         suite = OracleSuite(system, [system.publisher("P0", rate=1.0)])
         suite.install()
-        injector = FaultInjector(system)
-        injector.at(1.0, lambda: injector.crash_broker("shb"))
-        injector.at(1.5, lambda: injector.restart_broker("shb"))
-        injector.at(1.5, lambda: system.subscribe("c2", "shb", ("P0",)))
+        system.scheduler.call_at(1.0, lambda: system.crash_broker("shb"))
+        system.scheduler.call_at(1.5, lambda: system.restart_broker("shb"))
+        system.scheduler.call_at(1.5, lambda: system.subscribe("c2", "shb", ("P0",)))
         system.scheduler.call_at(2.5, publisher.stop)
         before_crash = {}
         system.scheduler.call_at(

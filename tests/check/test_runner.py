@@ -7,12 +7,17 @@ from types import SimpleNamespace
 
 from repro.check import (
     ORACLES,
+    FaultSpec,
+    PublisherSpec,
+    Scenario,
+    SubscriberSpec,
     campaign,
     chaos_scenario,
     fuzz,
     generate,
     load_repro,
     run_scenario,
+    run_scenario_aio,
     run_seed,
     scenario_seed,
     write_repro,
@@ -73,7 +78,7 @@ class TestVerdicts:
             assert result.ok, (seed, result.failures)
             assert result.sweeps > 0
             assert result.published > 20
-            assert any("phb crashed" in line for line in result.fault_log)
+            assert any(line.endswith(" crash phb") for line in result.fault_log)
             assert result.digest == run_scenario(scenario).digest
 
     def test_simulator_skips_the_integrity_faults(self):
@@ -83,6 +88,41 @@ class TestVerdicts:
         assert len(corrupting.scenario.faults) == len(plain.scenario.faults) + 3
         assert corrupting.fault_log == plain.fault_log
         assert corrupting.digest == plain.digest
+
+
+class TestBothClocks:
+    def test_the_drivers_apply_the_same_faults(self):
+        # Every generated fault kind, each the same verbs on both backends:
+        # a stall is a stall on the asyncio runtime too, not a crash.
+        link, other = ("phb", "m0"), ("m0", "shb")
+        scenario = Scenario(
+            seed=5,
+            topology="chain",
+            pubends=("P0",),
+            publishers=(PublisherSpec("P0", rate=20.0),),
+            subscribers=(SubscriberSpec("c0", "shb", ("P0",)),),
+            faults=(
+                FaultSpec("crash", ("m0",), at=0.5, duration=0.4),
+                FaultSpec("stall_crash", ("phb",), at=1.0, duration=0.4, stall=0.3),
+                FaultSpec("stall_restart", ("m0",), at=2.2, duration=0.4),
+                FaultSpec("link_fail", link, at=2.8, duration=0.3),
+                FaultSpec("stall_link_fail", other, at=3.2, duration=0.3, stall=0.3),
+                FaultSpec("drop_burst", link, at=4.0, duration=0.4, intensity=0.3),
+                FaultSpec("reorder_burst", other, at=4.0, duration=0.4, intensity=0.01),
+                FaultSpec("corrupt_burst", link, at=4.5, duration=0.3, intensity=0.3),
+            ),
+            publish_until=5.0,
+            drain_until=15.0,
+        )
+
+        def applied(result):
+            # "t=… (tick …) <kind> <target>", one line per FaultEvent.
+            return [tuple(line.split()[3:]) for line in result.fault_log]
+
+        sim = applied(run_scenario(scenario))
+        assert ("stall_broker", "phb") in sim and ("stall_link", "m0-shb") in sim
+        assert len(sim) == sum(len(fault.steps()) for fault in scenario.faults)
+        assert applied(run_scenario_aio(scenario)) == sim
 
 
 class TestCampaign:

@@ -15,7 +15,6 @@ from repro.check import (
     scenario_seed,
 )
 from repro.check.scenario import INTEGRITY_KINDS
-from repro.faults.injector import FaultInjector
 from repro.topology import System
 
 SEEDS = [scenario_seed(7, i) for i in range(20)]
@@ -108,13 +107,11 @@ class TestSerialization:
 
 BROKER, LINK = ("m0",), ("m0", "shb")
 
-#: kind -> (spec, steps() on the simulator, steps(stall=False) elsewhere),
-#: steps as (t, verb, kwargs); args are always the spec's target.
-#: at=1.0, stall=0.5 (stall kinds only), duration=2.0.
+#: kind -> (spec, its steps as (t, verb, kwargs)); args are always the
+#: spec's target.  at=1.0, stall=0.5 (stall kinds only), duration=2.0.
 STEP_TABLE = {
     "crash": (
         FaultSpec("crash", BROKER, at=1.0, duration=2.0),
-        [(1.0, "crash_broker", {}), (3.0, "restart_broker", {})],
         [(1.0, "crash_broker", {}), (3.0, "restart_broker", {})],
     ),
     "stall_crash": (
@@ -125,16 +122,13 @@ STEP_TABLE = {
             (1.5, "crash_broker", {}),
             (3.5, "restart_broker", {}),
         ],
-        [(1.0, "crash_broker", {}), (3.5, "restart_broker", {})],
     ),
     "stall_restart": (
         FaultSpec("stall_restart", BROKER, at=1.0, duration=2.0),
         [(1.0, "stall_broker", {}), (3.0, "restart_broker", {})],
-        [(1.0, "crash_broker", {}), (3.0, "restart_broker", {})],
     ),
     "link_fail": (
         FaultSpec("link_fail", LINK, at=1.0, duration=2.0),
-        [(1.0, "fail_link", {}), (3.0, "recover_link", {})],
         [(1.0, "fail_link", {}), (3.0, "recover_link", {})],
     ),
     "stall_link_fail": (
@@ -144,7 +138,6 @@ STEP_TABLE = {
             (1.5, "fail_link", {}),
             (3.5, "recover_link", {}),
         ],
-        [(1.0, "fail_link", {}), (3.5, "recover_link", {})],
     ),
     "drop_burst": (
         FaultSpec("drop_burst", LINK, at=1.0, duration=2.0, intensity=0.4),
@@ -179,12 +172,6 @@ CLOSES = {
 }
 
 
-def table_case(kind):
-    spec, with_stall, *rest = STEP_TABLE[kind]
-    # Bursts never stall: both expansions are the same list.
-    return spec, with_stall, (rest[0] if rest else with_stall)
-
-
 class TestFaultSteps:
     def test_the_table_covers_every_generated_kind(self):
         generated = {
@@ -205,36 +192,32 @@ class TestFaultSteps:
         target = () if kind == "corrupt_wire" else BROKER
         spec = FaultSpec(kind, target, at=1.0, duration=0.0)
         assert spec.steps() == [(1.0, kind, target, {})]
-        assert spec.steps(stall=False, time_scale=0.5) == [(0.5, kind, target, {})]
+        assert spec.steps(time_scale=0.5) == [(0.5, kind, target, {})]
         assert callable(getattr(AioSystem, kind))
         # Files and frames exist on one backend: no no-op twin elsewhere.
-        assert not hasattr(System, kind) and not hasattr(FaultInjector, kind)
+        assert not hasattr(System, kind)
 
     @pytest.mark.parametrize("kind", sorted(STEP_TABLE))
     def test_each_kind_expands_to_the_expected_verbs(self, kind):
-        spec, with_stall, without_stall = table_case(kind)
-        for steps, expected in (
-            (spec.steps(), with_stall),
-            (spec.steps(stall=False), without_stall),
-        ):
-            assert [(t, verb, kw) for t, verb, __, kw in steps] == [
-                (pytest.approx(t), verb, kw) for t, verb, kw in expected
-            ]
-            assert all(args == spec.target for __, ___, args, ____ in steps)
+        spec, expected = STEP_TABLE[kind]
+        steps = spec.steps()
+        assert [(t, verb, kw) for t, verb, __, kw in steps] == [
+            (pytest.approx(t), verb, kw) for t, verb, kw in expected
+        ]
+        assert all(args == spec.target for __, ___, args, ____ in steps)
 
     @pytest.mark.parametrize("kind", sorted(STEP_TABLE))
     def test_every_verb_exists_on_its_executors_target(self, kind):
-        spec = table_case(kind)[0]
-        for __, verb, ___, ____ in spec.steps():
-            assert callable(getattr(FaultInjector, verb))
-        for __, verb, ___, ____ in spec.steps(stall=False):
+        # One vocabulary: every verb of every kind on both backends.
+        for __, verb, ___, ____ in STEP_TABLE[kind][0].steps():
             assert callable(getattr(AioSystem, verb))
             assert callable(getattr(System, verb))
 
-    @pytest.mark.parametrize("stall", [True, False])
+    @pytest.mark.parametrize("scaled", [True, False])
     @pytest.mark.parametrize("kind", sorted(STEP_TABLE))
-    def test_every_schedule_is_balanced(self, kind, stall):
-        steps = table_case(kind)[0].steps(stall=stall)
+    def test_every_schedule_is_balanced(self, kind, scaled):
+        # Unscaled is the simulator's schedule, scaled the asyncio driver's.
+        steps = STEP_TABLE[kind][0].steps(time_scale=0.35 if scaled else 1.0)
         assert steps == sorted(steps, key=lambda step: step[0])
         for i, (__, verb, args, ___) in enumerate(steps):
             if verb in CLOSES:
@@ -244,10 +227,10 @@ class TestFaultSteps:
                 ), f"{verb}{args} is never closed"
 
     def test_time_scale_scales_times_and_the_jitter_but_no_probability(self):
-        spec, *__ = table_case("reorder_burst")
-        (t0, __, ___, on), (t1, *____) = spec.steps(stall=False, time_scale=0.5)
+        spec = STEP_TABLE["reorder_burst"][0]
+        (t0, __, ___, on), (t1, *____) = spec.steps(time_scale=0.5)
         assert (t0, t1, on) == (0.5, 1.5, {"jitter": pytest.approx(0.01)})
-        spec, *__ = table_case("drop_burst")
+        spec = STEP_TABLE["drop_burst"][0]
         assert spec.steps(time_scale=0.5)[0][3] == {"drop_probability": 0.4}
 
     def test_unknown_kind_is_rejected(self):

@@ -1,7 +1,9 @@
 """Fault-injection integration tests: the paper's section 4.2 scenarios
 plus harsher conditions (lossy links, repeated faults, log recovery)."""
 
-from repro import DeliveryChecker, FaultInjector, PAPER_FAULT_PARAMS, figure3_topology
+from repro import DeliveryChecker, PAPER_FAULT_PARAMS, figure3_topology
+from repro.check import FaultSpec
+from repro.check.runner import schedule_steps
 from repro.topology import Topology, balanced_pubend_names, two_broker_topology
 
 
@@ -13,11 +15,10 @@ def fig3_system(n_pubends=2, seed=7, **build_kw):
     return system, names
 
 
-def run_with_fault(system, names, fault_fn, until=20.0, drain=12.0, shbs=("s1", "s2", "s3")):
+def run_with_fault(system, names, steps, until=20.0, drain=12.0, shbs=("s1", "s2", "s3")):
     subs = {s: system.subscribe(f"sub_{s}", s, tuple(names)) for s in shbs}
     pubs = [system.publisher(name, rate=25.0) for name in names]
-    injector = FaultInjector(system)
-    fault_fn(injector)
+    schedule_steps(system.scheduler, system, steps)
     for pub in pubs:
         pub.start(at=0.2)
     system.run_until(until)
@@ -33,13 +34,18 @@ def run_with_fault(system, names, fault_fn, until=20.0, drain=12.0, shbs=("s1", 
     return subs, pubs, reports
 
 
+#: The paper's two-step faults (section 4.2): stall 1.5 s, then fail.
+STALL_B1_S1 = FaultSpec("stall_link_fail", ("b1", "s1"), at=3.0, duration=5.0, stall=1.5)
+STALL_CRASH_B1 = FaultSpec("stall_crash", ("b1",), at=3.0, duration=8.0, stall=1.5)
+
+
 class TestLinkFailure:
     def test_stall_then_fail_recovers_exactly_once(self):
         system, names = fig3_system()
         __, pubs, reports = run_with_fault(
             system,
             names,
-            lambda inj: inj.stall_then_fail_link("b1", "s1", at=3.0, stall=1.5, outage=5.0),
+            STALL_B1_S1.steps(),
         )
         assert all(r.exactly_once for r in reports.values())
         assert sum(len(p.published) for p in pubs) > 0
@@ -49,7 +55,7 @@ class TestLinkFailure:
         run_with_fault(
             system,
             names,
-            lambda inj: inj.stall_then_fail_link("b1", "s1", at=3.0, stall=1.5, outage=5.0),
+            STALL_B1_S1.steps(),
         )
         assert system.metrics.nacks.count("s1") > 0
         # subscribers not on the failure path never nack
@@ -63,10 +69,7 @@ class TestLinkFailure:
         __, __p, reports = run_with_fault(
             system,
             names,
-            lambda inj: (
-                inj.at(3.0, lambda: inj.fail_link("b1", "s1")),
-                inj.at(9.0, lambda: inj.recover_link("b1", "s1")),
-            ),
+            FaultSpec("link_fail", ("b1", "s1"), at=3.0, duration=6.0).steps(),
         )
         assert all(r.exactly_once for r in reports.values())
         assert system.metrics.nacks.count("s1") == 0
@@ -74,13 +77,11 @@ class TestLinkFailure:
     def test_both_bundle_links_down_then_recovery(self):
         """Cut s1 off completely; liveness must recover after repair."""
         system, names = fig3_system()
-
-        def fault(inj):
-            inj.at(3.0, lambda: inj.fail_link("b1", "s1"))
-            inj.at(3.0, lambda: inj.fail_link("b2", "s1"))
-            inj.at(8.0, lambda: inj.recover_link("b1", "s1"))
-            inj.at(8.0, lambda: inj.recover_link("b2", "s1"))
-
+        fault = [
+            step
+            for link in (("b1", "s1"), ("b2", "s1"))
+            for step in FaultSpec("link_fail", link, at=3.0, duration=5.0).steps()
+        ]
         __, __p, reports = run_with_fault(system, names, fault, until=25.0, drain=15.0)
         assert all(r.exactly_once for r in reports.values())
 
@@ -91,7 +92,7 @@ class TestBrokerCrash:
         __, __p, reports = run_with_fault(
             system,
             names,
-            lambda inj: inj.stall_then_crash_broker("b1", at=3.0, stall=1.5, downtime=8.0),
+            STALL_CRASH_B1.steps(),
             until=20.0,
             drain=12.0,
         )
@@ -103,7 +104,7 @@ class TestBrokerCrash:
         __, __p, reports = run_with_fault(
             system,
             names,
-            lambda inj: inj.stall_then_crash_broker("b1", at=3.0, stall=1.5, downtime=None),
+            STALL_CRASH_B1.steps()[:-1],  # never restarted
             until=18.0,
         )
         assert all(r.exactly_once for r in reports.values())
@@ -113,7 +114,7 @@ class TestBrokerCrash:
         run_with_fault(
             system,
             names,
-            lambda inj: inj.stall_then_crash_broker("b1", at=3.0, stall=1.5, downtime=8.0),
+            STALL_CRASH_B1.steps(),
             until=20.0,
             drain=12.0,
             shbs=("s1", "s2"),
@@ -127,11 +128,11 @@ class TestBrokerCrash:
 
     def test_repeated_crashes(self):
         system, names = fig3_system()
-
-        def fault(inj):
-            inj.stall_then_crash_broker("b1", at=3.0, stall=1.0, downtime=4.0)
-            inj.stall_then_crash_broker("b1", at=12.0, stall=1.0, downtime=4.0)
-
+        fault = [
+            step
+            for at in (3.0, 12.0)
+            for step in FaultSpec("stall_crash", ("b1",), at, 4.0, stall=1.0).steps()
+        ]
         __, __p, reports = run_with_fault(system, names, fault, until=25.0, drain=15.0)
         assert all(r.exactly_once for r in reports.values())
 
@@ -139,22 +140,14 @@ class TestBrokerCrash:
 class TestPhbCrash:
     def test_phb_crash_blocks_publishing_but_stays_exactly_once(self):
         system, names = fig3_system()
-
-        def fault(inj):
-            inj.at(3.0, lambda: inj.crash_broker("p1"))
-            inj.at(10.0, lambda: inj.restart_broker("p1"))
-
+        fault = FaultSpec("crash", ("p1",), at=3.0, duration=7.0).steps()
         __, pubs, reports = run_with_fault(system, names, fault, until=25.0, drain=15.0)
         assert all(r.exactly_once for r in reports.values())
         assert all(p.failed_attempts > 0 for p in pubs)  # down while crashed
 
     def test_no_nacks_while_phb_down_with_infinite_dct(self):
         system, names = fig3_system()
-
-        def fault(inj):
-            inj.at(3.0, lambda: inj.crash_broker("p1"))
-            inj.at(13.0, lambda: inj.restart_broker("p1"))
-
+        fault = FaultSpec("crash", ("p1",), at=3.0, duration=10.0).steps()
         run_with_fault(system, names, fault, until=28.0, drain=12.0)
         # Any nacks must come after the restart-triggered AckExpected.
         for node in system.metrics.nacks.nodes():
@@ -168,12 +161,12 @@ class TestPhbCrash:
         name = names[0]
         sub = system.subscribe("s", "s1", (name,))
         pub = system.publisher(name, rate=25.0)
-        injector = FaultInjector(system)
         # Crash immediately after a publish commits but (possibly) before
         # the send: with 100 ms commit latency, crash 50 ms after publish.
         pub.start(at=0.2)
-        injector.at(3.01, lambda: injector.crash_broker("p1"))
-        injector.at(8.0, lambda: injector.restart_broker("p1"))
+        schedule_steps(
+            system.scheduler, system, FaultSpec("crash", ("p1",), 3.01, 4.99).steps()
+        )
         system.run_until(25.0)
         pub.stop()
         system.run_until(40.0)
@@ -237,21 +230,20 @@ class TestFileLogRecovery:
         )
         sub = system.subscribe("a", "shb", ("P0",))
         pub = system.publisher("P0", rate=25.0)
-        injector = FaultInjector(system)
         seen = {}
 
         def crash():
             seen["old_log"] = system.brokers["phb"].engine.pubends["P0"].log
-            injector.crash_broker("phb")
+            system.crash_broker("phb")
 
         def restart():
-            injector.restart_broker("phb")
+            system.restart_broker("phb")
             pubend = system.brokers["phb"].engine.pubends["P0"]
             seen["new_log"] = pubend.log
             seen["horizon"] = pubend.horizon
 
-        injector.at(2.0, crash)
-        injector.at(6.0, restart)
+        system.scheduler.call_at(2.0, crash)
+        system.scheduler.call_at(6.0, restart)
         pub.start(at=0.2)
         system.run_until(20.0)
         pub.stop()

@@ -11,7 +11,8 @@ import pytest
 
 from repro.client import DeliveryChecker
 from repro.core.config import PAPER_FAULT_PARAMS
-from repro.faults.injector import FaultInjector
+from repro.check import FaultSpec
+from repro.check.runner import schedule_steps
 from repro.topology import balanced_pubend_names, figure3_topology
 
 SHBS = ("s1", "s2", "s3", "s4", "s5")
@@ -27,8 +28,8 @@ def faulted_run():
         shb: system.subscribe(f"sub_{shb}", shb, tuple(names)) for shb in SHBS
     }
     publishers = [system.publisher(name, rate=20.0) for name in names]
-    injector = FaultInjector(system)
-    injector.stall_then_fail_link("b1", "s1", at=2.0, stall=1.0, outage=3.0)
+    fault = FaultSpec("stall_link_fail", ("b1", "s1"), at=2.0, duration=3.0, stall=1.0)
+    schedule_steps(system.scheduler, system, fault.steps())
     for publisher in publishers:
         publisher.start(at=0.2)
     system.run_until(10.0)

@@ -121,7 +121,8 @@ class TestTrafficPruning:
 
 class TestPropagationRobustness:
     def test_summaries_survive_intermediate_restart(self):
-        from repro.faults.injector import FaultInjector
+        from repro.check import FaultSpec
+        from repro.check.runner import schedule_steps
 
         names = balanced_pubend_names(2)
         system = figure3_topology(n_pubends=2, pubend_names=names).build(
@@ -133,8 +134,8 @@ class TestPropagationRobustness:
             system.publisher(n, rate=20.0, make_attributes=lambda i: {"g": i % 2})
             for n in names
         ]
-        injector = FaultInjector(system)
-        injector.stall_then_crash_broker("b1", at=2.0, stall=1.0, downtime=3.0)
+        fault = FaultSpec("stall_crash", ("b1",), at=2.0, duration=3.0, stall=1.0)
+        schedule_steps(system.scheduler, system, fault.steps())
         for pub in pubs:
             pub.start(at=0.6)
         system.run_until(10.0)

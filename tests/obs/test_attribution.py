@@ -7,7 +7,6 @@ end-to-end latency — the decomposition never invents or loses time.
 """
 
 from repro.core.config import LivenessParams
-from repro.faults.injector import FaultInjector
 from repro.obs.attribution import COMPONENTS, build_report
 from repro.obs.causal import CausalTracer
 from repro.topology import two_broker_topology
@@ -25,9 +24,8 @@ def attributed_run(
         system.network.link("phb", "shb").drop_probability = drop
     if link_fault is not None:
         down, up = link_fault
-        injector = FaultInjector(system)
-        injector.at(down, lambda: injector.fail_link("phb", "shb"))
-        injector.at(up, lambda: injector.recover_link("phb", "shb"))
+        system.scheduler.call_at(down, lambda: system.fail_link("phb", "shb"))
+        system.scheduler.call_at(up, lambda: system.recover_link("phb", "shb"))
     tracer = CausalTracer(system).install()
     client = system.subscribe("a", "shb", ("P0",))
     pub = system.publisher("P0", rate=50.0)

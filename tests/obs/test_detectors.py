@@ -7,7 +7,6 @@ sabotaged pubend (lazy silence disabled) violates the silence contract.
 """
 
 from repro.core.config import LivenessParams
-from repro.faults.injector import FaultInjector
 from repro.obs.detectors import DetectorSet
 from repro.topology import two_broker_topology
 
@@ -42,8 +41,7 @@ class TestHorizonStall:
         detectors = DetectorSet(
             system, interval=0.1, stall_after=0.5
         ).install()
-        injector = FaultInjector(system)
-        injector.at(0.6, lambda: injector.fail_link("phb", "shb"))
+        system.scheduler.call_at(0.6, lambda: system.fail_link("phb", "shb"))
         drive(system, until=5.0)
         stalls = findings_by(detectors, "horizon_stall")
         assert stalls, "dead link with in-doubt ticks must raise a stall"
@@ -106,9 +104,8 @@ class TestCorruptionStorm:
         ).install()
         quarantined = system.obs.counter("log_records_quarantined")
         rejected = system.obs.counter("aio_frames_rejected_crc")
-        injector = FaultInjector(system)
-        injector.at(0.51, lambda: quarantined.inc(2))
-        injector.at(0.52, lambda: rejected.inc(1))
+        system.scheduler.call_at(0.51, lambda: quarantined.inc(2))
+        system.scheduler.call_at(0.52, lambda: rejected.inc(1))
         drive(system, until=5.0)
         storms = findings_by(detectors, "corruption_storm")
         # 3 faults inside one 0.1 s sweep window = 30/s >= 5/s — and one
@@ -128,9 +125,8 @@ class TestCorruptionStorm:
             system, interval=0.25, corruption_rate=5.0
         ).install()
         errors = system.obs.counter("log_append_errors")
-        injector = FaultInjector(system)
         for i in range(4):
-            injector.at(0.5 + i, lambda: errors.inc())
+            system.scheduler.call_at(0.5 + i, lambda: errors.inc())
         drive(system, until=5.0)
         assert not findings_by(detectors, "corruption_storm")
 

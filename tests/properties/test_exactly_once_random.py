@@ -18,7 +18,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import FaultInjector
 from repro.check import FaultSpec, OracleSuite
 from repro.check.runner import schedule_steps
 from repro.check.scenario import FAST_PARAMS
@@ -126,9 +125,8 @@ class TestRandomFaultSchedules:
         if drop:
             for link in system.network._links.values():
                 link.drop_probability = drop
-        injector = FaultInjector(system)
         for fault in faults:
-            schedule_steps(system.scheduler, injector, fault.steps())
+            schedule_steps(system.scheduler, system, fault.steps())
         # Quiescent drain: all faults healed by t=12; liveness must finish.
         run_and_judge(system, pubs, publish_until=12.0, drain_until=32.0)
 

@@ -99,10 +99,8 @@ class TestQueries:
         assert {"t", "kind", "node"} <= set(parsed)
 
     def test_fault_arrives_through_the_hub(self):
-        from repro.faults import FaultInjector
-
         system, tracer, __p = traced_run()
-        FaultInjector(system).fail_link("phb", "shb")
+        system.fail_link("phb", "shb")
         (fault,) = tracer.filter(kind="fault")
         assert fault.detail["what"] == "fail_link phb-shb"
         assert fault.t == system.scheduler.now

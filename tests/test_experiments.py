@@ -106,7 +106,9 @@ class TestFaultDriver:
         assert result.nack_range_total("s1") == sum(
             r for __, r in result.nacks.get("s1", [])
         )
-        assert result.fault_log  # the injector narrated its actions
+        assert [line.split()[3] for line in result.fault_log] == [
+            "stall_link", "fail_link", "recover_link",
+        ]
 
     def test_deterministic(self):
         kw = dict(
