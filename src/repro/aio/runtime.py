@@ -105,27 +105,31 @@ class _AioServices(BrokerServices):
         hub = broker.obs.lifecycle
         if hub.listeners:
             hub.message_sent(self.now(), broker.broker_id, dst, message)
-        ok = broker.transport.send(broker.broker_id, dst, message)
-        # Piggyback: a data-carrying frame is about to be cork-batched by
-        # the transport; any knowledge deltas waiting on an engine flush
-        # timer can ride in the same batch instead of paying their own
-        # frame one flush_delay later.  Deferred via call_soon — the
-        # engine is mid-dispatch right now — which still lands inside the
-        # transport's cork window.
+        # Piggyback: when a data-carrying message joins the transport's
+        # end-of-turn flush, the knowledge deltas waiting on an engine
+        # flush timer can ride in the same frame instead of paying their
+        # own one flush_delay later.  The check is deferred via call_soon
+        # — the engine is mid-dispatch right now — and queued at the
+        # first send made while deltas wait, whatever it carries, so it
+        # runs ahead of every transport flush this turn's sends schedule.
         engine = broker.engine
         if (
-            ok
-            and engine is not None
+            engine is not None
             and engine.dirty_ostreams
             and not broker._piggyback_scheduled
+        ):
+            broker._piggyback_scheduled = True
+            asyncio.get_running_loop().call_soon(
+                broker._piggyback_flush, broker.epoch
+            )
+        ok = broker.transport.send(broker.broker_id, dst, message)
+        if (
+            ok
+            and broker._piggyback_scheduled
             and getattr(payload, "data", None)
             and not getattr(payload, "retransmit", False)
         ):
-            broker._piggyback_scheduled = True
-            epoch = broker.epoch
-            asyncio.get_running_loop().call_soon(
-                broker._piggyback_flush, epoch
-            )
+            broker._piggyback_due = True
         return ok
 
     def link_usable(self, neighbor: str) -> bool:
@@ -177,8 +181,11 @@ class AioBroker(BrokerHost):
         self.epoch = 0
         self.inbox_limit = inbox_limit
         self.slow_consumer = slow_consumer
-        #: True while a deferred piggyback flush is queued on the loop.
+        #: True while a deferred piggyback check is queued on the loop.
         self._piggyback_scheduled = False
+        #: A first-time data message was sent since the last check: the
+        #: check flushes the pending deltas to ride its frame.
+        self._piggyback_due = False
         #: Active deliberate defects (subset of KNOWN_MUTATIONS) and how
         #: often each one fired — self-test instrumentation, never set in
         #: production deployments.
@@ -279,9 +286,11 @@ class AioBroker(BrokerHost):
             pass
 
     def _piggyback_flush(self, epoch: int) -> None:
-        """Deferred eager flush scheduled by :meth:`_AioServices.send`."""
-        self._piggyback_scheduled = False
-        if self.alive and self.epoch == epoch and self.engine is not None:
+        """Deferred piggyback check queued by :meth:`_AioServices.send`:
+        flush the pending deltas eagerly if a data message went out."""
+        due = self._piggyback_due
+        self._piggyback_scheduled = self._piggyback_due = False
+        if due and self.alive and self.epoch == epoch and self.engine is not None:
             self.engine.flush_dirty_ostreams()
 
     def _process(self, src: str, message: Any) -> None:
@@ -676,11 +685,11 @@ class AioSystem(SubscribeMixin):
     # -- teardown ----------------------------------------------------------
 
     async def shutdown(self) -> None:
-        """Graceful stop: publishers first, then the transport's
-        coalescing writers are drained (a final cork window of frames may
-        still be queued), then brokers (each drains its inbox, cancels
-        timers, closes its logs), then a second transport drain for the
-        acks/knowledge that final processing produced, then close."""
+        """Graceful stop: publishers first, then the transport's outboxes
+        are drained (sends still waiting for their flush), then brokers
+        (each drains its inbox, cancels timers, closes its logs), then a
+        second transport drain for the acks/knowledge that final
+        processing produced, then close."""
         for publisher in self.publishers:
             await publisher.stop()
         await self.transport.drain()

@@ -12,11 +12,11 @@ provides two asyncio transports so the same protocol runs in real time:
   its own port; outgoing connections are *supervised* — established
   lazily, kept alive by heartbeats, and re-established with exponential
   backoff plus jitter after any failure.  Messages travel in the
-  length-prefixed binary frame protocol of :mod:`repro.aio.wire`: a
-  per-connection **coalescing writer** cork-batches everything queued
-  within ``flush_delay`` (bounded by ``MAX_BATCH_BYTES``) into one batch
-  frame and one ``drain()``, and a **serialize-once cache** encodes a
-  message fanned out to N peers exactly once.
+  length-prefixed, CRC-checked binary frame protocol of
+  :mod:`repro.aio.wire`: everything sent to one peer in one event-loop
+  turn leaves as one batch frame (bounded by ``MAX_BATCH_BYTES``) when
+  that turn ends, and a **serialize-once cache** encodes a message
+  fanned out to N peers exactly once.
 
 Both implement the :class:`Transport` contract the runtime is written
 against: ``send(src, dst, message) -> bool``, ``link_usable(a, b)``,
@@ -304,6 +304,8 @@ class _Connection:
         "src",
         "dst",
         "outbox",
+        "flush",
+        "writer",
         "wakeup",
         "task",
         "up",
@@ -317,17 +319,24 @@ class _Connection:
         self.src = src
         self.dst = dst
         #: Encoded message payloads awaiting the wire (batch elements,
-        #: not complete frames — the pump builds one frame per flush).
-        #: Bounded (the sender sheds the oldest past OUTBOX_LIMIT): a
-        #: dead peer must not grow an unbounded buffer — the protocol
-        #: recovers dropped traffic through curiosity/retransmission once
-        #: the link heals.  Payloads are popped only after a successful
-        #: write+drain, so a connection failure re-sends the whole
-        #: in-flight batch from the head after reconnect (at-least-once;
-        #: the protocol is idempotent to duplicate envelopes —
-        #: tests/broker/test_engine.py::TestIdempotence).
+        #: not complete frames — a flush builds the frames).  Bounded
+        #: (the sender sheds the oldest past OUTBOX_LIMIT): a dead peer
+        #: must not grow an unbounded buffer — the protocol recovers
+        #: dropped traffic through curiosity/retransmission once the link
+        #: heals.  A payload is popped once ``writer.write`` has accepted
+        #: its frame, so it is written at most once; whatever a flush
+        #: could not write stays at the head and goes out after
+        #: reconnect.  A frame accepted by a socket that then fails is
+        #: lost like any message and recovered by the protocol.
         self.outbox: Deque[bytes] = deque()
-        #: Set by send() to rouse the pump from its heartbeat wait.
+        #: The scheduled flush, from the first send that found none
+        #: pending until it runs.
+        self.flush: Optional[asyncio.Handle] = None
+        #: The established stream, from the handshake until the
+        #: connection fails; ``None`` while there is nothing to write to.
+        self.writer: Optional[asyncio.StreamWriter] = None
+        #: Rouses the supervisor from its heartbeat wait: the ack reader
+        #: ended, or a flush left payloads behind on a live writer.
         self.wakeup = asyncio.Event()
         self.task: Optional[asyncio.Task] = None
         #: True between a successful handshake and the next failure.
@@ -347,26 +356,33 @@ class TcpTransport(Transport):
     """Localhost TCP transport with connection supervision.
 
     One listening socket per broker; per-(src, dst) outgoing connections
-    carry length-prefixed binary frames (:mod:`repro.aio.wire`) and are
-    owned by a supervisor task that:
+    carry length-prefixed binary frames (:mod:`repro.aio.wire`).
 
-    * establishes the connection lazily and re-establishes it after any
-      failure with exponential backoff (``reconnect_base`` doubling up to
+    The data path is the flush, not a task.  The first :meth:`send` that
+    finds a connection with no flush pending schedules one with
+    ``loop.call_soon``, and every send until it runs only appends to the
+    outbox.  The flush writes everything queued as batch frames (each
+    within ``MAX_BATCH_BYTES``), so sends made in one loop turn leave as
+    one frame at the end of that turn with no added latency.  A flush
+    writes nothing while the link cannot take it: no established stream,
+    a closing writer, a severed pair, a detached peer, or a transport
+    buffer above its write high-water mark.
+
+    A supervisor task owns the rest of each connection:
+
+    * establishes it lazily and re-establishes it after any failure with
+      exponential backoff (``reconnect_base`` doubling up to
       ``reconnect_max``) plus seeded jitter, so a restarted broker's new
       ephemeral port is picked up without thundering herds;
     * sends a heartbeat frame every ``heartbeat_interval`` seconds and
       expects the peer's ack within ``heartbeat_timeout``; a silent
       (half-open) connection is detected and torn down, which flips
       ``link_usable`` to False the way a broker notices a dead link;
-    * **cork-batches** the outbox: a nonempty outbox is left to
-      accumulate for ``flush_delay`` seconds, then everything queued (up
-      to ``MAX_BATCH_BYTES``) is written as one batch frame and drained
-      once — N messages cost one syscall round trip instead of N.
-      ``flush_delay=0`` still coalesces whatever queued since the
-      previous drain (greedy batching, no added latency).
-    * drains a bounded outbox; when the outbox overflows while the link
-      is down the oldest payload is shed (counted in ``shed``) — safe,
-      because guaranteed traffic is recovered by the protocol's
+    * after the handshake, and whenever a flush stopped at the
+      high-water mark, awaits ``drain()`` and flushes what is left;
+    * keeps the outbox bounded; when it overflows while the link is down
+      the oldest payload is shed (counted in ``shed``) — safe, because
+      guaranteed traffic is recovered by the protocol's
       nack/retransmission machinery, never silently by the transport.
 
     Sends are serialized through a :class:`~repro.aio.wire.SerializeCache`
@@ -387,8 +403,6 @@ class TcpTransport(Transport):
         reconnect_base: float = 0.05,
         reconnect_max: float = 1.0,
         seed: int = 0,
-        *,
-        flush_delay: float = 0.001,
     ) -> None:
         super().__init__()
         self.heartbeat_interval = heartbeat_interval
@@ -399,9 +413,6 @@ class TcpTransport(Transport):
         )
         self.reconnect_base = reconnect_base
         self.reconnect_max = reconnect_max
-        #: Cork window of the coalescing writer (seconds).  Bounded added
-        #: latency per hop in exchange for far fewer frames and drains.
-        self.flush_delay = flush_delay
         self.rng = random.Random(seed)
         #: broker -> (host, port) once listening.
         self.addresses: Dict[str, Tuple[str, int]] = {}
@@ -574,13 +585,13 @@ class TcpTransport(Transport):
 
     async def drain(self, timeout: float = 1.0) -> bool:
         """Best-effort flush: wait until every live connection's outbox is
-        empty (all coalesced frames written and drained), or ``timeout``.
+        empty (every frame accepted by its writer), or ``timeout``.
 
-        Graceful-shutdown ordering: the coalescing writer holds queued
-        messages for up to ``flush_delay``; closing the transport without
-        draining first would discard a final cork window's worth of
-        traffic.  Outboxes of downed links are excluded — they cannot
-        drain and their loss is recovered by the protocol on restart.
+        Graceful-shutdown ordering: queued messages wait for their flush
+        at the end of the turn, or for reconnect; closing the transport
+        without draining first would discard them.  Outboxes of downed
+        links are excluded — they cannot drain and their loss is
+        recovered by the protocol on restart.
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
@@ -595,7 +606,7 @@ class TcpTransport(Transport):
         while not flushed():
             if loop.time() >= deadline:
                 return False
-            await asyncio.sleep(max(self.flush_delay, 0.002))
+            await asyncio.sleep(0.002)
         return True
 
     async def close(self) -> None:
@@ -656,8 +667,9 @@ class TcpTransport(Transport):
 
     def send(self, src: str, dst: str, message: Any) -> bool:
         """Fire-and-forget: enqueue the encoded payload on the supervised
-        connection (spawning its supervisor on first use).  Returns the
-        local link-health verdict, like the simulator's network."""
+        connection (spawning its supervisor on first use) and make sure a
+        flush is scheduled.  Returns the local link-health verdict, like
+        the simulator's network."""
         self.sent += 1
         key = self._key(src, dst)
         if key in self._severed:
@@ -682,8 +694,54 @@ class TcpTransport(Transport):
             # guaranteed that was lost.
             conn.outbox.popleft()
             self.shed += 1
-        conn.wakeup.set()
+        if conn.flush is None:
+            # This turn's sends to dst leave together when the turn ends.
+            conn.flush = asyncio.get_running_loop().call_soon(self._flush, conn)
         return conn.up or conn.task is not None and not conn.closing
+
+    def _flush(self, conn: _Connection) -> None:
+        """Write the outbox as batch frames, popping each batch once its
+        writer accepted it.  Writes nothing while the link cannot take
+        it (see the class docstring); the supervisor flushes again after
+        reconnect or once ``drain()`` returns."""
+        conn.flush = None
+        writer = conn.writer
+        if (
+            writer is None
+            or writer.is_closing()
+            or conn.dst not in self.addresses
+            or self._is_severed(conn.src, conn.dst)
+        ):
+            return
+        transport = writer.transport
+        high_water = transport.get_write_buffer_limits()[1]
+        while conn.outbox:
+            if transport.get_write_buffer_size() > high_water:
+                conn.wakeup.set()  # the supervisor drains, then flushes
+                return
+            batch = self._collect_batch(conn)
+            frame = encode_batch_frame(batch)
+            if self._corrupt_pending > 0:
+                # Chaos injection: damage the encoded bytes on the wire,
+                # keep the batch queued, and fail the connection as the
+                # receiver's CRC reject will anyway — reconnect re-sends
+                # it.
+                self._corrupt_pending -= 1
+                damaged = bytearray(frame)
+                damaged[-1] ^= 0x40
+                writer.write(bytes(damaged))
+                conn.writer = None
+                conn.wakeup.set()
+                return
+            writer.write(frame)
+            for __ in batch:
+                conn.outbox.popleft()
+            self.frames_sent += 1
+            self.msgs_sent += len(batch)
+            self.bytes_sent += len(frame)
+            self._m_frames.inc()
+            self._m_bytes.inc(len(frame))
+            self._m_batch.observe(len(batch))
 
     def _collect_batch(self, conn: _Connection) -> List[bytes]:
         """Head slice of the outbox that fits one batch frame."""
@@ -707,8 +765,8 @@ class TcpTransport(Transport):
 
     async def _supervise(self, conn: _Connection) -> None:
         """Own one outgoing connection until the transport drops it:
-        connect (with backoff), handshake, then pump the outbox and
-        heartbeats until the connection fails; repeat."""
+        connect (with backoff), handshake, then watch heartbeats and
+        backpressure until the connection fails; repeat."""
         try:
             while not conn.closing:
                 address = self.addresses.get(conn.dst)
@@ -741,7 +799,9 @@ class TcpTransport(Transport):
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """Pump one established connection until it fails."""
+        """Watch one established connection until it fails: handshake,
+        heartbeats, half-open detection, and the drain-then-flush of
+        whatever a flush could not write."""
         loop = asyncio.get_running_loop()
         writer.write(wire.hello_frame(conn.src))
         await writer.drain()
@@ -760,14 +820,20 @@ class TcpTransport(Transport):
                 conn.up = True
 
         ack_task = loop.create_task(read_acks())
-        # Wake the pump promptly when the reader sees EOF/reset, instead
-        # of waiting out the next heartbeat interval.
+        # Wake the supervisor promptly when the reader sees EOF/reset,
+        # instead of waiting out the next heartbeat interval.
         ack_task.add_done_callback(lambda __: conn.wakeup.set())
+        conn.writer = writer
 
-        async def pump() -> None:
+        async def watch() -> None:
             next_beat = loop.time() + self.heartbeat_interval
-            corked = False
             while True:
+                await writer.drain()
+                # Clear before the checks: whatever sets it from here on
+                # ends the wait below.
+                conn.wakeup.clear()
+                if conn.writer is not writer:
+                    raise ConnectionResetError("injected frame corruption")
                 if self._is_severed(conn.src, conn.dst):
                     raise ConnectionResetError("link severed")
                 if ack_task.done():
@@ -781,48 +847,11 @@ class TcpTransport(Transport):
                     raise ConnectionResetError("heartbeat timeout")
                 if now >= next_beat:
                     writer.write(wire.HEARTBEAT_FRAME)
-                    await writer.drain()
                     next_beat = now + self.heartbeat_interval
-                if conn.outbox:
-                    if self.flush_delay > 0 and not corked:
-                        # Cork: let the outbox accumulate one flush
-                        # window, then re-run the health checks above
-                        # before writing the coalesced frame.
-                        corked = True
-                        await asyncio.sleep(self.flush_delay)
-                        continue
-                    corked = False
-                    # Peek, write, drain, then pop: a failure mid-write
-                    # leaves the whole in-flight batch at the head for
-                    # the next incarnation to re-send.
-                    batch = self._collect_batch(conn)
-                    frame = encode_batch_frame(batch)
-                    if self._corrupt_pending > 0:
-                        # Chaos injection: damage the encoded bytes on
-                        # the wire, keep the batch queued (peek, no pop),
-                        # and fail the connection as the receiver's CRC
-                        # reject will anyway — reconnect re-sends it.
-                        self._corrupt_pending -= 1
-                        damaged = bytearray(frame)
-                        damaged[-1] ^= 0x40
-                        writer.write(bytes(damaged))
-                        await writer.drain()
-                        raise ConnectionResetError("injected frame corruption")
-                    writer.write(frame)
-                    await writer.drain()
-                    for payload in batch:
-                        if conn.outbox and conn.outbox[0] is payload:
-                            conn.outbox.popleft()
-                    self.frames_sent += 1
-                    self.msgs_sent += len(batch)
-                    self.bytes_sent += len(frame)
-                    self._m_frames.inc()
-                    self._m_bytes.inc(len(frame))
-                    self._m_batch.observe(len(batch))
-                    continue
-                conn.wakeup.clear()
-                if conn.outbox:
-                    continue  # raced with a send between check and clear
+                if conn.outbox and conn.flush is None:
+                    # Queued while the link was down, or left above the
+                    # high-water mark by a flush: drained now, so write.
+                    self._flush(conn)
                 try:
                     await asyncio.wait_for(
                         conn.wakeup.wait(), max(next_beat - loop.time(), 0.0)
@@ -831,10 +860,11 @@ class TcpTransport(Transport):
                     pass
 
         try:
-            await pump()
+            await watch()
         except (ConnectionError, OSError, RuntimeError):
             pass
         finally:
+            conn.writer = None
             ack_task.cancel()
             try:
                 await ack_task

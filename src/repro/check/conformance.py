@@ -175,9 +175,8 @@ def run_conformance(
 
     ``transport`` and ``aio_options`` are
     :func:`~repro.check.runner.run_scenario_aio`'s (``time_scale``,
-    ``data_dir``/``durable``, ``mutations``, ``aio_flush_delay``,
-    ``corrupt_rate``); the sim leg runs unchanged by them — the
-    differential oracle must not notice.
+    ``data_dir``/``durable``, ``mutations``, ``corrupt_rate``); the sim
+    leg runs unchanged by them — the differential oracle must not notice.
     """
     scenario = normalize_for_transport(scenario, transport)
     counts = message_counts(scenario)

@@ -340,7 +340,6 @@ def run_scenario_aio(
     data_dir: Optional[str] = None,
     durable: bool = False,
     mutations: Iterable[str] = (),
-    aio_flush_delay: Optional[float] = None,
     corrupt_rate: float = 0.0,
 ) -> RunResult:
     """Build, fault, run and judge one scenario on the asyncio runtime, in
@@ -349,13 +348,13 @@ def run_scenario_aio(
 
     Publishers are always count-limited (``counts``, default
     :func:`message_counts`).  ``transport`` is ``"local"`` or ``"tcp"``;
-    ``aio_flush_delay`` overrides the TCP cork window, ``corrupt_rate``
-    adds ambient wire corruption on the local transport (checksum-rejected
-    at the receiver, healed by retransmission).  ``data_dir`` gives every
-    pubend a ``FileLog`` there; ``durable`` without one uses a temporary
-    directory.  ``mutations`` builds the runtime with deliberate protocol
-    defects (:data:`repro.aio.runtime.KNOWN_MUTATIONS`) — the self-test
-    that a harness can see a failure at all.
+    ``corrupt_rate`` adds ambient wire corruption on the local transport
+    (checksum-rejected at the receiver, healed by retransmission).
+    ``data_dir`` gives every pubend a ``FileLog`` there; ``durable``
+    without one uses a temporary directory.  ``mutations`` builds the
+    runtime with deliberate protocol defects
+    (:data:`repro.aio.runtime.KNOWN_MUTATIONS`) — the self-test that a
+    harness can see a failure at all.
 
     The verdict is :func:`~repro.check.oracles.judge_outcome` — the stack
     exactly-once against its own ground truth, knowledge converged —
@@ -374,8 +373,7 @@ def run_scenario_aio(
     mutations = tuple(mutations)
     counts = counts if counts is not None else message_counts(scenario)
     if transport == "tcp":
-        cork = {} if aio_flush_delay is None else {"flush_delay": aio_flush_delay}
-        wire: Any = TcpTransport(seed=scenario.seed, **cork)
+        wire: Any = TcpTransport(seed=scenario.seed)
     elif transport == "local":
         wire = LocalTransport(
             latency=0.002 * time_scale,
@@ -393,7 +391,6 @@ def run_scenario_aio(
             "time_scale": time_scale,
             "durable": durable or data_dir is not None,
             "mutations": list(mutations),
-            "aio_flush_delay": aio_flush_delay,
             "corrupt_rate": corrupt_rate,
         },
     )
@@ -600,7 +597,6 @@ _RUN_OPTIONS = {
     "time_scale": DEFAULT_TIME_SCALE,
     "durable": False,
     "mutations": (),
-    "aio_flush_delay": None,
     "corrupt_rate": 0.0,
 }
 

@@ -278,7 +278,6 @@ def _cmd_conform(args: argparse.Namespace) -> int:
         time_scale=args.time_scale,
         transport=args.transport,
         mutations=tuple(args.mutate or ()),
-        aio_flush_delay=args.aio_flush_delay,
         corrupt_rate=args.corrupt_rate,
     )
     report = conform(args.seed, args.runs, run_fn, **_campaign_options(args))
@@ -514,12 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mutate", action="append", metavar="MUTATION", default=None,
         help="run the asyncio leg with a deliberate protocol defect "
         "(e.g. suppress-retransmit) — the harness must report divergence",
-    )
-    p.add_argument(
-        "--aio-flush-delay", type=float, default=None, metavar="SECONDS",
-        help="override the TCP transport's cork window (wire batching) "
-        "for the asyncio leg — CI uses 0.005 to prove aggressive "
-        "batching stays invisible to the oracles",
     )
     p.add_argument(
         "--corrupt-rate", type=float, default=0.0, metavar="PROBABILITY",

@@ -232,9 +232,9 @@ class TestLocalTransport:
 
 class _EchoTransport(LocalTransport):
     """Delivers every message a second time ``echo`` seconds later — the
-    duplicate ``TcpTransport`` produces when it re-sends its in-flight
-    batch after a reconnect, late enough that the downstream has acked
-    the first copy meanwhile."""
+    duplicate a transport produces when it re-sends its in-flight batch
+    after a reconnect, late enough that the downstream has acked the
+    first copy meanwhile."""
 
     echo = 0.03
 

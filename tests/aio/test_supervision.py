@@ -76,6 +76,69 @@ class TestTcpSupervision:
         assert old_port != new_port
         assert reconnects >= 1
 
+    def test_send_in_the_turn_of_a_detach_waits_for_reattach(self):
+        """The peer detaches before its connection's EOF is read: a flush
+        in that turn must not write into the dying socket, so the payload
+        stays queued and arrives once the peer is back."""
+
+        async def scenario():
+            transport = TcpTransport(
+                heartbeat_interval=0.05, reconnect_base=0.02, reconnect_max=0.2
+            )
+            received = []
+            await transport.attach("a", lambda s, m: None)
+            await transport.attach("b", lambda s, m: received.append(m))
+            transport.send("a", "b", ack(1))
+            assert await eventually(lambda: len(received) == 1)
+            await transport.detach("b")
+            transport.send("a", "b", ack(2))
+            await asyncio.sleep(0)  # the scheduled flush runs
+            queued = len(transport._conns[("a", "b")].outbox)
+            await transport.attach("b", lambda s, m: received.append(m))
+            ok = await eventually(lambda: len(received) == 2)
+            await transport.close()
+            return queued, ok, received
+
+        queued, ok, received = asyncio.run(scenario())
+        assert queued == 1
+        assert ok, "payload queued across the detach never arrived"
+        assert [m.payload.up_to for m in received] == [1, 2]
+
+    def test_flush_above_high_water_waits_for_drain(self):
+        """A flush that finds the write buffer above its high-water mark
+        writes nothing; the supervisor's drain() returns once the socket
+        resumes, and the held payloads then leave in order."""
+
+        async def scenario():
+            transport = TcpTransport()
+            received = []
+            await transport.attach("a", lambda s, m: None)
+            await transport.attach("b", lambda s, m: received.append(m))
+            transport.send("a", "b", ack(0))
+            assert await eventually(lambda: len(received) == 1)
+            conn = transport._conns[("a", "b")]
+            socket_transport = conn.writer.transport
+            protocol = socket_transport.get_protocol()
+            # A full socket, as asyncio reports one: the buffer reads
+            # above high water and the stream's drain() blocks.
+            socket_transport.get_write_buffer_size = lambda: 1 << 30
+            protocol.pause_writing()
+            frames_before = transport.frames_sent
+            for i in range(1, 6):
+                transport.send("a", "b", ack(i))
+            await asyncio.sleep(0.05)
+            held = (len(conn.outbox), transport.frames_sent - frames_before)
+            del socket_transport.get_write_buffer_size
+            protocol.resume_writing()
+            ok = await eventually(lambda: len(received) == 6)
+            await transport.close()
+            return held, ok, received
+
+        held, ok, received = asyncio.run(scenario())
+        assert held == (5, 0)
+        assert ok, "held payloads never left after the drain"
+        assert [m.payload.up_to for m in received] == list(range(6))
+
     def test_heartbeat_detects_half_open_peer(self):
         """A peer that accepts the connection but never acks heartbeats
         (half-open: writes still 'succeed') is detected and the link is

@@ -229,7 +229,7 @@ class TestSerializeCache:
         records N-1 cache hits per fanned-out message."""
 
         async def scenario():
-            transport = TcpTransport(flush_delay=0.0)
+            transport = TcpTransport()
             received = []
             await transport.attach("hub", lambda s, m: None)
             for peer in ("x", "y", "z"):
@@ -252,32 +252,44 @@ class TestSerializeCache:
 
 class TestBatchingTransport:
     def test_coalesces_queued_messages_into_one_frame(self):
+        """N sends from one callback leave as exactly one batch frame
+        when the turn ends, and no send arms a timer."""
+
         async def scenario():
-            transport = TcpTransport(flush_delay=0.02)
+            transport = TcpTransport()
             received = []
             await transport.attach("a", lambda s, m: None)
             await transport.attach("b", lambda s, m: received.append(m))
-            # Prime the connection so the burst below is corked together.
             transport.send("a", "b", Envelope(AckMessage("P0", 0)))
             assert await eventually(lambda: len(received) == 1)
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_later = loop.call_later
+
+            def counting_call_later(*args, **kwargs):
+                timers.append(args)
+                return call_later(*args, **kwargs)
+
+            loop.call_later = counting_call_later
             frames_before = transport.frames_sent
             for i in range(1, 21):
                 transport.send("a", "b", Envelope(AckMessage("P0", i)))
+            armed = len(timers)
+            del loop.call_later
             assert await eventually(lambda: len(received) == 21)
             data_frames = transport.frames_sent - frames_before
             await transport.close()
-            return received, data_frames
+            return received, data_frames, armed
 
-        received, data_frames = asyncio.run(scenario())
+        received, data_frames, armed = asyncio.run(scenario())
         assert [m.payload.up_to for m in received] == list(range(21))
-        # 20 messages queued within one cork window: a handful of frames
-        # at most (one per flush window), not one per message.
-        assert data_frames <= 4
+        assert data_frames == 1
+        assert armed == 0
 
     def test_byte_cap_splits_an_oversized_cork_window(self, monkeypatch):
-        """More than ``MAX_BATCH_BYTES`` queued inside one cork window
-        leaves as several batch frames, each within the cap, and still
-        arrives whole and in order."""
+        """More than ``MAX_BATCH_BYTES`` queued in one loop turn leaves as
+        several batch frames, each within the cap, and still arrives
+        whole and in order."""
         from repro.aio import transport as transport_module
 
         frame_sizes = []
@@ -295,11 +307,11 @@ class TestBatchingTransport:
         count = 3 * cap // len(body)
 
         async def scenario():
-            transport = TcpTransport(flush_delay=0.05)
+            transport = TcpTransport()
             received = []
             await transport.attach("a", lambda s, m: None)
             await transport.attach("b", lambda s, m: received.append(m))
-            # Prime the connection so the burst below is corked together.
+            # Prime the connection so the burst below is flushed together.
             transport.send("a", "b", Envelope(AckMessage("P0", 0)))
             assert await eventually(lambda: len(received) == 1)
             received.clear()
@@ -324,8 +336,10 @@ class TestBatchingTransport:
         assert max(frame_sizes) <= cap + wire.HEADER_SIZE
 
     def test_drain_flushes_cork_window(self):
+        """``drain`` waits until the sends queued this turn are written."""
+
         async def scenario():
-            transport = TcpTransport(flush_delay=0.05)
+            transport = TcpTransport()
             received = []
             await transport.attach("a", lambda s, m: None)
             await transport.attach("b", lambda s, m: received.append(m))
@@ -342,13 +356,13 @@ class TestBatchingTransport:
         assert depth == 0
 
     def test_inflight_batch_resent_after_peer_restart(self):
-        """Payloads are popped only after a successful write+drain, so a
-        batch in flight when the peer dies is re-sent whole from the
-        outbox head after reconnect — nothing is lost."""
+        """A payload is popped only once its frame's write was accepted,
+        and nothing is written while the peer is detached, so a batch
+        queued across the peer's restart is sent whole from the outbox
+        head after reconnect — nothing is lost."""
 
         async def scenario():
             transport = TcpTransport(
-                flush_delay=0.02,
                 heartbeat_interval=0.05,
                 reconnect_base=0.02,
                 reconnect_max=0.2,
@@ -373,23 +387,23 @@ class TestBatchingTransport:
 
         ok, received = asyncio.run(scenario())
         assert ok, "queued batch lost across peer restart"
-        # At-least-once at the transport: re-sent frames may duplicate,
-        # but everything queued arrived, in order per incarnation.
-        assert {m.payload.up_to for m in received} == set(range(11))
+        # Nothing written is written again: each message arrived once, in
+        # order.
+        assert [m.payload.up_to for m in received] == list(range(11))
 
 
 class TestExactlyOnceUnderBatching:
     def test_broker_outage_with_aggressive_batching(self):
-        """A mid-chain broker dies and restarts under live traffic with
-        an aggressive cork window: the delivery oracle must still report
-        exactly-once — batching is invisible to the protocol."""
+        """A mid-chain broker dies and restarts under live traffic while
+        every turn's sends leave as one batch frame: the delivery oracle
+        must still report exactly-once — batching is invisible to the
+        protocol."""
         from repro.aio.chaos import chain_topology
         from repro.aio.runtime import AioSystem
 
         async def scenario():
             transport = TcpTransport(
                 seed=3,
-                flush_delay=0.005,
                 heartbeat_interval=0.05,
                 reconnect_base=0.02,
                 reconnect_max=0.2,
@@ -468,3 +482,86 @@ class TestPiggybackFlush:
         assert flushed == 1
         assert dirty_after == 0
         assert delivered, "eager flush did not deliver ahead of the timer"
+
+    @staticmethod
+    def data_frames_of_two_publications(monkeypatch, between):
+        """Publish on P0, then on P1 0.1 s later, with a 0.5 s engine
+        flush window and no silence traffic; ``between(broker)`` runs
+        after the second publication.  Returns, per batch frame that
+        carried either publication's data, the pubends it carried."""
+        import dataclasses
+
+        from repro.aio import transport as transport_module
+        from repro.aio.runtime import AioSystem
+        from repro.topology import two_broker_topology
+
+        frames = []
+
+        def recording_encode(payloads):
+            frames.append([decode_wire_message(p) for p in payloads])
+            return encode_batch_frame(payloads)
+
+        monkeypatch.setattr(transport_module, "encode_batch_frame", recording_encode)
+
+        async def scenario():
+            topo = two_broker_topology()
+            for pubend in ("P0", "P1"):
+                topo.pubend(pubend, "phb")
+                topo.route(pubend, "PHB", "SHB")
+            params = dataclasses.replace(FAST, flush_delay=0.5, silence_interval=60.0)
+            transport = TcpTransport()
+            system = AioSystem(topo, params=params, transport=transport)
+            await system.start()
+            client = system.subscribe("sub", "shb", ("P0", "P1"))
+            broker = system.brokers["phb"]
+            # A first-time message sent before the link is up is lost:
+            # wait for the handshake the first link-status send starts.
+            assert await eventually(
+                lambda: ("phb", "shb") in transport._conns
+                and transport._conns["phb", "shb"].up
+            )
+            ticks = {"P0": broker.publish("P0", {"seq": 0})}
+            await asyncio.sleep(0.1)
+            ticks["P1"] = broker.publish("P1", {"seq": 1})
+            between(broker)
+            delivered = await eventually(lambda: len(client.received) == 2)
+            await system.shutdown()
+            return ticks, delivered
+
+        ticks, delivered = asyncio.run(scenario())
+        assert delivered
+        data_frames = [
+            {
+                m.payload.pubend
+                for m in frame
+                if isinstance(getattr(m, "payload", None), KnowledgeMessage)
+                and any(d.tick == ticks[m.payload.pubend] for d in m.payload.data)
+            }
+            for frame in frames
+        ]
+        return [pubends for pubends in data_frames if pubends]
+
+    def test_pending_delta_rides_the_data_frame_over_tcp(self, monkeypatch):
+        """When P0's flush timer sends data, P1's pending delta towards
+        the same broker is flushed ahead of the transport's end-of-turn
+        flush, so both leave in one frame."""
+        frames = self.data_frames_of_two_publications(monkeypatch, lambda b: None)
+        assert frames == [{"P0", "P1"}]
+
+    def test_pending_delta_rides_a_data_frame_queued_behind_another_send(
+        self, monkeypatch
+    ):
+        """A non-data send to the same peer earlier in the turn has
+        already scheduled the transport's flush; the delta still rides
+        the data frame, because the piggyback check is queued at that
+        first send."""
+
+        def link_status_then_data(broker):
+            engine = broker.engine
+            engine._send_link_status()
+            engine._flush_ostream("P0", next(iter(engine.ostreams["P0"])))
+
+        frames = self.data_frames_of_two_publications(
+            monkeypatch, link_status_then_data
+        )
+        assert frames == [{"P0", "P1"}]

@@ -600,8 +600,8 @@ ENVELOPE_KINDS = {
 
 class TestIdempotence:
     """The protocol is lattice accumulation, so a duplicated envelope —
-    the one fault ``TcpTransport`` really produces when it re-sends its
-    in-flight batch after a reconnect — must change nothing."""
+    what a transport that re-sends its in-flight batch after a reconnect
+    produces — must change nothing."""
 
     @staticmethod
     def run(flush_delay, kind, acked, deliveries):

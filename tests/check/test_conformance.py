@@ -267,7 +267,6 @@ class TestReproFiles:
             "time_scale": 0.5,
             "durable": True,
             "mutations": ["suppress-retransmit"],
-            "aio_flush_delay": 0.005,
             "corrupt_rate": 0.05,
         }
         result = ConformanceResult(
