@@ -60,14 +60,45 @@ __all__ = [
 #:   stays lost.
 KNOWN_MUTATIONS = frozenset({"suppress-retransmit"})
 
-#: How many cancelled timer handles may accumulate before the tracking
-#: set is pruned (mirrors the sim scheduler's cancelled-timer fix).
-_PRUNE_THRESHOLD = 256
-
 #: Micro-batch size of the inbox drain task: each wakeup processes up to
 #: this many queued messages before yielding to the loop, instead of
 #: paying a full task switch per message.
 _INBOX_BATCH = 64
+
+
+class _Timer:
+    """A broker timer: runs ``fn`` only in the incarnation that armed it,
+    keeping a raise in the broker's :attr:`~AioBroker.failure` as
+    :meth:`AioBroker._process` does, and is in the broker's tracking set
+    exactly while it is pending — it leaves when it fires or is
+    cancelled, so the set never needs a sweep and arming stays O(1)
+    however many timers are live."""
+
+    __slots__ = ("broker", "epoch", "fn", "handle")
+
+    def __init__(self, broker: "AioBroker", delay: float, fn: Callable[[], None]):
+        self.broker = broker
+        self.epoch = broker.epoch
+        self.fn = fn
+        self.handle = asyncio.get_running_loop().call_later(delay, self._fire)
+        broker._pending_timers.add(self)
+
+    def _fire(self) -> None:
+        broker = self.broker
+        broker._pending_timers.discard(self)
+        if broker.alive and broker.epoch == self.epoch:
+            try:
+                self.fn()
+            except Exception as exc:
+                if broker.failure is None:
+                    broker.failure = exc
+
+    def cancel(self) -> None:
+        self.handle.cancel()
+        self.broker._pending_timers.discard(self)
+
+    def cancelled(self) -> bool:
+        return self.handle.cancelled()
 
 
 class _AioServices(BrokerServices):
@@ -77,21 +108,8 @@ class _AioServices(BrokerServices):
     def now(self) -> float:
         return asyncio.get_running_loop().time()
 
-    def schedule(self, delay: float, fn: Callable[[], None]):
-        broker = self.broker
-        epoch = broker.epoch
-        box: List[asyncio.TimerHandle] = []
-
-        def fire() -> None:
-            if box:
-                broker._pending_timers.discard(box[0])
-            if broker.alive and broker.epoch == epoch:
-                fn()
-
-        handle = asyncio.get_running_loop().call_later(delay, fire)
-        box.append(handle)
-        broker._track(handle)
-        return handle
+    def schedule(self, delay: float, fn: Callable[[], None]) -> _Timer:
+        return _Timer(self.broker, delay, fn)
 
     def send(self, dst: str, message: Any, size: int = 100) -> bool:
         broker = self.broker
@@ -191,7 +209,7 @@ class AioBroker(BrokerHost):
         #: production deployments.
         self.mutations = mutations
         self.mutation_counts: Counter = Counter()
-        self._pending_timers: Set[asyncio.TimerHandle] = set()
+        self._pending_timers: Set[_Timer] = set()
         self._inbox: Optional["asyncio.Queue[Tuple[str, Any]]"] = None
         self._drain_task: Optional[asyncio.Task] = None
         #: First exception raised while processing the inbox (e.g. a
@@ -208,16 +226,9 @@ class AioBroker(BrokerHost):
 
     # -- timer tracking ----------------------------------------------------
 
-    def _track(self, handle: asyncio.TimerHandle) -> None:
-        self._pending_timers.add(handle)
-        if len(self._pending_timers) > _PRUNE_THRESHOLD:
-            self._pending_timers = {
-                h for h in self._pending_timers if not h.cancelled()
-            }
-
     def _cancel_timers(self) -> None:
-        for handle in self._pending_timers:
-            handle.cancel()
+        for timer in self._pending_timers:
+            timer.handle.cancel()
         self._pending_timers.clear()
 
     # -- data path ---------------------------------------------------------

@@ -27,8 +27,9 @@ Key protocol behaviours implemented here:
 * ack consolidation: an istream tick becomes anti-curious only when every
   ostream (and every local subend) is anti-curious for it, at which point
   the ack is forwarded upstream and the local soft state garbage-collected
-  — once per host turn (see :meth:`GDBrokerEngine.open_turn`), however
-  many acks the turn made due;
+  — inside a host turn (see :meth:`GDBrokerEngine.open_turn`) with the
+  next link-status tick, unless the turn is the first to make an ack due
+  after an idle tick or a backlog of :data:`ACK_BACKLOG` messages built up;
 * link-bundle selection by pubend hash over operational candidate links,
   preferring brokers that advertise reachability to the whole subtree;
 * sideways routing to a cell peer when no direct link to a downstream
@@ -71,7 +72,12 @@ from .state import (
     SubscriptionSummaryMessage,
 )
 
-__all__ = ["BrokerServices", "GDBrokerEngine", "stable_hash"]
+__all__ = ["ACK_BACKLOG", "BrokerServices", "GDBrokerEngine", "stable_hash"]
+
+#: Messages handled since the last ack flush after which a turn flushes
+#: its acks without waiting for the link-status tick (a backlog drains
+#: with its acks keeping pace, as when every turn flushed).
+ACK_BACKLOG = 64
 
 
 def stable_hash(text: str) -> int:
@@ -205,11 +211,17 @@ class GDBrokerEngine:
         #: knowledge deltas onto outgoing traffic (see
         #: :meth:`flush_dirty_ostreams`) without scanning the maps.
         self.dirty_ostreams = 0
-        #: Pubends whose consolidated ack may have advanced during the
-        #: open turn, in the order they became due (empty outside a turn).
+        #: Pubends whose consolidated ack may have advanced since the last
+        #: flush, in the order they became due (empty outside a turn and
+        #: right after a link-status tick).
         self.acks_due: Dict[str, None] = {}
         #: Whether the host holds a turn open (:meth:`open_turn`).
         self.turn_open = False
+        #: Whether an ack flush ran since the last link-status tick began
+        #: (the tick's own flush counts: it closes the leading edge).
+        self._acked_this_period = False
+        #: Messages handled since the last ack flush.
+        self._handled_since_ack = 0
         for pubend, route in topo.routes.items():
             self._ensure_streams(pubend)
 
@@ -379,8 +391,10 @@ class GDBrokerEngine:
 
     def _arm_periodic(self, interval: float, fn: Callable[[], None]) -> None:
         def tick() -> None:
-            fn()
-            self.services.schedule(interval, tick)
+            try:
+                fn()
+            finally:  # a raise (kept by the host) must not end the period
+                self.services.schedule(interval, tick)
 
         self.services.schedule(interval, tick)
 
@@ -430,6 +444,7 @@ class GDBrokerEngine:
     # ------------------------------------------------------------------
 
     def on_message(self, src: str, message: Any) -> None:
+        self._handled_since_ack += 1
         if isinstance(message, Envelope):
             self.on_envelope(src, message)
         elif isinstance(message, LinkStatusMessage):
@@ -901,22 +916,32 @@ class GDBrokerEngine:
 
     def open_turn(self) -> None:
         """Start a turn: until :meth:`close_turn`, an ack made due only
-        marks its pubend, and each marked pubend's ack leaves once, when
-        the turn closes.
+        marks its pubend.
 
         The host decides where a turn ends (the asyncio runtime: around
-        each inbox micro-batch).  Outside a turn an ack leaves as soon as
-        it is due, so a host that opens none — the simulator — sends what
-        it always sent.  Deferring is safe because an ack is a cumulative
-        prefix: the one sent at the end of the turn carries the maximum of
-        those it replaces, and a lost or late ack is re-asserted on the
-        next AckExpected probe (paper section 3.2)."""
+        each inbox micro-batch).  When it does, the marked acks leave only
+        on a leading edge — no ack left since the last link-status tick,
+        which found none due (so a fresh system's upstream links open at
+        once) — or once :data:`ACK_BACKLOG` messages were handled since the
+        last flush.  Otherwise they wait for :meth:`_send_link_status`,
+        which flushes them first: paced traffic sends one ack per pubend
+        per hop per period, and an ack is at most one
+        ``link_status_interval`` late per hop.  Outside a turn an ack
+        leaves as soon as it is due, so a host that opens none — the
+        simulator — sends what it always sent.  Deferring is safe because
+        an ack is a cumulative prefix: the one that leaves carries the
+        maximum of those it replaces, and a lost or late ack is
+        re-asserted on the next AckExpected probe (paper section 3.2)."""
         self.turn_open = True
 
     def close_turn(self) -> None:
-        """End the turn: consolidate each pubend made due during it once."""
+        """End the turn: flush the marked acks on a leading edge or after
+        a backlog, else leave them for the link-status tick."""
         self.turn_open = False
-        self._flush_acks()
+        if self.acks_due and (
+            not self._acked_this_period or self._handled_since_ack >= ACK_BACKLOG
+        ):
+            self._flush_acks()
 
     def _ack_due(self, pubend: str) -> None:
         """The pubend's consolidated ack may have advanced."""
@@ -925,11 +950,11 @@ class GDBrokerEngine:
             self._flush_acks()
 
     def _flush_acks(self) -> None:
-        # One pubend at a time: a raise leaves the others due.
         due = self.acks_due
-        while due:
+        while due:  # one pubend at a time: a raise leaves the others due
             pubend = next(iter(due))
             del due[pubend]
+            self._acked_this_period, self._handled_since_ack = True, 0
             self.consolidate_ack(pubend)
 
     def consolidate_ack(self, pubend: str, force: bool = False) -> None:
@@ -1165,6 +1190,10 @@ class GDBrokerEngine:
             self.bump("upstream_unreachable")
 
     def _send_link_status(self) -> None:
+        # Held acks go first (on TCP they share the link-status frame);
+        # only a period whose tick found none due opens on a leading edge.
+        self._acked_this_period = False
+        self._flush_acks()
         reachable = frozenset(
             self.topo.cell_of[n]
             for n in self.topo.neighbors

@@ -8,8 +8,10 @@ import pytest
 from repro.aio.chaos import FAST_PARAMS, chain_topology
 from repro.aio.runtime import AioSystem
 from repro.aio.transport import LocalTransport, TcpTransport
+from repro.broker.engine import GDBrokerEngine
 from repro.client import DeliveryChecker
 from repro.core.config import LivenessParams
+from repro.core.messages import AckMessage
 from repro.obs.lifecycle import LifecycleListener
 from repro.topology import two_broker_topology
 
@@ -337,14 +339,86 @@ class TestPoisonedAndDuplicatedMessages:
         # The mark the raise lost is made again by the next turn.
         assert acked > last
 
+    def test_a_raise_in_the_tick_flush_does_not_stop_the_tick(self, monkeypatch):
+        """Held acks are flushed by the link-status tick, a timer: a raise
+        there is kept in ``failure`` like a handler's, and the tick and
+        the acks go on."""
+        ticks, ticking, poison = [], [], RuntimeError("poisoned tick flush")
+        send_link_status = GDBrokerEngine._send_link_status
+
+        def recorded(engine):
+            ticks.append(engine.topo.broker_id)
+            ticking.append(engine)
+            try:
+                send_link_status(engine)
+            finally:
+                ticking.pop()
+
+        monkeypatch.setattr(GDBrokerEngine, "_send_link_status", recorded)
+
+        async def scenario():
+            system = AioSystem(
+                gd_topology(), params=FAST, transport=LocalTransport(seed=3)
+            )
+            await system.start()
+            client = system.subscribe("a", "shb", ("P0",))
+            shb = system.brokers["shb"]
+            engine = shb.engine
+            real = engine.consolidate_ack
+
+            def raise_in_a_tick(pubend, force=False):
+                if not force and ticking and ticking[-1] is engine:
+                    engine.consolidate_ack = real
+                    ticks.append("raised")
+                    raise poison
+                return real(pubend, force)
+
+            engine.consolidate_ack = raise_in_a_tick
+            publisher = system.publisher("P0", rate=200.0)
+            publisher.start()
+            await system.run_for(0.6)
+            await publisher.stop()
+            report = await settle(system, publisher, client, "a")
+            last = publisher.published[-1][1]
+            phb = system.brokers["phb"].engine
+            await until_acked(system, phb, last)
+            acked = phb.stream_state()["P0"]["pubend"]["acked_up_to"]
+            failure = shb.failure
+            await system.shutdown()
+            return report, failure, acked, last
+
+        report, failure, acked, last = asyncio.run(scenario())
+        assert "raised" in ticks, "no tick flushed an ack"
+        assert failure is poison
+        assert "shb" in ticks[ticks.index("raised") + 1 :], "the tick stopped"
+        assert report.exactly_once
+        assert acked > last
+
 
 class TestAcksPerTurn:
-    """The inbox micro-batch is one engine turn: however many acks its
-    messages make due, each pubend's cumulative ack leaves once, when the
-    batch ends — and never stays due after it."""
+    """The inbox micro-batch is one engine turn.  However many acks its
+    messages make due, each pubend's cumulative ack leaves at most once:
+    when the batch ends if it is the first flush since the broker's last
+    link-status tick or a backlog built up, else with the next tick —
+    and no ack stays due past a tick."""
 
-    def test_a_burst_leaves_no_ack_behind(self):
+    @staticmethod
+    def record_ticks(monkeypatch):
+        """Every link-status tick, as ``(broker, acks still due after
+        it)``."""
+        ticks = []
+        send_link_status = GDBrokerEngine._send_link_status
+
+        def recorded(engine):
+            send_link_status(engine)
+            ticks.append((engine.topo.broker_id, dict(engine.acks_due)))
+
+        monkeypatch.setattr(GDBrokerEngine, "_send_link_status", recorded)
+        return ticks
+
+    def test_a_burst_leaves_no_ack_behind(self, monkeypatch):
         burst = 1000
+        ticks = self.record_ticks(monkeypatch)
 
         async def scenario():
             system = AioSystem(
@@ -362,18 +436,81 @@ class TestAcksPerTurn:
             acked = phb.stream_state()["P0"]["pubend"]["acked_up_to"]
             brokers = system.brokers.items()
             acks = sum(broker.engine.counters.get("acks_sent", 0) for __, broker in brokers)
-            idle = [
-                (b, broker._inbox.qsize(), dict(broker.engine.acks_due))
-                for b, broker in brokers
-            ]
+            inboxes = [broker._inbox.qsize() for __, broker in brokers]
             await system.shutdown()
-            return report, acked, last, acks, idle
+            return report, acked, last, acks, inboxes
 
-        report, acked, last, acks, idle = asyncio.run(scenario())
+        report, acked, last, acks, inboxes = asyncio.run(scenario())
         assert report.exactly_once
-        assert idle == [("b0", 0, {}), ("b1", 0, {}), ("b2", 0, {})]
+        assert inboxes == [0, 0, 0]
+        assert {broker for broker, __ in ticks} == {"b0", "b1", "b2"}
+        assert [due for __, due in ticks if due] == []
         assert acks <= 0.1 * burst, acks
         assert acked > last
+
+    def test_paced_traffic_sends_an_ack_per_hop_per_period(self):
+        """P0 and P1 at 150 publications a second each, one per
+        micro-batch: each pubend's ack rides the 0.1 s link-status tick
+        once per hop, and none is late enough for the pubend to probe with
+        AckExpected (aet = 1 s)."""
+
+        async def scenario():
+            system = AioSystem(
+                chain_topology(), params=FAST_PARAMS, transport=LocalTransport(seed=5)
+            )
+            await system.start()
+            reports, published = [], 0
+            clients = {p: system.subscribe(p, "b2", (p,)) for p in ("P0", "P1")}
+            publishers = [system.publisher(p, rate=150.0) for p in ("P0", "P1")]
+            for publisher in publishers:
+                publisher.start()
+            await system.run_for(3.0)
+            for publisher in publishers:
+                await publisher.stop()
+                pubend = publisher.pubend
+                reports.append(await settle(system, publisher, clients[pubend], pubend))
+                published += len(publisher.published)
+            counters = [broker.engine.counters for broker in system.brokers.values()]
+            await system.shutdown()
+            return reports, published, counters
+
+        reports, published, counters = asyncio.run(scenario())
+        assert all(report.exactly_once for report in reports)
+        assert published >= 300
+        acks = sum(c.get("acks_sent", 0) for c in counters)
+        assert 0 < acks <= 0.2 * published, (acks, published)
+        assert sum(c.get("ack_expected_sent", 0) for c in counters) == 0
+
+    def test_the_first_ack_leaves_before_the_first_tick(self, monkeypatch):
+        """A fresh system's first ack is a leading edge: it leaves at the
+        end of its turn, not with the SHB's first link-status tick."""
+        ticks = self.record_ticks(monkeypatch)
+
+        async def scenario():
+            system = AioSystem(
+                chain_topology(), params=FAST_PARAMS, transport=LocalTransport(seed=6)
+            )
+            first = []
+
+            class FirstAck(LifecycleListener):
+                def message_sent(self, t, node, dst, message):
+                    if not first and isinstance(
+                        getattr(message, "payload", None), AckMessage
+                    ):
+                        first.append((node, dst, len(ticks)))
+
+            system.obs.lifecycle.attach(FirstAck())
+            await system.start()
+            system.subscribe("a", "b2", ("P0",))
+            system.publisher("P0", rate=1.0).publish_once()
+            for __ in range(20):
+                if first:
+                    break
+                await asyncio.sleep(0.005)
+            await system.shutdown()
+            return first
+
+        assert asyncio.run(scenario()) == [("b2", "b1", 0)]
 
 
 class _PubendEmissions(LifecycleListener):

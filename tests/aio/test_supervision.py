@@ -285,6 +285,33 @@ class TestTimerTracking:
         size = asyncio.run(scenario())
         assert size < 60  # 300+ tracked before the prune
 
+    def test_live_timers_are_not_rebuilt_on_every_schedule(self):
+        """2,000 live timers cost O(log n) rebuilds of the tracking set,
+        not one per schedule above a threshold (quadratic arming)."""
+        n = 2000
+
+        async def scenario():
+            system = AioSystem(gd_topology(), params=FAST)
+            await system.start()
+            broker = system.brokers["phb"]
+            base = len(broker._pending_timers)
+            rebuilds, tracked = 0, broker._pending_timers
+            handles = []
+            for __ in range(n):
+                handles.append(broker.services.schedule(30.0, lambda: None))
+                rebuilds += broker._pending_timers is not tracked
+                tracked = broker._pending_timers
+            live = len(broker._pending_timers) - base
+            for handle in handles:
+                handle.cancel()
+            left = len(broker._pending_timers) - base
+            await system.shutdown()
+            return rebuilds, live, left
+
+        rebuilds, live, left = asyncio.run(scenario())
+        assert rebuilds <= math.log2(n), rebuilds
+        assert live == n and left == 0
+
     def test_stale_epoch_callback_is_inert_after_restart(self):
         async def scenario():
             system = AioSystem(gd_topology(), params=FAST)

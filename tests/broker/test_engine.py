@@ -10,7 +10,7 @@ from itertools import takewhile
 
 import pytest
 
-from repro.broker.engine import BrokerServices, GDBrokerEngine, stable_hash
+from repro.broker.engine import ACK_BACKLOG, BrokerServices, GDBrokerEngine, stable_hash
 from repro.broker.state import BrokerTopologyInfo, Envelope, LinkStatusMessage, PubendRoute
 from repro.core.config import LivenessParams
 from repro.core.edges import FilterEdge, MATCH_ALL
@@ -739,19 +739,21 @@ TURN_BROKERS = {
 
 
 class TestTurnPartition:
-    """An ack is a cumulative prefix, so where the host ends a turn
-    decides how many acks leave, never what they say: the knowledge lattice
-    applied to acks.  (AckExpected is left out: its forced re-assertion
-    does not wait for the turn.)"""
+    """An ack is a cumulative prefix, so when a held ack leaves decides how
+    many acks leave, never what they say: the knowledge lattice applied to
+    acks.  Inside turns, the first turn of a link-status period that has
+    an ack due flushes it; later turns hold it until the tick or until
+    ``ACK_BACKLOG`` messages were handled since the last flush.
+    (AckExpected is left out: its forced re-assertion does not wait.)"""
 
     @staticmethod
-    def steps(seed, upstream_sender, downstream_acks):
+    def steps(seed, upstream_sender, downstream_acks, publications=(10, 30)):
         """Publications with lazy silence brackets, some swapped with their
         successor or delivered twice, and acks from s1 and s2 below the
         first publication that has not arrived yet."""
         rng = random.Random(seed)
         upstream, tick = [], 0
-        for __ in range(rng.randint(10, 30)):
+        for __ in range(rng.randint(*publications)):
             lo, tick = tick, tick + rng.randint(1, 4)
             upstream.append(data_msg(tick, rng.randint(0, 100), f=[(lo, tick)]))
             tick += 1
@@ -772,50 +774,122 @@ class TestTurnPartition:
         return steps
 
     @staticmethod
-    def drive(broker, steps, turns):
-        """Feed ``steps`` in turns of the given sizes.  Returns the final
-        stream state, the acks sent upstream in each turn, and every
-        other message sent."""
+    def engine_for(broker):
         topo, __, subscribed = TURN_BROKERS[broker]
         services, engine = make_engine(topo=topo())
         if subscribed:
             engine.add_subscription(Subscription("alice", pubends=("P",)))
-        acks, others, at = [], [], 0
-        for size in turns:
+        return services, engine
+
+    @staticmethod
+    def split(sent):
+        """``(acks sent upstream, every other message)``."""
+        acks, others = [], []
+        for dst, message in sent:
+            if isinstance(message, Envelope) and isinstance(message.payload, AckMessage):
+                acks.append((dst, message.payload.up_to))
+            else:
+                others.append((dst, message))
+        return acks, others
+
+    def per_message(self, broker, steps):
+        """The reference: every message in a turn of its own, each followed
+        by a tick, so every due ack leaves at the end of its message.
+        Returns the final stream state, the acks each message sent, and
+        every other message sent outside a tick."""
+        services, engine = self.engine_for(broker)
+        acks, others = [], []
+        for src, envelope in steps:
             before = len(services.sent)
             engine.open_turn()
-            for src, envelope in steps[at : at + size]:
-                engine.on_message(src, envelope)
+            engine.on_message(src, envelope)
             engine.close_turn()
-            at += size
-            sent = services.sent[before:]
-            acks.append(
-                [(dst, m.payload.up_to) for dst, m in sent
-                 if isinstance(m.payload, AckMessage)]
-            )
-            others.extend(
-                (dst, m) for dst, m in sent if not isinstance(m.payload, AckMessage)
-            )
-            assert engine.acks_due == {}
+            others.extend(self.split(services.sent[before:])[1])
+            engine._send_link_status()
+            acks.append(self.split(services.sent[before:])[0])
         return engine.stream_state(), acks, others
+
+    def batched(self, broker, steps, schedule):
+        """Feed ``steps`` in turns of the sizes ``schedule`` names, with a
+        link-status tick wherever it says ``"tick"`` and once at the end,
+        checking each turn's flush decision against the contract.  Returns
+        the final stream state, ``(messages since the last flush, acks
+        sent)`` per flush, every other message sent outside a tick, and
+        how many turns held a due ack."""
+        services, engine = self.engine_for(broker)
+        flushes, others, held, at = [], [], 0, 0
+        leading, handled = True, 0
+        for event in schedule + ["tick"]:
+            before = len(services.sent)
+            if event == "tick":
+                due = bool(engine.acks_due)
+                engine._send_link_status()
+                assert engine.acks_due == {}
+                if due:
+                    flushes.append((at, self.split(services.sent[before:])[0]))
+                    handled = 0
+                leading = not due
+                continue
+            engine.open_turn()
+            for src, envelope in steps[at : at + event]:
+                engine.on_message(src, envelope)
+            at += event
+            handled += event
+            due = dict(engine.acks_due)
+            engine.close_turn()
+            acks, other = self.split(services.sent[before:])
+            others.extend(other)
+            if due and (leading or handled >= ACK_BACKLOG):
+                assert engine.acks_due == {}
+                flushes.append((at, acks))
+                leading, handled = False, 0
+            else:
+                assert acks == [] and engine.acks_due == due
+                held += bool(due)
+        assert at == len(steps)
+        return engine.stream_state(), flushes, others, held
+
+    def check(self, broker, steps, schedule):
+        state, per_message, others = self.per_message(broker, steps)
+        batched = self.batched(broker, steps, schedule)
+        assert batched[0] == state
+        assert batched[2] == others
+        last = 0
+        for at, sent in batched[1]:
+            replaced = [ack for acks in per_message[last:at] for ack in acks]
+            assert sent == replaced[-1:]
+            last = at
+        assert sum(len(sent) for __, sent in batched[1]) <= sum(map(len, per_message))
+        assert any(per_message), "no ack left the broker"
+        return batched
 
     @pytest.mark.parametrize("seed", range(25))
     @pytest.mark.parametrize("broker", sorted(TURN_BROKERS))
     def test_one_ack_per_turn_carries_the_last_one(self, broker, seed):
+        """Random turns of 1–8 messages with link-status ticks between
+        some: a turn sends at most one ack, only when the contract lets it,
+        and that ack is the last one the reference sent since the previous
+        flush."""
         __, upstream_sender, subscribed = TURN_BROKERS[broker]
         steps = self.steps(seed, upstream_sender, downstream_acks=subscribed)
-        state, per_message, others = self.drive(broker, steps, [1] * len(steps))
-        rng, turns, left = random.Random(-1 - seed), [], len(steps)
+        rng, schedule, left = random.Random(-1 - seed), [], len(steps)
         while left:
-            turns.append(rng.randint(1, min(left, 8)))
-            left -= turns[-1]
-        batched = self.drive(broker, steps, turns)
-        assert batched[0] == state
-        assert batched[2] == others
-        at = 0
-        for size, sent in zip(turns, batched[1]):
-            replaced = [ack for turn in per_message[at : at + size] for ack in turn]
-            assert sent == replaced[-1:]
-            at += size
-        assert sum(map(len, batched[1])) <= sum(map(len, per_message))
-        assert any(per_message), "no ack left the broker"
+            schedule.append(rng.randint(1, min(left, 8)))
+            left -= schedule[-1]
+            if rng.random() < 0.25:
+                schedule.append("tick")
+        self.check(broker, steps, schedule)
+
+    @pytest.mark.parametrize("broker", sorted(TURN_BROKERS))
+    def test_a_backlog_flushes_without_the_tick(self, broker):
+        """One message per turn and no tick: the first turn with an ack
+        due flushes, later ones hold it until ``ACK_BACKLOG`` messages were
+        handled since the last flush."""
+        __, upstream_sender, subscribed = TURN_BROKERS[broker]
+        steps = self.steps(
+            0, upstream_sender, downstream_acks=subscribed, publications=(200, 200)
+        )
+        __, flushes, __, held = self.check(broker, steps, [1] * len(steps))
+        gaps = [b - a for (a, __), (b, __) in zip(flushes, flushes[1:-1])]
+        assert len(gaps) >= 2 and held > 0
+        assert all(gap >= ACK_BACKLOG for gap in gaps), gaps
