@@ -26,19 +26,18 @@ import asyncio
 import inspect
 import os
 from collections import Counter
-from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Iterable, Optional, Set, Tuple
 
 from ..broker.engine import BrokerServices
 from ..broker.host import BrokerHost
 from ..broker.state import BrokerTopologyInfo
-from ..client import PublisherClient, SubscriberClient
+from ..client import PublisherClient
 from ..core.config import LivenessParams
-from ..core.subend import Subscription
 from ..core.ticks import Tick
-from ..facade import SubscribeMixin
+from ..facade import SystemFacade
 from ..obs.observability import Observability
 from ..storage.faults import corrupt_log_file
-from ..storage.log import FileLog, MemoryLog, MessageLog
+from ..storage.log import FileLog, MessageLog
 from ..topology import Topology, TopologyPlan
 from .transport import LocalTransport, Transport
 
@@ -418,15 +417,13 @@ class AioPublisher(PublisherClient):
             self._task = None
 
 
-class AioSystem(SubscribeMixin):
+class AioSystem(SystemFacade):
     """A whole deployment on one event loop, built from a Topology.
 
-    Exposes the same public facade as the simulator's
-    :class:`~repro.topology.System` (see :class:`~repro.facade.SystemFacade`):
-    ``subscribe``/``publisher``/``host_pubend``/``obs``, with ``run_for``
-    returning elapsed time.  ``data_dir`` turns on durability: every
-    pubend gets a :class:`~repro.storage.log.FileLog` under that
-    directory, and a crashed broker replays it on restart.
+    The shared surface is :class:`~repro.facade.SystemFacade`'s, with
+    ``run_for`` returning elapsed time.  ``data_dir`` turns on
+    durability: every pubend gets a :class:`~repro.storage.log.FileLog`
+    under that directory, and a crashed broker replays it on restart.
     """
 
     def __init__(
@@ -450,42 +447,42 @@ class AioSystem(SubscribeMixin):
                 f"known: {sorted(KNOWN_MUTATIONS)}"
             )
         self.mutations = mutations
-        self.params = params if params is not None else LivenessParams()
+        params = params if params is not None else LivenessParams()
         self.transport = transport if transport is not None else LocalTransport()
-        self.obs = Observability()
-        self.transport.bind_instruments(self.obs.instruments)
+        obs = Observability()
+        self.transport.bind_instruments(obs.instruments)
         self.plan: TopologyPlan = topology.plan()
-        self.brokers: Dict[str, AioBroker] = {}
-        self.pubend_hosts: Dict[str, str] = {}
-        self.publishers: List[AioPublisher] = []
-        self.subscribers: Dict[str, SubscriberClient] = {}
-        self.subscriptions: Dict[str, Subscription] = {}
-        self._log_commit_latency = log_commit_latency
         self._data_dir = data_dir
         if data_dir is not None:
             os.makedirs(data_dir, exist_ok=True)
             if log_factory is None:
                 log_factory = self._file_log
-        self._log_factory = log_factory
-        for broker_id, info in self.plan.infos.items():
-            self.brokers[broker_id] = AioBroker(
+        brokers = {
+            broker_id: AioBroker(
                 broker_id,
                 info,
-                self.params,
+                params,
                 self.transport,
-                obs=self.obs,
+                obs=obs,
                 inbox_limit=inbox_limit,
                 slow_consumer=slow_consumer,
                 mutations=mutations,
             )
-        for pubend_id, host_broker, slot, n_slots, preassign in self.plan.pubends:
-            self.host_pubend(
-                pubend_id,
-                host_broker,
-                slot=slot,
-                n_slots=n_slots,
-                preassign_window=preassign,
-            )
+            for broker_id, info in self.plan.infos.items()
+        }
+        super().__init__(
+            self.transport, brokers, params, obs, log_commit_latency, log_factory
+        )
+        self._host_planned_pubends(self.plan)
+
+    @property
+    def now(self) -> float:
+        return asyncio.get_running_loop().time()
+
+    def _new_publisher(
+        self, broker: AioBroker, pubend: str, rate: float, **kwargs: Any
+    ) -> AioPublisher:
+        return AioPublisher(broker, pubend, rate, **kwargs)
 
     def _log_path(self, pubend_id: str) -> str:
         return os.path.join(self._data_dir, f"{pubend_id}.log")
@@ -514,55 +511,6 @@ class AioSystem(SubscribeMixin):
             broker.broker_id, broker.on_receive, broker.on_receive_async
         )
 
-    # -- facade ----------------------------------------------------------
-
-    def host_pubend(
-        self,
-        pubend_id: str,
-        broker_id: str,
-        log: Optional[MessageLog] = None,
-        *,
-        slot: int = 0,
-        n_slots: int = 1,
-        preassign_window: Optional[float] = None,
-    ) -> MessageLog:
-        """Place a pubend on its hosting broker.  Without an explicit
-        ``log``, uses the system's log factory (a ``FileLog`` when
-        ``data_dir`` is set, else a ``MemoryLog``)."""
-        if log is None and self._log_factory is not None:
-            log = self._log_factory(pubend_id)
-        elif log is None:
-            log = MemoryLog(commit_latency=self._log_commit_latency)
-        self.brokers[broker_id].host_pubend(
-            pubend_id,
-            log,
-            slot=slot,
-            n_slots=n_slots,
-            preassign_window=preassign_window,
-        )
-        self.pubend_hosts[pubend_id] = broker_id
-        return log
-
-    def publisher(
-        self,
-        pubend: str,
-        rate: float,
-        make_attributes: Optional[Callable[[int], Dict[str, Any]]] = None,
-        body_bytes: int = 0,
-        max_messages: Optional[int] = None,
-    ) -> AioPublisher:
-        broker = self.brokers[self.pubend_hosts[pubend]]
-        publisher = AioPublisher(
-            broker,
-            pubend,
-            rate,
-            make_attributes=make_attributes,
-            body_bytes=body_bytes,
-            max_messages=max_messages,
-        )
-        self.publishers.append(publisher)
-        return publisher
-
     async def run_for(self, duration: float) -> float:
         """Let the system run; returns elapsed wall-clock time (the
         real-time analogue of the simulator's returned sim time)."""
@@ -572,13 +520,8 @@ class AioSystem(SubscribeMixin):
         return loop.time() - start
 
     # -- fault verbs -------------------------------------------------------
-    # The SystemFacade fault surface, spelled and reported exactly like the
-    # simulator's System: each verb acts, then reports itself once to the
-    # hub.  Crash and restart await the transport, so they are coroutines;
-    # an executor awaits whatever a verb returns (see run_schedule).
-
-    def _report_fault(self, kind: str, target: str) -> None:
-        self.obs.report_fault(asyncio.get_running_loop().time(), kind, target)
+    # Crash and restart await the transport, so they are coroutines here;
+    # the other verbs are the shell's.
 
     async def crash_broker(self, broker_id: str) -> None:
         """Crash a broker: its listening socket closes, connections drop,
@@ -599,59 +542,11 @@ class AioSystem(SubscribeMixin):
             broker.restart()
         self._report_fault("restart", broker_id)
 
-    def fail_link(self, a: str, b: str) -> None:
-        self.transport.fail_link(a, b)
-        self._report_fault("fail_link", f"{a}-{b}")
-
-    def recover_link(self, a: str, b: str) -> None:
-        self.transport.recover_link(a, b)
-        self._report_fault("recover_link", f"{a}-{b}")
-
-    def stall_link(self, a: str, b: str) -> None:
-        """The paper's pre-failure sickness (§4.2): the pair's data is
-        discarded while its heartbeats are still answered, so
-        ``link_usable`` stays true."""
-        self.transport.stall(a, b)
-        self._report_fault("stall_link", f"{a}-{b}")
-
-    def stall_broker(self, broker_id: str) -> None:
-        for peer in self.plan.infos[broker_id].neighbors:
-            self.transport.stall(broker_id, peer)
-        self._report_fault("stall_broker", broker_id)
-
-    def unstall_broker(self, broker_id: str) -> None:
-        self._clear_stall(broker_id)
-        self._report_fault("unstall_broker", broker_id)
-
-    def _clear_stall(self, broker_id: str) -> None:
-        for peer in self.plan.infos[broker_id].neighbors:
-            self.transport.unstall(broker_id, peer)
-
     # Frozen spellings benchmarks/load/workloads.py:816-818 still calls
     # (that tree only changes in a [benchmark] PR; ROADMAP item 4 removes
     # these two lines).  Nothing else may use them.
-    sever_link = fail_link
-    heal_link = recover_link
-
-    def set_link_pathology(
-        self,
-        a: str,
-        b: str,
-        *,
-        drop_probability: Optional[float] = None,
-        jitter: Optional[float] = None,
-        corrupt_probability: Optional[float] = None,
-    ) -> None:
-        """Override the pair's ambient pathology (``None`` keeps it).
-        Raises on a transport that cannot inject below its stream (TCP)."""
-        self.transport.set_pathology(
-            a, b, drop_probability, jitter, corrupt_probability
-        )
-        self._report_fault("set_link_pathology", f"{a}-{b}")
-
-    def clear_link_pathology(self, a: str, b: str) -> None:
-        self.transport.clear_pathology(a, b)
-        self._report_fault("clear_link_pathology", f"{a}-{b}")
+    sever_link = SystemFacade.fail_link
+    heal_link = SystemFacade.recover_link
 
     # The three integrity verbs act on files and frames, so they exist on
     # this backend only.  Each reports itself only when it injected

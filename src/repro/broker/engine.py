@@ -503,13 +503,8 @@ class GDBrokerEngine:
             # state and the pubend log can be collected.
             self._ack_due(pubend)
 
-        cells = self.ostreams.get(pubend, {})
-        if envelope.target_cell is not None:
-            targets = [envelope.target_cell] if envelope.target_cell in cells else []
-        else:
-            targets = list(cells)
-        for cell in targets:
-            self._propagate(ist, cells[cell], message, allow_sideways=not envelope.sideways)
+        for ost in list(self.ostreams.get(pubend, {}).values()):
+            self._propagate(ist, ost, message)
 
     def _relay_sideways(self, src: str, envelope: Envelope) -> None:
         """Forward a cell peer's knowledge message toward its target cell.
@@ -547,11 +542,7 @@ class GDBrokerEngine:
         )
 
     def _propagate(
-        self,
-        ist: IStream,
-        ost: OStream,
-        message: KnowledgeMessage,
-        allow_sideways: bool = True,
+        self, ist: IStream, ost: OStream, message: KnowledgeMessage
     ) -> None:
         # Capture the path's outstanding curiosity *before* accumulating:
         # finality arriving for a curious tick makes it anti-curious here
@@ -565,23 +556,23 @@ class GDBrokerEngine:
 
         if message.retransmit:
             # Retransmissions flow only towards curious paths.
-            self._answer_curiosity(ist, ost, curious, allow_sideways)
+            self._answer_curiosity(ist, ost, curious)
             return
 
         # flush_delay decides *when* the path is told what is new, never
         # *what*: both arms send the one _delta.
         if filtered.data or (self.params.silence_broadcast and message.is_silence):
             if self.params.flush_delay > 0:
-                self._mark_dirty(ost, filtered, allow_sideways)
+                self._mark_dirty(ost, filtered)
             else:
                 out = self._delta(ost, filtered.max_tick(), filtered.data)
                 if out is not None:
                     kind = "first" if filtered.data else "silence"
-                    self._send_knowledge(ost, out, allow_sideways, kind)
+                    self._send_knowledge(ost, out, kind)
         # Whatever just arrived may also satisfy older curiosity on this
         # path (first-time silence for curious ticks, paper section 3.1).
         # Curiosity answers are never delayed by batching.
-        self._answer_curiosity(ist, ost, curious, allow_sideways)
+        self._answer_curiosity(ist, ost, curious)
 
     def _delta(
         self, ost: OStream, hi: Tick, offered: Sequence[DataTick]
@@ -609,15 +600,12 @@ class GDBrokerEngine:
             pubend=ost.pubend, fin_prefix=fin, f_ranges=tuple(f_runs), data=data
         )
 
-    def _mark_dirty(
-        self, ost: OStream, filtered: KnowledgeMessage, allow_sideways: bool
-    ) -> None:
+    def _mark_dirty(self, ost: OStream, filtered: KnowledgeMessage) -> None:
         """Fold one incoming update into the ostream's pending flush."""
         # Capture the DataTicks (payloads included) now: a local subend
         # sharing the istream may ack-finalize it — dropping the payloads
         # — before the flush fires, so they cannot be re-read later.
         ost.pending_data.extend(filtered.data)
-        ost.pending_sideways = ost.pending_sideways and allow_sideways
         armed = False
         if not ost.flush_pending:
             ost.flush_pending = True
@@ -655,8 +643,6 @@ class GDBrokerEngine:
         self.dirty_ostreams -= 1
         pending = {d.tick: d for d in ost.pending_data}
         ost.pending_data = []
-        allow_sideways = ost.pending_sideways
-        ost.pending_sideways = True
         self.services.charge(0.0, "knowledge_flush")
         out = self._delta(
             ost,
@@ -678,7 +664,7 @@ class GDBrokerEngine:
             return
         self.bump("knowledge_flushes")
         self._m_knowledge_flushes.inc()
-        self._send_knowledge(ost, out, allow_sideways, kind="flush")
+        self._send_knowledge(ost, out, kind="flush")
 
     def flush_dirty_ostreams(self, cell: Optional[str] = None) -> int:
         """Eagerly flush every ostream with a pending coalesced message
@@ -706,11 +692,7 @@ class GDBrokerEngine:
         return len(pending)
 
     def _answer_curiosity(
-        self,
-        ist: IStream,
-        ost: OStream,
-        curious: List[TickRange],
-        allow_sideways: bool = True,
+        self, ist: IStream, ost: OStream, curious: List[TickRange]
     ) -> None:
         """Answer the path's outstanding C ticks from local soft state.
 
@@ -763,14 +745,14 @@ class GDBrokerEngine:
         )
         self.bump("retransmissions_sent")
         self._m_retransmissions.inc()
-        self._send_knowledge(ost, out, allow_sideways, kind="retransmit")
+        self._send_knowledge(ost, out, kind="retransmit")
 
     def _send_knowledge(
-        self, ost: OStream, message: KnowledgeMessage, allow_sideways: bool, kind: str
+        self, ost: OStream, message: KnowledgeMessage, kind: str
     ) -> None:
         self.services.charge(0.0, "knowledge_send")
         self._send_towards(
-            ost.pubend, ost.cell, message, _knowledge_size(message), allow_sideways, kind
+            ost.pubend, ost.cell, message, _knowledge_size(message), kind=kind
         )
 
     def _send_towards(

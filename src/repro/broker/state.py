@@ -60,7 +60,6 @@ class OStream:
         "summary_edge",
         "pending_data",
         "flush_pending",
-        "pending_sideways",
     )
 
     def __init__(self, pubend: str, cell: str, filter_edge: FilterEdge):
@@ -88,10 +87,6 @@ class OStream:
         self.pending_data: list = []
         #: Whether a flush timer is currently scheduled for this ostream.
         self.flush_pending: bool = False
-        #: AND of the allow_sideways flags of the updates folded into the
-        #: pending flush — a single non-sideways-eligible contribution
-        #: makes the whole coalesced message non-sideways-eligible.
-        self.pending_sideways: bool = True
 
     def matches(self, payload: Any) -> bool:
         """Whether a payload passes the path's filter: the static edge

@@ -3,8 +3,8 @@
 The simulator (:class:`~repro.topology.System`) is the evaluation
 substrate the oracles were proven against; the asyncio runtime
 (:class:`~repro.aio.runtime.AioSystem`) is the production backend.  Both
-host the same :class:`~repro.broker.engine.GDBrokerEngine` behind the
-:class:`~repro.facade.SystemFacade` protocol — but nothing guarantees
+host the same :class:`~repro.broker.engine.GDBrokerEngine` behind one
+:class:`~repro.facade.SystemFacade` shell — but nothing guarantees
 they stay semantically interchangeable unless something *executes the
 same adversarial scenario on both and cross-checks the outcomes*.  That
 is this module.

@@ -313,6 +313,47 @@ class SimNetwork:
             return False
         return link.send(src, message, size_bytes)
 
+    # -- fault verbs (the pair verbs of :class:`~repro.aio.transport.Transport`)
+
+    def fail_link(self, a: str, b: str) -> None:
+        self.link(a, b).fail()
+
+    def recover_link(self, a: str, b: str) -> None:
+        self.link(a, b).recover()
+
+    def stall(self, a: str, b: str) -> None:
+        self.link(a, b).stall()
+
+    def unstall(self, a: str, b: str) -> None:
+        """End a stall; a failed link stays down."""
+        self.link(a, b).stalled = False
+
+    def set_pathology(
+        self,
+        a: str,
+        b: str,
+        drop_probability: Optional[float] = None,
+        jitter: Optional[float] = None,
+        corrupt_probability: Optional[float] = None,
+    ) -> None:
+        """Override the link's ambient drop/jitter (``None`` keeps it).
+
+        A simulated message has no byte encoding to damage: the
+        observable effect of corruption is detect-and-discard at the
+        receiver, which *is* a drop, so ``corrupt_probability`` folds into
+        the drop override (the asyncio runtime corrupts for real and
+        counts the checksum rejects)."""
+        if corrupt_probability is not None:
+            drop_probability = (
+                corrupt_probability
+                if drop_probability is None
+                else 1.0 - (1.0 - drop_probability) * (1.0 - corrupt_probability)
+            )
+        self.link(a, b).set_pathology(drop_probability, jitter)
+
+    def clear_pathology(self, a: str, b: str) -> None:
+        self.link(a, b).clear_pathology()
+
     def link_is_usable(self, src: str, dst: str) -> bool:
         """The sender's local view of link health: the link exists, is up,
         and the peer process is alive.  A *stalled* link still looks

@@ -22,9 +22,6 @@ from .scheduler import Scheduler, TimerHandle
 
 __all__ = ["SimProcess"]
 
-#: Tracking-set size at which externally cancelled timers are pruned.
-_PRUNE_THRESHOLD = 256
-
 
 class SimProcess(Node):
     """Base class for brokers and clients living in the simulator."""
@@ -56,21 +53,19 @@ class SimProcess(Node):
 
     def _track(self, handle: TimerHandle, fn: Callable[[], None]) -> TimerHandle:
         """Gate ``handle`` on this incarnation and track it for crash
-        cancellation; fired or cancelled handles drop out of the set."""
+        cancellation: it is in the set exactly while it is pending, and
+        leaves when it fires or is cancelled."""
         epoch = self.epoch
+        pending = self._pending_timers
 
         def fire() -> None:
-            self._pending_timers.discard(handle)
+            pending.discard(handle)
             if self.epoch == epoch and self.alive:
                 fn()
 
         handle.fn = fire
-        pending = self._pending_timers
-        if len(pending) > _PRUNE_THRESHOLD:
-            # Timers cancelled through their handles (e.g. satisfied nack
-            # timers) never fire, so sweep them out once in a while.
-            self._pending_timers = {h for h in pending if not h.cancelled}
-        self._pending_timers.add(handle)
+        handle.tracked_in = pending
+        pending.add(handle)
         return handle
 
     def now(self) -> float:
@@ -88,7 +83,7 @@ class SimProcess(Node):
         self.alive = False
         self.epoch += 1
         for handle in self._pending_timers:
-            handle.cancel()
+            handle.cancelled = True
         self._pending_timers.clear()
         self.on_crash()
 

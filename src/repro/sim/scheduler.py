@@ -11,23 +11,30 @@ from __future__ import annotations
 
 import heapq
 import random
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
 __all__ = ["Scheduler", "TimerHandle"]
 
 
 class TimerHandle:
-    """A cancellable scheduled callback."""
+    """A cancellable scheduled callback.
 
-    __slots__ = ("when", "fn", "cancelled")
+    ``tracked_in`` is the set of pending timers an owner keeps the handle
+    in (:class:`~repro.sim.process.SimProcess`); cancelling the handle
+    takes it out, so the set never needs a sweep."""
+
+    __slots__ = ("when", "fn", "cancelled", "tracked_in")
 
     def __init__(self, when: float, fn: Callable[[], None]):
         self.when = when
         self.fn = fn
         self.cancelled = False
+        self.tracked_in: Optional[Set["TimerHandle"]] = None
 
     def cancel(self) -> None:
         self.cancelled = True
+        if self.tracked_in is not None:
+            self.tracked_in.discard(self)
 
 
 class Scheduler:

@@ -27,14 +27,13 @@ from .broker.simbroker import SimBroker
 from .broker.state import BrokerTopologyInfo, PubendRoute
 from .core.config import LivenessParams
 from .core.edges import FilterEdge, MATCH_ALL
-from .core.subend import Subscription
-from .client import SimPublisher, SubscriberClient
-from .facade import SubscribeMixin
+from .client import SimPublisher
+from .facade import SystemFacade
 from .metrics.cpu import CostModel
 from .obs.observability import Observability
 from .sim.network import SimNetwork
 from .sim.scheduler import Scheduler
-from .storage.log import MemoryLog, MessageLog
+from .storage.log import MessageLog
 
 __all__ = [
     "Topology",
@@ -272,22 +271,16 @@ class Topology:
             brokers[broker_id] = broker
         for a, b, link_params in plan.links:
             network.connect(a, b, **link_params)
-        system = System(scheduler, network, brokers, params, obs)
-        for pubend_id, host_broker, slot, n_slots, preassign in plan.pubends:
-            if log_factory is not None:
-                log = log_factory(pubend_id)
-            else:
-                log = MemoryLog(commit_latency=log_commit_latency)
-            brokers[host_broker].host_pubend(
-                pubend_id, log, slot=slot, n_slots=n_slots,
-                preassign_window=preassign,
-            )
-            system.pubend_hosts[pubend_id] = host_broker
+        system = System(
+            scheduler, network, brokers, params, obs, log_commit_latency, log_factory
+        )
+        system._host_planned_pubends(plan)
         return system
 
 
-class System(SubscribeMixin):
-    """A built, running simulated deployment."""
+class System(SystemFacade):
+    """A built, running simulated deployment (the shared surface is
+    :class:`~repro.facade.SystemFacade`'s)."""
 
     def __init__(
         self,
@@ -296,150 +289,29 @@ class System(SubscribeMixin):
         brokers: Dict[str, SimBroker],
         params: LivenessParams,
         obs: Observability,
+        log_commit_latency: float,
+        log_factory: Optional[Callable[[str], MessageLog]],
     ):
+        super().__init__(
+            network, brokers, params, obs, log_commit_latency, log_factory
+        )
         self.scheduler = scheduler
         self.network = network
-        self.brokers = brokers
-        self.params = params
-        #: Unified observability: instrument registry, lifecycle hub,
-        #: recorders, CPU accountants and tracers behind one object.
-        self.obs = obs
-        self.pubend_hosts: Dict[str, str] = {}
-        self.publishers: List[SimPublisher] = []
-        self.subscribers: Dict[str, SubscriberClient] = {}
-        self.subscriptions: Dict[str, Subscription] = {}
         self._started = False
 
-    # -- hosting -----------------------------------------------------------
-
-    def host_pubend(
-        self,
-        pubend_id: str,
-        broker_id: str,
-        log: Optional[MessageLog] = None,
-        *,
-        slot: int = 0,
-        n_slots: int = 1,
-        preassign_window: Optional[float] = None,
-    ) -> MessageLog:
-        """Place a pubend on a broker after the system was built.
-
-        Part of the :class:`~repro.facade.SystemFacade` surface shared
-        with the asyncio runtime.  ``log`` defaults to a fresh
-        :class:`MemoryLog`; the log in use is returned so callers can
-        inspect or hand it to a restarted broker.  Pubends declared on
-        the :class:`Topology` get their slots from the plan — a pubend
-        hosted this way defaults to slot 0 of 1 and should only opt into
-        total-order merges with explicit ``slot``/``n_slots``.
-        """
-        log = log if log is not None else MemoryLog()
-        self.brokers[broker_id].host_pubend(
-            pubend_id, log, slot=slot, n_slots=n_slots,
-            preassign_window=preassign_window,
-        )
-        self.pubend_hosts[pubend_id] = broker_id
-        return log
-
-    # -- clients -----------------------------------------------------------
-
-    def publisher(
-        self,
-        pubend: str,
-        rate: float,
-        make_attributes: Optional[Callable[[int], Dict[str, Any]]] = None,
-        body_bytes: int = 0,
-        max_messages: Optional[int] = None,
+    def _new_publisher(
+        self, broker: SimBroker, pubend: str, rate: float, **kwargs: Any
     ) -> SimPublisher:
-        broker = self.brokers[self.pubend_hosts[pubend]]
-        client = SimPublisher(
-            broker,
-            pubend,
-            self.scheduler,
-            rate,
-            make_attributes=make_attributes,
-            body_bytes=body_bytes,
-            max_messages=max_messages,
-        )
-        self.publishers.append(client)
-        return client
-
-    # -- fault verbs ---------------------------------------------------------
-    # The SystemFacade fault surface.  Each verb acts, then reports itself
-    # once to the hub — also when it changed nothing (a crash of a dead
-    # broker, a restart of a live one), so observers see every injection.
-
-    def _report_fault(self, kind: str, target: str) -> None:
-        self.obs.report_fault(self.scheduler.now, kind, target)
+        return SimPublisher(broker, pubend, self.scheduler, rate, **kwargs)
 
     def crash_broker(self, broker_id: str) -> None:
         self.brokers[broker_id].crash()
         self._report_fault("crash", broker_id)
 
     def restart_broker(self, broker_id: str) -> None:
-        # A restarted process reads and forwards again, whether it was
-        # stalled, then crashed, or only stalled.
         self._clear_stall(broker_id)
         self.brokers[broker_id].restart()
         self._report_fault("restart", broker_id)
-
-    def stall_link(self, a: str, b: str) -> None:
-        """The paper's pre-failure sickness (§4.2): the link absorbs
-        traffic but still looks up, until ``fail_link``/``recover_link``."""
-        self.network.link(a, b).stall()
-        self._report_fault("stall_link", f"{a}-{b}")
-
-    def stall_broker(self, broker_id: str) -> None:
-        """Stall every link of the broker: it accepts traffic and forwards
-        nothing, and its neighbours cannot tell."""
-        for link in self.network.links_of(broker_id):
-            link.stall()
-        self._report_fault("stall_broker", broker_id)
-
-    def unstall_broker(self, broker_id: str) -> None:
-        self._clear_stall(broker_id)
-        self._report_fault("unstall_broker", broker_id)
-
-    def _clear_stall(self, broker_id: str) -> None:
-        # A failed link is a separate fault and stays down.
-        for link in self.network.links_of(broker_id):
-            link.stalled = False
-
-    def fail_link(self, a: str, b: str) -> None:
-        self.network.link(a, b).fail()
-        self._report_fault("fail_link", f"{a}-{b}")
-
-    def recover_link(self, a: str, b: str) -> None:
-        self.network.link(a, b).recover()
-        self._report_fault("recover_link", f"{a}-{b}")
-
-    def set_link_pathology(
-        self,
-        a: str,
-        b: str,
-        *,
-        drop_probability: Optional[float] = None,
-        jitter: Optional[float] = None,
-        corrupt_probability: Optional[float] = None,
-    ) -> None:
-        """Override the link's ambient drop/jitter (``None`` keeps it).
-
-        A simulated message has no byte encoding to damage: the
-        observable effect of corruption is detect-and-discard at the
-        receiver, which *is* a drop, so ``corrupt_probability`` folds into
-        the drop override (the asyncio runtime corrupts for real and
-        counts the checksum rejects)."""
-        if corrupt_probability is not None and drop_probability is not None:
-            drop_probability = 1.0 - (1.0 - drop_probability) * (
-                1.0 - corrupt_probability
-            )
-        elif corrupt_probability is not None:
-            drop_probability = corrupt_probability
-        self.network.link(a, b).set_pathology(drop_probability, jitter)
-        self._report_fault("set_link_pathology", f"{a}-{b}")
-
-    def clear_link_pathology(self, a: str, b: str) -> None:
-        self.network.link(a, b).clear_pathology()
-        self._report_fault("clear_link_pathology", f"{a}-{b}")
 
     # -- running --------------------------------------------------------------
 

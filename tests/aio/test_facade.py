@@ -20,11 +20,19 @@ from repro.core.config import LivenessParams
 from repro.facade import SystemFacade
 from repro.matching.parser import parse
 from repro.storage.log import FileLog, MemoryLog
-from repro.topology import two_broker_topology
+from repro.topology import System, two_broker_topology
 
 FAULT_VERBS = (
     "crash_broker", "restart_broker", "fail_link", "recover_link",
     "set_link_pathology", "clear_link_pathology",
+    "stall_link", "stall_broker", "unstall_broker",
+)
+
+#: What the shell implements once for both backends.
+SHARED = (
+    "subscribe", "host_pubend", "publisher", "_report_fault",
+    "_host_planned_pubends", "_default_log", "_clear_stall",
+    "fail_link", "recover_link", "set_link_pathology", "clear_link_pathology",
     "stall_link", "stall_broker", "unstall_broker",
 )
 
@@ -72,6 +80,45 @@ class TestProtocol:
         system.restart_broker("phb")
         assert [(e.kind, e.target) for e in system.obs.fault_events] == [
             ("crash", "phb"), ("restart", "phb"),
+        ]
+
+
+class TestOneShell:
+    def test_every_shared_verb_is_defined_once_on_the_shell(self):
+        for name in SHARED:
+            assert name in vars(SystemFacade), name
+            assert name not in vars(System), name
+            assert name not in vars(AioSystem), name
+
+    @pytest.mark.parametrize("backend", ["sim", "aio"])
+    def test_a_late_pubend_gets_the_build_log(self, backend):
+        # host_pubend without a log gives what every planned pubend got:
+        # the build's commit latency, or the build's log factory.
+        def check(system):
+            planned = system.brokers["phb"].hosted_logs()["P0"]
+            late = system.host_pubend("PX", "phb")
+            return type(planned), planned.commit_latency, type(late), late.commit_latency
+
+        def via_factory(pubend_id):
+            return MemoryLog(commit_latency=0.25)
+
+        results = []
+        for kwargs in ({"log_commit_latency": 0.1}, {"log_factory": via_factory}):
+            if backend == "sim":
+                results.append(check(gd_topology().build(seed=1, **kwargs)))
+                continue
+
+            async def scenario():
+                system = AioSystem(gd_topology(), params=FAST, **kwargs)
+                try:
+                    return check(system)
+                finally:
+                    await system.shutdown()
+
+            results.append(asyncio.run(scenario()))
+        assert results == [
+            (MemoryLog, 0.1, MemoryLog, 0.1),
+            (MemoryLog, 0.25, MemoryLog, 0.25),
         ]
 
 

@@ -138,6 +138,36 @@ class TestFailures:
         assert not net.link_is_usable("a", "b")
 
 
+class TestPairVerbs:
+    """The network answers the transport's six pair verbs, so the system
+    shell drives both backends' wires the same way."""
+
+    def test_corrupt_folds_into_the_drop_override(self):
+        __, net, __a, __b = make_net(drop_probability=0.01, jitter=0.002)
+        link = net.link("a", "b")
+        net.set_pathology("b", "a", drop_probability=0.2, corrupt_probability=0.1)
+        assert link.pathology() == (1.0 - (1.0 - 0.2) * (1.0 - 0.1), 0.002)
+        net.set_pathology("a", "b", corrupt_probability=0.3)
+        assert link.pathology() == (0.3, 0.002)
+        net.set_pathology("a", "b", jitter=0.05)
+        assert link.pathology() == (0.01, 0.05)
+        net.clear_pathology("a", "b")
+        assert link.pathology() == (0.01, 0.002)
+
+    def test_unstall_leaves_a_failed_link_down(self):
+        __, net, __a, __b = make_net()
+        link = net.link("a", "b")
+        net.stall("a", "b")
+        assert link.stalled and link.up
+        net.fail_link("b", "a")
+        assert not link.up and not link.stalled
+        net.stall("a", "b")
+        net.unstall("a", "b")
+        assert not link.up and not link.stalled
+        net.recover_link("a", "b")
+        assert link.up and not link.stalled
+
+
 class TestTopologyQueries:
     def test_neighbors(self):
         scheduler = Scheduler()

@@ -115,14 +115,36 @@ class TestEpochTimers:
         assert not a._pending_timers
 
     def test_externally_cancelled_timers_are_pruned(self):
-        # Handles cancelled through cancel() (not via crash) must not
-        # accumulate in the tracking set forever.
-        from repro.sim.process import _PRUNE_THRESHOLD
-
+        # Handles cancelled through cancel() (not via crash) leave the
+        # tracking set at once: it never accumulates them.
         scheduler, __, a, __b = make()
-        for __i in range(_PRUNE_THRESHOLD + 10):
+        for __i in range(266):
             a.schedule(1.0, lambda: None).cancel()
-        assert len(a._pending_timers) <= _PRUNE_THRESHOLD + 1
+        assert not a._pending_timers
+        scheduler.run()
+        assert scheduler.events_run == 0
+
+    def test_live_timers_are_not_rebuilt_on_every_schedule(self):
+        # Arming is O(1) however many timers are live: the tracking set
+        # is the same object throughout (no sweep rebuilds it) and holds
+        # exactly the pending handles.
+        scheduler, __, a, __b = make()
+        tracking = a._pending_timers
+        rebuilds = 0
+        handles = []
+        for i in range(2000):
+            handles.append(a.schedule(1.0 + i, lambda: None))
+            if a._pending_timers is not tracking:
+                rebuilds += 1
+                tracking = a._pending_timers
+        assert rebuilds == 0
+        assert a._pending_timers == set(handles)
+        for handle in handles[::2]:
+            handle.cancel()
+        assert a._pending_timers == set(handles[1::2])
+        a.crash()
+        assert not a._pending_timers
+        assert all(handle.cancelled for handle in handles)
         scheduler.run()
         assert scheduler.events_run == 0
 
