@@ -58,7 +58,7 @@ from .matching.parser import parse as parse_subscription
 from .metrics.cpu import CostModel, CpuAccountant
 from .obs.exporters import json_lines, parse_prometheus, prometheus_text
 from .obs.hub import MetricsHub
-from .obs.instruments import Instruments, ScopedTimer
+from .obs.instruments import Instruments
 from .obs.observability import Observability
 from .obs.trace import TraceEvent, Tracer
 from .storage.log import FileLog, MemoryLog
@@ -103,7 +103,6 @@ __all__ = [
     "PublisherClient",
     "RunResult",
     "Scenario",
-    "ScopedTimer",
     "Stream",
     "SubendManager",
     "SubscriberClient",

@@ -1,6 +1,6 @@
 """Asyncio runtime: the same broker engine over real-time transports."""
 
-from .chaos import chaos, run_chaos
+from .chaos import chaos
 from .runtime import AioBroker, AioPublisher, AioSystem
 from .transport import LocalTransport, TcpTransport, Transport
 from .wire import (
@@ -30,5 +30,4 @@ __all__ = [
     "decode_wire_message",
     "encode_batch_frame",
     "encode_wire_message",
-    "run_chaos",
 ]

@@ -39,7 +39,7 @@ from ..check.scenario import Scenario, chaos_scenario
 from ..core.config import LivenessParams
 from ..topology import Topology
 
-__all__ = ["FAST_PARAMS", "chain_topology", "run_chaos", "chaos"]
+__all__ = ["FAST_PARAMS", "chain_topology", "chaos"]
 
 #: The *wall-clock* preset: liveness tuned for sub-second recovery in real
 #: time — what ``repro serve`` and the load benchmark deploy with.  (The
@@ -76,24 +76,6 @@ def _wall_clock_scenario(
     scenario = chaos_scenario(seed, duration / DEFAULT_TIME_SCALE, corrupt_rate)
     return scenario.with_(
         drain_until=scenario.publish_until + settle / DEFAULT_TIME_SCALE
-    )
-
-
-def run_chaos(
-    seed: int = 0,
-    duration: float = 2.0,
-    transport: str = "tcp",
-    data_dir: Optional[str] = None,
-    settle: float = 2.5,
-    corrupt_rate: float = 0.0,
-) -> RunResult:
-    """One seeded chaos run over durable logs (under ``data_dir``, else a
-    temporary directory)."""
-    return run_scenario_aio(
-        _wall_clock_scenario(seed, duration, settle, corrupt_rate),
-        transport=transport,
-        data_dir=data_dir,
-        durable=True,
     )
 
 

@@ -1,26 +1,17 @@
 """Analysis and terminal rendering of experiment results.
 
 The benchmark harness prints paper-style tables; this module adds the
-pieces a user pokes at results with: time-series resampling, summary
-statistics, ASCII sparklines/plots for quick terminal inspection, and CSV
-export for real plotting tools.  Used by the CLI (``--dump``) and the
-examples.
+pieces a user pokes at results with: ASCII sparklines for quick
+terminal inspection, cumulative sums, and CSV export for real plotting
+tools.  Used by the CLI (``--dump``) and the examples.
 """
 
 from __future__ import annotations
 
 import csv
-import math
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple
+from typing import Dict, List, Sequence, TextIO, Tuple
 
-__all__ = [
-    "sparkline",
-    "ascii_plot",
-    "resample_max",
-    "cumulative",
-    "summarize",
-    "write_series_csv",
-]
+__all__ = ["sparkline", "cumulative", "write_series_csv"]
 
 #: (x, y) sample pairs.
 Series = Sequence[Tuple[float, float]]
@@ -42,34 +33,6 @@ def sparkline(values: Sequence[float], width: int = 60) -> str:
     return "".join(out)
 
 
-def resample_max(series: Series, bins: int) -> List[Tuple[float, float]]:
-    """Downsample to ``bins`` equal-width x-buckets, keeping each bucket's
-    maximum (peaks are the feature of interest in latency plots)."""
-    if bins <= 0:
-        raise ValueError("bins must be positive")
-    points = sorted(series)
-    if not points:
-        return []
-    x_lo, x_hi = points[0][0], points[-1][0]
-    width = (x_hi - x_lo) / bins or 1.0
-    out: List[Tuple[float, float]] = []
-    index = 0
-    for b in range(bins):
-        lo = x_lo + b * width
-        hi = x_lo + (b + 1) * width
-        best: Optional[float] = None
-        while index < len(points) and (points[index][0] < hi or b == bins - 1):
-            if points[index][0] < lo:
-                index += 1
-                continue
-            y = points[index][1]
-            best = y if best is None else max(best, y)
-            index += 1
-        if best is not None:
-            out.append((lo + width / 2, best))
-    return out
-
-
 def cumulative(series: Series) -> List[Tuple[float, float]]:
     """Running sum of y values in x order (the paper's nack-range plots)."""
     total = 0.0
@@ -78,64 +41,6 @@ def cumulative(series: Series) -> List[Tuple[float, float]]:
         total += y
         out.append((x, total))
     return out
-
-
-def ascii_plot(
-    series: Series,
-    width: int = 70,
-    height: int = 12,
-    title: str = "",
-) -> str:
-    """A multi-line terminal scatter of (x, y) points."""
-    points = sorted(series)
-    if not points:
-        return f"{title}\n(no data)"
-    xs = [x for x, __ in points]
-    ys = [y for __, y in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    x_span = (x_hi - x_lo) or 1.0
-    y_span = (y_hi - y_lo) or 1.0
-    grid = [[" "] * width for __ in range(height)]
-    for x, y in points:
-        col = min(int((x - x_lo) / x_span * (width - 1)), width - 1)
-        row = min(int((y - y_lo) / y_span * (height - 1)), height - 1)
-        grid[height - 1 - row][col] = "*"
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(f"{y_hi:10.3f} ┤" + "".join(grid[0]))
-    for row in grid[1:-1]:
-        lines.append(" " * 10 + " │" + "".join(row))
-    lines.append(f"{y_lo:10.3f} ┤" + "".join(grid[-1]))
-    lines.append(" " * 12 + f"{x_lo:<10.2f}" + " " * max(width - 20, 0) + f"{x_hi:>10.2f}")
-    return "\n".join(lines)
-
-
-def summarize(values: Sequence[float]) -> Dict[str, float]:
-    """min / median / mean / p99 / max of a value sequence."""
-    if not values:
-        raise ValueError("summarize of empty sequence")
-    ordered = sorted(values)
-    n = len(ordered)
-
-    def pct(p: float) -> float:
-        rank = p / 100.0 * (n - 1)
-        lo = math.floor(rank)
-        hi = math.ceil(rank)
-        if lo == hi:
-            return ordered[lo]
-        w = rank - lo
-        return ordered[lo] * (1 - w) + ordered[hi] * w
-
-    return {
-        "min": ordered[0],
-        "median": pct(50),
-        "mean": sum(ordered) / n,
-        "p99": pct(99),
-        "max": ordered[-1],
-        "count": float(n),
-    }
 
 
 def write_series_csv(

@@ -15,7 +15,7 @@ experiment harness only swaps the broker factory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from ..core.ticks import Tick
 from .fanout import BaselineBroker
@@ -30,9 +30,6 @@ class BEMessage:
     pubend: str
     tick: Tick
     payload: Any
-
-    def to_wire(self) -> Dict[str, Any]:
-        return {"kind": "be", "pubend": self.pubend, "t": self.tick, "p": self.payload}
 
 
 class BestEffortBroker(BaselineBroker):

@@ -67,7 +67,7 @@ class BaselineBroker(SimProcess):
         log: MessageLog,
         slot: int = 0,
         n_slots: int = 1,
-        preassign_window: Optional[float] = None,
+        preassign_window: float = 0.0,
     ) -> None:
         """Accepted for interface compatibility; a baseline keeps no
         pubend log."""

@@ -125,11 +125,9 @@ class BrokerHost:
         log: MessageLog,
         slot: int = 0,
         n_slots: int = 1,
-        preassign_window: Optional[float] = None,
+        preassign_window: float = 0.0,
     ) -> MessageLog:
         """Become the PHB for ``pubend_id`` with the given stable log."""
-        if preassign_window is None:
-            preassign_window = self.params.preassign_window
         hosting = PubendHosting(
             pubend_id, log.factory(), slot, n_slots, preassign_window, log
         )

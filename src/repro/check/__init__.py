@@ -10,12 +10,7 @@ for the seed/repro formats and the corpus check-in workflow, and
 ``docs/TESTING.md`` for how the tiers fit together.
 """
 
-from .conformance import (
-    ConformanceResult,
-    conform,
-    replay_conformance,
-    run_conformance,
-)
+from .conformance import ConformanceResult, conform, run_conformance
 from .oracles import ORACLES, OracleFailure, OracleSuite, StackOutcome
 from .runner import (
     CampaignReport,
@@ -23,6 +18,7 @@ from .runner import (
     campaign,
     fuzz,
     load_repro,
+    replay,
     run_scenario,
     run_scenario_aio,
     run_seed,
@@ -52,6 +48,7 @@ __all__ = [
     "campaign",
     "fuzz",
     "load_repro",
+    "replay",
     "run_scenario",
     "run_scenario_aio",
     "run_seed",
@@ -70,6 +67,5 @@ __all__ = [
     "shrink",
     "ConformanceResult",
     "conform",
-    "replay_conformance",
     "run_conformance",
 ]

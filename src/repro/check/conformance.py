@@ -70,13 +70,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List
 
 from .oracles import StackOutcome, _matching_sets, _preview, judge_outcome
 from .runner import (
     CampaignReport,
     campaign,
-    load_repro,
     message_counts,
     normalize_for_transport,
     run_scenario,
@@ -89,7 +88,6 @@ __all__ = [
     "compare_outcomes",
     "run_conformance",
     "conform",
-    "replay_conformance",
 ]
 
 
@@ -217,12 +215,3 @@ def conform(
         shrink_budget=shrink_budget,
         **campaign_options,
     )
-
-
-def replay_conformance(path: str) -> Tuple[ConformanceResult, str]:
-    """Re-run a conformance repro with its stored options: (result,
-    expected verdict ``"pass"`` / ``"fail"``)."""
-    scenario, expect, judge, options = load_repro(path)
-    if judge != "conform":
-        raise ValueError(f"{path}: a {judge} repro, not a conformance one")
-    return run_conformance(scenario, **options), expect

@@ -23,8 +23,8 @@ exactly one driver per clock, both returning a :class:`RunResult`:
 a failure :func:`~repro.check.shrink.shrink` plus :func:`write_repro` —
 behind :func:`fuzz`, :func:`~repro.check.conformance.conform` and
 :func:`~repro.aio.chaos.chaos`.  A repro file names its judge and carries
-every run option that is not the scenario, so ``python -m repro replay``
-re-runs any of them (docs/FUZZING.md).
+every run option that is not the scenario, so :func:`replay` (``python -m
+repro replay``) re-runs any of them (docs/FUZZING.md).
 """
 
 from __future__ import annotations
@@ -75,6 +75,7 @@ __all__ = [
     "fuzz",
     "write_repro",
     "load_repro",
+    "replay",
 ]
 
 #: Wall-clock seconds per scenario second on the asyncio driver.  At 0.35
@@ -600,12 +601,6 @@ _RUN_OPTIONS = {
     "corrupt_rate": 0.0,
 }
 
-#: Top-level format tag of the conformance repro files written before the
-#: schemas were unified (``expect`` was ``agree``/``diverge``, the judge
-#: implicit); fuzz files of that era carry no top-level tag at all.
-_LEGACY_CONFORM_FORMAT = "repro-conform/1"
-
-
 def write_repro(
     scenario: Scenario,
     result: Any = None,
@@ -641,14 +636,10 @@ def load_repro(path: str) -> Tuple[Scenario, str, str, Dict[str, Any]]:
     ``"fail"``, judge, run options to call the judge with)."""
     with open(path) as handle:
         obj = json.load(handle)
-    fmt = obj.get("format")
-    if fmt not in (None, _LEGACY_CONFORM_FORMAT):
-        raise ValueError(f"{path}: unsupported repro format {fmt!r}")
-    judge = obj.get("judge", "fuzz" if fmt is None else "conform")
+    judge = obj.get("judge")
     if judge not in ("fuzz", "conform", "chaos"):
         raise ValueError(f"{path}: unknown judge {judge!r}")
-    expect = obj.get("expect", "pass")
-    expect = {"agree": "pass", "diverge": "fail"}.get(expect, expect)
+    expect = obj.get("expect")
     if expect not in ("pass", "fail"):
         raise ValueError(f"{path}: bad expect {expect!r}")
     options: Dict[str, Any] = {}
@@ -658,3 +649,18 @@ def load_repro(path: str) -> Tuple[Scenario, str, str, Dict[str, Any]]:
         }
         options["mutations"] = tuple(options["mutations"])
     return Scenario.from_dict(obj["scenario"]), expect, judge, options
+
+
+def replay(
+    path: str, *, flush_delay: Optional[float] = None, **options: Any
+) -> Tuple[Any, str]:
+    """Re-run a repro file under the judge it names, with the run options
+    it stores (``options`` add to or replace them; ``flush_delay`` replaces
+    the scenario's): (result, expected verdict ``"pass"`` / ``"fail"``)."""
+    from .conformance import run_conformance
+
+    scenario, expect, judge, stored = load_repro(path)
+    if flush_delay is not None:
+        scenario = scenario.with_(flush_delay=flush_delay)
+    run = {"fuzz": run_scenario, "conform": run_conformance, "chaos": run_scenario_aio}
+    return run[judge](scenario, **{**stored, **options}), expect

@@ -259,10 +259,6 @@ class Scenario:
         )
         return cls(**data)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return cls.from_dict(json.loads(text))
-
     # -- derived ---------------------------------------------------------
 
     def params(self) -> LivenessParams:

@@ -243,19 +243,12 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from .check import load_repro, run_conformance, run_scenario, run_scenario_aio
+    from .check import load_repro, replay
 
-    judges = {
-        "fuzz": run_scenario,
-        "conform": run_conformance,
-        "chaos": run_scenario_aio,
-    }
     status = 0
     for path in args.repro:
-        scenario, expect, judge, options = load_repro(path)
-        if args.flush_delay is not None:
-            scenario = scenario.with_(flush_delay=args.flush_delay)
-        result = judges[judge](scenario, **options)
+        judge = load_repro(path)[2]
+        result, expect = replay(path, flush_delay=args.flush_delay)
         verdict = "pass" if result.ok else "fail"
         agree = verdict == expect
         print(f"{path}: {judge} expected {expect}, got {verdict} "

@@ -3,7 +3,7 @@
 from .config import INFINITY, PAPER_FAULT_PARAMS, LivenessParams
 from .edges import FilterEdge, MergeView, MATCH_ALL
 from .intervals import IntervalMap
-from .lattice import C, K, KnowledgeConflictError, c_meet, k_is_final, k_lub
+from .lattice import C, K, KnowledgeConflictError, k_lub
 from .messages import (
     AckExpectedMessage,
     AckMessage,

@@ -58,10 +58,6 @@ class LivenessParams:
     link_status_interval: float = 0.5
     #: How often subends evaluate DCT and other time-based checks.
     subend_check_interval: float = 0.1
-    #: Pre-assigned finality window (seconds of future ticks finalized
-    #: with each publication — the Aguilera & Strom 2000 optimization for
-    #: downstream merges; 0 disables it).
-    preassign_window: float = 0.0
     #: Subscription propagation: subscriber-hosting brokers advertise the
     #: union of their subscriptions upstream, and edge filters prune
     #: traffic against those summaries.  Off by default — the paper's

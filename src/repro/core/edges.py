@@ -168,17 +168,3 @@ class MergeView:
             out.extend(stream.d_ticks(rng))
         out.sort(key=lambda pair: pair[0])
         return out
-
-    def curious_targets(self, rng: TickRange) -> List[Tuple[int, TickRange]]:
-        """Which inputs a C range propagates to.
-
-        Curiosity propagates to those predecessors of a merge that have Q
-        ticks in the range (paper section 2.4).  Returns ``(input_index,
-        sub_range)`` pairs.
-        """
-        targets: List[Tuple[int, TickRange]] = []
-        for index, stream in enumerate(self.inputs):
-            q_ranges = stream.ranges_with(lambda v: v == K.Q, rng.start, rng.stop)
-            for piece in q_ranges:
-                targets.append((index, piece))
-        return targets

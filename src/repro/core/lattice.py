@@ -53,7 +53,7 @@ from __future__ import annotations
 import enum
 from typing import Tuple
 
-__all__ = ["K", "C", "k_lub", "k_is_final", "c_meet", "KnowledgeConflictError"]
+__all__ = ["K", "C", "k_lub", "KnowledgeConflictError"]
 
 
 class KnowledgeConflictError(Exception):
@@ -142,25 +142,3 @@ def k_lub(a: K, b: K) -> K:
     if result == K.E:
         raise KnowledgeConflictError(f"conflicting knowledge: {a!r} | {b!r}")
     return result
-
-
-def k_is_final(value: K) -> bool:
-    """True for ticks whose data is known to be unneeded downstream.
-
-    Final ticks (F, D*, and S-once-lowered) are exactly the ticks whose
-    curiosity is forced to A (paper: "a tick whose knowledge state becomes
-    F is assigned a curiosity of A and vice-versa").  In the implemented
-    protocol S and D* ticks are automatically lowered to F, so testing for
-    membership in {S, F, DSTAR} identifies "effectively final" knowledge.
-    """
-    return value in (K.F, K.DSTAR, K.S)
-
-
-def c_meet(a: C, b: C) -> C:
-    """Combine curiosity demands from multiple downstream consumers.
-
-    A tick is anti-curious only if *all* downstream consumers are
-    anti-curious; it is curious if *any* consumer is curious.  That is the
-    maximum in the order A < N < C.
-    """
-    return C(max(a, b))

@@ -123,26 +123,6 @@ class KnowledgeMessage:
             hi = max(hi, self.data[-1].tick + 1)
         return hi
 
-    def without_data(self) -> "KnowledgeMessage":
-        """This message's silence skeleton (a filtered-out data message
-        becomes a first-time silence message, paper section 3.1)."""
-        return KnowledgeMessage(
-            pubend=self.pubend,
-            fin_prefix=self.fin_prefix,
-            f_ranges=self.f_ranges,
-            data=(),
-            retransmit=self.retransmit,
-        )
-
-    def replace_data(self, data: Sequence[DataTick]) -> "KnowledgeMessage":
-        return KnowledgeMessage(
-            pubend=self.pubend,
-            fin_prefix=self.fin_prefix,
-            f_ranges=self.f_ranges,
-            data=tuple(sorted(data, key=lambda d: d.tick)),
-            retransmit=self.retransmit,
-        )
-
     def merged_f_ranges(self) -> List[TickRange]:
         """All F ranges asserted by the message, final prefix included."""
         ranges = list(self.f_ranges)

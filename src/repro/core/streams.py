@@ -353,9 +353,6 @@ class CuriosityStream:
     #: With only C stored, forgetting everything is the same operation.
     forget_all = forget_curiosity
 
-    def runs(self) -> Iterator[Tuple[TickRange, C]]:
-        return self._map.runs()
-
     def run_count(self) -> int:
         """Stored C runs — the stream's actual memory footprint, and an
         O(1) "is anything curious?"."""

@@ -343,9 +343,6 @@ class SubendManager:
     def has_pubend(self, pubend: str) -> bool:
         return pubend in self._states
 
-    def pubends(self) -> List[str]:
-        return sorted(self._states)
-
     def subscribe(self, subscription: Subscription) -> None:
         """Add a subscription, replacing the one its subscriber already
         has.  All its pubends must be attached first."""
@@ -640,6 +637,3 @@ class SubendManager:
 
     def total_nacks_sent(self) -> int:
         return sum(s.nacks_sent for s in self._states.values())
-
-    def total_nack_ticks_sent(self) -> int:
-        return sum(s.nack_ticks_sent for s in self._states.values())

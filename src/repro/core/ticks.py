@@ -17,7 +17,7 @@ timestamp we convert with ``TickRange(0, T + 1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List
 
 __all__ = [
     "Tick",
@@ -26,7 +26,6 @@ __all__ = [
     "subtract_ranges",
     "TICKS_PER_SECOND",
     "tick_of_time",
-    "time_of_tick",
 ]
 
 #: Tick granularity: ticks are integer milliseconds of (virtual) time.
@@ -37,10 +36,6 @@ def tick_of_time(seconds: float) -> int:
     """The tick containing wall/simulated time ``seconds``."""
     return int(seconds * TICKS_PER_SECOND)
 
-
-def time_of_tick(tick: int) -> float:
-    """The start time, in seconds, of ``tick``."""
-    return tick / TICKS_PER_SECOND
 
 #: Type alias for a tick value.  Ticks are integers; the protocol only
 #: requires that they be totally ordered and dense enough for each message
@@ -91,14 +86,6 @@ class TickRange:
     def touches(self, other: "TickRange") -> bool:
         """True when the ranges overlap or are exactly adjacent."""
         return self.start <= other.stop and other.start <= self.stop
-
-    def intersection(self, other: "TickRange") -> Optional["TickRange"]:
-        """The overlapping sub-range, or ``None`` when disjoint."""
-        start = max(self.start, other.start)
-        stop = min(self.stop, other.stop)
-        if start < stop:
-            return TickRange(start, stop)
-        return None
 
     def union(self, other: "TickRange") -> "TickRange":
         """The covering range of two touching ranges.

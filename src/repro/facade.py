@@ -137,7 +137,7 @@ class SystemFacade:
         *,
         slot: int = 0,
         n_slots: int = 1,
-        preassign_window: Optional[float] = None,
+        preassign_window: float = 0.0,
     ) -> MessageLog:
         """Place a pubend on its hosting broker; returns the log in use,
         so callers can inspect it.  Pubends declared on the

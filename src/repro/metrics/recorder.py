@@ -89,9 +89,6 @@ class Series:
     def max(self) -> float:
         return max(self.values())
 
-    def percentile(self, pct: float) -> float:
-        return percentile(self.values(), pct)
-
     def between(self, t0: float, t1: float) -> "Series":
         """The sub-series with ``t0 <= t < t1``."""
         out = Series(self.name)
@@ -132,12 +129,6 @@ class LatencyRecorder:
 
     def subscribers(self) -> List[str]:
         return sorted(self._series)
-
-    def all_values(self) -> List[float]:
-        out: List[float] = []
-        for series in self._series.values():
-            out.extend(series.values())
-        return out
 
     def merged(self) -> Series:
         merged = Series("all")

@@ -40,7 +40,6 @@ from .instruments import (
     Histogram,
     Instruments,
     NullInstruments,
-    ScopedTimer,
 )
 from .observability import Observability
 
@@ -61,7 +60,6 @@ __all__ = [
     "NULL_INSTRUMENTS",
     "NullInstruments",
     "Observability",
-    "ScopedTimer",
     "Span",
     "TICK_RANGE_BUCKETS",
     "TraceEvent",

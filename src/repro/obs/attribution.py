@@ -176,10 +176,6 @@ class AttributionReport:
     breakdowns: List[LatencyBreakdown]
     routes: List[RouteStats] = field(default_factory=list)
 
-    @property
-    def complete(self) -> bool:
-        return all(b.complete for b in self.breakdowns)
-
     def format(self, top: int = 0) -> str:
         lines = [
             f"latency attribution: {len(self.breakdowns)} deliveries,"

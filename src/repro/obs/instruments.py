@@ -21,7 +21,6 @@ incarnation (soft state dies; measurements survive).
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -32,7 +31,6 @@ __all__ = [
     "Instruments",
     "NullInstruments",
     "NULL_INSTRUMENTS",
-    "ScopedTimer",
     "DEFAULT_BUCKETS",
     "TICK_RANGE_BUCKETS",
 ]
@@ -333,44 +331,3 @@ class NullInstruments:
 
 
 NULL_INSTRUMENTS = NullInstruments()
-
-
-class ScopedTimer:
-    """Times a ``with`` block into a histogram and/or a CpuAccountant.
-
-    Bridges the new instruments and the existing work-unit CPU cost model
-    (:class:`~repro.metrics.cpu.CpuAccountant`): when ``cost`` is given
-    the accountant is charged that modelled cost (the Figure-4 currency);
-    otherwise it is charged the measured wall time.  Either way the
-    histogram sees the measured duration, so the two views stay attached
-    to the same code region and can be cross-checked.
-    """
-
-    __slots__ = ("histogram", "accountant", "cost", "category", "clock", "_t0", "elapsed")
-
-    def __init__(
-        self,
-        histogram: Any = None,
-        accountant: Any = None,
-        cost: Optional[float] = None,
-        category: str = "misc",
-        clock: Any = time.perf_counter,
-    ):
-        self.histogram = histogram if histogram is not None else _NULL_HISTOGRAM
-        self.accountant = accountant
-        self.cost = cost
-        self.category = category
-        self.clock = clock
-        self._t0 = 0.0
-        self.elapsed = 0.0
-
-    def __enter__(self) -> "ScopedTimer":
-        self._t0 = self.clock()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.elapsed = max(self.clock() - self._t0, 0.0)
-        self.histogram.observe(self.elapsed)
-        if self.accountant is not None:
-            charge = self.cost if self.cost is not None else self.elapsed
-            self.accountant.charge(charge, self.category)

@@ -30,20 +30,13 @@ needs to know how many channels exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..core.ticks import tick_of_time
 from . import exporters
 from .hub import MetricsHub
 from .lifecycle import LifecycleHub, LifecycleListener
-from .instruments import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    Instruments,
-    ScopedTimer,
-)
+from .instruments import Counter, Gauge, Instruments
 
 __all__ = ["FaultEvent", "Observability"]
 
@@ -97,30 +90,6 @@ class Observability(LifecycleListener):
 
     def gauge(self, name: str, help: str = "", **labels: Any) -> Gauge:
         return self.instruments.gauge(name, help, **labels)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        boundaries: Sequence[float] = DEFAULT_BUCKETS,
-        **labels: Any,
-    ) -> Histogram:
-        return self.instruments.histogram(name, help, boundaries, **labels)
-
-    def timer(
-        self,
-        name: str,
-        accountant: Any = None,
-        cost: Optional[float] = None,
-        category: str = "misc",
-        **labels: Any,
-    ) -> ScopedTimer:
-        """A :class:`ScopedTimer` over the named histogram, optionally
-        charging a CPU accountant so the cost model stays in step."""
-        histogram = self.instruments.histogram(name, **labels)
-        return ScopedTimer(
-            histogram, accountant=accountant, cost=cost, category=category
-        )
 
     # -- peer registration ----------------------------------------------
 

@@ -39,9 +39,6 @@ class SimProcess(Node):
         """Arm a timer tied to this incarnation of the process."""
         return self._track(self.scheduler.call_later(delay, fn), fn)
 
-    def schedule_at(self, when: float, fn: Callable[[], None]) -> TimerHandle:
-        return self._track(self.scheduler.call_at(when, fn), fn)
-
     def every(self, interval: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` every ``interval`` seconds until crash."""
 

@@ -110,7 +110,3 @@ class Scheduler:
         if count >= max_events:
             raise RuntimeError("scheduler run() exceeded max_events — runaway timers?")
         return count
-
-    def pending(self) -> int:
-        """Number of queued (possibly cancelled) events."""
-        return len(self._heap)

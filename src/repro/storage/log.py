@@ -25,8 +25,9 @@ Losing a record this way is safe for exactly-once semantics: either the
 record was already acknowledged downstream (its data is delivered and
 its tick finalized), or it was never acknowledged to the publisher and
 recovery finalizes its tick as silence; in both cases the retransmit
-protocol converges with zero duplicates.  Legacy unchecksummed
-JSON-lines files (and mixed files) replay transparently.
+protocol converges with zero duplicates.  A line without the ``R2``
+header (such as the bare JSON of the pre-checksum format) cannot be
+verified, so it is quarantined like any other such record.
 
 Write-path failures are explicit: ``append`` raising
 :class:`LogAppendError` (disk full, failed ``fsync``) leaves both the
@@ -202,10 +203,8 @@ class FileLog(MessageLog):
     or torn records *anywhere* in the file are quarantined into
     ``<path>.quarantine`` and the file is rewritten with the surviving
     verified records (see the module docstring for why this is safe).
-    Legacy bare-JSON lines (the pre-checksum format) are accepted on
-    replay when they parse, but never written.  Truncation is logical (a
-    framed truncation marker); :meth:`compact` rewrites the file to drop
-    dead entries physically.
+    Truncation is logical (a framed truncation marker), and nothing
+    rewrites the file to drop dead entries.
 
     ``file_wrapper`` wraps the freshly opened binary append handle —
     the hook :class:`~repro.storage.faults.FaultyFile` uses to inject
@@ -289,33 +288,27 @@ class FileLog(MessageLog):
     def _parse_line(line: bytes) -> Tuple[Optional[Dict[str, Any]], str]:
         """``(parsed record, "")`` or ``(None, reason)`` for one raw line."""
         stripped = line.strip()
-        if stripped.startswith(RECORD_MAGIC):
-            if not line.endswith(b"\n"):
-                return None, "torn checksummed record (no terminator)"
-            # R2 <crc:8 hex> <len:8 hex> <payload>
-            if len(stripped) < 21 or stripped[11:12] != b" " or stripped[20:21] != b" ":
-                return None, "malformed record header"
-            try:
-                crc = int(stripped[3:11], 16)
-                length = int(stripped[12:20], 16)
-            except ValueError:
-                return None, "malformed record header"
-            payload = stripped[21:]
-            if len(payload) != length:
-                return None, (
-                    f"length mismatch ({len(payload)} != declared {length})"
-                )
-            if zlib.crc32(payload) != crc:
-                return None, "crc32 mismatch"
-            try:
-                return json.loads(payload.decode("utf-8")), ""
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                return None, "unparseable payload despite matching crc"
-        # Legacy v1: a bare JSON line, no checksum to verify against.
+        if not stripped.startswith(RECORD_MAGIC):
+            return None, "no checksummed record header"
+        if not line.endswith(b"\n"):
+            return None, "torn checksummed record (no terminator)"
+        # R2 <crc:8 hex> <len:8 hex> <payload>
+        if len(stripped) < 21 or stripped[11:12] != b" " or stripped[20:21] != b" ":
+            return None, "malformed record header"
         try:
-            return json.loads(stripped.decode("utf-8")), ""
+            crc = int(stripped[3:11], 16)
+            length = int(stripped[12:20], 16)
+        except ValueError:
+            return None, "malformed record header"
+        payload = stripped[21:]
+        if len(payload) != length:
+            return None, f"length mismatch ({len(payload)} != declared {length})"
+        if zlib.crc32(payload) != crc:
+            return None, "crc32 mismatch"
+        try:
+            return json.loads(payload.decode("utf-8")), ""
         except (json.JSONDecodeError, UnicodeDecodeError):
-            return None, "unparseable legacy record"
+            return None, "unparseable payload despite matching crc"
 
     # -- replay -----------------------------------------------------------
 
@@ -464,25 +457,6 @@ class FileLog(MessageLog):
 
     def truncated_below(self, pubend: str) -> Tick:
         return self._truncated_below.get(pubend, 0)
-
-    def compact(self) -> None:
-        """Rewrite the file keeping only live entries."""
-        tmp_path = self.path + ".compact"
-        with open(tmp_path, "wb") as out:
-            for pubend in sorted(self._entries):
-                below = self._truncated_below.get(pubend)
-                if below is not None:
-                    out.write(
-                        self._encode_record(
-                            {"op": "truncate", "pubend": pubend, "below": below}
-                        )
-                    )
-                for entry in self._entries[pubend]:
-                    out.write(self._encode_record(entry.to_wire()))
-        self._fh.close()
-        os.replace(tmp_path, self.path)
-        self._size = os.path.getsize(self.path)
-        self._fh = self._open()
 
     def pubends(self) -> List[str]:
         return sorted(self._entries)

@@ -49,7 +49,7 @@ __all__ = [
 class _PubendDecl:
     pubend: str
     host_broker: str
-    preassign_window: Optional[float] = None
+    preassign_window: float = 0.0
 
 
 @dataclass
@@ -62,7 +62,7 @@ class TopologyPlan:
     links: List[Tuple[str, str, Dict[str, Any]]]
     #: Pubend placements as
     #: (pubend_id, host_broker, slot, n_slots, preassign_window).
-    pubends: List[Tuple[str, str, int, int, Optional[float]]]
+    pubends: List[Tuple[str, str, int, int, float]]
 
 
 @dataclass
@@ -117,14 +117,14 @@ class Topology:
         pubend_id: str,
         host_broker: str,
         *,
-        preassign_window: Optional[float] = None,
+        preassign_window: float = 0.0,
     ) -> "Topology":
         """Place a pubend on its hosting broker (the PHB).
 
         ``preassign_window`` opts this pubend into pre-assigned finality
         (section 2.2): set it to the pubend's expected publication period
-        so downstream merges never wait on it.  ``None`` falls back to
-        the system-wide :attr:`LivenessParams.preassign_window`.
+        so downstream merges never wait on it (0, the default, disables
+        it).
         """
         if pubend_id in self._pubends:
             raise ValueError(f"pubend {pubend_id!r} already declared")
@@ -475,7 +475,7 @@ def figure3_topology(
     for name in names:
         topo.pubend(
             name, "p1",
-            preassign_window=(preassign or {}).get(name),
+            preassign_window=(preassign or {}).get(name, 0.0),
         )
     topo.route_all("PHB", "IB1")
     topo.route_all("PHB", "IB2")

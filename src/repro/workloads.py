@@ -1,8 +1,8 @@
 """Workload generators for experiments and examples.
 
 The paper's workloads are simple (fixed-rate publishers, group-partitioned
-subscribers); real content-based deployments are skewed and bursty.  This
-module provides both, as attribute factories pluggable into
+subscribers); real content-based deployments are skewed.  This module
+provides skewed feeds as attribute factories pluggable into
 :class:`~repro.client.PublisherClient` / the experiment drivers, plus
 subscription-population generators for matching benchmarks.
 
@@ -20,32 +20,10 @@ from typing import Any, Callable, Dict, List, Sequence
 from .matching.ast import Predicate
 from .matching.parser import parse
 
-__all__ = [
-    "group_partition",
-    "zipf_symbols",
-    "market_ticks",
-    "bursty_rate",
-    "subscription_population",
-]
+__all__ = ["zipf_symbols", "market_ticks", "subscription_population"]
 
 #: An attribute factory: sequence number -> event attributes.
 AttributeFactory = Callable[[int], Dict[str, Any]]
-
-
-def group_partition(n_groups: int) -> AttributeFactory:
-    """The paper's overhead workload: round-robin ``group`` attribute.
-
-    With subscriber *i* subscribing to ``group = i % n_groups``, each
-    subscriber receives ``input_rate / n_groups`` messages per second
-    regardless of total subscriber count.
-    """
-    if n_groups <= 0:
-        raise ValueError("n_groups must be positive")
-
-    def make(seq: int) -> Dict[str, Any]:
-        return {"group": seq % n_groups}
-
-    return make
 
 
 def zipf_symbols(
@@ -96,27 +74,6 @@ def market_ticks(
         }
 
     return make
-
-
-def bursty_rate(
-    base_rate: float,
-    burst_rate: float,
-    burst_every: float,
-    burst_length: float,
-) -> Callable[[float], float]:
-    """A time-varying rate function: ``base_rate`` with periodic bursts.
-
-    Returns ``rate(t)``; callers publishing with variable rate sample it
-    per message to choose the next inter-publish gap.
-    """
-    if min(base_rate, burst_rate) <= 0:
-        raise ValueError("rates must be positive")
-
-    def rate(t: float) -> float:
-        phase = t % burst_every
-        return burst_rate if phase < burst_length else base_rate
-
-    return rate
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,8 @@ from functools import partial
 
 import pytest
 
-from repro.aio.chaos import run_chaos
-from repro.check import campaign, load_repro, run_scenario_aio
+from repro.aio.chaos import _wall_clock_scenario as wall_clock
+from repro.check import campaign, replay, run_scenario_aio
 from repro.check.scenario import INTEGRITY_KINDS, chaos_scenario
 from repro.cli import main
 
@@ -92,8 +92,9 @@ class TestChaosRuns:
     def test_tcp_filelog_phb_crash_exactly_once(self, tmp_path):
         """The acceptance scenario: durable pubends over TCP survive a
         real kill+restart of their hosting broker."""
-        result = run_chaos(
-            seed=0, duration=1.5, transport="tcp", data_dir=str(tmp_path)
+        result = run_scenario_aio(
+            wall_clock(0, 1.5, settle=2.5, corrupt_rate=0.0),
+            transport="tcp", data_dir=str(tmp_path), durable=True,
         )
         assert result.ok, result.failures
         assert result.published > 20, "run carried too little traffic"
@@ -108,18 +109,24 @@ class TestChaosRuns:
         # Seed 2's schedule fails phb-m0 before any crash (see the
         # deterministic schedule); the supervised transport must carry
         # the backlog through after the heal.
-        result = run_chaos(seed=2, duration=1.5, transport="tcp")
+        result = run_scenario_aio(
+            wall_clock(2, 1.5, settle=2.5, corrupt_rate=0.0),
+            transport="tcp", durable=True,
+        )
         assert result.ok, result.failures
         assert result.outcome.faults[0] == ("fail_link", "phb-m0")
 
     @pytest.mark.slow
     def test_local_transport_profile(self):
-        result = run_chaos(seed=3, duration=1.2, transport="local", settle=2.0)
+        result = run_scenario_aio(
+            wall_clock(3, 1.2, settle=2.0, corrupt_rate=0.0),
+            transport="local", durable=True,
+        )
         assert result.ok, result.failures
 
     def test_rejects_unknown_transport(self):
         with pytest.raises(ValueError, match="transport"):
-            run_chaos(transport="carrier-pigeon")
+            run_scenario_aio(chaos_scenario(0, 2.0), transport="carrier-pigeon")
 
     @pytest.mark.slow
     def test_corruption_injection_detected_and_healed(self, tmp_path):
@@ -127,12 +134,9 @@ class TestChaosRuns:
         broker is down, a damaged wire frame, and a full disk — all in
         one run — and delivery is still exactly-once, with every
         injected fault accounted for by a detection counter."""
-        result = run_chaos(
-            seed=0,
-            duration=1.5,
-            transport="tcp",
-            data_dir=str(tmp_path),
-            corrupt_rate=1.0,
+        result = run_scenario_aio(
+            wall_clock(0, 1.5, settle=2.5, corrupt_rate=1.0),
+            transport="tcp", data_dir=str(tmp_path), durable=True,
         )
         assert result.ok, result.failures
         assert result.delivered == result.published
@@ -168,11 +172,11 @@ def test_a_broken_runtime_leaves_a_shrunk_replayable_repro(tmp_path, capsys):
     assert failed.outcome.mutated["suppress-retransmit"] > 0
 
     [path] = report.repro_paths
-    scenario, expect, judge, options = load_repro(path)
-    assert (expect, judge) == ("fail", "chaos")
-    assert options["mutations"] == ("suppress-retransmit",)
-    assert len(scenario.faults) < len(failed.scenario.faults)
-    assert "shrunk from seed 0" in scenario.note
+    replayed, expect = replay(path)
+    assert expect == "fail" and not replayed.ok
+    assert replayed.options["mutations"] == ["suppress-retransmit"]
+    assert len(replayed.scenario.faults) < len(failed.scenario.faults)
+    assert "shrunk from seed 0" in replayed.scenario.note
 
     assert main(["replay", path]) == 0
     out = capsys.readouterr().out

@@ -9,6 +9,7 @@ never fires is indistinguishable from a broken one).
 """
 
 import asyncio
+import json
 import math
 from collections import Counter
 
@@ -18,7 +19,6 @@ from repro.check import conformance
 from repro.check.conformance import (
     ConformanceResult,
     compare_outcomes,
-    replay_conformance,
     run_conformance,
 )
 from repro.check.oracles import StackOutcome
@@ -28,6 +28,7 @@ from repro.check.runner import (
     message_counts,
     normalize_for_transport,
     publisher_start,
+    replay,
     write_repro,
 )
 from repro.check.scenario import (
@@ -281,28 +282,33 @@ class TestReproFiles:
             "run_conformance",
             lambda scenario, **received: calls.append(received) or result,
         )
-        assert replay_conformance(path) == (result, "fail")
+        assert replay(path) == (result, "fail")
         assert calls == [{**options, "mutations": ("suppress-retransmit",)}]
 
-    def test_files_older_than_an_option_load_its_default(self):
-        # Written before corrupt_rate and durable were persisted, with the
-        # legacy top-level format tag and agree/diverge verdicts.
-        import os
-
-        path = os.path.join(
-            os.path.dirname(__file__), "..", "corpus", "conformance",
-            "suppress-retransmit-two-broker.json",
-        )
-        __, expect, judge, options = load_repro(path)
+    def test_files_older_than_an_option_load_its_default(self, tmp_path):
+        # Written before corrupt_rate and durable were persisted.
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({
+            "expect": "fail",
+            "judge": "conform",
+            "mutations": ["suppress-retransmit"],
+            "scenario": tiny_scenario().to_dict(),
+        }))
+        __, expect, judge, options = load_repro(str(path))
         assert (expect, judge) == ("fail", "conform")
         assert options["mutations"] == ("suppress-retransmit",)
         assert options["corrupt_rate"] == 0.0
         assert options["durable"] is False
 
     def test_rejects_unknown_format(self, tmp_path):
+        # The pre-unification conformance format: no judge, agree/diverge.
         path = tmp_path / "bad.json"
-        path.write_text('{"format": "repro-conform/99", "scenario": {}}')
-        with pytest.raises(ValueError, match="format"):
+        path.write_text(json.dumps({
+            "format": "repro-conform/1",
+            "expect": "agree",
+            "scenario": tiny_scenario().to_dict(),
+        }))
+        with pytest.raises(ValueError, match="judge"):
             load_repro(str(path))
 
     def test_rejects_bad_expectation(self, tmp_path):
@@ -410,9 +416,9 @@ def test_scale_params_scales_the_durations_and_nothing_else():
     durations = {
         "gct", "nrt_min", "nrt_max", "dct", "aet", "aet_check_interval",
         "silence_interval", "link_status_interval", "subend_check_interval",
-        "preassign_window", "flush_delay",
+        "flush_delay",
     }
-    params = LivenessParams(preassign_window=0.2, flush_delay=0.04)
+    params = LivenessParams(flush_delay=0.04)
     scaled = _scale_params(params, 0.5)
     for f in dataclasses.fields(params):
         before, after = getattr(params, f.name), getattr(scaled, f.name)

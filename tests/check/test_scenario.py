@@ -70,7 +70,7 @@ class TestSerialization:
     def test_json_round_trip(self):
         for seed in SEEDS[:10]:
             scenario = generate(seed)
-            again = Scenario.from_json(scenario.to_json())
+            again = Scenario.from_dict(json.loads(scenario.to_json()))
             assert again == scenario
 
     def test_format_marker(self):
@@ -97,7 +97,7 @@ class TestSerialization:
             kind="stall_crash", target=("b1",), at=1.5, duration=2.0, stall=0.5
         )
         scenario = generate(SEEDS[0]).with_(faults=(fault,))
-        again = Scenario.from_json(scenario.to_json())
+        again = Scenario.from_dict(json.loads(scenario.to_json()))
         assert again.faults == (fault,)
 
 

@@ -109,13 +109,6 @@ class TestMergeView:
         with pytest.raises(KeyError):
             view.payload_at(3)
 
-    def test_curious_targets_only_q_inputs(self):
-        a = make_stream([("f", 0, 10)])
-        b = make_stream([])
-        view = MergeView([a, b])
-        targets = view.curious_targets(TickRange(0, 10))
-        assert targets == [(1, TickRange(0, 10))]
-
     def test_same_view_same_order_for_all_subscribers(self):
         """Determinism: two views over the same inputs agree (total order)."""
         a = make_stream([("d", 3, "x"), ("d", 11, "y"), ("f", 0, 3), ("f", 4, 11), ("f", 12, 20)])

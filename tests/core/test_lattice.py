@@ -3,10 +3,8 @@
 import itertools
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from repro.core.lattice import C, K, KnowledgeConflictError, c_meet, k_is_final, k_lub
+from repro.core.lattice import K, KnowledgeConflictError, k_lub
 
 SAFE = [K.Q, K.S, K.D, K.F, K.DSTAR]
 
@@ -66,38 +64,3 @@ class TestKnowledgeLub:
         """Accumulating more knowledge never lowers a final verdict."""
         assert k_lub(k_lub(K.Q, K.D), K.F) == K.DSTAR
         assert k_lub(k_lub(K.Q, K.S), K.F) == K.F
-
-
-class TestFinality:
-    def test_final_values(self):
-        assert k_is_final(K.F)
-        assert k_is_final(K.DSTAR)
-        assert k_is_final(K.S)
-
-    def test_nonfinal_values(self):
-        assert not k_is_final(K.Q)
-        assert not k_is_final(K.D)
-
-
-class TestCuriosityMeet:
-    def test_any_curious_wins(self):
-        assert c_meet(C.C, C.A) == C.C
-        assert c_meet(C.C, C.N) == C.C
-
-    def test_all_anticurious_required(self):
-        assert c_meet(C.A, C.A) == C.A
-        assert c_meet(C.A, C.N) == C.N
-
-    @given(st.sampled_from(list(C)), st.sampled_from(list(C)))
-    def test_commutative(self, a, b):
-        assert c_meet(a, b) == c_meet(b, a)
-
-    @given(
-        st.sampled_from(list(C)), st.sampled_from(list(C)), st.sampled_from(list(C))
-    )
-    def test_associative(self, a, b, c):
-        assert c_meet(c_meet(a, b), c) == c_meet(a, c_meet(b, c))
-
-    @given(st.sampled_from(list(C)))
-    def test_idempotent(self, a):
-        assert c_meet(a, a) == a

@@ -41,16 +41,6 @@ class TestKnowledgeMessage:
         with pytest.raises(ValueError):
             KnowledgeMessage(pubend="P", fin_prefix=10, data=(DataTick(5, "a"),))
 
-    def test_without_data_gives_silence_skeleton(self):
-        msg = KnowledgeMessage(
-            pubend="P", fin_prefix=3, f_ranges=(TickRange(4, 6),),
-            data=(DataTick(7, "x"),),
-        )
-        silence = msg.without_data()
-        assert silence.is_silence
-        assert silence.fin_prefix == 3
-        assert silence.f_ranges == (TickRange(4, 6),)
-
     def test_merged_f_ranges_includes_prefix(self):
         msg = KnowledgeMessage(
             pubend="P", fin_prefix=5, f_ranges=(TickRange(5, 8), TickRange(10, 12))
@@ -60,12 +50,6 @@ class TestKnowledgeMessage:
     def test_merged_f_ranges_no_prefix(self):
         msg = KnowledgeMessage(pubend="P", f_ranges=(TickRange(3, 5),))
         assert msg.merged_f_ranges() == [TickRange(3, 5)]
-
-    def test_replace_data_sorts(self):
-        msg = KnowledgeMessage(pubend="P")
-        out = msg.replace_data([DataTick(9, "b"), DataTick(4, "a")])
-        assert out.data_ticks == [4, 9]
-
 
 class TestNackMessage:
     def test_requires_ranges(self):

@@ -8,7 +8,6 @@ from repro.core.ticks import (
     merge_ranges,
     subtract_ranges,
     tick_of_time,
-    time_of_tick,
 )
 
 
@@ -48,10 +47,6 @@ class TestTickRange:
     def test_touches_includes_adjacency(self):
         assert TickRange(0, 5).touches(TickRange(5, 10))
         assert not TickRange(0, 5).touches(TickRange(6, 10))
-
-    def test_intersection(self):
-        assert TickRange(0, 5).intersection(TickRange(3, 10)) == TickRange(3, 5)
-        assert TickRange(0, 5).intersection(TickRange(5, 10)) is None
 
     def test_union_of_touching(self):
         assert TickRange(0, 5).union(TickRange(5, 10)) == TickRange(0, 10)
@@ -119,7 +114,6 @@ class TestRangeAlgebra:
 class TestTimeConversion:
     def test_round_trip(self):
         assert tick_of_time(1.5) == 1500
-        assert time_of_tick(1500) == 1.5
 
     def test_granularity(self):
         assert TICKS_PER_SECOND == 1000

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.check import replay_conformance
+from repro.check import replay
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "conformance")
 REPRO_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -30,7 +30,7 @@ def test_conformance_corpus_is_not_empty():
     "path", REPRO_FILES, ids=[os.path.basename(p) for p in REPRO_FILES]
 )
 def test_replay(path):
-    result, expect = replay_conformance(path)
+    result, expect = replay(path)
     verdict = "pass" if result.ok else "fail"
     assert verdict == expect, (
         f"{os.path.basename(path)}: expected {expect}, got {verdict}: "

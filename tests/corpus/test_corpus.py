@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from repro.check import load_repro, run_scenario
+from repro.check import replay
 
 CORPUS_DIR = os.path.dirname(__file__)
 REPRO_FILES = sorted(glob.glob(os.path.join(CORPUS_DIR, "*.json")))
@@ -27,8 +27,7 @@ def test_corpus_is_not_empty():
     "path", REPRO_FILES, ids=[os.path.basename(p) for p in REPRO_FILES]
 )
 def test_replay(path):
-    scenario, expect, __, ___ = load_repro(path)
-    result = run_scenario(scenario)
+    result, expect = replay(path)
     verdict = "pass" if result.ok else "fail"
     assert verdict == expect, (
         f"{os.path.basename(path)}: expected {expect}, got {verdict}: "
@@ -47,9 +46,8 @@ def test_replay_causal_timeline_matches_golden(path):
     The causal tracer is pure observation, so the digest stays identical
     to the plain replay either way.
     """
-    scenario, expect, __, ___ = load_repro(path)
-    plain = run_scenario(scenario)
-    result = run_scenario(scenario, causal=True)
+    plain, expect = replay(path)
+    result, __ = replay(path, causal=True)
     assert result.digest == plain.digest, "causal tracing changed the run"
     stem = os.path.basename(path)[: -len(".json")]
     golden = os.path.join(CORPUS_DIR, "golden", f"{stem}.timeline.txt")

@@ -97,13 +97,6 @@ class TestLatencyRecorder:
         merged = rec.merged()
         assert [s.t for s in merged.samples] == [1.0, 2.0]
 
-    def test_all_values(self):
-        rec = LatencyRecorder()
-        rec.record("a", 0.0, 0.5)
-        rec.record("b", 0.0, 0.25)
-        assert sorted(rec.all_values()) == [0.25, 0.5]
-
-
 class TestNackRecorder:
     def test_count_and_range(self):
         rec = NackRecorder()

@@ -5,13 +5,11 @@ import math
 import pytest
 
 from repro.obs.instruments import (
-    DEFAULT_BUCKETS,
     NULL_INSTRUMENTS,
     Counter,
     Histogram,
     Instruments,
     NullInstruments,
-    ScopedTimer,
 )
 
 
@@ -141,33 +139,3 @@ class _FakeAccountant:
     def charge(self, cost, category):
         self.charges.append((cost, category))
         return 0.0
-
-
-class TestScopedTimer:
-    def test_times_block_into_histogram(self):
-        ticks = iter([10.0, 10.5])
-        h = Histogram("t", boundaries=DEFAULT_BUCKETS)
-        with ScopedTimer(h, clock=lambda: next(ticks)) as timer:
-            pass
-        assert timer.elapsed == pytest.approx(0.5)
-        assert h.count == 1
-        assert h.sum == pytest.approx(0.5)
-
-    def test_charges_accountant_with_model_cost(self):
-        ticks = iter([0.0, 0.25])
-        acct = _FakeAccountant()
-        with ScopedTimer(
-            None, accountant=acct, cost=0.001, category="match",
-            clock=lambda: next(ticks),
-        ):
-            pass
-        assert acct.charges == [(0.001, "match")]
-
-    def test_charges_accountant_with_elapsed_when_no_cost(self):
-        ticks = iter([0.0, 0.25])
-        acct = _FakeAccountant()
-        with ScopedTimer(None, accountant=acct, clock=lambda: next(ticks)):
-            pass
-        (cost, category), = acct.charges
-        assert cost == pytest.approx(0.25)
-        assert category == "misc"

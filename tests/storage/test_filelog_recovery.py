@@ -108,18 +108,6 @@ class TestIdempotentReplay:
         assert [e.tick for e in second.entries("P0")] == [2, 5]
         second.close()
 
-    def test_truncate_marker_then_compact_round_trip(self, tmp_path):
-        log = FileLog(str(tmp_path / "p.log"))
-        for tick in range(1, 6):
-            log.append(LogEntry("P0", tick, {"t": tick}))
-        log.truncate("P0", 4)
-        log.compact()
-        log = reopen(log)
-        assert [e.tick for e in log.entries("P0")] == [4, 5]
-        assert log.truncated_below("P0") == 4
-        log.close()
-
-
 class TestPubendRecovery:
     def test_pubend_rebuilds_stream_from_reopened_log(self, tmp_path):
         log = FileLog(str(tmp_path / "p.log"))

@@ -6,7 +6,8 @@ mid-append.  This module covers the rest of the integrity story:
 * at-rest corruption (bit flips, mid-record tears) at *every* record
   position is detected by checksum, quarantined into the ``.quarantine``
   sidecar, and healed out of the log — idempotently;
-* legacy unchecksummed v1 files (and mixed files) replay transparently;
+* the bare JSON lines of the pre-checksum format are quarantined like
+  any other record replay cannot verify;
 * write-path faults (``FaultyFile``: disk full, torn write, failed
   fsync) surface as :class:`LogAppendError` with the file rolled back to
   the previous record boundary;
@@ -113,7 +114,7 @@ class TestAtRestCorruption:
 
 
 #: What the pre-checksum writer left on disk: one bare JSON object per
-#: line.  FileLog no longer writes this format, only replays it.
+#: line.  Nothing can verify such a line, so replay quarantines it.
 LEGACY_V1_LINES = (
     b'{"pubend": "P0", "tick": 1, "payload": {"n": 1}}\n',
     b'{"pubend": "P0", "tick": 2, "payload": {"n": 2}}\n',
@@ -122,34 +123,40 @@ LEGACY_V1_LINES = (
 
 
 class TestLegacyFormat:
-    def test_v1_file_replays_under_v2(self, tmp_path):
+    def test_v1_file_is_quarantined(self, tmp_path):
         path = tmp_path / "p.log"
         path.write_bytes(b"".join(LEGACY_V1_LINES))
 
         log = FileLog(str(path))
-        assert [e.tick for e in log.entries("P0")] == [1, 2, 3]
-        assert log.quarantined == 0
-        # New appends use the checksummed format; the file is now mixed.
+        assert log.entries("P0") == []
+        assert log.quarantined == 3
         log.append(LogEntry("P0", 4, {"n": 4}))
         log.close()
-        lines = path.read_bytes().splitlines()
-        assert not lines[0].startswith(b"R2 ")
-        assert lines[-1].startswith(b"R2 ")
+        # The healed file holds checksummed records only; the bare lines
+        # are kept in the sidecar for forensics.
+        assert all(line.startswith(b"R2 ") for line in path.read_bytes().splitlines())
+        sidecar = (tmp_path / "p.log.quarantine").read_bytes()
+        assert all(line in sidecar for line in LEGACY_V1_LINES)
         log = FileLog(str(path))
-        assert [e.tick for e in log.entries("P0")] == [1, 2, 3, 4]
+        assert [e.tick for e in log.entries("P0")] == [4]
+        assert log.quarantined == 0
         log.close()
 
     def test_corrupt_legacy_record_still_quarantined(self, tmp_path):
-        # A v1 record has no checksum, but an unparseable line is still
-        # caught (JSON is a weak checksum) and quarantined, not fatal.
+        # A mixed file: the checksummed records replay, and every bare
+        # line — parseable or not — is quarantined, not fatal.
         path = tmp_path / "p.log"
-        raw = list(LEGACY_V1_LINES)
-        raw[1] = raw[1][: len(raw[1]) // 2] + b"#garbage\n"
-        path.write_bytes(b"".join(raw))
+        log = FileLog(str(path))
+        log.append(LogEntry("P0", 1, {"n": 1}))
+        log.close()
+        raw = list(LEGACY_V1_LINES[1:])
+        raw[0] = raw[0][: len(raw[0]) // 2] + b"#garbage\n"
+        with open(path, "ab") as handle:
+            handle.write(b"".join(raw))
 
         log = FileLog(str(path))
-        assert [e.tick for e in log.entries("P0")] == [1, 3]
-        assert log.quarantined == 1
+        assert [e.tick for e in log.entries("P0")] == [1]
+        assert log.quarantined == 2
         log.close()
 
 

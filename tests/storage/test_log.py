@@ -1,7 +1,5 @@
 """Unit tests for stable-storage message logs, including crash recovery."""
 
-import os
-
 import pytest
 
 from repro.storage.log import FileLog, LogEntry, MemoryLog
@@ -117,23 +115,6 @@ class TestFileLog:
             fh.write('{"pubend": "P", "tick": 9, "payl')  # torn write
         recovered = FileLog(path)
         assert [e.tick for e in recovered.entries("P")] == [5]
-        recovered.close()
-
-    def test_compact_rewrites_file(self, tmp_path):
-        path = str(tmp_path / "log.jsonl")
-        log = FileLog(path)
-        for tick in range(0, 50, 5):
-            log.append(LogEntry("P", tick, "x" * 50))
-        log.truncate("P", 40)
-        size_before = os.path.getsize(path)
-        log.compact()
-        size_after = os.path.getsize(path)
-        assert size_after < size_before
-        assert [e.tick for e in log.entries("P")] == [40, 45]
-        log.close()
-        recovered = FileLog(path)
-        assert [e.tick for e in recovered.entries("P")] == [40, 45]
-        assert recovered.truncated_below("P") == 40
         recovered.close()
 
     def test_append_after_recovery_continues(self, tmp_path):

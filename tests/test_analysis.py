@@ -2,16 +2,7 @@
 
 import io
 
-import pytest
-
-from repro.analysis import (
-    ascii_plot,
-    cumulative,
-    resample_max,
-    sparkline,
-    summarize,
-    write_series_csv,
-)
+from repro.analysis import cumulative, sparkline, write_series_csv
 
 
 class TestSparkline:
@@ -32,57 +23,10 @@ class TestSparkline:
         assert len(line) <= 51
 
 
-class TestResample:
-    def test_keeps_peaks(self):
-        series = [(float(i), 0.1) for i in range(100)]
-        series[42] = (42.0, 9.9)
-        out = resample_max(series, bins=10)
-        assert max(y for __, y in out) == 9.9
-        assert len(out) <= 10
-
-    def test_empty(self):
-        assert resample_max([], 5) == []
-
-    def test_rejects_bad_bins(self):
-        with pytest.raises(ValueError):
-            resample_max([(0.0, 1.0)], 0)
-
-    def test_x_centres_ordered(self):
-        out = resample_max([(float(i), float(i)) for i in range(50)], bins=5)
-        xs = [x for x, __ in out]
-        assert xs == sorted(xs)
-
-
 class TestCumulative:
     def test_running_sum_in_x_order(self):
         out = cumulative([(2.0, 5.0), (1.0, 3.0)])
         assert out == [(1.0, 3.0), (2.0, 8.0)]
-
-
-class TestAsciiPlot:
-    def test_contains_points_and_axis_labels(self):
-        text = ascii_plot([(0.0, 0.0), (1.0, 1.0)], width=20, height=5, title="T")
-        assert "T" in text
-        assert "*" in text
-        assert "1.000" in text
-
-    def test_empty(self):
-        assert "(no data)" in ascii_plot([], title="x")
-
-
-class TestSummarize:
-    def test_statistics(self):
-        stats = summarize(list(range(1, 101)))
-        assert stats["min"] == 1
-        assert stats["max"] == 100
-        assert stats["median"] == pytest.approx(50.5)
-        assert stats["mean"] == pytest.approx(50.5)
-        assert stats["p99"] == pytest.approx(99.01)
-        assert stats["count"] == 100
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
 
 
 class TestCsv:

@@ -4,22 +4,10 @@ import pytest
 
 from repro.matching.events import Event
 from repro.workloads import (
-    bursty_rate,
-    group_partition,
     market_ticks,
     subscription_population,
     zipf_symbols,
 )
-
-
-class TestGroupPartition:
-    def test_round_robin(self):
-        make = group_partition(4)
-        assert [make(i)["group"] for i in range(8)] == [0, 1, 2, 3, 0, 1, 2, 3]
-
-    def test_rejects_zero_groups(self):
-        with pytest.raises(ValueError):
-            group_partition(0)
 
 
 class TestZipf:
@@ -54,18 +42,6 @@ class TestMarketTicks:
         make = market_ticks(["IBM"], volatility=0.05, seed=2)
         prices = [make(i)["price"] for i in range(100)]
         assert len(set(prices)) > 50  # actually moving
-
-
-class TestBurstyRate:
-    def test_profile(self):
-        rate = bursty_rate(base_rate=10, burst_rate=100, burst_every=1.0, burst_length=0.2)
-        assert rate(0.1) == 100
-        assert rate(0.5) == 10
-        assert rate(1.1) == 100
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bursty_rate(0, 1, 1, 0.1)
 
 
 class TestSubscriptionPopulation:
