@@ -30,10 +30,13 @@ just at the end:
   runs, payload/D linkage, no fabricated D ticks) on every sweep.
 * **Soft-state size** — every istream and ostream of every live broker
   stores no more runs than its live window explains (two per held D
-  tick, one per Q gap, one for the final prefix), on every sweep; and
-  once every PHB log is truncated to empty, no other broker (alone in
-  its cell, so on every ack path) still holds a payload or a run beyond
-  the prefix and its gaps.
+  tick, one per Q gap, one for the final prefix), on every sweep; once
+  every PHB log is truncated to empty, no other broker (alone in its
+  cell, so on every ack path) still holds a payload or a run beyond the
+  prefix and its gaps; and a broker's lasting timers number at most
+  :data:`TIMERS_PER_UNIT` per unit of state it keeps (itself, a hosted
+  pubend, an istream) plus one per open Q gap — recovery work is bounded
+  by what was lost, not by how many ticks it spans.
 * **Final verdict** — after the quiescent drain: exactly-once and gapless
   delivery per subscriber against the ground-truth publication record,
   and total-order consistency (identical delivered sequences) for every
@@ -84,6 +87,16 @@ ORACLES = (
     "exactly-once",
     "total-order",
 )
+
+
+#: Lasting timers a live broker may hold per unit of the state it keeps:
+#: the broker itself (link-status and curiosity-sweep periods), each
+#: hosted pubend (AET and silence periods) and each istream (its subend's
+#: one curiosity timer).  The tight case is a PHB with a local subscriber
+#: and DCT on: five periods and one curiosity timer over three units.  On
+#: top, one timer per open Q gap; a timer per nack piece exceeds that as
+#: soon as gaps span a few pieces (docs/TESTING.md).
+TIMERS_PER_UNIT = 2
 
 
 class OracleFailure(AssertionError):
@@ -302,6 +315,9 @@ class OracleSuite(LifecycleListener):
             for pubend_id, pubend in engine.pubends.items()
             if pubend.log.last_tick(pubend_id) is None
         }
+        for broker in self.system.brokers.values():
+            if broker.alive:
+                self._check_timers(broker)
         for node, engine in engines:
             for pubend, ist in engine.istreams.items():
                 streams = [("istream", ist.stream)]
@@ -328,6 +344,32 @@ class OracleSuite(LifecycleListener):
                             f"{held} D ticks (bound {limit}) "
                             f"at t={self.system.scheduler.now:.3f}",
                         )
+
+    def _check_timers(self, broker: Any) -> None:
+        """Lasting timers stay within :data:`TIMERS_PER_UNIT` per unit.
+
+        A timer carrying in-flight message work — a CPU-queued message, a
+        log commit, a client write, an ostream flush — fires by the time
+        the CPU backlog drains plus the longest of those latencies, and
+        is not counted: it is bounded by traffic, not by state.
+        """
+        engine = broker.engine
+        now = self.system.scheduler.now
+        latency = max(
+            [broker.client_latency, engine.params.flush_delay]
+            + [pubend.log.commit_latency for pubend in engine.pubends.values()]
+        )
+        work_done_by = now + broker.accountant.queue_delay() + latency
+        lasting = sum(1 for timer in broker.pending_timers if timer.when > work_done_by)
+        gaps = sum(len(ist.stream.knowledge.gaps()) for ist in engine.istreams.values())
+        bound = TIMERS_PER_UNIT * (1 + len(engine.pubends) + len(engine.istreams)) + gaps
+        if lasting > bound:
+            raise OracleFailure(
+                "soft-state-size",
+                f"{broker.node_id} holds {lasting} lasting timers for "
+                f"{len(engine.pubends)} hosted pubends, {len(engine.istreams)} "
+                f"istreams and {gaps} open gaps (bound {bound}) at t={now:.3f}",
+            )
 
     def _monotone(
         self,

@@ -16,5 +16,5 @@ from .messages import (
 from .pubend import Pubend
 from .rto import RtoEstimator
 from .streams import CuriosityStream, KnowledgeStream, Stream
-from .subend import Delivery, SubendManager, SubendServices, Subscription
-from .ticks import TICKS_PER_SECOND, Tick, TickRange, merge_ranges, subtract_ranges
+from .subend import SubendManager, SubendServices, Subscription
+from .ticks import TICKS_PER_SECOND, Tick, TickRange, merge_ranges

@@ -29,7 +29,9 @@ Responsibilities implemented here:
   expected to be acknowledged; paths that have not acked receive an
   AckExpected probe.
 * **Crash recovery** — ``acked_up_to`` and ``horizon`` are read back from
-  the log on construction, so ticks continue past every logged one.
+  the log on construction, and the pubend's tick clock (:meth:`Pubend.tick`)
+  continues past every logged tick even when the host clock restarted
+  lower (a reboot, or a log moved to a younger host).
 """
 
 from __future__ import annotations
@@ -95,6 +97,10 @@ class Pubend:
             self.acked_up_to, entries[-1].tick + 1 if entries else 0
         )
         self.publish_count = 0
+        #: ``tick(now) - tick_of_time(now)``: set at the first reading
+        #: after recovery, and again whenever ``now`` steps back.
+        self._offset: Optional[Tick] = None
+        self._last_now = 0.0
         #: Last time this pubend emitted anything — data or silence.
         #: Liveness detectors compare this against ``silence_interval``:
         #: a healthy idle pubend refreshes it via :meth:`maybe_silence`.
@@ -133,6 +139,22 @@ class Pubend:
     # Publishing
     # ------------------------------------------------------------------
 
+    def tick(self, now: float) -> Tick:
+        """This pubend's clock: ``tick_of_time(now)`` plus an offset that
+        puts a recovered horizon no later than the current tick.
+
+        The host clock need not run past the log — asyncio ticks are host
+        uptime — so without the offset a pubend recovered behind its
+        horizon would send no silence and no AckExpected probe until the
+        host clock caught up.  A clock that starts at 0 with an empty log
+        (the simulator) has offset 0.
+        """
+        raw = tick_of_time(now)
+        if self._offset is None or now < self._last_now:
+            self._offset = max(0, self.horizon - raw)
+        self._last_now = now
+        return raw + self._offset
+
     def assign_tick(self, now: float) -> Tick:
         """The tick for a message published at time ``now``.
 
@@ -140,7 +162,7 @@ class Pubend:
         assigned or silenced), at or after real time, and congruent to
         ``slot`` modulo ``n_slots``.
         """
-        floor = max(self.horizon, tick_of_time(now))
+        floor = max(self.horizon, self.tick(now))
         remainder = floor % self.n_slots
         candidate = floor + (self.slot - remainder) % self.n_slots
         if candidate < floor:  # defensive; (a - b) % n is non-negative
@@ -167,7 +189,8 @@ class Pubend:
             self.log.append(LogEntry(self.pubend_id, tick, payload))
         except OSError:
             # LogAppendError (and any raw disk error): the message is not
-            # published.  assign_tick is pure, so no rollback is needed.
+            # published.  assign_tick changes nothing but the tick clock's
+            # offset, which the next reading sets anyway: no rollback.
             self._m_publish_failures.inc()
             raise
         self._m_publishes.inc()
@@ -201,7 +224,7 @@ class Pubend:
         assigns a tick below the horizon, so a message published
         immediately afterwards cannot collide with the silenced range.
         """
-        now_tick = tick_of_time(now)
+        now_tick = self.tick(now)
         if now_tick - self.horizon < tick_of_time(self.silence_interval):
             return None
         rng = TickRange(self.horizon, now_tick)
@@ -245,7 +268,7 @@ class Pubend:
         """
         if self.aet == float("inf"):
             return None  # pubend-driven liveness disabled
-        threshold = min(tick_of_time(now - self.aet), self.horizon)
+        threshold = min(self.tick(now) - tick_of_time(self.aet), self.horizon)
         if threshold > self.acked_up_to:
             return threshold
         return None

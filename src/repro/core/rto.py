@@ -4,7 +4,9 @@ The paper (section 3.1) estimates the nack repetition threshold (NRT) "in
 a manner similar to how TCP estimates the retransmission timeout value
 (RTO)", i.e. Jacobson/Karels smoothed RTT plus variance, with exponential
 backoff "to handle pubends that are down", and a configured minimum
-repetition interval.
+repetition interval.  The backoff is per run of curious ticks, so it
+lives with the runs (:mod:`repro.core.subend`); one estimator per pubend
+is shared by all of them.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ __all__ = ["RtoEstimator"]
 
 
 class RtoEstimator:
-    """Smoothed round-trip estimator with exponential backoff.
+    """Smoothed round-trip estimator.
 
-    ``rto = srtt + 4 * rttvar`` clamped to ``[min_interval, max_interval]``;
-    each timeout without a response doubles the effective timeout (up to
-    ``max_interval``); a fresh sample resets the backoff.
+    ``rto = srtt + 4 * rttvar`` clamped to ``[min_interval, max_interval]``.
     """
 
     #: Standard Jacobson/Karels gains.
@@ -38,12 +38,10 @@ class RtoEstimator:
         self.max_interval = max_interval
         self._srtt: float = initial if initial is not None else min_interval
         self._rttvar: float = self._srtt / 2.0
-        self._backoff = 1.0
         self.samples = 0
-        self.timeouts = 0
 
     def sample(self, rtt: float) -> None:
-        """Record a measured response time; resets exponential backoff."""
+        """Record a measured response time."""
         if rtt < 0:
             raise ValueError("rtt must be non-negative")
         if self.samples == 0:
@@ -54,12 +52,6 @@ class RtoEstimator:
             self._srtt += self.ALPHA * err
             self._rttvar += self.BETA * (abs(err) - self._rttvar)
         self.samples += 1
-        self._backoff = 1.0
-
-    def backoff(self) -> None:
-        """Record an unanswered timeout; doubles the effective interval."""
-        self.timeouts += 1
-        self._backoff = min(self._backoff * 2.0, self.max_interval / self.min_interval)
 
     def interval(self) -> float:
         """The current repetition interval.
@@ -69,9 +61,4 @@ class RtoEstimator:
         the Jacobson estimate ``srtt + 4 * rttvar`` takes over.
         """
         base = self._srtt + 4.0 * self._rttvar if self.samples else self._srtt
-        value = base * self._backoff
-        return max(self.min_interval, min(value, self.max_interval))
-
-    @property
-    def srtt(self) -> float:
-        return self._srtt
+        return max(self.min_interval, min(base, self.max_interval))

@@ -25,7 +25,7 @@ client delivery).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..matching.ast import Predicate as AstPredicate
@@ -33,17 +33,17 @@ from ..matching.tree import MatchingTree
 from ..obs.instruments import NULL_INSTRUMENTS
 from .config import LivenessParams
 from .edges import MergeView, Predicate, MATCH_ALL
+from .intervals import IntervalMap
 from .lattice import K
 from .rto import RtoEstimator
 from .streams import Stream
-from .ticks import Tick, TickRange, merge_ranges, subtract_ranges, tick_of_time
+from .ticks import Tick, TickRange, tick_of_time
 
 __all__ = [
     "SubendServices",
     "SubendManager",
     "Subscription",
     "SubscriptionIndex",
-    "Delivery",
 ]
 
 
@@ -71,9 +71,7 @@ class SubendServices:
         """Propagate anti-curiosity upstream."""
         raise NotImplementedError
 
-    def deliver(
-        self, subscriber: str, pubend: str, tick: Tick, payload: Any
-    ) -> None:
+    def deliver(self, subscriber: str, pubend: str, tick: Tick, payload: Any) -> None:
         """Hand one message to a subscribing client."""
         raise NotImplementedError
 
@@ -86,16 +84,6 @@ class Subscription:
     predicate: Predicate = MATCH_ALL
     pubends: Tuple[str, ...] = ()
     total_order: bool = False
-
-
-@dataclass(frozen=True)
-class Delivery:
-    """One delivered message (returned by test/client hooks)."""
-
-    subscriber: str
-    pubend: str
-    tick: Tick
-    payload: Any
 
 
 _Members = Dict[str, Subscription]
@@ -190,75 +178,49 @@ class SubscriptionIndex:
         return out
 
 
-@dataclass
-class _NackRecord:
-    """An outstanding nack awaiting satisfaction."""
-
-    ranges: List[TickRange]
-    first_sent: float
-    last_sent: float
-    attempts: int = 1
-    timer: Any = None
-
-    def trim(self, stream: Stream) -> None:
-        """Drop sub-ranges whose knowledge is no longer Q."""
-        live: List[TickRange] = []
-        for rng in self.ranges:
-            live.extend(stream.knowledge.q_ranges(rng.start, rng.stop))
-        self.ranges = live
-
-    @property
-    def satisfied(self) -> bool:
-        return not self.ranges
+#: Most ``nack_chop`` pieces one firing of a pubend's timer sends: above
+#: Figure 6's 10, and a 16 s outage at the default chop.  A larger Q range
+#: goes lowest ticks first, one budget per repetition interval, so a clock
+#: mistake cannot make one firing's work unbounded.
+NACK_PIECES_PER_FIRING = 32
 
 
-@dataclass
-class _PendingGap:
-    """A Q-gap waiting out its GCT before being nacked."""
+@dataclass(frozen=True)
+class _Run:
+    """The state of one run of curious ticks at the subend."""
 
-    ranges: List[TickRange]
-    timer: Any = None
+    #: Nacks sent for the run so far; 0 while it waits out GCT.
+    attempts: int
+    #: When the run was last nacked (detected, for attempts == 0).
+    sent: float
+    #: When the run is next nacked.
+    due: float
+
+
+def _untracked(run: Optional[_Run]) -> bool:
+    return run is None
 
 
 class _PubendState:
     """Per-pubend subend state at one SHB (shared by all its subscribers)."""
 
-    def __init__(self, pubend: str, stream: Stream, params: LivenessParams):
+    def __init__(self, pubend: str, stream: Stream, params: LivenessParams, gauge: Any):
         self.pubend = pubend
         self.stream = stream
-        self.params = params
         #: Horizon up to which publisher-order delivery has been performed.
         self.delivered_horizon: Tick = 0
         #: Prefix acked upstream.
         self.acked_up_to: Tick = 0
-        self.estimator = RtoEstimator(
-            min_interval=params.nrt_min, max_interval=params.nrt_max
-        )
-        self.pending_gaps: List[_PendingGap] = []
-        self.outstanding: List[_NackRecord] = []
-        #: Ticks already covered by a pending GCT timer or outstanding
-        #: nack, so gaps are not double-tracked.
-        self.tracked: List[TickRange] = []
+        self.estimator = RtoEstimator(min_interval=params.nrt_min, max_interval=params.nrt_max)
+        #: The subend's curiosity stream: a tick is tracked (waiting out
+        #: GCT or nacked and unanswered) exactly when it has a run.
+        self.curiosity: IntervalMap[Optional[_Run]] = IntervalMap(None)
+        #: The one timer, armed at ``timer_due``, the earliest deadline.
+        self.timer: Any = None
+        self.timer_due = 0.0
         self.nacks_sent = 0
-        self.nack_ticks_sent = 0
-        #: Doubt-horizon gauge child; replaced by the owning manager when
-        #: it runs with a live instrument registry.
-        self.m_doubt_horizon: Any = NULL_INSTRUMENTS.gauge("")
-
-    def untracked(self, ranges: Sequence[TickRange]) -> List[TickRange]:
-        return subtract_ranges(ranges, self.tracked)
-
-    def track(self, ranges: Sequence[TickRange]) -> None:
-        self.tracked = merge_ranges(list(self.tracked) + list(ranges))
-
-    def refresh_tracked(self) -> None:
-        """Recompute tracked ticks from live pending gaps and nacks."""
-        ranges: List[TickRange] = []
-        for gap in self.pending_gaps:
-            ranges.extend(gap.ranges)
-        for record in self.outstanding:
-            ranges.extend(record.ranges)
-        self.tracked = merge_ranges(ranges)
+        #: Doubt-horizon gauge child.
+        self.m_doubt_horizon = gauge
 
 
 class _TotalOrderGroup:
@@ -312,8 +274,7 @@ class SubendManager:
         )
         self._m_nack_ticks = instruments.counter(
             "repro_subend_nack_ticks_total",
-            help="Cumulative ticks requested by nacks (the paper's "
-            "nack range).",
+            help="Cumulative ticks requested by nacks (the paper's nack range).",
             **labels,
         )
         self._states: Dict[str, _PubendState] = {}
@@ -331,14 +292,13 @@ class SubendManager:
     def attach_stream(self, pubend: str, stream: Stream) -> None:
         """Register the broker's istream for ``pubend`` with this subend."""
         if pubend not in self._states:
-            state = _PubendState(pubend, stream, self.params)
-            state.m_doubt_horizon = self._instruments.gauge(
+            gauge = self._instruments.gauge(
                 "repro_subend_doubt_horizon_tick",
                 help="First tick still in doubt for this istream.",
                 broker=self._node,
                 pubend=pubend,
             )
-            self._states[pubend] = state
+            self._states[pubend] = _PubendState(pubend, stream, self.params, gauge)
 
     def has_pubend(self, pubend: str) -> bool:
         return pubend in self._states
@@ -402,11 +362,7 @@ class SubendManager:
             return
         if self._lifecycle is not None and self._lifecycle.listeners:
             self._lifecycle.horizon_advanced(
-                self.services.now(),
-                self._node,
-                state.pubend,
-                state.delivered_horizon,
-                horizon,
+                self.services.now(), self._node, state.pubend, state.delivered_horizon, horizon
             )
         if self._index.members(state.pubend):
             window = TickRange(state.delivered_horizon, horizon)
@@ -421,10 +377,8 @@ class SubendManager:
             horizon = group.view.doubt_horizon()
             if horizon <= group.delivered_horizon:
                 continue
-            pairs = group.view.d_ticks_below(horizon, group.delivered_horizon)
-            for tick, payload in pairs:
-                source = self._pubend_of_tick(group, tick)
-                self._fan_out(group.pubends, source, tick, payload)
+            for tick, payload in group.view.d_ticks_below(horizon, group.delivered_horizon):
+                self._fan_out(group.pubends, self._pubend_of_tick(group, tick), tick, payload)
             group.delivered_horizon = horizon
 
     def _pubend_of_tick(self, group: _TotalOrderGroup, tick: Tick) -> str:
@@ -462,159 +416,145 @@ class SubendManager:
     # ------------------------------------------------------------------
 
     def _settle_curiosity(self, state: _PubendState) -> None:
-        """Trim satisfied ticks from tracked gaps and outstanding nacks."""
+        """Clear the curious ticks that knowledge has resolved.  A run
+        that leaves Q whole on its first attempt is an RTT sample (Karn's
+        rule: a repeated nack's answer is ambiguous)."""
+        curiosity = state.curiosity
+        if not curiosity:
+            return
+        knowledge = state.stream.knowledge
         now = self.services.now()
-        for record in state.outstanding:
-            record.trim(state.stream)
-            if record.satisfied:
-                if record.timer is not None:
-                    record.timer.cancel()
-                if record.attempts == 1:
-                    # Karn's rule: only unambiguous (non-retransmitted)
-                    # exchanges produce RTT samples.
-                    state.estimator.sample(max(now - record.last_sent, 0.0))
-        state.outstanding = [r for r in state.outstanding if not r.satisfied]
-        for gap in state.pending_gaps:
-            live: List[TickRange] = []
-            for rng in gap.ranges:
-                live.extend(state.stream.knowledge.q_ranges(rng.start, rng.stop))
-            gap.ranges = live
-            if not gap.ranges and gap.timer is not None:
-                gap.timer.cancel()
-        state.pending_gaps = [g for g in state.pending_gaps if g.ranges]
-        state.refresh_tracked()
+        for rng, run in list(curiosity.runs()):
+            still_q = knowledge.q_ranges(rng.start, rng.stop)
+            if still_q == [rng]:
+                continue
+            curiosity.clear_range(rng)
+            for q in still_q:
+                curiosity.set_range(q, run)
+            if not still_q and run.attempts == 1:
+                state.estimator.sample(max(now - run.sent, 0.0))
+        if not curiosity and state.timer is not None:
+            state.timer.cancel()
+            state.timer = None
 
     def _watch_gaps(self, state: _PubendState) -> None:
         if self.params.gct == float("inf"):
             return  # subend-driven gap curiosity disabled (ablation)
-        gaps = state.stream.knowledge.gaps()
-        fresh = state.untracked(gaps)
+        fresh = [
+            piece
+            for gap in state.stream.knowledge.gaps()
+            for piece in state.curiosity.ranges_with(_untracked, gap.start, gap.stop)
+        ]
         if not fresh:
             return
         self._m_gaps.inc(len(fresh))
-        pending = _PendingGap(ranges=fresh)
-        pending.timer = self.services.schedule(
-            self.params.gct, lambda: self._gct_expired(state, pending)
+        self._nack_at(state, fresh, self.services.now() + self.params.gct)
+
+    def _arm(self, state: _PubendState, due: float) -> None:
+        """Keep the pubend's one timer at or before ``due``."""
+        if state.timer is not None:
+            if state.timer_due <= due:
+                return
+            state.timer.cancel()
+        state.timer_due = due
+        state.timer = self.services.schedule(
+            max(due - self.services.now(), 0.0), lambda: self._nack_due(state, True)
         )
-        state.pending_gaps.append(pending)
-        state.track(fresh)
 
-    def _gct_expired(self, state: _PubendState, pending: _PendingGap) -> None:
-        if pending in state.pending_gaps:
-            state.pending_gaps.remove(pending)
-        still_q: List[TickRange] = []
-        for rng in pending.ranges:
-            still_q.extend(state.stream.knowledge.q_ranges(rng.start, rng.stop))
-        state.refresh_tracked()
-        if still_q:
-            self._send_nacks(state, still_q)
-
-    def _send_nacks(self, state: _PubendState, ranges: List[TickRange]) -> None:
-        """Nack the given Q ranges, chopped, and arm NRT repetition."""
-        chopped: List[TickRange] = []
-        for rng in ranges:
-            chopped.extend(rng.split(self.params.nack_chop))
-        now = self.services.now()
-        for piece in chopped:
-            if self._lifecycle is not None and self._lifecycle.listeners:
-                self._lifecycle.subend_nack(
-                    now, self._node, state.pubend, [piece], 1
-                )
-            self.services.send_nack(state.pubend, [piece])
-            state.nacks_sent += 1
-            state.nack_ticks_sent += len(piece)
-            self._m_nacks_sent.inc()
-            self._m_nack_ticks.inc(len(piece))
-            record = _NackRecord(ranges=[piece], first_sent=now, last_sent=now)
-            record.timer = self.services.schedule(
-                state.estimator.interval(),
-                lambda record=record: self._nrt_expired(state, record),
-            )
-            state.outstanding.append(record)
-        state.refresh_tracked()
-
-    def _repetition_interval(self, state: _PubendState, record: _NackRecord) -> float:
-        """Exponential backoff *per outstanding nack*, on top of the
-        shared RTT estimate (a shared-backoff estimator would let many
-        concurrent unsatisfied nacks multiply each other's delays)."""
-        base = state.estimator.interval()
-        backoff = 2.0 ** min(record.attempts - 1, 6)
-        return min(base * backoff, self.params.nrt_max)
-
-    def _nrt_expired(self, state: _PubendState, record: _NackRecord) -> None:
-        record.trim(state.stream)
-        if record.satisfied:
-            if record in state.outstanding:
-                state.outstanding.remove(record)
-            state.refresh_tracked()
+    def _nack_due(self, state: _PubendState, fired: bool = False) -> None:
+        """Nack every due run, as ``nack_chop`` pieces in ascending tick
+        order and at most :data:`NACK_PIECES_PER_FIRING` of them, then
+        re-arm the timer at the earliest deadline.  A due run past the
+        budget waits one repetition interval."""
+        if fired:
+            state.timer = None
+        self._settle_curiosity(state)
+        curiosity = state.curiosity
+        if not curiosity:
             return
         now = self.services.now()
-        for rng in record.ranges:
-            if self._lifecycle is not None and self._lifecycle.listeners:
-                self._lifecycle.subend_nack(
-                    now, self._node, state.pubend, [rng], record.attempts + 1
-                )
-            self.services.send_nack(state.pubend, [rng])
-            state.nacks_sent += 1
-            state.nack_ticks_sent += len(rng)
-            self._m_nacks_sent.inc()
-            self._m_nack_ticks.inc(len(rng))
-        record.attempts += 1
-        record.last_sent = now
-        record.timer = self.services.schedule(
-            self._repetition_interval(state, record),
-            lambda: self._nrt_expired(state, record),
-        )
+        chop = self.params.nack_chop
+        interval = state.estimator.interval()
+        budget = NACK_PIECES_PER_FIRING
+        updates: List[Tuple[TickRange, _Run]] = []
+        for rng, run in curiosity.runs():
+            if run.due > now:
+                continue
+            stop = min(rng.stop, rng.start + budget * chop)
+            if stop > rng.start:
+                attempts = run.attempts + 1
+                for piece in TickRange(rng.start, stop).split(chop):
+                    self._send_nack(state, piece, attempts)
+                    budget -= 1
+                # Exponential backoff per run, on the shared RTT estimate.
+                repeat = min(interval * 2.0 ** min(attempts - 1, 6), self.params.nrt_max)
+                updates.append((TickRange(rng.start, stop), _Run(attempts, now, now + repeat)))
+            if stop < rng.stop:
+                updates.append((TickRange(stop, rng.stop), replace(run, due=now + interval)))
+        for rng, run in updates:
+            curiosity.set_range(rng, run)
+        self._arm(state, min(run.due for __, run in curiosity.runs()))
+
+    def _send_nack(self, state: _PubendState, piece: TickRange, attempt: int) -> None:
+        if self._lifecycle is not None and self._lifecycle.listeners:
+            now = self.services.now()
+            self._lifecycle.subend_nack(now, self._node, state.pubend, [piece], attempt)
+        self.services.send_nack(state.pubend, [piece])
+        state.nacks_sent += 1
+        self._m_nacks_sent.inc()
+        self._m_nack_ticks.inc(len(piece))
+
+    def _nack_at(self, state: _PubendState, ranges: Sequence[TickRange], due: float) -> None:
+        """Track ``ranges`` afresh (attempts 0) and nack them at ``due``,
+        at once if that is now."""
+        now = self.services.now()
+        for rng in ranges:
+            state.curiosity.set_range(rng, _Run(0, now, due))
+        if due > now:
+            self._arm(state, due)
+        else:
+            self._nack_due(state)
 
     def on_ack_expected(self, pubend: str, up_to: Tick) -> None:
         """AckExpected probe: *immediately* nack all Q ticks below
-        ``up_to`` (paper section 3.2), bypassing both the GCT and any
-        outstanding nack's exponential backoff.
+        ``up_to`` (paper section 3.2), bypassing both the GCT and the
+        probed runs' exponential backoff, whose attempts start over.
 
         The override matters: backoff exists "to handle pubends that are
         down", but a probe is positive proof the pubend is alive — an
         old gap whose repetitions have backed off to tens of seconds
         must be retried now, or an unlucky streak of lost nacks and
         retransmissions stalls the stream far beyond the probe period.
+
+        The probed Q starts at the first tick the istream knows; a subend
+        that knows nothing nacks only the top ``nack_chop`` piece (ticks
+        are host uptime, so ``[0, up_to)`` can be days).  The answer's
+        final prefix settles what the pubend has acked, and GCT picks up
+        any gap left below the new horizon.
         """
         state = self._states.get(pubend)
-        if state is None:
+        if state is None or up_to <= 0:
             return
-        if up_to <= 0:
-            return
-        q_ranges = state.stream.knowledge.q_ranges(state.acked_up_to, up_to)
-        if not q_ranges:
-            return
-        # Cancel outstanding records overlapping the probed gaps; they are
-        # re-issued below with a fresh (un-backed-off) repetition cycle.
-        overlapping = [
-            record
-            for record in state.outstanding
-            if any(a.overlaps(b) for a in record.ranges for b in q_ranges)
-        ]
-        for record in overlapping:
-            if record.timer is not None:
-                record.timer.cancel()
-            state.outstanding.remove(record)
-        state.refresh_tracked()
-        fresh = state.untracked(q_ranges)
-        if fresh:
-            self._send_nacks(state, fresh)
+        knowledge = state.stream.knowledge
+        first_known = next((rng.start for rng, __ in knowledge.runs()), None)
+        if first_known is None:
+            ranges = [TickRange(max(0, up_to - self.params.nack_chop), up_to)]
+        else:
+            ranges = knowledge.q_ranges(max(state.acked_up_to, first_known), up_to)
+        if ranges:
+            self._nack_at(state, ranges, self.services.now())
 
     def on_periodic(self) -> None:
         """Time-driven checks (DCT); call every ``subend_check_interval``."""
         if self.params.dct == float("inf"):
             return
-        now_tick = tick_of_time(self.services.now())
-        dct_ticks = tick_of_time(self.params.dct)
+        lag_limit = tick_of_time(self.services.now()) - tick_of_time(self.params.dct)
         for state in self._states.values():
             horizon = state.stream.knowledge.doubt_horizon()
-            lag_limit = now_tick - dct_ticks
             if horizon < lag_limit:
-                rng = TickRange(horizon, lag_limit)
-                fresh = state.untracked([rng])
+                fresh = state.curiosity.ranges_with(_untracked, horizon, lag_limit)
                 if fresh:
-                    self._send_nacks(state, fresh)
+                    self._nack_at(state, fresh, self.services.now())
 
     # ------------------------------------------------------------------
     # Introspection

@@ -23,7 +23,6 @@ __all__ = [
     "Tick",
     "TickRange",
     "merge_ranges",
-    "subtract_ranges",
     "TICKS_PER_SECOND",
     "tick_of_time",
 ]
@@ -79,10 +78,6 @@ class TickRange:
         """The range covering ``first`` through ``last`` inclusive."""
         return cls(first, last + 1)
 
-    def overlaps(self, other: "TickRange") -> bool:
-        """True when the two ranges share at least one tick."""
-        return self.start < other.stop and other.start < self.stop
-
     def touches(self, other: "TickRange") -> bool:
         """True when the ranges overlap or are exactly adjacent."""
         return self.start <= other.stop and other.start <= self.stop
@@ -96,19 +91,6 @@ class TickRange:
         if not self.touches(other):
             raise ValueError(f"{self} and {other} are not contiguous")
         return TickRange(min(self.start, other.start), max(self.stop, other.stop))
-
-    def subtract(self, other: "TickRange") -> List["TickRange"]:
-        """The parts of this range not covered by ``other`` (0-2 pieces)."""
-        pieces: List[TickRange] = []
-        if other.start > self.start:
-            pieces.append(TickRange(self.start, min(self.stop, other.start)))
-        if other.stop < self.stop:
-            pieces.append(TickRange(max(self.start, other.stop), self.stop))
-        # When other fully covers self, both conditions fail: no pieces.
-        # When disjoint, exactly one condition yields the full range and the
-        # other yields nothing or the full range; normalize below.
-        merged = merge_ranges(pieces)
-        return merged
 
     def split(self, max_len: int) -> List["TickRange"]:
         """Chop this range into pieces of at most ``max_len`` ticks.
@@ -140,19 +122,3 @@ def merge_ranges(ranges: Iterable[TickRange]) -> List[TickRange]:
         else:
             merged.append(rng)
     return merged
-
-
-def subtract_ranges(
-    base: Iterable[TickRange], removals: Iterable[TickRange]
-) -> List[TickRange]:
-    """All ticks in ``base`` not covered by any range in ``removals``."""
-    result = merge_ranges(base)
-    for removal in merge_ranges(removals):
-        next_result: List[TickRange] = []
-        for rng in result:
-            if rng.overlaps(removal):
-                next_result.extend(rng.subtract(removal))
-            else:
-                next_result.append(rng)
-        result = next_result
-    return result

@@ -48,6 +48,12 @@ class SimProcess(Node):
 
         self.schedule(interval, tick)
 
+    @property
+    def pending_timers(self) -> Set[TimerHandle]:
+        """The timers this incarnation armed that have not yet fired or
+        been cancelled."""
+        return self._pending_timers
+
     def _track(self, handle: TimerHandle, fn: Callable[[], None]) -> TimerHandle:
         """Gate ``handle`` on this incarnation and track it for crash
         cancellation: it is in the set exactly while it is pending, and

@@ -698,6 +698,39 @@ class TestTcpTransport:
         assert len(publisher.published) > 20
         assert report.exactly_once
 
+    def test_probe_to_a_subend_that_heard_nothing_keeps_the_loop_responsive(self):
+        """The publication is flushed before any connection exists, so the
+        SHB hears of P0 first from an AckExpected probe whose tick is host
+        uptime.  Nacking ``[0, uptime)`` in 500-tick pieces, ≈72k nacks
+        and timers at ten hours of uptime, starves the loop: a 1 s
+        ``wait_for`` must still fire on time, and the message arrives."""
+        params = LivenessParams(flush_delay=0.5, silence_interval=60.0, aet=1.0)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            system = AioSystem(gd_topology(), params=params, transport=TcpTransport())
+            client = system.subscribe("a", "shb", ("P0",))
+            phb = system.brokers["phb"]
+            tick = phb.publish("P0", {"n": 1})
+            phb.engine.flush_dirty_ostreams()
+            await system.start()
+            late = []
+            for __ in range(4):  # through AET, the probe and its answer
+                t0 = loop.time()
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(asyncio.Event().wait(), 1.0)
+                late.append(loop.time() - t0 - 1.0)
+            nacks = system.brokers["shb"].engine.subend.total_nacks_sent()
+            received = [t for (__, t, ___, ____) in client.received]
+            await system.shutdown()
+            return tick, late, nacks, received
+
+        tick, late, nacks, received = asyncio.run(scenario())
+        assert tick > 0
+        assert max(late) < 0.5, late
+        assert nacks <= 2
+        assert received == [tick]
+
     def test_corrupt_frames_heal_via_reconnect_and_resend(self):
         """A frame damaged in flight is rejected by CRC, never delivered;
         the transport treats it as a torn connection and the resent

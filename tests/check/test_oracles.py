@@ -6,6 +6,7 @@ from repro.check import ORACLES, OracleFailure, OracleSuite
 from repro.core.config import LivenessParams
 from repro.core.lattice import K
 from repro.core.streams import KnowledgeStream
+from repro.core.subend import SubendManager
 from repro.core.ticks import TickRange
 from repro.topology import two_broker_topology
 
@@ -164,6 +165,37 @@ class TestViolationsAreCaught:
         assert "every log entry is acked" in caught.value.message
         with pytest.raises(OracleFailure):
             suite.sweep()
+
+    def _outage_run(self):
+        """A 3 s phb-shb outage: the gap it leaves spans six nack pieces."""
+        system = build_system()
+        system.subscribe("c", "shb", ("P0",))
+        publisher = system.publisher("P0", rate=100.0)
+        publisher.start(at=0.1)
+        suite = OracleSuite(system, [publisher])
+        suite.install()
+        system.scheduler.call_at(0.5, lambda: system.fail_link("phb", "shb"))
+        system.scheduler.call_at(3.5, lambda: system.recover_link("phb", "shb"))
+        system.scheduler.call_at(5.0, publisher.stop)
+        system.run_until(8.0)  # raises OracleFailure on violation
+        return suite, publisher
+
+    def test_soft_state_size_oracle_catches_a_timer_per_nack_piece(self, monkeypatch):
+        suite, publisher = self._outage_run()  # one timer per pubend: quiet
+        assert suite.final_check([publisher]) == []
+        # Mutant: every nack piece arms a repetition timer of its own, so
+        # live timers grow with a gap's length over nack_chop.
+        original = SubendManager._send_nack
+
+        def per_piece(self, state, piece, attempt):
+            original(self, state, piece, attempt)
+            self.services.schedule(state.estimator.interval(), lambda: None)
+
+        monkeypatch.setattr(SubendManager, "_send_nack", per_piece)
+        with pytest.raises(OracleFailure) as caught:
+            self._outage_run()
+        assert caught.value.oracle == "soft-state-size"
+        assert "lasting timers" in caught.value.message
 
     def test_final_check_reports_missing_deliveries(self):
         system = build_system()

@@ -277,6 +277,31 @@ class TestRecovery:
         stream = knowledge(host(fresh))
         assert stream.final_prefix() == stream.horizon() == tick + 1
 
+    @pytest.mark.parametrize("restart_at", [30.0, 3_600.0, 86_400.0])
+    def test_recovered_behind_the_host_clock_keeps_its_liveness(self, restart_at):
+        """A log written at 10 days of host uptime, recovered on a host up
+        for 30 s, an hour or a day: the tick clock continues past the log,
+        so idle silence and the AckExpected probe come after one period,
+        not once uptime passes the old horizon."""
+        log = Pubend("P", MemoryLog()).log
+        tick = Pubend("P", log).publish("a", 864_000.0).data[0].tick
+        fresh = Pubend("P", log, aet=10.0, silence_interval=0.5)
+        assert fresh.maybe_silence(restart_at) is None  # nothing idle yet
+        later = restart_at + 11.0
+        assert fresh.ack_expected_tick(later) == tick + 1  # probes the last log entry
+        silence = fresh.maybe_silence(later)
+        assert silence is not None
+        assert silence.f_ranges[0] == TickRange(tick + 1, tick + 1 + 11_000)
+        assert fresh.assign_tick(later + 1.0) > fresh.horizon > tick
+
+    def test_tick_clock_rederives_when_now_steps_back(self):
+        log = MemoryLog()
+        tick = Pubend("P", log).publish("a", 100.0).data[0].tick
+        fresh = Pubend("P", log)
+        assert fresh.tick(200.0) == 200_000  # ahead of the log: offset 0
+        assert fresh.tick(5.0) == fresh.horizon == tick + 1  # stepped back
+        assert fresh.tick(6.0) == tick + 1 + 1_000
+
 
 class TestReplayDifferential:
     """Hosting a pubend *is* replaying its log: for random histories a

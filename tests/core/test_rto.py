@@ -26,34 +26,12 @@ class TestRtoEstimator:
         est = RtoEstimator(min_interval=0.01)
         for __ in range(100):
             est.sample(0.2)
-        assert est.srtt == pytest.approx(0.2, rel=0.05)
         assert est.interval() < 0.5
 
     def test_rejects_negative_sample(self):
         est = RtoEstimator(min_interval=0.1)
         with pytest.raises(ValueError):
             est.sample(-1.0)
-
-    def test_backoff_doubles(self):
-        est = RtoEstimator(min_interval=0.5, max_interval=60.0)
-        base = est.interval()
-        est.backoff()
-        assert est.interval() == pytest.approx(min(base * 2, 60.0))
-        est.backoff()
-        assert est.interval() == pytest.approx(min(base * 4, 60.0))
-
-    def test_backoff_capped_at_max(self):
-        est = RtoEstimator(min_interval=1.0, max_interval=4.0)
-        for __ in range(10):
-            est.backoff()
-        assert est.interval() == 4.0
-
-    def test_sample_resets_backoff(self):
-        est = RtoEstimator(min_interval=0.5)
-        est.backoff()
-        est.backoff()
-        est.sample(0.5)
-        assert est.interval() == pytest.approx(0.5 + 4 * 0.25)
 
     def test_interval_never_below_min(self):
         est = RtoEstimator(min_interval=0.6)
@@ -64,6 +42,5 @@ class TestRtoEstimator:
     def test_counters(self):
         est = RtoEstimator(min_interval=0.1)
         est.sample(0.2)
-        est.backoff()
-        assert est.samples == 1
-        assert est.timeouts == 1
+        est.sample(0.3)
+        assert est.samples == 2

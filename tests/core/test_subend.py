@@ -19,6 +19,7 @@ from repro.core.config import LivenessParams
 from repro.core.edges import MATCH_ALL
 from repro.core.streams import Stream
 from repro.core.subend import (
+    NACK_PIECES_PER_FIRING,
     SubendManager,
     SubendServices,
     Subscription,
@@ -64,18 +65,23 @@ class FakeServices(SubendServices):
     def deliver(self, subscriber, pubend, tick, payload):
         self.deliveries.append((subscriber, pubend, tick, payload))
 
+    def fire_next(self, until):
+        """Fire the earliest live timer due by ``until``; returns whether
+        one fired (the clock stops at it)."""
+        due = [t for t in self.timers if not t.cancelled and t.when <= until]
+        if not due:
+            return False
+        timer = min(due, key=lambda t: t.when)
+        self.timers.remove(timer)
+        self.time = timer.when
+        timer.fn()
+        return True
+
     def advance(self, dt):
         """Advance the clock, firing due timers in order."""
         deadline = self.time + dt
-        while True:
-            due = [t for t in self.timers if not t.cancelled and t.when <= deadline]
-            if not due:
-                break
-            due.sort(key=lambda t: t.when)
-            timer = due[0]
-            self.timers.remove(timer)
-            self.time = timer.when
-            timer.fn()
+        while self.fire_next(deadline):
+            pass
         self.time = deadline
 
 
@@ -404,6 +410,160 @@ class TestDct:
         assert services.nacks
         hi = max(r.stop for (__, rs) in services.nacks for r in rs)
         assert hi == 4000  # now - DCT in ticks
+
+
+def live_timers(services):
+    return sum(1 for timer in services.timers if not timer.cancelled)
+
+
+class TestCuriosityStream:
+    """Curiosity is one interval map and one timer per pubend: what a gap
+    costs is bounded by its runs, not by its length over ``nack_chop``."""
+
+    def test_billion_tick_gap_is_one_timer_and_a_bounded_firing(self):
+        services, manager, streams = make_manager()
+        manager.subscribe(Subscription("a", pubends=("P",)))
+        s = streams["P"]
+        s.accumulate_data(10**9, "m")  # a D at 1e9 over an empty istream
+        manager.on_knowledge("P")
+        assert services.nacks == [] and live_timers(services) == 1
+        per_firing = []
+        while services.fire_next(10.0):  # GCT, then several NRT periods
+            assert live_timers(services) <= 1
+            per_firing.append(len(services.nacks) - sum(per_firing))
+            assert len(per_firing) < 1_000, "curiosity timer spins"
+        assert len(per_firing) >= 5
+        assert max(per_firing) == NACK_PIECES_PER_FIRING
+        # Lowest ticks first, whole nack_chop pieces.
+        first = [r for (__, rs) in services.nacks[:NACK_PIECES_PER_FIRING] for r in rs]
+        assert first == TickRange(0, NACK_PIECES_PER_FIRING * 500).split(500)
+        s.accumulate_final(TickRange(0, 10**9))
+        manager.on_knowledge("P")
+        settled = len(services.nacks)
+        assert live_timers(services) == 0
+        services.advance(100.0)
+        assert len(services.nacks) == settled
+        assert manager.state_of("P").curiosity.run_count() == 0
+
+    def test_probe_of_an_empty_istream_nacks_the_top_piece(self):
+        services, manager, __ = make_manager()
+        manager.subscribe(Subscription("a", pubends=("P",)))
+        manager.on_ack_expected("P", 35_800_000)
+        assert services.nacks == [("P", [TickRange(35_799_500, 35_800_000)])]
+        assert live_timers(services) == 1
+
+    def test_probe_starts_at_the_first_known_tick(self):
+        services, manager, streams = make_manager()
+        manager.subscribe(Subscription("a", pubends=("P",)))
+        streams["P"].accumulate_data(10_000, "m")  # heard a late message only
+        manager.on_ack_expected("P", 10_400)
+        assert services.nacks == [("P", [TickRange(10_001, 10_400)])]
+
+    def test_probe_resets_the_backoff_of_tracked_runs_only(self):
+        services, manager, streams = make_manager()
+        manager.subscribe(Subscription("a", pubends=("P",)))
+        s = streams["P"]
+        s.accumulate_data(0, "m")
+        s.accumulate_data(100, "n")  # gap 1..99
+        manager.on_knowledge("P")
+        services.advance(10.0)  # GCT and backed-off repetitions
+        curiosity = manager.state_of("P").curiosity
+        assert curiosity.get(50).attempts > 2
+        manager.on_ack_expected("P", 100)
+        assert services.nacks[-1] == ("P", [TickRange(1, 100)])
+        assert curiosity.get(50).attempts == 1
+        assert live_timers(services) == 1
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_loss_and_fill(self, seed):
+        """A publisher's stream reaches the subend with messages lost and
+        reordered; each nack is answered (or lost) after a short delay."""
+        rng = random.Random(seed)
+        params = PARAMS.with_(nack_chop=rng.choice([20, 50, 500]))
+        services, manager, streams = make_manager(params=params)
+        manager.subscribe(Subscription("a", pubends=("P",)))
+        s = streams["P"]
+        knowledge = s.knowledge
+        truth = {}  # tick -> payload of the publications
+        tick = 0
+        while tick < 1_200:
+            tick += rng.randint(1, 40)
+            truth[tick] = f"m{tick}"
+        events = []  # (time, seq, ranges to answer or a publication tick)
+        prev = -1
+        for i, t in enumerate(sorted(truth)):
+            # 30% of first sends are lost; the last one arrives (losing
+            # it is the AckExpected probe's case, not a gap).
+            if rng.random() > 0.3 or t == tick:
+                events.append((i * 0.02 + rng.uniform(0, 0.05), i, ("pub", prev + 1, t)))
+            prev = t
+        seq = len(events)
+        first_q = {}  # tick -> time it was first seen as a gap
+        nacked_at = {}  # tick -> time of its first nack
+
+        def send_nack(pubend, ranges):
+            nonlocal seq
+            for r in ranges:
+                assert knowledge.q_ranges(r.start, r.stop) == [r], f"{r} not all Q"
+                for t in r:
+                    nacked_at.setdefault(t, services.time)
+            if rng.random() < 0.7:
+                seq += 1
+                events.append((services.time + rng.uniform(0.01, 0.1), seq, ("fill", ranges)))
+
+        services.send_nack = send_nack
+
+        def apply(event):
+            if event[0] == "pub":
+                __, lo, t = event
+                if t > lo:
+                    s.accumulate_final(TickRange(lo, t))
+                s.accumulate_data(t, truth[t])
+            else:
+                for r in event[1]:
+                    for lo, hi in _fill_pieces(r, truth):
+                        s.accumulate_final(TickRange(lo, hi))
+                    for t in r:
+                        if t in truth:
+                            s.accumulate_data(t, truth[t])
+            manager.on_knowledge("P")
+            for gap in knowledge.gaps():
+                for t in gap:
+                    first_q.setdefault(t, services.time)
+
+        steps = 0
+        while events or live_timers(services):
+            steps += 1
+            assert steps < 20_000, "curiosity timer spins"
+            events.sort()
+            next_event = events[0][0] if events else math.inf
+            if not services.fire_next(next_event):
+                when, __, event = events.pop(0)
+                services.time = max(services.time, when)
+                apply(event)
+            assert live_timers(services) <= 1
+            # Every tick still Q after GCT plus one repetition interval
+            # has been nacked.
+            grace = PARAMS.gct + PARAMS.nrt_min
+            for gap in knowledge.gaps():
+                for t in gap:
+                    if services.time >= first_q.get(t, math.inf) + grace + 1e-9:
+                        assert nacked_at.get(t, math.inf) <= services.time, (t, seed)
+            if services.time > 60.0:
+                break
+        assert knowledge.gaps() == []
+        assert [d[2] for d in services.deliveries] == sorted(truth)
+
+
+def _fill_pieces(rng, truth):
+    """The F pieces of a retransmission answering ``rng``."""
+    lo = rng.start
+    for t in sorted(x for x in truth if rng.start <= x < rng.stop):
+        if t > lo:
+            yield lo, t
+        lo = t + 1
+    if rng.stop > lo:
+        yield lo, rng.stop
 
 
 class TestResubscribe:

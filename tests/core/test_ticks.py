@@ -6,7 +6,6 @@ from repro.core.ticks import (
     TICKS_PER_SECOND,
     TickRange,
     merge_ranges,
-    subtract_ranges,
     tick_of_time,
 )
 
@@ -39,11 +38,6 @@ class TestTickRange:
         rng = TickRange.inclusive(3, 5)
         assert list(rng) == [3, 4, 5]
 
-    def test_overlaps(self):
-        assert TickRange(0, 5).overlaps(TickRange(4, 10))
-        assert not TickRange(0, 5).overlaps(TickRange(5, 10))
-        assert TickRange(3, 4).overlaps(TickRange(0, 10))
-
     def test_touches_includes_adjacency(self):
         assert TickRange(0, 5).touches(TickRange(5, 10))
         assert not TickRange(0, 5).touches(TickRange(6, 10))
@@ -54,21 +48,6 @@ class TestTickRange:
     def test_union_of_disjoint_raises(self):
         with pytest.raises(ValueError):
             TickRange(0, 5).union(TickRange(6, 10))
-
-    def test_subtract_middle_splits(self):
-        assert TickRange(0, 10).subtract(TickRange(3, 6)) == [
-            TickRange(0, 3),
-            TickRange(6, 10),
-        ]
-
-    def test_subtract_prefix(self):
-        assert TickRange(0, 10).subtract(TickRange(0, 4)) == [TickRange(4, 10)]
-
-    def test_subtract_cover_leaves_nothing(self):
-        assert TickRange(3, 6).subtract(TickRange(0, 10)) == []
-
-    def test_subtract_disjoint_keeps_all(self):
-        assert TickRange(0, 3).subtract(TickRange(5, 8)) == [TickRange(0, 3)]
 
     def test_split_chops_evenly(self):
         pieces = TickRange(0, 10).split(4)
@@ -101,14 +80,6 @@ class TestRangeAlgebra:
 
     def test_merge_empty(self):
         assert merge_ranges([]) == []
-
-    def test_subtract_ranges(self):
-        base = [TickRange(0, 10), TickRange(20, 30)]
-        removals = [TickRange(5, 25)]
-        assert subtract_ranges(base, removals) == [TickRange(0, 5), TickRange(25, 30)]
-
-    def test_subtract_ranges_no_removals(self):
-        assert subtract_ranges([TickRange(1, 2)], []) == [TickRange(1, 2)]
 
 
 class TestTimeConversion:
