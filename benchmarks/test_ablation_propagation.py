@@ -16,7 +16,7 @@ import pytest
 
 from repro.client import DeliveryChecker
 from repro.core.config import LivenessParams
-from repro.obs.trace import Tracer
+from repro.obs.causal import CausalTracer
 from repro.topology import Topology
 
 from _bench_tables import print_table
@@ -44,7 +44,7 @@ def build(propagation: bool):
 
 def run(propagation: bool):
     system = build(propagation)
-    tracer = Tracer(system).install()
+    tracer = CausalTracer(system).install()
     sub1 = system.subscribe("one", "s1", ("P0",), "g = 1")
     sub2 = system.subscribe("two", "s2", ("P0",), "g = 2")
     system.run_until(0.5)
@@ -57,11 +57,12 @@ def run(propagation: bool):
     system.run_until(8.0)
 
     def shipped(node, to):
+        """D ticks in the knowledge sends (first-time and retransmissions)
+        from ``node`` to ``to``."""
         return sum(
-            event.detail.get("d", 0)
-            for event in tracer.filter(kind="send", node=node)
-            if event.detail.get("to") == to
-            and event.detail.get("msg") in ("knowledge", "retransmit")
+            span.attrs["d"]
+            for span in tracer.spans
+            if span.name == "transit" and span.node == node and span.attrs["dst"] == to
         )
 
     checker = DeliveryChecker([publisher])

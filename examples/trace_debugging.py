@@ -1,17 +1,20 @@
 """Trace debugging: watch the protocol conversation around a failure.
 
-Attaches a :class:`~repro.obs.trace.Tracer` to a small deployment, breaks
-a link mid-run, and prints the exact message exchange that repairs the
-loss — the nack leaving the subscriber-hosting broker, its consolidation,
+Attaches a :class:`~repro.obs.causal.CausalTracer` to a small deployment,
+stalls a link mid-run, and prints the causal timeline of one message the
+stall lost — the transit that never arrived, the nack leaving the
+subscriber-hosting broker, its handling at the publisher-hosting broker,
 and the retransmission coming back.  This is the workflow for debugging
-the protocol itself: deterministic runs produce byte-identical traces, so
-a regression is a diff.
+the protocol itself: deterministic runs produce byte-identical
+timelines, so a regression is a diff.
 
 Run:  python examples/trace_debugging.py
 """
 
+import collections
+
 from repro import LivenessParams
-from repro.obs.trace import Tracer
+from repro.obs.causal import CausalTracer
 from repro.topology import two_broker_topology
 
 
@@ -24,7 +27,7 @@ def main() -> None:
         params=LivenessParams(gct=0.1, nrt_min=0.3),
         log_commit_latency=0.01,
     )
-    tracer = Tracer(system).install()
+    tracer = CausalTracer(system).install()
     system.subscribe("a", "shb", ("P0",))
     publisher = system.publisher("P0", rate=40.0)
 
@@ -37,30 +40,35 @@ def main() -> None:
     publisher.stop()
     system.run_until(6.0)
 
-    print("traffic fingerprint of the whole run:")
-    for key, count in sorted(tracer.counts().items()):
-        print(f"  {key:<22} {count}")
+    print("spans of the whole run, by name:")
+    for name, count in sorted(collections.Counter(s.name for s in tracer.spans).items()):
+        print(f"  {name:<12} {count}")
+    acks = system.obs.instruments.total("repro_broker_acks_sent_total")
+    print(f"  {'acks sent':<12} {acks:.0f}")
 
-    print("\nthe repair conversation (window 1.25s..1.75s, control traffic):")
-    window = [
-        event
-        for event in tracer.filter(t0=1.25, t1=1.75)
-        if event.detail.get("msg") in ("nack", "retransmit", "ack")
-        or event.kind == "fault"
+    # A message the stall lost: its first-time transit never closed.
+    lost = next(
+        s for s in tracer.spans
+        if s.name == "transit" and s.open and s.attrs["kind"] == "first"
+    )
+    timeline = tracer.render_timeline(
+        "P0", lost.tick, header="first message lost in the stall"
+    )
+    print()
+    print(timeline)
+
+    story = tracer.spans_for("P0", lost.tick)
+    nacks = [s for s in story if s.name == "nack_send"]
+    repairs = [
+        s for s in story
+        if s.name == "transit" and s.attrs["kind"] == "retransmit" and not s.open
     ]
-    print(tracer.render(window))
-
-    print("\nfirst deliveries after the repair:")
-    deliveries = tracer.filter(kind="deliver", t0=1.3)[:6]
-    print(tracer.render(deliveries))
-
-    nacks = tracer.filter(msg="nack")
-    retransmits = tracer.filter(msg="retransmit")
     assert nacks, "the subscriber must have nacked the gap"
-    assert retransmits, "the PHB must have answered"
+    assert repairs, "the PHB must have answered with a retransmission"
+    assert ("a", "P0", lost.tick) in [d[:3] for d in tracer.deliveries]
     print(
-        f"\n{len(nacks)} nack(s) repaired the stall; "
-        f"{len(retransmits)} retransmission(s) carried the data back."
+        f"{len(nacks)} nack(s) repaired the stall; "
+        f"{len(repairs)} retransmission(s) carried tick {lost.tick} back."
     )
 
 

@@ -60,7 +60,6 @@ from .obs.exporters import json_lines, parse_prometheus, prometheus_text
 from .obs.hub import MetricsHub
 from .obs.instruments import Instruments
 from .obs.observability import Observability
-from .obs.trace import TraceEvent, Tracer
 from .storage.log import FileLog, MemoryLog
 from .topology import System, Topology, figure3_topology, two_broker_topology
 
@@ -112,8 +111,6 @@ __all__ = [
     "Tick",
     "TickRange",
     "Topology",
-    "TraceEvent",
-    "Tracer",
     "figure3_topology",
     "fuzz",
     "json_lines",

@@ -11,7 +11,6 @@ from .messages import (
     KnowledgeMessage,
     NackMessage,
     decode_message,
-    encode_message,
 )
 from .pubend import Pubend
 from .rto import RtoEstimator

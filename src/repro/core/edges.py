@@ -113,12 +113,6 @@ class MergeView:
                 all_final = False
         return K.F if all_final else K.Q
 
-    def payload_at(self, tick: Tick) -> Any:
-        for stream in self.inputs:
-            if stream.value_at(tick) == K.D:
-                return stream.payload_at(tick)
-        raise KeyError(tick)
-
     def doubt_horizon(self) -> Tick:
         """First tick of the merged stream that is neither D nor F.
 

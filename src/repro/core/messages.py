@@ -36,7 +36,6 @@ __all__ = [
     "NackMessage",
     "AckExpectedMessage",
     "GDMessage",
-    "encode_message",
     "decode_message",
 ]
 
@@ -227,13 +226,8 @@ def register_message_kind(kind: str, decoder: Any) -> None:
     _DECODERS[kind] = decoder
 
 
-def encode_message(message: Any) -> Dict[str, Any]:
-    """Encode any GD message to a JSON-compatible dict."""
-    return message.to_wire()
-
-
 def decode_message(obj: Dict[str, Any]) -> Any:
-    """Decode a dict produced by :func:`encode_message`."""
+    """Decode a dict produced by a message's ``to_wire()``."""
     try:
         decoder = _DECODERS[obj["kind"]]
     except KeyError as exc:

@@ -73,11 +73,6 @@ class TickRange:
         """The range covering exactly one tick."""
         return cls(tick, tick + 1)
 
-    @classmethod
-    def inclusive(cls, first: Tick, last: Tick) -> "TickRange":
-        """The range covering ``first`` through ``last`` inclusive."""
-        return cls(first, last + 1)
-
     def touches(self, other: "TickRange") -> bool:
         """True when the ranges overlap or are exactly adjacent."""
         return self.start <= other.stop and other.start <= self.stop

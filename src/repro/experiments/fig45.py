@@ -51,13 +51,6 @@ class OverheadPoint:
     remote_median_ms: float
     delivered: int
 
-    def row(self) -> str:
-        return (
-            f"{self.protocol:>11}  N={self.n_subscribers:>6}  "
-            f"SHB CPU {100 * self.shb_cpu:5.1f}%  PHB CPU {100 * self.phb_cpu:5.1f}%  "
-            f"local {self.local_median_ms:7.1f} ms  remote {self.remote_median_ms:7.1f} ms"
-        )
-
 
 def run_overhead_point(
     protocol: str,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 __all__ = [
     "Sample",
@@ -82,10 +82,6 @@ class Series:
     def median(self) -> float:
         return median(self.values())
 
-    def mean(self) -> float:
-        values = self.values()
-        return sum(values) / len(values)
-
     def max(self) -> float:
         return max(self.values())
 
@@ -94,16 +90,6 @@ class Series:
         out = Series(self.name)
         out.samples = [s for s in self.samples if t0 <= s.t < t1]
         return out
-
-    def cumulative(self) -> List[Tuple[float, float]]:
-        """Running sum of values, as (t, cumulative) pairs — the form of
-        the paper's nack-range plots."""
-        total = 0.0
-        points = []
-        for sample in sorted(self.samples, key=lambda s: s.t):
-            total += sample.value
-            points.append((sample.t, total))
-        return points
 
 
 class LatencyRecorder:
@@ -126,16 +112,6 @@ class LatencyRecorder:
         if series is None:
             series = self._series[subscriber] = Series(subscriber)
         return series
-
-    def subscribers(self) -> List[str]:
-        return sorted(self._series)
-
-    def merged(self) -> Series:
-        merged = Series("all")
-        for series in self._series.values():
-            merged.samples.extend(series.samples)
-        merged.samples.sort(key=lambda s: s.t)
-        return merged
 
 
 class NackRecorder:

@@ -16,7 +16,6 @@ production-style instruments the reproduction grew on top of them:
   (``system.metrics``);
 * :func:`prometheus_text` / :func:`json_lines` / :func:`parse_prometheus`
   — snapshot exporters (also available via ``repro stats``);
-* :class:`Tracer` / :class:`TraceEvent` — flat structured event rows;
 * :class:`CausalTracer` / :class:`Span` — causal span trees per
   ``(pubend, tick)`` with Perfetto/Chrome export;
 * :func:`build_report` / :class:`AttributionReport` — end-to-end latency
@@ -24,8 +23,8 @@ production-style instruments the reproduction grew on top of them:
 * :class:`DetectorSet` / :class:`Finding` — online anomaly detectors
   (horizon stall, retransmission storm, silence violation).
 
-``Tracer`` and the causal layer are imported lazily to keep this package
-importable from the broker engine without a cycle.
+The causal, attribution and detector layers load on first use, so the
+broker engine's import of this package does not pull them in.
 """
 
 from .exporters import json_lines, parse_prometheus, prometheus_text, snapshot
@@ -62,8 +61,6 @@ __all__ = [
     "Observability",
     "Span",
     "TICK_RANGE_BUCKETS",
-    "TraceEvent",
-    "Tracer",
     "build_report",
     "json_lines",
     "parse_prometheus",
@@ -72,8 +69,6 @@ __all__ = [
 ]
 
 _LAZY = {
-    "Tracer": "trace",
-    "TraceEvent": "trace",
     "CausalTracer": "causal",
     "Span": "causal",
     "AttributionReport": "attribution",
@@ -85,8 +80,6 @@ _LAZY = {
 
 
 def __getattr__(name: str):
-    # Lazy: obs.trace imports broker state, which imports this package;
-    # the causal layer follows the same pattern for consistency.
     module = _LAZY.get(name)
     if module is not None:
         import importlib

@@ -4,8 +4,8 @@ A :class:`CausalTracer` subscribes to the system's
 :class:`~repro.obs.lifecycle.LifecycleHub` and turns the flat stream of
 protocol moments into a **span tree per publication identity**
 ``(pubend, tick)`` — the paper's ``(stream, seq)``.  Each span is an
-interval of simulated time attributed to one node, with a causal parent
-link:
+interval on the hooks' clock (simulated or event-loop time) attributed
+to one node, with a causal parent link:
 
 * a ``transit`` span covers send → remote accumulate (wire, CPU queue,
   and istream processing in one hop record; a transit that never closes
@@ -94,10 +94,13 @@ class _Pub:
 
 
 class CausalTracer(LifecycleListener):
-    """Span-tree recorder over the lifecycle hub (pure observation)."""
+    """Span-tree recorder over the lifecycle hub (pure observation).
+
+    Every time it keeps comes from a hook, so it records — and exports —
+    the simulator and the asyncio runtime alike.
+    """
 
     def __init__(self, system):
-        self.system = system
         self.obs = system.obs
         self.spans: List[Span] = []
         #: span ids per publication identity
@@ -507,8 +510,14 @@ class CausalTracer(LifecycleListener):
     def chrome_trace(self) -> Dict[str, Any]:
         """The span store as a Chrome trace-event object: one process per
         broker, one thread lane per pubend, flow arrows for cross-node
-        and batching/nack causal links."""
-        end = self.system.scheduler.now
+        and batching/nack causal links.  An open span ends at the latest
+        time any hook reported, so the export needs no backend clock."""
+        end = max(
+            [t for span in self.spans for t in (span.t0, span.t1) if t is not None]
+            + [entry[3] for entry in self.deliveries]
+            + [entry[0] for entry in self.horizon_log],
+            default=0.0,
+        )
         pids: Dict[str, int] = {}
         tids: Dict[Tuple[str, str], int] = {}
         events: List[Dict[str, Any]] = []

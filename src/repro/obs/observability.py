@@ -18,9 +18,8 @@ every measurement channel the evaluation uses:
 * **accountants** — every broker's :class:`~repro.metrics.cpu.CpuAccountant`,
   registered at construction, so CPU busy time appears in snapshots next
   to the protocol counters and Figure-4 numbers agree with the exporter;
-* **tracers** / **causal** — the :class:`~repro.obs.trace.Tracer` and
-  :class:`~repro.obs.causal.CausalTracer` attached to the system, read at
-  export time for their volume gauges.
+* **causal** — the :class:`~repro.obs.causal.CausalTracer` installed on
+  the system, read at export time for its span gauges.
 
 Exporters (:func:`prometheus` / :func:`json_lines`) synchronize the
 derived gauges and render the whole registry; nothing else in the system
@@ -66,7 +65,6 @@ class Observability(LifecycleListener):
         self.instruments = Instruments()
         self.hub = MetricsHub()
         self.accountants: Dict[str, Any] = {}
-        self.tracers: List[Any] = []
         #: Structured :class:`FaultEvent` records, in application order.
         self.fault_events: List[FaultEvent] = []
         #: The system's one event stream.  Brokers, subends and the fault
@@ -96,10 +94,6 @@ class Observability(LifecycleListener):
     def register_accountant(self, node_id: str, accountant: Any) -> None:
         """Adopt a broker's CPU accountant (idempotent per node)."""
         self.accountants[node_id] = accountant
-
-    def attach_tracer(self, tracer: Any) -> None:
-        if tracer not in self.tracers:
-            self.tracers.append(tracer)
 
     def report_fault(self, t: float, kind: str, target: str) -> None:
         """The one emission site of the ``System`` / ``AioSystem`` fault
@@ -151,11 +145,6 @@ class Observability(LifecycleListener):
                 "Current backlog of the broker's single-server CPU work queue",
                 broker=node_id,
             ).set(accountant.queue_delay())
-        if self.tracers:
-            self.gauge(
-                "repro_trace_events",
-                "Events recorded by tracers attached to this system",
-            ).set(float(sum(len(t) for t in self.tracers)))
         if self.causal is not None:
             self.gauge(
                 "repro_causal_spans",

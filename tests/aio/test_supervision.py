@@ -148,9 +148,15 @@ class TestTcpSupervision:
             transport = TcpTransport(heartbeat_interval=0.05)
             await transport.attach("a", lambda s, m: None)
 
+            handlers = set()
+
             async def mute(reader, writer):
-                while await reader.readline():
-                    pass  # swallow everything, never reply
+                handlers.add(writer)
+                try:
+                    while await reader.readline():
+                        pass  # swallow everything, never reply
+                finally:
+                    handlers.discard(writer)
 
             server = await asyncio.start_server(mute, host="127.0.0.1", port=0)
             transport.addresses["mute"] = server.sockets[0].getsockname()[:2]
@@ -163,9 +169,15 @@ class TestTcpSupervision:
             down = await eventually(
                 lambda: not transport.link_usable("a", "mute")
             )
+            # Each handler must see EOF and return before the loop
+            # closes; a handler cancelled inside readline() is logged
+            # by asyncio as an exception in a callback.
+            await transport.close()
+            for writer in list(handlers):
+                writer.close()
+            await eventually(lambda: not handlers)
             server.close()
             await server.wait_closed()
-            await transport.close()
             return detected, down
 
         detected, down = asyncio.run(scenario())

@@ -14,7 +14,6 @@ from repro.core.messages import (
     KnowledgeMessage,
     NackMessage,
     decode_message,
-    encode_message,
 )
 from repro.core.ticks import TickRange
 from repro.matching.events import Event
@@ -96,7 +95,7 @@ class TestGDMessageCodec:
     @given(gd_messages)
     @settings(max_examples=300)
     def test_round_trip_through_json(self, message):
-        wire = json.loads(json.dumps(encode_message(message)))
+        wire = json.loads(json.dumps(message.to_wire()))
         assert decode_message(wire) == message
 
 

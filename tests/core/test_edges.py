@@ -73,7 +73,6 @@ class TestMergeView:
         b = make_stream([("f", 0, 10)])
         view = MergeView([a, b])
         assert view.value_at(4) == K.D
-        assert view.payload_at(4) == "a4"
 
     def test_final_requires_all_inputs_final(self):
         a = make_stream([("f", 0, 10)])
@@ -103,11 +102,6 @@ class TestMergeView:
         a = make_stream([("d", 2, "a2"), ("d", 8, "a8"), ("f", 0, 2), ("f", 3, 8)])
         view = MergeView([a])
         assert view.d_ticks_below(10, lo=3) == [(8, "a8")]
-
-    def test_payload_at_unknown_tick_raises(self):
-        view = MergeView([make_stream([])])
-        with pytest.raises(KeyError):
-            view.payload_at(3)
 
     def test_same_view_same_order_for_all_subscribers(self):
         """Determinism: two views over the same inputs agree (total order)."""

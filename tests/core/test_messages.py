@@ -9,7 +9,6 @@ from repro.core.messages import (
     KnowledgeMessage,
     NackMessage,
     decode_message,
-    encode_message,
 )
 from repro.core.ticks import TickRange
 
@@ -63,7 +62,7 @@ class TestNackMessage:
 
 class TestCodec:
     def round_trip(self, message):
-        wire = encode_message(message)
+        wire = message.to_wire()
         decoded = decode_message(wire)
         assert decoded == message
         return wire
@@ -98,5 +97,5 @@ class TestCodec:
         msg = KnowledgeMessage(
             pubend="P1", fin_prefix=1, data=(DataTick(2, {"k": "v"}),)
         )
-        encoded = json.dumps(encode_message(msg))
+        encoded = json.dumps(msg.to_wire())
         assert decode_message(json.loads(encoded)) == msg

@@ -34,10 +34,6 @@ class TestTickRange:
         rng = TickRange.single(9)
         assert list(rng) == [9]
 
-    def test_inclusive(self):
-        rng = TickRange.inclusive(3, 5)
-        assert list(rng) == [3, 4, 5]
-
     def test_touches_includes_adjacency(self):
         assert TickRange(0, 5).touches(TickRange(5, 10))
         assert not TickRange(0, 5).touches(TickRange(6, 10))

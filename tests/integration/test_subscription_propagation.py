@@ -2,7 +2,7 @@
 dynamically from the subscriptions below each path."""
 
 from repro import DeliveryChecker, LivenessParams
-from repro.obs import Tracer
+from repro.obs import CausalTracer
 from repro.topology import Topology, balanced_pubend_names, figure3_topology
 
 PROPAGATION = LivenessParams(
@@ -19,20 +19,28 @@ def chain():
     return topo
 
 
+def transits(tracer, node, to, t0=0.0):
+    """Knowledge sends (first-time and retransmissions) from ``node`` to
+    ``to`` from time ``t0`` on."""
+    return [
+        span
+        for span in tracer.spans
+        if span.name == "transit"
+        and span.node == node
+        and span.attrs["dst"] == to
+        and span.t0 >= t0
+    ]
+
+
 def knowledge_data_count(tracer, node, to):
     """D ticks actually shipped from ``node`` to ``to``."""
-    return sum(
-        event.detail.get("d", 0)
-        for event in tracer.filter(kind="send", node=node)
-        if event.detail.get("to") == to
-        and event.detail.get("msg") in ("knowledge", "retransmit")
-    )
+    return sum(span.attrs["d"] for span in transits(tracer, node, to))
 
 
 class TestTrafficPruning:
     def test_narrow_subscription_prunes_upstream_links(self):
         system = chain().build(seed=3, params=PROPAGATION, log_commit_latency=0.01)
-        tracer = Tracer(system).install()
+        tracer = CausalTracer(system).install()
         sub = system.subscribe("a", "shb", ("P0",), "g = 0")
         system.run_until(0.5)  # let the summary propagate
         pub = system.publisher("P0", rate=50.0, make_attributes=lambda i: {"g": i % 5})
@@ -52,7 +60,7 @@ class TestTrafficPruning:
     def test_without_propagation_everything_is_shipped(self):
         params = PROPAGATION.with_(subscription_propagation=False)
         system = chain().build(seed=3, params=params, log_commit_latency=0.01)
-        tracer = Tracer(system).install()
+        tracer = CausalTracer(system).install()
         system.subscribe("a", "shb", ("P0",), "g = 0")
         pub = system.publisher("P0", rate=50.0, make_attributes=lambda i: {"g": i % 5})
         pub.start(at=0.6)
@@ -88,7 +96,7 @@ class TestTrafficPruning:
 
     def test_unsubscribe_narrows_filters(self):
         system = chain().build(seed=3, params=PROPAGATION, log_commit_latency=0.01)
-        tracer = Tracer(system).install()
+        tracer = CausalTracer(system).install()
         system.subscribe("a", "shb", ("P0",), "g = 0")
         system.subscribe("b", "shb", ("P0",), "g = 1")
         system.run_until(0.5)
@@ -104,15 +112,9 @@ class TestTrafficPruning:
         pub.stop()
         system.run_until(7.0)
         # After the narrowing settles, g=1 data stops flowing to the SHB.
-        late_g1 = [
-            event
-            for event in tracer.filter(kind="send", node="ib", t0=3.0)
-            if event.detail.get("to") == "shb" and event.detail.get("d", 0) > 0
-        ]
-        late_published_g1 = sum(
-            1 for (__, ___, e) in pub.published if e["g"] == 1 and e["ts"] > 3.0
+        shipped_late = sum(
+            span.attrs["d"] for span in transits(tracer, "ib", "shb", t0=3.0)
         )
-        shipped_late = sum(e.detail.get("d", 0) for e in late_g1)
         late_published_g0 = sum(
             1 for (__, ___, e) in pub.published if e["g"] == 0 and e["ts"] > 3.0
         )
@@ -161,7 +163,7 @@ class TestPropagationRobustness:
 
     def test_opaque_predicate_collapses_summary_to_match_all(self):
         system = chain().build(seed=3, params=PROPAGATION, log_commit_latency=0.01)
-        tracer = Tracer(system).install()
+        tracer = CausalTracer(system).install()
         sub = system.subscribe("a", "shb", ("P0",), lambda e: e["g"] == 0)
         system.run_until(0.5)
         pub = system.publisher("P0", rate=50.0, make_attributes=lambda i: {"g": i % 5})

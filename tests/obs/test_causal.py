@@ -4,23 +4,32 @@ The tracer turns lifecycle hook events into one span tree per
 publication identity ``(pubend, tick)``; these tests pin the causal
 parenting rules (retransmissions under the nack that caused them, flush
 sends under the batching timer), the pure-observation guarantee, and the
-Chrome-trace export.
+Chrome-trace export on both backends.
 """
 
+import asyncio
 import io
 import json
 
+import pytest
+
+from repro.aio.runtime import AioSystem
+from repro.aio.transport import LocalTransport
 from repro.core.config import LivenessParams
 from repro.obs.causal import CausalTracer
 from repro.topology import two_broker_topology
 
 
-def traced_run(drop=0.0, seed=3, flush_delay=0.0, until=3.0, tracer_on=True):
+def topology():
     topo = two_broker_topology()
     topo.pubend("P0", "phb")
     topo.route("P0", "PHB", "SHB")
+    return topo
+
+
+def traced_run(drop=0.0, seed=3, flush_delay=0.0, until=3.0, tracer_on=True):
     params = LivenessParams(gct=0.1, nrt_min=0.3, flush_delay=flush_delay)
-    system = topo.build(seed=seed, params=params, log_commit_latency=0.01)
+    system = topology().build(seed=seed, params=params, log_commit_latency=0.01)
     if drop:
         system.network.link("phb", "shb").drop_probability = drop
     tracer = CausalTracer(system).install() if tracer_on else None
@@ -101,6 +110,21 @@ class TestSpanTree:
             # The timer span covers defer -> flush.
             assert parent.duration() is not None and parent.duration() > 0
 
+    def test_cancelled_flush_timer_closes_its_span_unsent(self):
+        # An empty coalesced flush (its ticks finalized meanwhile) reports
+        # sent=False through the hub; the timer span closes and records it.
+        system, tracer, __p, __c = traced_run(flush_delay=0.05, until=4.0)
+        system.obs.lifecycle.flush_deferred(
+            system.now, "phb", "P0", "SHB", (), True, 0.05
+        )
+        timer = tracer.spans[-1]
+        assert timer.name == "flush_timer" and timer.open
+        system.obs.lifecycle.knowledge_flushed(
+            system.now + 0.05, "phb", "P0", "SHB", (), False
+        )
+        assert timer.attrs["sent"] is False
+        assert timer.duration() == pytest.approx(0.05)
+
     def test_lost_message_leaves_open_transit(self):
         __, tracer, __p, __c = traced_run(drop=0.3, seed=5, until=4.0)
         open_transits = [
@@ -111,6 +135,14 @@ class TestSpanTree:
 
 
 class TestPureObservation:
+    def test_install_is_idempotent(self):
+        system, tracer, __p, __c = traced_run()
+        tracer.install()
+        assert system.obs.lifecycle.listeners.count(tracer) == 1
+        before = len(tracer)
+        system.fail_link("phb", "shb")
+        assert len(tracer) == before + 1
+
     def test_tracing_does_not_change_deliveries(self):
         def deliveries(tracer_on):
             __, __t, __p, client = traced_run(
@@ -148,3 +180,41 @@ class TestChromeExport:
         }
         assert all(e["pid"] in pids for e in spans)
         assert all(e["dur"] >= 1.0 for e in spans)
+
+
+class TestAsyncioBackend:
+    def test_export_and_timeline_after_shutdown(self):
+        """The tracer reads no backend clock: it exports from an
+        ``AioSystem`` whose loop has stopped."""
+
+        async def run():
+            system = AioSystem(
+                topology(),
+                params=LivenessParams(gct=0.05, nrt_min=0.1),
+                transport=LocalTransport(latency=0.001),
+            )
+            await system.start()
+            tracer = CausalTracer(system).install()
+            client = system.subscribe("a", "shb", ("P0",))
+            system.publisher("P0", rate=100.0, max_messages=10).start()
+            try:
+                for __ in range(50):
+                    await system.run_for(0.05)
+                    if client.count() == 10:
+                        break
+            finally:
+                await system.shutdown()
+            return tracer, client
+
+        tracer, client = asyncio.run(run())
+        assert client.count() == 10
+        out = io.StringIO()
+        tracer.export_chrome(out)
+        spans = [e for e in json.loads(out.getvalue())["traceEvents"] if e["ph"] == "X"]
+        assert len(spans) == len(tracer.spans) >= 1
+        tick = client.received[0][1]
+        timeline = tracer.render_timeline("P0", tick)
+        assert f"publish @phb (P0,{tick})" in timeline
+        (transit,) = [line for line in timeline.splitlines() if "kind=first" in line]
+        assert "dst=shb" in transit and "open" not in transit
+        assert ("a", "P0", tick) in [d[:3] for d in tracer.deliveries]

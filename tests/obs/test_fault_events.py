@@ -11,7 +11,7 @@ system's fault verb).
 
 from repro.core.config import LivenessParams
 from repro.core.ticks import tick_of_time
-from repro.obs import Tracer
+from repro.obs import CausalTracer
 from repro.obs.observability import FaultEvent
 from repro.topology import two_broker_topology
 
@@ -74,7 +74,7 @@ class TestFaultEventObservability:
         """crash_broker on a dead broker and restart_broker on a live one
         change no host state; every observer still sees the verb, once."""
         system = build_system()
-        tracer = Tracer(system).install()
+        tracer = CausalTracer(system).install()
 
         system.crash_broker("phb")
         system.crash_broker("phb")
@@ -83,9 +83,11 @@ class TestFaultEventObservability:
 
         kinds = ["crash", "crash", "restart", "restart"]
         assert [e.kind for e in system.obs.fault_events] == kinds
-        assert [e.detail["what"] for e in tracer.filter(kind="fault")] == [
-            f"{kind} phb" for kind in kinds
-        ]
+        assert [
+            (span.attrs["kind"], span.node)
+            for span in tracer.spans
+            if span.name == "fault"
+        ] == [(kind, "phb") for kind in kinds]
         assert counter_value(
             system.obs, "repro_faults_injected_total", kind="crash"
         ) == 2

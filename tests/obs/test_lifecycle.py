@@ -1,7 +1,7 @@
 """One event stream: the lifecycle hub and its listeners, on both backends.
 
-Every observer — the nack series of ``system.metrics``, the flat
-:class:`~repro.obs.trace.Tracer`, ``system.obs``'s fault log and counter,
+Every observer — the nack series of ``system.metrics``, the
+:class:`~repro.obs.causal.CausalTracer`, ``system.obs``'s fault log and counter,
 the conformance :class:`~repro.obs.lifecycle.LifecycleRecorder` — is a
 :class:`~repro.obs.lifecycle.LifecycleListener` on ``system.obs.lifecycle``
 and takes its time from the hook, so one canned run (20% loss, a link
@@ -25,8 +25,8 @@ from repro.aio.transport import LocalTransport
 from repro.check.runner import schedule_steps
 from repro.core.config import LivenessParams
 from repro.facade import SystemFacade
+from repro.obs.causal import CausalTracer
 from repro.obs.lifecycle import LifecycleHub, LifecycleListener, LifecycleRecorder
-from repro.obs.trace import Tracer
 
 FAST = LivenessParams(gct=0.05, nrt_min=0.1, aet=1.0, dct=math.inf,
                       silence_interval=0.1, link_status_interval=0.1,
@@ -118,7 +118,7 @@ async def canned_run(backend):
         if inspect.isawaitable(result):
             await result
 
-    tracer = Tracer(system).install()
+    tracer = CausalTracer(system).install()
     recorder = LifecycleRecorder()
     everything, fired = recording_listener()
     system.obs.lifecycle.attach(recorder)
@@ -150,8 +150,9 @@ async def canned_run(backend):
                 for node in system.brokers
             },
             "nacks_sent_total": instruments.total("repro_broker_nacks_sent_total"),
-            "trace": tracer.counts(),
-            "trace_times": [event.t for event in tracer.events],
+            "acks_sent_total": instruments.total("repro_broker_acks_sent_total"),
+            "spans": list(tracer.spans),
+            "deliveries": list(tracer.deliveries),
             "fault_events": [(e.kind, e.target) for e in system.obs.fault_events],
             "fault_counter": {
                 kind: instruments.get("repro_faults_injected_total", kind=kind).value
@@ -206,15 +207,21 @@ class TestListenersOnBothBackends:
             assert nacks.total_range(node) == instrument_sum
         assert sum(nacks.count(n) for n in nacks.nodes()) == observed["nacks_sent_total"]
 
-    def test_flat_tracer_records_the_whole_conversation(self, observed):
-        counts = observed["trace"]
-        for row in ("send:knowledge", "send:ack", "send:nack", "send:retransmit"):
-            assert counts.get(row, 0) > 0, row
-        assert counts["publish"] == observed["published"]
-        assert counts["deliver"] == observed["published"]
-        assert counts["fault"] == len(FAULTS)
+    def test_causal_tracer_records_the_whole_conversation(self, observed):
+        spans = observed["spans"]
+        names = collections.Counter(span.name for span in spans)
+        assert names["publish"] == observed["published"]
+        assert len(observed["deliveries"]) == observed["published"]
+        assert any(
+            span.name == "transit" and span.attrs["kind"] == "retransmit"
+            for span in spans
+        )
+        assert names["nack_send"] > 0
+        assert names["fault"] == len(FAULTS)
+        assert observed["acks_sent_total"] > 0
         # Stamped from the hooks' own clock, in recording order.
-        assert observed["trace_times"] == sorted(observed["trace_times"])
+        starts = [span.t0 for span in spans]
+        assert starts == sorted(starts)
 
     def test_faults_reach_obs_under_one_kind_vocabulary(self, observed):
         assert observed["fault_events"] == FAULTS

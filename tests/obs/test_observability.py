@@ -83,20 +83,13 @@ class TestSystemWiring:
         assert system.run_until(1.5) == pytest.approx(1.5)
         assert system.run_for(0.5) == pytest.approx(2.0)
 
-    def test_tracer_registers_with_obs(self):
-        from repro.obs.trace import Tracer
-
-        system = small_system()
-        tracer = Tracer(system)
-        assert tracer in system.obs.tracers
-
 
 class TestImportPaths:
     def test_public_import_paths_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             from repro.obs import MetricsHub as hub  # noqa: F401
-            from repro.obs import Tracer as tracer  # noqa: F401
+            from repro.obs import CausalTracer as tracer  # noqa: F401
 
             assert repro.MetricsHub is MetricsHub
 

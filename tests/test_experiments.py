@@ -63,10 +63,6 @@ class TestOverheadDriver:
         b = run_overhead_point("gd", 15, input_rate=60, warmup=0.5, measure=1.5)
         assert a == b
 
-    def test_row_renders(self):
-        point = run_overhead_point("gd", 10, input_rate=60, warmup=0.5, measure=1.0)
-        assert "gd" in point.row()
-
 
 class TestFaultDriver:
     def test_unknown_fault_rejected(self):
