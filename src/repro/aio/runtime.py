@@ -9,7 +9,9 @@ The runtime is a production-grade second backend for the protocol, not
 just a demo: pubends persist to :class:`~repro.storage.log.FileLog` when
 the system is given a ``data_dir`` (a crashed broker reopens and replays
 its logs on restart, recovering assigned ticks and its doubt horizon),
-broker inboxes are bounded with a configurable slow-consumer policy,
+each arriving message is handled in the transport callback that
+delivers it (one delivery or one TCP read is one engine turn, and a
+broker that falls behind is pushed back on by TCP flow control),
 scheduled protocol timers are tracked and cancelled on crash/shutdown,
 and the :class:`~repro.obs.lifecycle.LifecycleHub`/Instruments pipeline
 observes the real-time path exactly as it does the simulator.
@@ -59,16 +61,11 @@ __all__ = [
 #:   stays lost.
 KNOWN_MUTATIONS = frozenset({"suppress-retransmit"})
 
-#: Micro-batch size of the inbox drain task: each wakeup processes up to
-#: this many queued messages before yielding to the loop, instead of
-#: paying a full task switch per message.
-_INBOX_BATCH = 64
-
 
 class _Timer:
     """A broker timer: runs ``fn`` only in the incarnation that armed it,
     keeping a raise in the broker's :attr:`~AioBroker.failure` as
-    :meth:`AioBroker._process` does, and is in the broker's tracking set
+    :meth:`AioBroker.on_receive` does, and is in the broker's tracking set
     exactly while it is pending — it leaves when it fires or is
     cancelled, so the set never needs a sweep and arming stays O(1)
     however many timers are live."""
@@ -161,20 +158,13 @@ class AioBroker(BrokerHost):
 
     Pubend hosting, the engine lifecycle and the crash/recover sequence
     are :class:`~repro.broker.host.BrokerHost`'s; this class adds the
-    asyncio substrate — the bounded inbox, wall-clock timers tracked for
-    cancellation, and the self-test mutations.
-
-    ``inbox_limit`` bounds the broker's receive queue; ``slow_consumer``
-    picks what happens when it fills:
-
-    * ``"backpressure"`` (default) — async senders (the TCP reader) wait
-      for space, which suspends the socket reader and lets TCP flow
-      control push back on the remote broker; in-process senders fall
-      back to inline processing (bounded memory, nothing dropped).
-    * ``"shed"`` — the newest arrival is discarded and counted in the
-      ``aio_inbox_shed`` instrument.  Never silent: guaranteed traffic
-      shed here is recovered by the protocol's curiosity/retransmission
-      machinery, but the counter makes the pressure visible.
+    asyncio substrate — receiving in the transport's callback, one
+    engine turn per delivery or TCP read (:meth:`turn`), wall-clock
+    timers tracked for cancellation, and the self-test mutations.
+    There is no receive queue: the loop reads a socket only as fast as
+    the broker handles what it read, so a broker that falls behind is
+    pushed back on by TCP flow control, and its sender's bounded outbox
+    (``TcpTransport.OUTBOX_LIMIT``) sheds what does not fit.
     """
 
     def __init__(
@@ -184,20 +174,11 @@ class AioBroker(BrokerHost):
         params: LivenessParams,
         transport: Transport,
         obs: Optional[Observability] = None,
-        inbox_limit: int = 1024,
-        slow_consumer: str = "backpressure",
         mutations: frozenset = frozenset(),
     ):
-        if slow_consumer not in ("backpressure", "shed"):
-            raise ValueError(
-                f"slow_consumer must be 'backpressure' or 'shed', "
-                f"got {slow_consumer!r}"
-            )
         self.transport = transport
         self.alive = True
         self.epoch = 0
-        self.inbox_limit = inbox_limit
-        self.slow_consumer = slow_consumer
         #: True while a deferred piggyback check is queued on the loop.
         self._piggyback_scheduled = False
         #: A first-time data message was sent since the last check: the
@@ -209,19 +190,11 @@ class AioBroker(BrokerHost):
         self.mutations = mutations
         self.mutation_counts: Counter = Counter()
         self._pending_timers: Set[_Timer] = set()
-        self._inbox: Optional["asyncio.Queue[Tuple[str, Any]]"] = None
-        self._drain_task: Optional[asyncio.Task] = None
-        #: First exception raised while processing the inbox (e.g. a
-        #: client's DuplicateDelivery) — surfaced by shutdown()/chaos.
+        #: First exception raised while handling a message or a timer
+        #: (e.g. a client's DuplicateDelivery) — surfaced by
+        #: shutdown()/chaos.
         self.failure: Optional[BaseException] = None
-        self.shed_count = 0
         super().__init__(broker_id, info, params, _AioServices(self), obs)
-
-    def start(self) -> None:
-        """Spin up the inbox drain task and arm protocol timers."""
-        self._inbox = asyncio.Queue(maxsize=self.inbox_limit)
-        self._drain_task = asyncio.get_running_loop().create_task(self._drain())
-        super().start()
 
     # -- timer tracking ----------------------------------------------------
 
@@ -233,83 +206,12 @@ class AioBroker(BrokerHost):
     # -- data path ---------------------------------------------------------
 
     def on_receive(self, src: str, message: Any) -> None:
-        """Synchronous receive (LocalTransport): enqueue, applying the
-        slow-consumer policy when the inbox is full."""
-        if not self.alive or self._inbox is None:
-            return
-        try:
-            self._inbox.put_nowait((src, message))
-        except asyncio.QueueFull:
-            if self.slow_consumer == "shed":
-                self.shed_count += 1
-                self.obs.instruments.counter(
-                    "aio_inbox_shed",
-                    "messages discarded by a full broker inbox",
-                    broker=self.broker_id,
-                ).inc()
-            else:
-                # In-process senders have no socket to push back on;
-                # process inline so nothing is dropped and memory stays
-                # bounded by the queue.  Its acks leave before this
-                # returns — or, when this send began in one of this
-                # broker's own drain batches, when that batch's turn ends.
-                self._process(src, message)
-
-    async def on_receive_async(self, src: str, message: Any) -> None:
-        """Awaitable receive (TcpTransport): a full inbox suspends the
-        caller — the socket reader — so TCP flow control backpressures
-        the remote broker."""
-        if not self.alive or self._inbox is None:
-            return
-        if self.slow_consumer == "shed":
-            self.on_receive(src, message)
-            return
-        await self._inbox.put((src, message))
-
-    async def _drain(self) -> None:
-        """Inbox pump: block for the first message, then greedily drain
-        up to ``_INBOX_BATCH`` already-queued messages in the same wakeup
-        — one task switch amortized over the whole micro-batch.  The
-        micro-batch is one engine turn: the acks it makes due leave once,
-        when it ends."""
-        inbox = self._inbox
-        assert inbox is not None
-        try:
-            while True:
-                src, message = await inbox.get()
-                self.engine.open_turn()
-                try:
-                    self._process(src, message)
-                finally:
-                    inbox.task_done()
-                for _ in range(_INBOX_BATCH - 1):
-                    try:
-                        src, message = inbox.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    try:
-                        self._process(src, message)
-                    finally:
-                        inbox.task_done()
-                self._close_turn()
-        except asyncio.CancelledError:
-            pass
-
-    def _piggyback_flush(self, epoch: int) -> None:
-        """Deferred piggyback check queued by :meth:`_AioServices.send`:
-        flush the pending deltas eagerly if a data message went out."""
-        due = self._piggyback_due
-        self._piggyback_scheduled = self._piggyback_due = False
-        if due and self.alive and self.epoch == epoch and self.engine is not None:
-            self.engine.flush_dirty_ostreams()
-
-    def _process(self, src: str, message: Any) -> None:
-        """Handle one message.  This is the boundary that must keep
-        running: a handler exception is kept in :attr:`failure` (the first
-        one; chaos and conformance report it) and the broker goes on to
-        the next message — one poisoned message must not kill the drain
-        task, block the TCP reader behind a full inbox and lose every
-        delivery queued after it."""
+        """Handle one message, in the transport callback that delivered
+        it.  This is the boundary that must keep running: a handler
+        exception is kept in :attr:`failure` (the first one; chaos and
+        conformance report it) and the broker goes on to the next
+        message — one poisoned message must not close the connection it
+        came on or lose the rest of its read."""
         if not self.alive:
             return
         try:
@@ -323,15 +225,36 @@ class AioBroker(BrokerHost):
             if self.failure is None:
                 self.failure = exc
 
-    def _close_turn(self) -> None:
-        """Send the micro-batch's acks inside the :meth:`_process`
-        boundary: a raise is kept in :attr:`failure`, and the drain task
-        goes on to the next batch."""
+    # The frozen load ledger (benchmarks/load/ledger.py:221) replaces this
+    # name; nothing calls it.  Delete it with ROADMAP item 1(a).
+    on_receive_async = on_receive
+
+    def turn(self, run: Callable[..., None], *args: Any) -> None:
+        """Run ``run(*args)`` — one delivery callback of the transport, or
+        everything one TCP read decoded — as one engine turn: the acks
+        its messages make due leave once, when it ends.  A raise in that
+        flush is kept in :attr:`failure` like a handler's."""
+        engine = self.engine
+        if engine is None:  # crashed: on_receive drops what arrives
+            run(*args)
+            return
+        engine.open_turn()
         try:
-            self.engine.close_turn()
-        except Exception as exc:
-            if self.failure is None:
-                self.failure = exc
+            run(*args)
+        finally:
+            try:
+                engine.close_turn()
+            except Exception as exc:
+                if self.failure is None:
+                    self.failure = exc
+
+    def _piggyback_flush(self, epoch: int) -> None:
+        """Deferred piggyback check queued by :meth:`_AioServices.send`:
+        flush the pending deltas eagerly if a data message went out."""
+        due = self._piggyback_due
+        self._piggyback_scheduled = self._piggyback_due = False
+        if due and self.alive and self.epoch == epoch and self.engine is not None:
+            self.engine.flush_dirty_ostreams()
 
     def deliver(self, subscriber: str, pubend: str, tick: Tick, payload: Any) -> None:
         now = asyncio.get_running_loop().time()
@@ -353,10 +276,6 @@ class AioBroker(BrokerHost):
         self.alive = False
         self.epoch += 1
         self._cancel_timers()
-        if self._drain_task is not None:
-            self._drain_task.cancel()
-            self._drain_task = None
-        self._inbox = None
         self.on_crash()
 
     def restart(self) -> None:
@@ -368,23 +287,12 @@ class AioBroker(BrokerHost):
         self.on_restart()
 
     async def shutdown(self) -> None:
-        """Graceful stop: drain the inbox, cancel timers, close logs."""
+        """Graceful stop: cancel timers, close logs."""
         if not self.alive:
             return
-        if self._inbox is not None and self._drain_task is not None:
-            if not self._drain_task.done():
-                await self._inbox.join()
         self.alive = False
         self.epoch += 1
         self._cancel_timers()
-        if self._drain_task is not None:
-            self._drain_task.cancel()
-            try:
-                await self._drain_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._drain_task = None
-        self._inbox = None
         for log in self.hosted_logs().values():
             log.close()
 
@@ -435,8 +343,6 @@ class AioSystem(SystemFacade):
         log_factory: Optional[Callable[[str], MessageLog]] = None,
         *,
         data_dir: Optional[str] = None,
-        inbox_limit: int = 1024,
-        slow_consumer: str = "backpressure",
         mutations: Any = (),
     ):
         mutations = frozenset(mutations)
@@ -464,8 +370,6 @@ class AioSystem(SystemFacade):
                 params,
                 self.transport,
                 obs=obs,
-                inbox_limit=inbox_limit,
-                slow_consumer=slow_consumer,
                 mutations=mutations,
             )
             for broker_id, info in self.plan.infos.items()
@@ -507,9 +411,7 @@ class AioSystem(SystemFacade):
             broker.start()
 
     async def _attach(self, broker: AioBroker) -> None:
-        await self.transport.attach(
-            broker.broker_id, broker.on_receive, broker.on_receive_async
-        )
+        await self.transport.attach(broker.broker_id, broker.on_receive, broker.turn)
 
     async def run_for(self, duration: float) -> float:
         """Let the system run; returns elapsed wall-clock time (the
@@ -593,9 +495,9 @@ class AioSystem(SystemFacade):
     async def shutdown(self) -> None:
         """Graceful stop: publishers first, then the transport's outboxes
         are drained (sends still waiting for their flush), then brokers
-        (each drains its inbox, cancels timers, closes its logs), then a
-        second transport drain for the acks/knowledge that final
-        processing produced, then close."""
+        (each cancels its timers and closes its logs), then a second
+        transport drain for what the last deliveries produced, then
+        close."""
         for publisher in self.publishers:
             await publisher.stop()
         await self.transport.drain()

@@ -4,9 +4,9 @@ The deterministic simulator is the primary evaluation substrate (see
 DESIGN.md §4), but the broker engine is transport-agnostic; this module
 provides two asyncio transports so the same protocol runs in real time:
 
-* :class:`LocalTransport` — in-process: every broker gets an inbox queue;
-  sends are delivered by the event loop after an optional latency, with
-  optional i.i.d. drops.  Useful for real-time integration tests and
+* :class:`LocalTransport` — in-process: each send is delivered by its
+  own event-loop callback after an optional latency, with optional
+  i.i.d. drops.  Useful for real-time integration tests and
   demos without sockets.
 * :class:`TcpTransport` — real TCP on localhost: each broker listens on
   its own port; outgoing connections are *supervised* — established
@@ -26,6 +26,9 @@ for a timed per-pair loss/jitter/corruption override (in-process only:
 nothing can be injected below a reliable TCP stream, so it raises there),
 ``attach``/``detach`` to bring a broker on and off the wire, and
 ``corrupt_next_messages`` for in-flight corruption.
+Both deliver in the loop callback that brings a message in — the
+``call_soon``/``call_later`` of a local send, the ``data_received`` of
+a TCP read — with no task or queue between the wire and the receiver.
 ``link_usable`` reports *local* knowledge of link health the way the
 paper's brokers learn it: for TCP that is the supervised connection state
 (established and heartbeat-fresh), which is what drives the engine's
@@ -57,9 +60,16 @@ from .wire import (
 
 __all__ = ["Transport", "LocalTransport", "TcpTransport"]
 
-#: Receive callback: (src_broker, message) -> None, or an ``async def``
-#: with the same signature (awaited by TcpTransport — backpressure).
-ReceiveFn = Callable[[str, Any], Any]
+#: Receive callback: (src_broker, message) -> None.
+ReceiveFn = Callable[[str, Any], None]
+#: Turn bracket: ``turn(run, *args)`` calls ``run(*args)`` — everything
+#: one loop callback delivers — as one receiving turn.
+TurnFn = Callable[..., None]
+
+
+def _no_turn(run: Callable[..., None], *args: Any) -> None:
+    """The turn of a receiver that keeps none."""
+    run(*args)
 
 
 class Transport(ABC):
@@ -81,15 +91,12 @@ class Transport(ABC):
 
     @abstractmethod
     async def attach(
-        self,
-        broker_id: str,
-        on_receive: ReceiveFn,
-        on_receive_async: Optional[ReceiveFn] = None,
+        self, broker_id: str, on_receive: ReceiveFn, turn: Optional[TurnFn] = None
     ) -> None:
         """Bring ``broker_id`` onto the wire: inbound messages go to
-        ``on_receive(src, message)``.  A transport with a socket to push
-        back on awaits ``on_receive_async`` instead when one is given, so
-        a full broker inbox backpressures the remote sender."""
+        ``on_receive(src, message)`` in the loop callback that brings
+        them in, and everything one callback delivers runs inside one
+        ``turn`` when one is given."""
 
     @abstractmethod
     async def detach(self, broker_id: str) -> None:
@@ -183,7 +190,7 @@ class LocalTransport(Transport):
         #: retransmission heals the gap.
         self.corrupt_probability = corrupt_probability
         self.rng = random.Random(seed)
-        self._receivers: Dict[str, ReceiveFn] = {}
+        self._receivers: Dict[str, Tuple[ReceiveFn, TurnFn]] = {}
         self._down: Set[Tuple[str, str]] = set()
         #: Per-pair (drop, jitter, corrupt) override of the ambient
         #: pathology, keyed by the normalized broker pair; a ``None`` field
@@ -203,14 +210,9 @@ class LocalTransport(Transport):
         )
 
     async def attach(
-        self,
-        broker_id: str,
-        on_receive: ReceiveFn,
-        on_receive_async: Optional[ReceiveFn] = None,
+        self, broker_id: str, on_receive: ReceiveFn, turn: Optional[TurnFn] = None
     ) -> None:
-        # In-process senders have no socket to push back on: always the
-        # synchronous receiver.
-        self._receivers[broker_id] = on_receive
+        self._receivers[broker_id] = (on_receive, turn or _no_turn)
 
     async def detach(self, broker_id: str) -> None:
         self._receivers.pop(broker_id, None)
@@ -282,7 +284,8 @@ class LocalTransport(Transport):
         def deliver() -> None:
             receiver = self._receivers.get(dst)
             if receiver is not None:
-                receiver(src, message)
+                on_receive, turn = receiver
+                turn(on_receive, src, message)
 
         delay = self.latency
         if jitter:
@@ -352,6 +355,83 @@ class _Connection:
         self.closing = False
 
 
+class _Inbound(asyncio.Protocol):
+    """One accepted connection to a listening broker.
+
+    Everything happens in the loop's read callback: :meth:`data_received`
+    feeds the frame decoder and hands each decoded envelope to the
+    broker's receiver, every envelope of one read inside one turn.  The
+    loop reads the socket only as fast as the broker handles it, so a
+    broker that falls behind pushes back on its sender through TCP flow
+    control.  A frame failing its CRC, a malformed frame or a peer that
+    skips its HELLO closes the connection; a broker's handler raising
+    does not — ``AioBroker.on_receive`` keeps that in ``failure`` and the
+    read goes on."""
+
+    def __init__(
+        self, owner: "TcpTransport", broker_id: str, inbound: Set[asyncio.BaseTransport]
+    ):
+        self.owner = owner
+        self.broker_id = broker_id
+        #: The listening broker's accepted connections, for detach.
+        self.inbound = inbound
+        #: The peer, from its HELLO frame on.
+        self.src: Optional[str] = None
+        self.decoder = FrameDecoder()
+        self.transport: Any = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.inbound.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.inbound.discard(self.transport)
+
+    def data_received(self, data: bytes) -> None:
+        owner = self.owner
+        receiver = owner._receivers.get(self.broker_id)
+        if receiver is None:
+            return  # detached: detach closes this connection
+        self.decoder.feed(data)
+        on_receive, turn = receiver
+        try:
+            turn(self._deliver_frames, on_receive)
+        except wire.CorruptFrame:
+            # A frame failed its CRC: never deliver any of it.  Count the
+            # reject and treat the stream like a torn connection — closing
+            # it makes the sender reconnect and re-send its unpopped
+            # batches; anything already popped is healed by the
+            # protocol's nack/retransmission machinery.
+            owner.frames_rejected_crc += 1
+            owner._m_rejected.inc()
+            self.transport.close()
+        except (json.JSONDecodeError, ValueError, KeyError):
+            # FrameError/OversizedFrame are ValueErrors: a malformed or
+            # hostile peer gets its connection closed, not a hang.
+            self.transport.close()
+
+    def _deliver_frames(self, on_receive: ReceiveFn) -> None:
+        owner, broker_id = self.owner, self.broker_id
+        for frame_type, body in self.decoder.frames():
+            src = self.src
+            if src is None:
+                # The first frame identifies the peer.
+                if frame_type != FRAME_HELLO:
+                    raise FrameError(f"expected HELLO, got frame type {frame_type}")
+                self.src = json.loads(body.decode("utf-8"))["src"]
+                continue
+            if frame_type == FRAME_HEARTBEAT:
+                if not owner._is_severed(src, broker_id):
+                    self.transport.write(wire.HEARTBEAT_ACK_FRAME)
+                continue
+            if frame_type != FRAME_BATCH:
+                raise FrameError(f"unexpected frame type {frame_type}")
+            if owner._is_severed(src, broker_id):
+                continue  # the wire is cut; frames die here
+            for payload in decode_batch_body(body):
+                on_receive(src, decode_wire_message(payload))
+
+
 class TcpTransport(Transport):
     """Localhost TCP transport with connection supervision.
 
@@ -385,6 +465,9 @@ class TcpTransport(Transport):
       guaranteed traffic is recovered by the protocol's
       nack/retransmission machinery, never silently by the transport.
 
+    Receiving has no task either: each accepted connection is an
+    :class:`_Inbound` protocol, and one read is one receiving turn.
+
     Sends are serialized through a :class:`~repro.aio.wire.SerializeCache`
     so a message fanned out to several peers is encoded once; hits are
     counted in ``serialize_cache_hits``.
@@ -417,16 +500,13 @@ class TcpTransport(Transport):
         #: broker -> (host, port) once listening.
         self.addresses: Dict[str, Tuple[str, int]] = {}
         self._servers: Dict[str, asyncio.AbstractServer] = {}
-        self._receivers: Dict[str, ReceiveFn] = {}
+        self._receivers: Dict[str, Tuple[ReceiveFn, TurnFn]] = {}
         self._conns: Dict[Tuple[str, str], _Connection] = {}
         #: Administratively severed broker pairs (chaos injection).
         self._severed: Set[Tuple[str, str]] = set()
-        #: Writers of accepted inbound connections, per listening broker,
-        #: so a broker crash can drop its half-open inbound sockets too.
-        self._inbound: Dict[str, Set[asyncio.StreamWriter]] = {}
-        #: Server-side handler tasks, per listening broker, so shutdown
-        #: can end them instead of leaking them to loop teardown.
-        self._handlers: Dict[str, Set[asyncio.Task]] = {}
+        #: Accepted inbound connections, per listening broker, so a
+        #: broker crash can drop its half-open inbound sockets too.
+        self._inbound: Dict[str, Set[asyncio.BaseTransport]] = {}
         self._codec = SerializeCache()
         self.sent = 0
         self.shed = 0
@@ -479,85 +559,14 @@ class TcpTransport(Transport):
     # -- lifecycle ---------------------------------------------------------
 
     async def attach(
-        self,
-        broker_id: str,
-        on_receive: ReceiveFn,
-        on_receive_async: Optional[ReceiveFn] = None,
+        self, broker_id: str, on_receive: ReceiveFn, turn: Optional[TurnFn] = None
     ) -> None:
         """Begin listening for this broker on an ephemeral port."""
-        self._receivers[broker_id] = (
-            on_receive_async if on_receive_async is not None else on_receive
-        )
+        self._receivers[broker_id] = (on_receive, turn or _no_turn)
         inbound = self._inbound.setdefault(broker_id, set())
-        handlers = self._handlers.setdefault(broker_id, set())
-
-        async def handle(reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-            src: Optional[str] = None
-            task = asyncio.current_task()
-            if task is not None:
-                handlers.add(task)
-            inbound.add(writer)
-            decoder = FrameDecoder()
-            try:
-                while True:
-                    chunk = await reader.read(65536)
-                    if not chunk:
-                        return  # EOF: peer closed or died (half-open ends here)
-                    decoder.feed(chunk)
-                    for frame_type, body in decoder.frames():
-                        if src is None:
-                            # The first frame identifies the peer.
-                            if frame_type != FRAME_HELLO:
-                                raise FrameError(
-                                    f"expected HELLO, got frame type {frame_type}"
-                                )
-                            src = json.loads(body.decode("utf-8"))["src"]
-                            continue
-                        if frame_type == FRAME_HEARTBEAT:
-                            if not self._is_severed(src, broker_id):
-                                writer.write(wire.HEARTBEAT_ACK_FRAME)
-                                await writer.drain()
-                            continue
-                        if frame_type != FRAME_BATCH:
-                            raise FrameError(
-                                f"unexpected frame type {frame_type}"
-                            )
-                        if self._is_severed(src, broker_id):
-                            continue  # the wire is cut; frames die here
-                        receiver = self._receivers.get(broker_id)
-                        for payload in decode_batch_body(body):
-                            message = decode_wire_message(payload)
-                            if receiver is not None:
-                                result = receiver(src, message)
-                                if asyncio.iscoroutine(result):
-                                    # Backpressure: a full broker inbox
-                                    # suspends this reader, and TCP flow
-                                    # control pushes back on the sender.
-                                    await result
-            except wire.CorruptFrame:
-                # A frame failed its CRC: never deliver any of it.  Count
-                # the reject and treat the stream like a torn connection —
-                # closing it makes the sender reconnect and re-send its
-                # unpopped batches; anything already popped is healed by
-                # the protocol's nack/retransmission machinery.
-                self.frames_rejected_crc += 1
-                self._m_rejected.inc()
-            except (ConnectionError, json.JSONDecodeError, ValueError, KeyError):
-                # FrameError/OversizedFrame are ValueErrors: a malformed
-                # or hostile peer gets its connection closed, not a hang.
-                pass
-            except asyncio.CancelledError:
-                # Absorb teardown cancellation: re-raising would trip the
-                # streams module's done-callback (task.exception() raises
-                # for cancelled tasks) and spam the loop's error log.
-                pass
-            finally:
-                if task is not None:
-                    handlers.discard(task)
-                inbound.discard(writer)
-                writer.close()
-
-        server = await asyncio.start_server(handle, host="127.0.0.1", port=0)
+        server = await asyncio.get_running_loop().create_server(
+            lambda: _Inbound(self, broker_id, inbound), host="127.0.0.1", port=0
+        )
         self._servers[broker_id] = server
         sockname = server.sockets[0].getsockname()
         self.addresses[broker_id] = (sockname[0], sockname[1])
@@ -565,19 +574,16 @@ class TcpTransport(Transport):
     async def detach(self, broker_id: str) -> None:
         """Stop listening and drop this broker's connections (crash)."""
         self._receivers.pop(broker_id, None)
+        self.addresses.pop(broker_id, None)
         server = self._servers.pop(broker_id, None)
         if server is not None:
             server.close()
+        for transport in self._inbound.pop(broker_id, ()):
+            transport.close()
+        if server is not None:
+            # After the inbound close: from Python 3.12 this also waits
+            # for the server's accepted connections to end.
             await server.wait_closed()
-        self.addresses.pop(broker_id, None)
-        for writer in list(self._inbound.get(broker_id, ())):
-            writer.close()
-        self._inbound.pop(broker_id, None)
-        handlers = self._handlers.pop(broker_id, set())
-        for task in handlers:
-            task.cancel()
-        if handlers:
-            await asyncio.gather(*handlers, return_exceptions=True)
         # Kill this broker's *outgoing* supervisors; connections *to* it
         # stay supervised on the remote side and reconnect on restart.
         for key in [k for k in self._conns if k[0] == broker_id]:

@@ -901,19 +901,20 @@ class GDBrokerEngine:
         marks its pubend.
 
         The host decides where a turn ends (the asyncio runtime: around
-        each inbox micro-batch).  When it does, the marked acks leave only
-        on a leading edge — no ack left since the last link-status tick,
-        which found none due (so a fresh system's upstream links open at
-        once) — or once :data:`ACK_BACKLOG` messages were handled since the
-        last flush.  Otherwise they wait for :meth:`_send_link_status`,
-        which flushes them first: paced traffic sends one ack per pubend
-        per hop per period, and an ack is at most one
-        ``link_status_interval`` late per hop.  Outside a turn an ack
-        leaves as soon as it is due, so a host that opens none — the
-        simulator — sends what it always sent.  Deferring is safe because
-        an ack is a cumulative prefix: the one that leaves carries the
-        maximum of those it replaces, and a lost or late ack is
-        re-asserted on the next AckExpected probe (paper section 3.2)."""
+        each delivery callback — one local message or one TCP read).  When
+        it does, the marked acks leave only on a leading edge — no ack
+        left since the last link-status tick, which found none due (so a
+        fresh system's upstream links open at once) — or once
+        :data:`ACK_BACKLOG` messages were handled since the last flush.
+        Otherwise they wait for :meth:`_send_link_status`, which flushes
+        them first: paced traffic sends one ack per pubend per hop per
+        period, and an ack is at most one ``link_status_interval`` late
+        per hop.  Outside a turn an ack leaves as soon as it is due, so a
+        host that opens none — the simulator — sends what it always sent.
+        Deferring is safe because an ack is a cumulative prefix: the one
+        that leaves carries the maximum of those it replaces, and a lost
+        or late ack is re-asserted on the next AckExpected probe (paper
+        section 3.2)."""
         self.turn_open = True
 
     def close_turn(self) -> None:

@@ -25,7 +25,8 @@ substrate does identically —
 — and the two hosts subclass it adding only their substrate:
 :class:`~repro.broker.simbroker.SimBroker` (CPU accountant, client-write
 delay, :class:`~repro.sim.process.SimProcess` timers) and
-:class:`~repro.aio.runtime.AioBroker` (inbox, asyncio timers, mutations).
+:class:`~repro.aio.runtime.AioBroker` (receive turns, asyncio timers,
+mutations).
 It is a base class, not a delegate, so the per-message paths
 (``services.send``, ``on_message``, ``deliver``) resolve on the subclass
 and pay no extra frame.

@@ -9,6 +9,7 @@ from repro.aio.chaos import FAST_PARAMS, chain_topology
 from repro.aio.runtime import AioSystem
 from repro.aio.transport import LocalTransport, TcpTransport
 from repro.broker.engine import GDBrokerEngine
+from repro.broker.state import Envelope
 from repro.client import DeliveryChecker
 from repro.core.config import LivenessParams
 from repro.core.messages import AckMessage
@@ -79,6 +80,34 @@ class TestLocalTransport:
         report, publisher = asyncio.run(scenario())
         assert len(publisher.published) > 50
         assert report.exactly_once
+
+    def test_a_message_is_handled_in_its_delivery_callback(self):
+        """No queue and no task between the transport and the engine: a
+        callback queued right after the send already finds the message
+        handled, inside a turn of its own."""
+
+        async def scenario():
+            transport = LocalTransport()
+            system = AioSystem(gd_topology(), params=FAST, transport=transport)
+            await system.start()
+            engine = system.brokers["shb"].engine
+            ours, in_turn, seen = Envelope(AckMessage("P0", 1)), {}, []
+
+            def on_message(src, message):
+                in_turn[id(message)] = engine.turn_open
+
+            engine.on_message = on_message
+            transport.send("phb", "shb", ours)
+            asyncio.get_running_loop().call_soon(
+                lambda: seen.append(in_turn.get(id(ours)))
+            )
+            await asyncio.sleep(0.01)
+            await system.shutdown()
+            return seen, engine.turn_open
+
+        seen, turn_open_after = asyncio.run(scenario())
+        assert seen == [True]  # handled, inside a turn, before the sentinel
+        assert not turn_open_after
 
     def test_recovers_from_random_drops(self):
         async def scenario():
@@ -309,11 +338,13 @@ class TestPoisonedAndDuplicatedMessages:
             shb = system.brokers["shb"]
             engine = shb.engine
             real, poison = engine.consolidate_ack, RuntimeError("poisoned flush")
+            raised_after = []
 
             def raise_once(pubend, force=False):
                 if force:  # the AckExpected path; only the flush is poisoned
                     return real(pubend, force)
                 engine.consolidate_ack = real
+                raised_after.append(len(publisher.published))
                 raise poison
 
             engine.consolidate_ack = raise_once
@@ -326,15 +357,17 @@ class TestPoisonedAndDuplicatedMessages:
             phb = system.brokers["phb"].engine
             await until_acked(system, phb, last)
             acked = phb.stream_state()["P0"]["pubend"]["acked_up_to"]
-            outcome = (shb.failure, shb._drain_task.done(), engine.consolidate_ack)
+            later = {tick for __, tick, ___ in publisher.published[raised_after[0]:]}
+            delivered_later = later & set(client.delivered_ticks("P0"))
+            outcome = (shb.failure, delivered_later, engine.consolidate_ack)
             await system.shutdown()
             return report, outcome, acked, last, poison, real
 
         report, outcome, acked, last, poison, real = asyncio.run(scenario())
-        failure, drain_done, consolidate = outcome
+        failure, delivered_later, consolidate = outcome
         assert consolidate == real, "the flush never ran"
         assert failure is poison
-        assert not drain_done
+        assert delivered_later, "nothing published after the raise was delivered"
         assert report.exactly_once
         # The mark the raise lost is made again by the next turn.
         assert acked > last
@@ -396,11 +429,11 @@ class TestPoisonedAndDuplicatedMessages:
 
 
 class TestAcksPerTurn:
-    """The inbox micro-batch is one engine turn.  However many acks its
-    messages make due, each pubend's cumulative ack leaves at most once:
-    when the batch ends if it is the first flush since the broker's last
-    link-status tick or a backlog built up, else with the next tick —
-    and no ack stays due past a tick."""
+    """What one loop callback delivers is one engine turn.  However many
+    acks its messages make due, each pubend's cumulative ack leaves at
+    most once: when the turn ends if it is the first flush since the
+    broker's last link-status tick or a backlog built up, else with the
+    next tick — and no ack stays due past a tick."""
 
     @staticmethod
     def record_ticks(monkeypatch):
@@ -436,13 +469,11 @@ class TestAcksPerTurn:
             acked = phb.stream_state()["P0"]["pubend"]["acked_up_to"]
             brokers = system.brokers.items()
             acks = sum(broker.engine.counters.get("acks_sent", 0) for __, broker in brokers)
-            inboxes = [broker._inbox.qsize() for __, broker in brokers]
             await system.shutdown()
-            return report, acked, last, acks, inboxes
+            return report, acked, last, acks
 
-        report, acked, last, acks, inboxes = asyncio.run(scenario())
+        report, acked, last, acks = asyncio.run(scenario())
         assert report.exactly_once
-        assert inboxes == [0, 0, 0]
         assert {broker for broker, __ in ticks} == {"b0", "b1", "b2"}
         assert [due for __, due in ticks if due] == []
         assert acks <= 0.1 * burst, acks
@@ -450,7 +481,7 @@ class TestAcksPerTurn:
 
     def test_paced_traffic_sends_an_ack_per_hop_per_period(self):
         """P0 and P1 at 150 publications a second each, one per
-        micro-batch: each pubend's ack rides the 0.1 s link-status tick
+        turn: each pubend's ack rides the 0.1 s link-status tick
         once per hop, and none is late enough for the pubend to probe with
         AckExpected (aet = 1 s)."""
 
@@ -730,6 +761,63 @@ class TestTcpTransport:
         assert max(late) < 0.5, late
         assert nacks <= 2
         assert received == [tick]
+
+    def test_one_batch_frame_is_one_turn_and_survives_a_raise(self):
+        """The envelopes of one read run as one engine turn.  A raise in
+        envelope k is kept in ``failure``; envelopes k+1..N are still
+        handled and the connection stays up."""
+        n, k = 8, 3
+
+        async def scenario():
+            transport = TcpTransport()
+            system = AioSystem(gd_topology(), params=FAST, transport=transport)
+            await system.start()
+            shb = system.brokers["shb"]
+            engine = shb.engine
+            turns, poison = [], RuntimeError("poisoned envelope")
+            real_open, real_on_message = engine.open_turn, engine.on_message
+
+            def open_turn():
+                turns.append([])
+                real_open()
+
+            def on_message(src, message):
+                tick = getattr(getattr(message, "payload", None), "up_to", -1)
+                if tick < 1000:  # the system's own traffic
+                    return real_on_message(src, message)
+                turns[-1].append(tick - 1000)
+                if tick - 1000 == k:
+                    raise poison
+
+            engine.open_turn, engine.on_message = open_turn, on_message
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 5.0
+            while transport._conns.get(("phb", "shb")) is None or not (
+                transport._conns[("phb", "shb")].up and transport._inbound["shb"]
+            ):
+                assert loop.time() < deadline, "phb never connected"
+                await asyncio.sleep(0.01)
+            inbound = set(transport._inbound["shb"])
+            for i in range(n):  # one loop turn: one batch frame
+                transport.send("phb", "shb", Envelope(AckMessage("P0", 1000 + i)))
+            while sum(len(t) for t in turns) < n and loop.time() < deadline:
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)
+            outcome = (
+                [t for t in turns if t],
+                shb.failure,
+                set(transport._inbound["shb"]) == inbound,
+                any(t.is_closing() for t in inbound),
+                transport._conns[("phb", "shb")].up,
+            )
+            await system.shutdown()
+            return outcome, poison
+
+        outcome, poison = asyncio.run(scenario())
+        ours, failure, same_inbound, closing, up = outcome
+        assert ours == [list(range(n))]
+        assert failure is poison
+        assert same_inbound and not closing and up
 
     def test_corrupt_frames_heal_via_reconnect_and_resend(self):
         """A frame damaged in flight is rejected by CRC, never delivered;

@@ -1,4 +1,4 @@
-"""Connection supervision, timer tracking, and inbox flow control."""
+"""Connection supervision, timer tracking, and TCP flow control."""
 
 import asyncio
 import json
@@ -340,57 +340,54 @@ class TestTimerTracking:
         assert asyncio.run(scenario()) == []
 
 
-class TestInboxFlowControl:
-    def test_shed_policy_counts_overflow(self):
-        async def scenario():
-            system = AioSystem(
-                gd_topology(), params=FAST, inbox_limit=2, slow_consumer="shed"
-            )
-            await system.start()
-            broker = system.brokers["shb"]
-            # Synchronous burst: nothing drains between these calls.
-            for i in range(7):
-                broker.on_receive("phb", ack(i))
-            shed = broker.shed_count
-            counter = system.obs.instruments.counter(
-                "aio_inbox_shed", broker="shb"
-            ).value
-            broker.crash()  # drop the queue before garbage reaches the engine
-            await system.shutdown()
-            return shed, counter
+class TestTcpFlowControl:
+    def test_a_burst_into_a_stalled_reader_stays_bounded_and_exactly_once(self):
+        """There is no receive queue: a broker that stops reading pushes
+        back on its sender through TCP, whose flush stops at the write
+        high-water mark and whose outbox sheds past ``OUTBOX_LIMIT``.  A
+        burst larger than that limit still arrives exactly once and in
+        order once the reader resumes — the protocol re-requests what
+        the sender shed."""
+        limit = TcpTransport.OUTBOX_LIMIT
 
-        shed, counter = asyncio.run(scenario())
-        assert shed == 5
-        assert counter == 5
-
-    def test_backpressure_policy_processes_inline_never_drops(self):
         async def scenario():
-            system = AioSystem(
-                gd_topology(), params=FAST, inbox_limit=1,
-                slow_consumer="backpressure",
-            )
+            transport = TcpTransport()
+            system = AioSystem(gd_topology(), params=FAST, transport=transport)
             await system.start()
             client = system.subscribe("a", "shb", ("P0",))
-            publisher = system.publisher("P0", rate=300.0)
-            publisher.start()
-            await system.run_for(0.4)
-            await publisher.stop()
-            await system.run_for(0.6)
-            delivered = len(client.received)
-            published = len(publisher.published)
-            shed = system.brokers["shb"].shed_count
+            publisher = system.publisher("P0", rate=1.0, body_bytes=4096)
+            publisher.publish_once()
+            assert await eventually(lambda: client.count() == 1)
+            stalled = list(transport._inbound["shb"])
+            for inbound in stalled:
+                inbound.pause_reading()
+            outbox = transport._conns[("phb", "shb")].outbox
+            deepest = 0
+            # Publish until the socket buffers are full and the outbox
+            # overflows (a few MB on loopback), a quarter-limit a turn.
+            for __ in range(40):
+                for __ in range(limit // 4):
+                    publisher.publish_once()
+                    deepest = max(deepest, len(outbox))
+                await asyncio.sleep(0.01)
+                if transport.shed:
+                    break
+            shed = transport.shed
+            for inbound in stalled:
+                inbound.resume_reading()
+            published = [tick for __, tick, ___ in publisher.published]
+            arrived = await eventually(
+                lambda: client.count() >= len(published), timeout=15.0
+            )
+            delivered = client.delivered_ticks("P0")
+            failure = system.brokers["shb"].failure
             await system.shutdown()
-            return published, delivered, shed
+            return published, delivered, failure, arrived, deepest, shed
 
-        published, delivered, shed = asyncio.run(scenario())
-        assert shed == 0
-        assert published > 30
+        published, delivered, failure, arrived, deepest, shed = asyncio.run(scenario())
+        assert len(published) > limit
+        assert arrived, (len(delivered), len(published))
+        assert failure is None  # the client raises on a duplicate or a reorder
         assert delivered == published
-
-    def test_rejects_unknown_policy(self):
-        try:
-            AioSystem(gd_topology(), params=FAST, slow_consumer="discard")
-        except ValueError as exc:
-            assert "slow_consumer" in str(exc)
-        else:
-            raise AssertionError("bad slow_consumer accepted")
+        assert deepest <= limit
+        assert shed > 0, "the burst never filled the sender's outbox"
